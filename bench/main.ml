@@ -13,7 +13,9 @@
      casestudy  sec. 5.4 — invariant-based failure localization (od, pr)
      micro      Bechamel micro-benchmarks
      smoke      one-bug pipeline + overhead run, for CI
-     vm         pre-lowered engine vs reference interpreter, instr/sec
+     vm         compiled engine vs reference interpreter, instr/sec, and
+                ER-traced vs untraced time; gates the traced/untraced
+                ratio at 2.0
      fleet      Table 1 corpus on a domain pool, -j 1 vs -j 4
      longtrace  long-trace family: checkpoint/resume vs from-scratch
      serve      in-process er-serve daemon under a 4-client loadgen;
@@ -39,7 +41,7 @@
    10% regression exits non-zero (the counters are deterministic, so the
    gate is machine-independent); [--baseline-exact] tightens that to
    exact equality.  [--vm-baseline FILE] gates the [vm] job's
-   lowered-vs-reference speedup: below 2x, or more than 10% under
+   lowered-vs-reference speedup: below 4x, or more than 10% under
    FILE's recorded speedup, exits non-zero. *)
 
 open Er_corpus
@@ -89,108 +91,102 @@ let run_table1 () =
 (* Fig 6: runtime overhead (and input to Fig 1 efficiency)             *)
 (* ------------------------------------------------------------------ *)
 
-type overhead = { mean : float; stderr : float }
-
-let measure_runs f ~runs =
-  ignore (f ());    (* warm-up *)
-  (* repeat the workload inside each timed sample to out-resolve the
-     Sys.time granularity on short benchmarks *)
+(* Best-of-N timing of several legs, interleaved: every sample times
+   each leg in turn (repeated inside the sample to out-resolve the
+   Sys.time granularity on short workloads), so a drift in machine speed
+   hits every leg of a sample alike, and each leg keeps its fastest
+   sample — interference only ever adds time, so the minimum is the
+   least noisy estimate of the true cost.  Each sample starts from a
+   collected heap, so no leg pays for the previous leg's garbage.  The
+   gates compare ratios of these times (overheads, speedups), never raw
+   seconds. *)
+let measure_best (legs : (unit -> unit) array) ~runs : float array =
+  Array.iter (fun f -> f ()) legs;    (* warm-up *)
   let reps = 5 in
-  Gc.full_major ();
-  let times =
-    List.init runs (fun _ ->
-        let t0 = Sys.time () in
-        for _ = 1 to reps do
-          f ()
-        done;
-        (Sys.time () -. t0) /. float_of_int reps)
-  in
-  let n = float_of_int runs in
-  let mean = List.fold_left ( +. ) 0.0 times /. n in
-  let var =
-    List.fold_left (fun a t -> a +. ((t -. mean) ** 2.)) 0.0 times /. n
-  in
-  (mean, sqrt var /. sqrt n)
-
-(* Best-of-N timing for throughput ratios (bench vm): machine-wide
-   interference only ever adds time, so the minimum sample is the least
-   noisy estimate of the true cost and keeps the speedup gate stable. *)
-let measure_best f ~runs =
-  ignore (f ());    (* warm-up *)
-  let reps = 5 in
-  Gc.full_major ();
-  let best = ref infinity in
+  let best = Array.make (Array.length legs) infinity in
   for _ = 1 to runs do
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let t = (Sys.time () -. t0) /. float_of_int reps in
-    if t < !best then best := t
+    Array.iteri
+      (fun i f ->
+         Gc.full_major ();
+         let t0 = Sys.time () in
+         for _ = 1 to reps do
+           f ()
+         done;
+         let t = (Sys.time () -. t0) /. float_of_int reps in
+         if t < best.(i) then best.(i) <- t)
+      legs
   done;
-  !best
+  best
 
-let er_hooks enc =
-  {
-    Er_vm.Interp.no_hooks with
-    Er_vm.Interp.on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
-    on_switch =
-      Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-    on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-    on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-  }
+(* One ER production run: a fresh capture into [enc] under the recording
+   hooks. *)
+let traced_run enc prog inputs () =
+  Er_trace.Encoder.reset enc;
+  Er_trace.Encoder.start enc;
+  let config =
+    { Er_vm.Interp.default_config with
+      hooks = Er_vm.Vm_state.recording_hooks enc }
+  in
+  ignore (Er_vm.Interp.run ~config prog inputs)
 
+(* Recording overheads of one bug's performance workload, in percent
+   over the untraced run: ER's encoder hooks and rr's full record, the
+   three legs timed as interleaved best-of-[runs] samples. *)
 let overhead_of (s : Bug.spec) ~runs =
   let prog = Er_ir.Prog.of_program s.Bug.program in
   (* input construction is workload preparation, not program execution:
      build once, outside the timed region *)
   let inputs = s.Bug.perf_inputs () in
   let base () = ignore (Er_vm.Interp.run prog inputs) in
-  let enc = Er_trace.Encoder.create () in
-  let er_config = { Er_vm.Interp.default_config with hooks = er_hooks enc } in
-  let er () =
-    Er_trace.Encoder.start enc;
-    ignore (Er_vm.Interp.run ~config:er_config prog inputs)
-  in
+  let er = traced_run (Er_trace.Encoder.create ()) prog inputs in
   let rr () = ignore (Er_baselines.Rr.record prog inputs) in
-  let bm, bs = measure_runs base ~runs in
-  let em, es = measure_runs er ~runs in
-  let rm, rs = measure_runs rr ~runs in
-  let pct x = 100. *. ((x /. bm) -. 1.) in
-  let err xs = 100. *. (xs +. bs) /. bm in
-  ( { mean = pct em; stderr = err es },
-    { mean = pct rm; stderr = err rs } )
+  let t = measure_best [| base; er; rr |] ~runs in
+  let pct x = 100. *. ((x /. t.(0)) -. 1.) in
+  (pct t.(1), pct t.(2))
 
-let fig6_results : (string * overhead * overhead) list ref = ref []
+(* (name, ER overhead %, rr overhead %) per bug *)
+let fig6_results : (string * float * float) list ref = ref []
 
 let run_fig6 () =
   section "Fig 6: online recording overhead, ER (PT-like) vs rr (full RR)";
-  Printf.printf "%-22s %18s %18s\n" "Application" "ER overhead" "rr overhead";
+  Printf.printf "%-22s %12s %12s\n" "Application" "ER overhead" "rr overhead";
   let runs = 15 in
   List.iter
     (fun (s : Bug.spec) ->
        let er, rr = overhead_of s ~runs in
        fig6_results := (s.Bug.name, er, rr) :: !fig6_results;
-       Printf.printf "%-22s %11.1f%% ±%4.1f %11.1f%% ±%4.1f\n%!" s.Bug.name
-         er.mean er.stderr rr.mean rr.stderr)
+       Printf.printf "%-22s %11.1f%% %11.1f%%\n%!" s.Bug.name er rr)
     Registry.table1;
   let avg sel =
     let xs = List.map sel !fig6_results in
     List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
   in
-  Printf.printf "%-22s %11.1f%%       %11.1f%%\n" "average"
-    (avg (fun (_, e, _) -> e.mean))
-    (avg (fun (_, _, r) -> r.mean))
+  Printf.printf "%-22s %11.1f%% %11.1f%%\n" "average"
+    (avg (fun (_, e, _) -> e))
+    (avg (fun (_, _, r) -> r))
 
 (* ------------------------------------------------------------------ *)
 (* bench vm: pre-lowered engine vs reference interpreter               *)
 (* ------------------------------------------------------------------ *)
 
-(* (name, instrs, reference seconds, lowered seconds) per Table 1
-   performance workload; the two engines retire identical instruction
-   streams (the differential suite pins that down), so instr/sec
-   compares directly. *)
-let vm_results : (string * int * float * float) list ref = ref []
+(* (name, instrs, reference seconds, lowered seconds, traced seconds)
+   per Table 1 performance workload; the engines retire identical
+   instruction streams (the differential suite pins that down), so
+   instr/sec compares directly.  Traced is the compiled engine under
+   ER's recording hooks. *)
+let vm_results : (string * int * float * float * float) list ref = ref []
+
+(* Corpus totals of [vm_results] rows: instructions, then reference,
+   lowered and traced seconds. *)
+let vm_totals rows =
+  List.fold_left
+    (fun (i, r, l, t) (_, i', r', l', t') ->
+       (i + i', r +. r', l +. l', t +. t'))
+    (0, 0., 0., 0.) rows
+
+(* The recording-overhead gate of `bench vm`: the corpus-aggregate
+   traced/untraced time ratio must not exceed this. *)
+let max_traced_ratio = 2.0
 
 (* `bench vm --opcode-mix`: instead of timing, report the hottest
    adjacent opcode pairs (block-retirement weighted) per corpus program
@@ -236,9 +232,10 @@ let run_opcode_mix () =
     sorted
 
 let run_vm_timed () =
-  section "bench vm: pre-lowered engine vs reference interpreter";
-  Printf.printf "%-22s %10s %10s %11s %12s %12s %8s\n" "Application" "#Instr"
-    "ref (s)" "lowered (s)" "ref ips" "lowered ips" "speedup";
+  section "bench vm: compiled engine vs reference interpreter, and ER-traced";
+  Printf.printf "%-22s %10s %10s %11s %10s %12s %12s %8s %8s\n" "Application"
+    "#Instr" "ref (s)" "lowered (s)" "traced (s)" "ref ips" "lowered ips"
+    "speedup" "traced";
   let runs = 5 in
   List.iter
     (fun (s : Bug.spec) ->
@@ -248,28 +245,38 @@ let run_vm_timed () =
        ignore (Er_ir.Prog.lowered prog);
        let inputs = s.Bug.perf_inputs () in
        let instrs = (Er_vm.Interp.run prog inputs).Er_vm.Interp.instr_count in
-       let lm =
-         measure_best (fun () -> ignore (Er_vm.Interp.run prog inputs)) ~runs
-       in
-       let rm =
+       let t =
          measure_best
-           (fun () -> ignore (Er_vm.Interp.run_reference prog inputs))
+           [| (fun () -> ignore (Er_vm.Interp.run_reference prog inputs));
+              (fun () -> ignore (Er_vm.Interp.run prog inputs));
+              traced_run (Er_trace.Encoder.create ()) prog inputs |]
            ~runs
        in
-       vm_results := (s.Bug.name, instrs, rm, lm) :: !vm_results;
+       let rm = t.(0) and lm = t.(1) and tm = t.(2) in
+       vm_results := (s.Bug.name, instrs, rm, lm, tm) :: !vm_results;
        let ips t = if t > 0. then float_of_int instrs /. t else 0. in
-       Printf.printf "%-22s %10d %10.4f %11.4f %12.0f %12.0f %7.2fx\n%!"
-         s.Bug.name instrs rm lm (ips rm) (ips lm)
-         (if lm > 0. then rm /. lm else 1.))
+       Printf.printf
+         "%-22s %10d %10.4f %11.4f %10.4f %12.0f %12.0f %7.2fx %7.2fx\n%!"
+         s.Bug.name instrs rm lm tm (ips rm) (ips lm)
+         (if lm > 0. then rm /. lm else 1.)
+         (if lm > 0. then tm /. lm else 1.))
     Registry.table1;
-  let ti = List.fold_left (fun a (_, i, _, _) -> a + i) 0 !vm_results in
-  let tr = List.fold_left (fun a (_, _, r, _) -> a +. r) 0.0 !vm_results in
-  let tl = List.fold_left (fun a (_, _, _, l) -> a +. l) 0.0 !vm_results in
-  Printf.printf "%-22s %10d %10.4f %11.4f %12.0f %12.0f %7.2fx\n" "total" ti
-    tr tl
+  let ti, tr, tl, tt = vm_totals !vm_results in
+  let traced_ratio = if tl > 0. then tt /. tl else 1. in
+  Printf.printf
+    "%-22s %10d %10.4f %11.4f %10.4f %12.0f %12.0f %7.2fx %7.2fx\n" "total"
+    ti tr tl tt
     (if tr > 0. then float_of_int ti /. tr else 0.)
     (if tl > 0. then float_of_int ti /. tl else 0.)
     (if tl > 0. then tr /. tl else 1.)
+    traced_ratio;
+  if traced_ratio > max_traced_ratio then begin
+    Printf.eprintf
+      "bench vm: ER-traced runs take %.2fx the untraced time, over the \
+       %.1fx recording-overhead limit\n"
+      traced_ratio max_traced_ratio;
+    exit 1
+  end
 
 let run_vm () = if !opcode_mix then run_opcode_mix () else run_vm_timed ()
 
@@ -310,7 +317,8 @@ let run_fig5 () =
         let enc = Er_trace.Encoder.create () in
         Er_trace.Encoder.start enc;
         let vm_config =
-          { Er_vm.Interp.default_config with sched_seed; hooks = er_hooks enc }
+          { Er_vm.Interp.default_config with
+            sched_seed; hooks = Er_vm.Vm_state.recording_hooks enc }
         in
         let vm = Er_vm.Interp.run ~config:vm_config inst_indexed inputs in
         match vm.Er_vm.Interp.outcome with
@@ -467,8 +475,8 @@ let run_fig1 () =
         List.fold_left (fun a x -> a +. sel x) 0.0 xs
         /. float_of_int (List.length xs)
   in
-  let er_oh = avg (fun (_, e, _) -> e.mean) in
-  let rr_oh = avg (fun (_, _, r) -> r.mean) in
+  let er_oh = avg (fun (_, e, _) -> e) in
+  let rr_oh = avg (fun (_, _, r) -> r) in
   Printf.printf
     "(a) Efficiency  — avg overhead: ER %.1f%% | rr %.1f%%  (usability \
      boundary: 10%%); ER %s the boundary, full RR %s it\n"
@@ -622,10 +630,8 @@ let bench_json () =
        match List.assoc_opt name overheads with
        | Some (er, rr) ->
            [
-             ("er_overhead_pct", J.Float er.mean);
-             ("er_overhead_stderr", J.Float er.stderr);
-             ("rr_overhead_pct", J.Float rr.mean);
-             ("rr_overhead_stderr", J.Float rr.stderr);
+             ("er_overhead_pct", J.Float er);
+             ("rr_overhead_pct", J.Float rr);
            ]
        | None -> [])
   in
@@ -651,28 +657,29 @@ let bench_json () =
     match List.rev !vm_results with
     | [] -> []
     | rows ->
-        let ti = List.fold_left (fun a (_, i, _, _) -> a + i) 0 rows in
-        let tr = List.fold_left (fun a (_, _, r, _) -> a +. r) 0.0 rows in
-        let tl = List.fold_left (fun a (_, _, _, l) -> a +. l) 0.0 rows in
+        let ti, tr, tl, tt = vm_totals rows in
+        let ratio a b = if b > 0. then a /. b else 1. in
         [ ( "vm",
             J.Obj
               [ ( "bugs",
                   J.List
                     (List.map
-                       (fun (n, i, r, l) ->
+                       (fun (n, i, r, l, t) ->
                           J.Obj
                             [ ("name", J.Str n); ("instrs", J.Int i);
                               ("reference_s", J.Float r);
                               ("lowered_s", J.Float l);
-                              ( "speedup",
-                                J.Float (if l > 0. then r /. l else 1.) ) ])
+                              ("traced_s", J.Float t);
+                              ("speedup", J.Float (ratio r l));
+                              ("traced_ratio", J.Float (ratio t l)) ])
                        rows) );
                 ("total_instrs", J.Int ti);
                 ( "reference_ips",
                   J.Float (if tr > 0. then float_of_int ti /. tr else 0.) );
                 ( "lowered_ips",
                   J.Float (if tl > 0. then float_of_int ti /. tl else 0.) );
-                ("speedup", J.Float (if tl > 0. then tr /. tl else 1.)) ] ) ]
+                ("speedup", J.Float (ratio tr tl));
+                ("traced_ratio", J.Float (ratio tt tl)) ] ) ]
   in
   let fleet_section =
     match List.rev !fleet_trials with
@@ -755,8 +762,8 @@ let bench_json () =
             ("solver_cost", J.Int (total (fun it -> it.Er_core.Pipeline.solver_cost)));
             ("cache_hits", J.Int (total (fun it -> it.Er_core.Pipeline.cache_hits)));
             ("cache_misses", J.Int (total (fun it -> it.Er_core.Pipeline.cache_misses)));
-            ("mean_er_overhead_pct", mean (fun (_, e, _) -> e.mean));
-            ("mean_rr_overhead_pct", mean (fun (_, _, r) -> r.mean));
+            ("mean_er_overhead_pct", mean (fun (_, e, _) -> e));
+            ("mean_rr_overhead_pct", mean (fun (_, _, r) -> r));
           ] );
     ]
      @ vm_section @ fleet_section @ serve_section @ longtrace_section
@@ -868,7 +875,7 @@ let check_baseline ~exact ~current ~baseline =
       Printf.eprintf "%s: cannot read totals.solver_cost\n" baseline;
       false
 
-(* The [vm] job's perf gate: the lowered engine must stay at least 2x
+(* The [vm] job's perf gate: the lowered engine must stay at least 4x
    over the reference interpreter, and within 10% of the committed
    trajectory's recorded speedup.  The gate compares speedup ratios,
    not raw instr/sec, so it transfers across machines. *)
@@ -1107,7 +1114,7 @@ let run_smoke () =
   in
   Printf.printf
     "%s: reproduced=%b occurrences=%d ER overhead %.1f%% rr overhead %.1f%%\n"
-    s.Bug.name reproduced r.Er_core.Pipeline.occurrences er.mean rr.mean;
+    s.Bug.name reproduced r.Er_core.Pipeline.occurrences er rr;
   if not reproduced then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1159,8 +1166,11 @@ let run_longtrace () =
     "bench longtrace: incremental checkpoint/resume vs from-scratch tracing";
   let s = Registry.long_trace in
   let run ~incremental =
-    (* both modes start from a cold solver cache so the comparison is fair *)
+    (* both modes start from a cold solver cache and a collected heap
+       (neither pays for the other's garbage), so the comparison is
+       fair *)
     Er_smt.Solver.reset_cache ();
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r =
       Er_core.Pipeline.run
@@ -1169,18 +1179,17 @@ let run_longtrace () =
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  (* warm the code cache once, then keep the best of three walls/mode *)
+  (* warm the code cache once, then keep the best of three walls per
+     mode, the modes alternating so a drift in machine speed hits both *)
   ignore (run ~incremental:true);
-  let best incremental =
-    List.fold_left
-      (fun (bw, br) () ->
-         let w, r = run ~incremental in
-         if w < bw then (w, Some r) else (bw, br))
-      (infinity, None)
-      [ (); (); () ]
+  let keep (bw, br) (w, r) = if w < bw then (w, Some r) else (bw, br) in
+  let rec trials n (bi, bs) =
+    if n = 0 then (bi, bs)
+    else
+      let bi = keep bi (run ~incremental:true) in
+      trials (n - 1) (bi, keep bs (run ~incremental:false))
   in
-  let wi, ri = best true in
-  let ws, rs = best false in
+  let (wi, ri), (ws, rs) = trials 3 ((infinity, None), (infinity, None)) in
   let ri = Option.get ri and rs = Option.get rs in
   let cost (r : Er_core.Pipeline.result) =
     List.fold_left

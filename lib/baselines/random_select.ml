@@ -73,19 +73,9 @@ let reconstruct ?(config = Er_core.Driver.default_config) ~seed
     let inputs, sched_seed = workload ~occurrence:!occ in
     let enc = Er_trace.Encoder.create () in
     Er_trace.Encoder.start enc;
-    let hooks =
-      {
-        Er_vm.Interp.no_hooks with
-        Er_vm.Interp.on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
-        on_switch =
-          Some
-            (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-        on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-        on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-      }
-    in
     let vm_config =
-      { Er_vm.Interp.default_config with sched_seed; hooks }
+      { Er_vm.Interp.default_config with
+        sched_seed; hooks = Er_vm.Vm_state.recording_hooks enc }
     in
     let vm_result = Er_vm.Interp.run ~config:vm_config inst_indexed inputs in
     match vm_result.Er_vm.Interp.outcome with

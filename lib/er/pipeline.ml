@@ -215,16 +215,8 @@ module Default_tracer : TRACER = struct
 
   let start ~config ~base_prog =
     let enc = Enc.create ~ring_bytes:config.ring_bytes () in
-    let hooks =
-      {
-        Interp.no_hooks with
-        Interp.on_branch = Some (fun b -> Enc.branch enc b);
-        on_switch = Some (fun ~tid ~clock -> Enc.thread_switch enc ~tid ~clock);
-        on_ptwrite = Some (fun v -> Enc.ptwrite enc v);
-        on_alloc = Some (fun v -> Enc.ptwrite enc v);
-      }
-    in
-    { s_prog = base_prog; s_enc = enc; s_hooks = hooks; s_vm = None;
+    { s_prog = base_prog; s_enc = enc; s_hooks = Vs.recording_hooks enc;
+      s_vm = None;
       s_seed = 0; s_points = []; s_cks = []; s_taken = 0; s_resumes = 0;
       s_saved = 0; s_executed = 0 }
 

@@ -104,15 +104,6 @@ let node_equal na nb =
       _ ) ->
       false
 
-module Key = struct
-  type nonrec t = t
-
-  let equal a b = node_equal a.node b.node && Ty.equal a.ty b.ty
-  let hash a = a.hkey
-end
-
-module Table = Hashtbl.Make (Key)
-
 (* Ids are unique across every space for the lifetime of the process. *)
 let next_id = Atomic.make 0
 
@@ -120,27 +111,63 @@ let next_id = Atomic.make 0
    result cache by stamp, so cache entries never cross spaces). *)
 let next_stamp = Atomic.make 0
 
+(* A space's hash-cons table is open-addressed: a key array and a term
+   array, probed linearly and kept at most half full.  Interning on a
+   large table is bound by memory latency (symex interns a term or two
+   per step), and a probe reads the dense key array first and
+   dereferences a term only on a hash match — one or two cache misses
+   per lookup, where a chained table pays for the bucket, the chain cell
+   and the term.  A slot's key packs the term's [hkey] (30 bits, the
+   range of [Hashtbl.hash]) with its local id above it; -1 marks an
+   empty slot.
+
+   Local ids are dense (0, 1, 2, ... in interning order of this space),
+   so they are stable across processes for any deterministic client —
+   unlike absolute ids, which depend on what every other space interned
+   first.  They are what the persistent solver-knowledge store keys its
+   entries by. *)
 type space = {
   sp_stamp : int;
   sp_mutex : Mutex.t;
-  sp_table : t Table.t;
-  (* Absolute id -> per-space local id.  Local ids are dense (0, 1, 2,
-     ... in interning order of this space), so they are stable across
-     processes for any deterministic client — unlike absolute ids,
-     which depend on what every other space interned first.  They are
-     what the persistent solver-knowledge store keys its entries by. *)
-  sp_locals : (int, int) Hashtbl.t;
-  mutable sp_next_local : int;
+  mutable sp_keys : int array;
+  mutable sp_terms : t array;
+  mutable sp_count : int;          (* terms interned: the next local id *)
 }
+
+let hkey_bits = 30
+let hkey_mask = (1 lsl hkey_bits) - 1
+let initial_slots = 32_768
+let empty_slot = { node = Const_array 0L; ty = Ty.bool; id = -1; hkey = -1 }
 
 let create_space () =
   {
     sp_stamp = Atomic.fetch_and_add next_stamp 1;
     sp_mutex = Mutex.create ();
-    sp_table = Table.create 65_536;
-    sp_locals = Hashtbl.create 65_536;
-    sp_next_local = 0;
+    sp_keys = Array.make initial_slots (-1);
+    sp_terms = Array.make initial_slots empty_slot;
+    sp_count = 0;
   }
+
+(* The slot holding [e], or the empty slot ending its probe sequence. *)
+let rec find_slot keys terms (e : t) i =
+  if Array.unsafe_get terms i == e || Array.unsafe_get keys i = -1 then i
+  else find_slot keys terms e ((i + 1) land (Array.length keys - 1))
+
+let grow sp =
+  let old_keys = sp.sp_keys and old_terms = sp.sp_terms in
+  let n = 2 * Array.length old_keys in
+  let keys = Array.make n (-1) and terms = Array.make n empty_slot in
+  Array.iteri
+    (fun j k ->
+       if k <> -1 then begin
+         let e = old_terms.(j) in
+         let i = find_slot keys terms e (e.hkey land (n - 1)) in
+         keys.(i) <- k;
+         terms.(i) <- e
+       end)
+    old_keys;
+  sp.sp_keys <- keys;
+  sp.sp_terms <- terms
 
 (* The space terms are interned into, per domain.  Every domain starts
    in the shared default space; fleet workers switch to a fresh space
@@ -160,19 +187,29 @@ let in_fresh_space f = with_space (create_space ()) f
 let intern ty n =
   let sp = Domain.DLS.get current in
   let hkey = hash_node ty n in
-  let probe = { node = n; ty; id = -1; hkey } in
   Mutex.lock sp.sp_mutex;
-  match Table.find_opt sp.sp_table probe with
-  | Some e ->
-      Mutex.unlock sp.sp_mutex;
+  let keys = sp.sp_keys in
+  let mask = Array.length keys - 1 in
+  let rec probe i =
+    let k = Array.unsafe_get keys i in
+    if k = -1 then begin
+      let e = { node = n; ty; id = Atomic.fetch_and_add next_id 1; hkey } in
+      Array.unsafe_set keys i (hkey lor (sp.sp_count lsl hkey_bits));
+      Array.unsafe_set sp.sp_terms i e;
+      sp.sp_count <- sp.sp_count + 1;
+      if 2 * sp.sp_count > Array.length keys then grow sp;
       e
-  | None ->
-      let e = { probe with id = Atomic.fetch_and_add next_id 1 } in
-      Table.add sp.sp_table e e;
-      Hashtbl.add sp.sp_locals e.id sp.sp_next_local;
-      sp.sp_next_local <- sp.sp_next_local + 1;
-      Mutex.unlock sp.sp_mutex;
-      e
+    end
+    else if k land hkey_mask = hkey then begin
+      let e = Array.unsafe_get sp.sp_terms i in
+      if node_equal e.node n && Ty.equal e.ty ty then e
+      else probe ((i + 1) land mask)
+    end
+    else probe ((i + 1) land mask)
+  in
+  let e = probe (hkey land mask) in
+  Mutex.unlock sp.sp_mutex;
+  e
 
 (* The current space's local id of [e]; terms interned by *another*
    space (the shared [tru]/[fls], say) map to a negative marker derived
@@ -182,9 +219,15 @@ let intern ty n =
 let local_id e =
   let sp = Domain.DLS.get current in
   Mutex.lock sp.sp_mutex;
-  let l = Hashtbl.find_opt sp.sp_locals e.id in
+  let keys = sp.sp_keys and terms = sp.sp_terms in
+  let i = find_slot keys terms e (e.hkey land (Array.length keys - 1)) in
+  let l =
+    if Array.unsafe_get terms i == e then
+      Array.unsafe_get keys i lsr hkey_bits
+    else -e.id - 1
+  in
   Mutex.unlock sp.sp_mutex;
-  match l with Some l -> l | None -> -e.id - 1
+  l
 
 (* Number of distinct terms ever created (across all spaces); used by
    the offline-overhead experiment of section 5.3. *)

@@ -2,12 +2,14 @@
     thread scheduler, and tracing hooks.
 
     Two engines implement one semantics.  {!run} is the production path:
-    it delegates to {!Vm_state}, which dispatches over the pre-lowered
-    code cache and keeps all run state behind a resumable value.
-    {!run_reference} is the tree-walking reference engine kept in this
-    module; the differential suite in test/test_lower.ml enforces their
-    bit-for-bit agreement on every observable (hook order, failure
-    reports, outputs, metric totals).
+    it delegates to {!Vm_state}, whose compiled units — one compilation
+    per program and set of installed hooks — run plain, recorded and
+    replayed executions alike, with all run state behind a resumable
+    value.  {!run_reference} is the tree-walking reference engine kept
+    in this module; the differential suite in test/test_lower.ml
+    enforces their bit-for-bit agreement on every observable (every
+    hook call with its arguments, failure reports, outputs, metric
+    totals).
 
     The shared types and helpers (hooks, config, results, metrics) are
     defined in {!Vm_state} and re-exported here under their historical
@@ -111,8 +113,8 @@ val alloc_global_mem : Memory.t -> global -> int64
 
 (** {1 Execution} *)
 
-(** The production engine: lowered dispatch over the code cache,
-    resumable state ({!Vm_state}). *)
+(** The production engine: compiled units from the code cache, with
+    the configured hooks compiled in; resumable state ({!Vm_state}). *)
 val run : ?config:config -> Er_ir.Prog.t -> Inputs.t -> run_result
 
 (** The tree-walking reference engine. *)

@@ -18,11 +18,14 @@
    constant across iterations, checkpoints never need frame remapping
    when the point set changes.
 
-   Hook invocations and their order, failure reports, outputs and metric
-   totals match [Interp.run_reference] bit for bit on instrumented
-   programs (the differential suite in test/test_lower.ml pins this
-   down), and plan-driven runs match instrumented runs packet for packet
-   (test/test_vm_state.ml). *)
+   Every run — plain, recorded, plan-marked — dispatches through one
+   engine: per-block closure units compiled once per program and set of
+   installed hooks, which call those hooks themselves.  Hook invocations
+   and their order, failure reports, outputs and metric totals match
+   [Interp.run_reference] bit for bit on instrumented programs (the
+   differential suite in test/test_lower.ml pins this down), and
+   plan-driven runs match instrumented runs packet for packet
+   (test/test_vm_state.ml, test/test_lower.ml). *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
@@ -129,6 +132,17 @@ let no_hooks =
   { on_branch = None; on_switch = None; on_ptwrite = None; on_input = None;
     on_store = None; on_alloc = None; on_def = None; on_enter = None;
     on_ret = None }
+
+(* ER's production recording: branch outcomes as TNT bits, chunk
+   boundaries as TIP+MTC, traced data values and allocation sizes as
+   ptwrite packets — everything a capture decodes. *)
+let recording_hooks (enc : Er_trace.Encoder.t) =
+  { no_hooks with
+    on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
+    on_switch =
+      Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
+    on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
+    on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v) }
 
 (* Run two hook sets side by side ([a] first).  Lets the pipeline attach
    event-accounting observers next to the trace encoder hooks without
@@ -366,26 +380,24 @@ and lthread = {
    the terminator.  [xb_one] holds singleton units; [xb_big] the fused
    unit starting at each ip where Fuse committed a pair, and the
    singleton elsewhere (pair tails keep their singleton entry so a
-   resume can land on any instruction boundary).  The [_h] variants
-   consult the configured hooks; the plain variants assume [lno_hooks]
-   and pay zero hook branching.  Every unit updates [lfr_ip] and
-   [lclock] itself, per retired sub-instruction, so a crash mid-unit
-   reports the exact instruction and the exact clock. *)
+   resume can land on any instruction boundary).  Units call the hooks
+   of the hook set they were compiled for, and no others.  Every unit
+   updates [lfr_ip] and [lclock] itself, per retired sub-instruction,
+   so a crash mid-unit reports the exact instruction and the exact
+   clock. *)
 and xunit = t -> lthread -> lframe -> step
 
 and xblock = {
   xb_cost : int array;        (* clock ticks of xb_big.(ip): 0..3 *)
   xb_one : xunit array;
   xb_big : xunit array;
-  xb_one_h : xunit array;
-  xb_big_h : xunit array;
   (* true where the unit may change the current frame or block
      (terminator, call, or a fused unit ending in the terminator):
      straight-line units skip the post-step transfer checks *)
   xb_ctl : bool array;
   (* whole-block chain: every fused/singleton unit of the block composed
-     into one closure, terminator included — the no-hooks dispatcher
-     runs it when the block starts at ip 0 and its full cost fits the
+     into one closure, terminator included — the dispatcher runs it
+     when the block starts at ip 0 and its full cost fits the
      remaining quantum ([xb_wcost] <= budget left), so a hot self-loop
      costs one indirect call per iteration.  [xb_wcost] is [max_int]
      when the block is ineligible (any non-fusable instruction), which
@@ -424,13 +436,10 @@ and t = {
   mutable lresult : run_result option;
   mutable lturn : int;
   mutable lcur : lthread;
-  (* pre-compiled threaded code, indexed [lf_idx].(lb_index); physically
-     shared between states of the same lowered program via a bounded
-     compile cache *)
+  (* pre-compiled threaded code for this state's hook set, indexed
+     [lf_idx].(lb_index); physically shared between states of the same
+     lowered program and hook set via a bounded compile cache *)
   lxcode : xblock array array;
-  (* no hook is configured: dispatch may use the hook-free closure
-     arrays, decided once at [create] instead of once per instruction *)
-  lno_hooks : bool;
 }
 
 (* Slot indices come from the lowering's own numbering, always in
@@ -450,19 +459,6 @@ let lpoint_of (fr : lframe) =
     p_index = fr.lfr_ip }
 
 let lstack_of (th : lthread) = List.map lpoint_of th.lstack
-
-let ev_operand st (fr : lframe) (o : L.operand) : int64 =
-  match o with
-  | L.Oslot s -> rget fr s
-  | L.Oimm { v; _ } -> v
-  | L.Onull -> Memory.null
-  | L.Oglobal i -> st.lglobal_ptrs.(i)
-  | L.Ocheck { slot; reg } ->
-      if Bytes.get fr.lfr_defined slot = '\001' then rget fr slot
-      else
-        invalid_arg
-          (Printf.sprintf "Interp: read of undefined register %s in %s" reg
-             fr.lfr_func.L.lf_name)
 
 (* Slot write without the on_def hook: return values and parameter
    binding, mirroring the plain [set_reg] of the reference engine. *)
@@ -552,319 +548,78 @@ let flush_partial st ~(crashed : lthread option) =
            th.lstack)
       st.lthreads
 
-let ldo_return st (th : lthread) v : step =
-  match th.lstack with
-  | [] -> assert false
-  | fr :: rest ->
-      (match st.lcfg.hooks.on_ret with
-       | Some h -> h ~func:fr.lfr_func.L.lf_name ~value:v
-       | None -> ());
-      List.iter (Memory.release_stack st.lmem) fr.lfr_stack_objs;
-      th.lstack <- rest;
-      th.ldepth <- th.ldepth - 1;
-      (match rest with
-       | [] ->
-           th.lstatus <- Done_t;
-           if th.ltid = 0 then Program_done v else Thread_done
-       | caller :: _ ->
-           (match fr.lfr_dst, v with
-            | Some dst, Some value ->
-                lset_slot caller dst
-                  (Er_smt.Ty.truncate fr.lfr_func.L.lf_ret_w value)
-            | Some dst, None -> lset_slot caller dst 0L
-            | None, _ -> ());
-           Stepped)
-
-(* Slot write with the on_def hook, the lowered [set_reg]; a top-level
-   function so the per-instruction step allocates no closures. *)
-let[@inline] lset_reg st (fr : lframe) slot v =
-  (match st.lcfg.hooks.on_def with
-   | Some h ->
-       h (lpoint_of fr) ~reg:fr.lfr_func.L.lf_reg_of_slot.(slot) ~value:v
-   | None -> ());
-  lset_slot fr slot v
-
-(* Evaluate a call/spawn argument array without the intermediate array
-   of [Array.map] — one list allocation, same element order. *)
-let ev_args st (fr : lframe) (args : L.operand array) =
-  Array.fold_right (fun o acc -> ev_operand st fr o :: acc) args []
-
-let lstep_instr st (th : lthread) (fr : lframe) (i : L.linstr) : step =
-  match i with
-  | L.LBin { dst; op; w; a; b; _ } ->
-      let va = ev_operand st fr a and vb = ev_operand st fr b in
-      (match op with
-       | Udiv | Urem when Int64.equal (Er_smt.Ty.truncate w vb) 0L ->
-           raise (Crash Failure.Div_by_zero)
-       | _ -> ());
-      lset_reg st fr dst
-        (Sem.eval_binop (smt_binop op) w (Er_smt.Ty.truncate w va)
-           (Er_smt.Ty.truncate w vb));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCmp { dst; op; w; a; b; _ } ->
-      let r =
-        eval_cmp op w (Er_smt.Ty.truncate w (ev_operand st fr a)) (Er_smt.Ty.truncate w (ev_operand st fr b))
-      in
-      lset_reg st fr dst (if r then 1L else 0L);
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSelect { dst; w; cond; if_true; if_false; _ } ->
-      let c = ev_operand st fr cond in
-      lset_reg st fr dst
-        (Er_smt.Ty.truncate w
-           (if Int64.equal (Er_smt.Ty.truncate 1 c) 1L then ev_operand st fr if_true
-            else ev_operand st fr if_false));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCast { dst; kind; to_w; from_w; v; _ } ->
-      let value = Er_smt.Ty.truncate from_w (ev_operand st fr v) in
-      let out =
-        match kind with
-        | Zext | Ptrtoint | Inttoptr | Trunc -> Er_smt.Ty.truncate to_w value
-        | Sext ->
-            Er_smt.Ty.truncate to_w (Er_smt.Ty.sign_extend from_w value)
-      in
-      lset_reg st fr dst out;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LLoad { dst; ty; addr } ->
-      (match Memory.load st.lmem (ev_operand st fr addr) ~ty with
-       | Error k -> raise (Crash k)
-       | Ok v ->
-           lset_reg st fr dst v;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LStore { ty; w; v; addr } ->
-      let value = Er_smt.Ty.truncate w (ev_operand st fr v) in
-      (match Memory.store st.lmem (ev_operand st fr addr) ~ty value with
-       | Error k -> raise (Crash k)
-       | Ok (obj, index, old_value) ->
-           (match st.lcfg.hooks.on_store with
-            | Some f -> f ~obj ~index ~old_value ~new_value:value
-            | None -> ());
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LAlloc { dst; elt_ty; count; heap } ->
-      let n = Int64.to_int (ev_operand st fr count) in
-      (match st.lcfg.hooks.on_alloc with
-       | Some f -> f (Int64.of_int n)
-       | None -> ());
-      (match Memory.alloc st.lmem ~elt_ty ~size:n ~heap with
-       | None -> raise (Crash (Failure.Access_type_error "allocation too large"))
-       | Some p ->
-           if not heap then
-             fr.lfr_stack_objs <- Memory.ptr_obj p :: fr.lfr_stack_objs;
-           lset_reg st fr dst p;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LFree { addr } ->
-      (match Memory.free st.lmem (ev_operand st fr addr) with
-       | Error k -> raise (Crash k)
-       | Ok () ->
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LGep { dst; base; idx } ->
-      let p = ev_operand st fr base in
-      let i = Int64.to_int (Er_smt.Ty.sign_extend 64 (ev_operand st fr idx)) in
-      lset_reg st fr dst
-        (Memory.ptr ~obj:(Memory.ptr_obj p) ~index:(Memory.ptr_index p + i));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCall { dst; fidx; args } ->
-      if th.ldepth >= st.lcfg.max_call_depth then
-        raise (Crash Failure.Stack_overflow);
-      let lf = st.llow.L.l_funcs.(fidx) in
-      let vargs = ev_args st fr args in
-      (match st.lcfg.hooks.on_enter with
-       | Some h -> h ~func:lf.L.lf_name ~args:vargs
-       | None -> ());
-      fr.lfr_ip <- fr.lfr_ip + 1;    (* return to the next instruction *)
-      record_entry st lf 0;
-      th.lstack <- make_lframe lf vargs ~dst :: th.lstack;
-      th.ldepth <- th.ldepth + 1;
-      Stepped
-  | L.LInput { dst; ty; stream } ->
-      (match Inputs.read st.linputs stream with
-       | None -> raise (Crash (Failure.Input_exhausted stream))
-       | Some v ->
-           let v = norm ty v in
-           (match st.lcfg.hooks.on_input with
-            | Some f -> f ~stream ~value:v
-            | None -> ());
-           lset_reg st fr dst v;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LOutput { v } ->
-      st.loutputs <- ev_operand st fr v :: st.loutputs;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LPtwrite { v } ->
-      (match st.lcfg.hooks.on_ptwrite with
-       | Some f -> f (ev_operand st fr v)
-       | None -> ());
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped_free
-  | L.LAssert { cond; msg } ->
-      if Int64.equal (Er_smt.Ty.truncate 1 (ev_operand st fr cond)) 0L then
-        raise (Crash (Failure.Assert_failed msg));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSpawn { fidx; args } ->
-      let lf = st.llow.L.l_funcs.(fidx) in
-      let vargs = ev_args st fr args in
-      record_entry st lf 0;
-      let t =
-        { ltid = st.lnext_tid; lstack = [ make_lframe lf vargs ~dst:None ];
-          ldepth = 1; lstatus = Runnable }
-      in
-      st.lnext_tid <- st.lnext_tid + 1;
-      st.lthreads <- st.lthreads @ [ t ];
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LJoin ->
-      let others_done =
-        List.for_all
-          (fun t -> t.ltid = th.ltid || t.lstatus = Done_t)
-          st.lthreads
-      in
-      if others_done then begin
-        fr.lfr_ip <- fr.lfr_ip + 1;
-        Stepped
-      end
-      else begin
-        th.lstatus <- Waiting_join;
-        Blocked
-      end
-  | L.LLock { addr } ->
-      let a = ev_operand st fr addr in
-      (match Hashtbl.find_opt st.lmutexes a with
-       | Some owner when owner = th.ltid ->
-           raise (Crash (Failure.Lock_error "recursive lock"))
-       | Some _ ->
-           th.lstatus <- Blocked_lock a;
-           Blocked
-       | None ->
-           Hashtbl.replace st.lmutexes a th.ltid;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LUnlock { addr } ->
-      let a = ev_operand st fr addr in
-      (match Hashtbl.find_opt st.lmutexes a with
-       | Some owner when owner = th.ltid ->
-           Hashtbl.remove st.lmutexes a;
-           List.iter
-             (fun t ->
-                match t.lstatus with
-                | Blocked_lock a' when Int64.equal a a' -> t.lstatus <- Runnable
-                | Blocked_lock _ | Runnable | Waiting_join | Done_t -> ())
-             st.lthreads;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped
-       | Some _ | None ->
-           raise (Crash (Failure.Lock_error "unlock of mutex not held")))
-
-let lstep_term st (th : lthread) (fr : lframe) (t : L.lterm) : step =
-  match t with
-  | L.LBr i ->
-      record_entry st fr.lfr_func i;
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(i);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LCond_br { cond; if_true; if_false } ->
-      let c = Int64.equal (Er_smt.Ty.truncate 1 (ev_operand st fr cond)) 1L in
-      st.lbranches <- st.lbranches + 1;
-      (match st.lcfg.hooks.on_branch with Some f -> f c | None -> ());
-      let i = if c then if_true else if_false in
-      record_entry st fr.lfr_func i;
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(i);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LRet v -> ldo_return st th (Option.map (ev_operand st fr) v)
-  | L.LAbort msg -> raise (Crash (Failure.Abort_called msg))
-  | L.LUnreachable -> raise (Crash Failure.Unreachable_reached)
-
-let lstep_thread st (th : lthread) : step =
-  match th.lstack with
-  | [] ->
-      th.lstatus <- Done_t;
-      Thread_done
-  | fr :: _ ->
-      let b = fr.lfr_block in
-      if fr.lfr_ip < Array.length b.L.lb_instrs then begin
-        let ip = fr.lfr_ip in
-        let i = Array.unsafe_get b.L.lb_instrs ip in
-        (* the plan mark of this instruction, if any: its defined slot
-           becomes a pending virtual ptwrite once the step retires *)
-        let mark =
-          if st.lplan_on then begin
-            let row = st.lmarks.(fr.lfr_func.L.lf_idx).(b.L.lb_index) in
-            if Array.length row = 0 then -1 else Array.unsafe_get row ip
-          end
-          else -1
-        in
-        match lstep_instr st th fr i with
-        | Blocked ->
-            (* the reference engine counts a blocked op once per attempt;
-               the block delta will cover only the successful retirement *)
-            if M.enabled M.default then
-              count_instr b.L.lb_src.instrs.(fr.lfr_ip);
-            Blocked
-        | Stepped as s ->
-            if mark >= 0 then fr.lfr_pending <- Some mark;
-            s
-        | s -> s
-      end
-      else begin
-        (* whole block retires with this terminator: one batched add per
-           class, before execution, like the reference's count-then-step *)
-        if M.enabled M.default then begin
-          flush_delta b.L.lb_delta;
-          let uid =
-            st.lblock_base.(fr.lfr_func.L.lf_idx) + b.L.lb_index
-          in
-          st.lblk_counts.(uid) <- st.lblk_counts.(uid) + 1
-        end;
-        lstep_term st th fr b.L.lb_term
-      end
-
-(* Fire the pending virtual ptwrite of [th]'s top frame, if any: exactly
+(* Fire the pending virtual ptwrite [slot] of top frame [fr]: exactly
    what an instrumented [Ptwrite (Reg dst)] placed after the marked
    instruction would do, as a clock-free step before the frame's next
    real one (so across calls it fires after the return value binds, and
    across quantum expiry after the thread is rescheduled — the same
    positions the inserted instruction would occupy). *)
-let fire_pending st (th : lthread) : bool =
-  match th.lstack with
-  | ({ lfr_pending = Some slot; _ } as fr) :: _ ->
-      fr.lfr_pending <- None;
-      (match st.lcfg.hooks.on_ptwrite with
-       | Some f -> f (rget fr slot)
-       | None -> ());
-      if M.enabled M.default then M.inc m_i_io;
-      true
-  | _ -> false
+let fire_pending st (fr : lframe) slot =
+  fr.lfr_pending <- None;
+  (match st.lcfg.hooks.on_ptwrite with
+   | Some f -> f (rget fr slot)
+   | None -> ());
+  if M.enabled M.default then M.inc m_i_io
 
 (* --- threaded code: the block-fused closure compiler ----------------------- *)
 
-(* Each basic block compiles once (per lowered program, not per state)
-   into arrays of execution units — closures of type [xunit] — indexed
-   by ip, with index [n] standing for the terminator.  A unit performs
-   exactly the state transition the [lstep_instr]/[lstep_term] +
-   run-loop combination would, *including* the ip and clock updates:
-   operand getters, width masks, immediate truncations, block targets
-   and error strings are all resolved at compile time, so the fast path
-   executes no per-step decode, no hook option checks and no width
-   branches.  Fused units (committed opcode pairs from [Fuse.analyze])
+(* Each basic block compiles once per lowered program and hook set (not
+   per state) into arrays of execution units — closures of type [xunit]
+   — indexed by ip, with index [n] standing for the terminator.  A unit
+   performs exactly the state transition of the reference engine's
+   [step_instr]/[step_term] plus its run loop, *including* the ip and
+   clock updates and the hook calls: operand getters, width masks,
+   immediate truncations, block targets, error strings and the hooks to
+   call are all resolved at compile time, so a unit executes no
+   per-step decode, no width branches and no test for a hook outside
+   its set.  Fused units (committed opcode pairs from [Fuse.analyze])
    retire two sub-instructions per dispatch; every sub-instruction still
-   updates ip and the clock itself, so a crash, a blocked sync op or a
-   metric flush in the tail observes exactly the state a singleton
-   schedule would have produced.
+   updates ip and the clock itself, so a crash, a blocked sync op, a
+   hook call or a metric flush in the tail observes exactly the state a
+   singleton schedule would have produced.
 
    The symex engine deliberately keeps dispatching the unfused lowered
    form: its per-instruction cost is dominated by term construction and
    path bookkeeping, fusion would buy nothing, and single-stepping is
    load-bearing for path splitting.  Only this concrete engine threads. *)
+
+(* Which hooks a compilation calls: with the program, the key under
+   which the code cache keeps compilations.  Presence alone is the key
+   — the closures are read from the running state's config — so every
+   run under the same kinds of hooks (each ER recording with its own
+   encoder, say) shares one compilation.  [on_switch] fires in the
+   scheduler, outside compiled code. *)
+type hook_set = {
+  hs_branch : bool;
+  hs_ptwrite : bool;
+  hs_alloc : bool;
+  hs_input : bool;
+  hs_store : bool;
+  hs_def : bool;
+  hs_enter : bool;
+  hs_ret : bool;
+}
+
+let hook_set_of (h : hooks) =
+  { hs_branch = Option.is_some h.on_branch;
+    hs_ptwrite = Option.is_some h.on_ptwrite;
+    hs_alloc = Option.is_some h.on_alloc;
+    hs_input = Option.is_some h.on_input;
+    hs_store = Option.is_some h.on_store;
+    hs_def = Option.is_some h.on_def;
+    hs_enter = Option.is_some h.on_enter;
+    hs_ret = Option.is_some h.on_ret }
+
+(* Hook calls of the compiled units.  A unit calls one only when its
+   hook set holds that hook, so the [None] arms never run; hot units
+   test a captured [hs_*] immediate rather than the config. *)
+let[@inline] call_branch st c =
+  match st.lcfg.hooks.on_branch with Some f -> f c | None -> ()
+
+let[@inline] call_ret st (lf : L.lfunc) value =
+  match st.lcfg.hooks.on_ret with
+  | Some f -> f ~func:lf.L.lf_name ~value
+  | None -> ()
 
 (* Compile-time operand getter.  [Oglobal] stays an [st] access because
    compiled code is shared across states; everything else resolves to a
@@ -1427,48 +1182,36 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             Stepped)
   | _ -> generic ()
 
-(* [ldo_return] without the on_ret hook check, for the fast path. *)
-let ldo_return_fast st (th : lthread) v : step =
-  match th.lstack with
-  | [] -> assert false
-  | fr :: rest ->
-      List.iter (Memory.release_stack st.lmem) fr.lfr_stack_objs;
-      th.lstack <- rest;
-      th.ldepth <- th.ldepth - 1;
-      (match rest with
-       | [] ->
-           th.lstatus <- Done_t;
-           if th.ltid = 0 then Program_done v else Thread_done
-       | caller :: _ ->
-           (match fr.lfr_dst, v with
-            | Some dst, Some value ->
-                lset_slot caller dst
-                  (Ty.truncate fr.lfr_func.L.lf_ret_w value)
-            | Some dst, None -> lset_slot caller dst 0L
-            | None, _ -> ());
-           Stepped)
-
-(* Return with the value as a raw slot read: the option box moves to the
+(* Pop the returning frame and bind the value in the caller, ticking
+   the clock unless the thread itself finished (the reference retires a
+   [Thread_done] step without a tick).  The value is a raw slot read
+   ([some] false for a void return): the option box moves to the
    Program_done edge (once per run), so ordinary returns allocate
    nothing beyond what the frame pop itself frees. *)
-let ldo_return_slot st (th : lthread) (value : int64) : step =
+let xreturn st (th : lthread) ~some (value : int64) : step =
   match th.lstack with
   | [] -> assert false
-  | fr :: rest ->
+  | fr :: rest -> (
       List.iter (Memory.release_stack st.lmem) fr.lfr_stack_objs;
       th.lstack <- rest;
       th.ldepth <- th.ldepth - 1;
-      (match rest with
-       | [] ->
-           th.lstatus <- Done_t;
-           if th.ltid = 0 then Program_done (Some value) else Thread_done
-       | caller :: _ ->
-           (match fr.lfr_dst with
-            | Some dst ->
-                lset_slot caller dst
-                  (Ty.truncate fr.lfr_func.L.lf_ret_w value)
-            | None -> ());
-           Stepped)
+      match rest with
+      | [] ->
+          th.lstatus <- Done_t;
+          if th.ltid = 0 then begin
+            st.lclock <- st.lclock + 1;
+            Program_done (if some then Some value else None)
+          end
+          else Thread_done
+      | caller :: _ ->
+          (match fr.lfr_dst with
+           | Some dst ->
+               lset_slot caller dst
+                 (if some then Ty.truncate fr.lfr_func.L.lf_ret_w value
+                  else 0L)
+           | None -> ());
+          st.lclock <- st.lclock + 1;
+          Stepped)
 
 (* Hand-specialised call: one writer closure per argument copies
    caller-frame slots into the callee frame as raw 64-bit moves — no
@@ -1539,9 +1282,10 @@ let xcall_unit (low : L.t) (lf : L.lfunc) ~ip1 ~dst ~fidx
         Stepped)
   end
 
-(* The pre-terminator accounting of [lstep_thread]: one batched add per
-   counter class plus the per-block retirement count, before the
-   terminator executes (also before abort/unreachable raise). *)
+(* The block's retirement accounting, run by its terminator unit: one
+   batched add per counter class plus the per-block retirement count,
+   before the terminator executes (also before abort/unreachable raise),
+   like the reference's count-then-step. *)
 let[@inline] xflush st uid (b : L.lblock) =
   if M.enabled M.default then begin
     flush_delta b.L.lb_delta;
@@ -1550,11 +1294,38 @@ let[@inline] xflush st uid (b : L.lblock) =
       (Array.unsafe_get st.lblk_counts uid + 1)
   end
 
-(* Hand-specialised hook-free singleton for the instruction at [ip].
-   Mirrors [lstep_instr] case by case — same evaluation order, same
-   crash points, same writes — minus every hook option check, plus the
-   ip/clock update the run loop used to perform. *)
-let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
+(* on_def around the singleton [u] of the instruction at [ip].  The
+   reference fires it from [set_reg], the instruction's last effect, so
+   firing it as soon as the unit retires is the same point in the hook
+   sequence; the point is a compile-time constant.  A call's result
+   binds at the return, without on_def, as in the reference. *)
+let xdef (lf : L.lfunc) (b : L.lblock) ip (u : xunit) : xunit =
+  match b.L.lb_instrs.(ip) with
+  | L.LCall _ -> u
+  | i -> (
+      match ldef_slot i with
+      | None -> u
+      | Some dst ->
+          let p =
+            { p_func = lf.L.lf_name; p_block = b.L.lb_label; p_index = ip }
+          in
+          let reg = lf.L.lf_reg_of_slot.(dst) in
+          fun st th fr ->
+            match u st th fr with
+            | Stepped ->
+                (match st.lcfg.hooks.on_def with
+                 | Some h -> h p ~reg ~value:(rget fr dst)
+                 | None -> ());
+                Stepped
+            | s -> s)
+
+(* Hand-specialised singleton for the instruction at [ip] under hook
+   set [hs] (on_def aside: see [xdef]).  Mirrors the reference's
+   [step_instr] case by case — same evaluation order, same crash
+   points, same writes, same hook calls — plus the ip/clock update of
+   its run loop. *)
+let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
+    xunit =
   let ip1 = ip + 1 in
   let xset = xsetter lf in
   let tracked = lf.L.lf_tracked in
@@ -1686,6 +1457,20 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
       xguarded gs
       @@
       match (v, addr) with
+      | _ when hs.hs_store -> (
+          (* on_store wants the cell and its old value: the result API *)
+          let gv = xget_w lf w v and ga = xget lf addr in
+          fun st _ fr ->
+            let value = gv st fr in
+            match Memory.store st.lmem (ga st fr) ~ty value with
+            | Error k -> raise (Crash k)
+            | Ok (obj, index, old_value) ->
+                (match st.lcfg.hooks.on_store with
+                 | Some f -> f ~obj ~index ~old_value ~new_value:value
+                 | None -> ());
+                fr.lfr_ip <- ip1;
+                st.lclock <- st.lclock + 1;
+                Stepped)
       | L.Oslot sv, L.Oslot sa ->
           fun st _ fr ->
             let value = Int64.logand (rget fr sv) m in
@@ -1742,8 +1527,13 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             Stepped)
   | L.LAlloc { dst; elt_ty; count; heap } -> (
       let gc = xget lf count in
+      let ha = hs.hs_alloc in
       fun st _ fr ->
         let n = Int64.to_int (gc st fr) in
+        if ha then
+          (match st.lcfg.hooks.on_alloc with
+           | Some f -> f (Int64.of_int n)
+           | None -> ());
         match Memory.alloc st.lmem ~elt_ty ~size:n ~heap with
         | None ->
             raise (Crash (Failure.Access_type_error "allocation too large"))
@@ -1827,11 +1617,14 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LCall { dst; fidx; args } -> (
-      match xcall_unit low lf ~ip1 ~dst ~fidx args with
+      match
+        if hs.hs_enter then None else xcall_unit low lf ~ip1 ~dst ~fidx args
+      with
       | Some x -> x
       | None ->
-          (* arity mismatch: keep the generic path so the invalid_arg
-             fires after operand evaluation, like the reference *)
+          (* on_enter wants the argument list, and an arity mismatch
+             must raise its invalid_arg after operand evaluation, like
+             the reference: both take the generic path *)
           let gargs = Array.map (xget lf) args in
           fun st th fr ->
             if th.ldepth >= st.lcfg.max_call_depth then
@@ -1840,6 +1633,9 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             let vargs =
               Array.fold_right (fun g acc -> g st fr :: acc) gargs []
             in
+            (match st.lcfg.hooks.on_enter with
+             | Some h -> h ~func:callee.L.lf_name ~args:vargs
+             | None -> ());
             fr.lfr_ip <- ip1;
             record_entry st callee 0;
             th.lstack <- make_lframe callee vargs ~dst :: th.lstack;
@@ -1848,11 +1644,17 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             Stepped)
   | L.LInput { dst; ty; stream } -> (
       let m = Ty.mask (width_of_ty ty) in
+      let hi = hs.hs_input in
       fun st _ fr ->
         match Inputs.read st.linputs stream with
         | None -> raise (Crash (Failure.Input_exhausted stream))
         | Some v ->
-            xset fr dst (Int64.logand v m);
+            let v = Int64.logand v m in
+            if hi then
+              (match st.lcfg.hooks.on_input with
+               | Some f -> f ~stream ~value:v
+               | None -> ());
+            xset fr dst v;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
@@ -1875,10 +1677,18 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LPtwrite _ ->
-      (* with no hook the traced operand is not even evaluated, exactly
-         like the [None] arm of the reference; clock-free *)
-      fun _ _ fr ->
+  | L.LPtwrite { v } ->
+      (* clock-free; with no hook the traced operand is not even
+         evaluated, exactly like the [None] arm of the reference *)
+      if hs.hs_ptwrite then
+        let gv = xget lf v in
+        fun st _ fr ->
+          (match st.lcfg.hooks.on_ptwrite with
+           | Some f -> f (gv st fr)
+           | None -> ());
+          fr.lfr_ip <- ip1;
+          Stepped_free
+      else fun _ _ fr ->
         fr.lfr_ip <- ip1;
         Stepped_free
   | L.LAssert { cond = cond0; msg } -> (
@@ -1972,9 +1782,11 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
         | Some _ | None ->
             raise (Crash (Failure.Lock_error "unlock of mutex not held")))
 
-(* Hook-free terminator singleton: metric flush, then the jump/return,
-   then the clock tick — the order of [lstep_thread] + the run loop. *)
-let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
+(* Terminator singleton: metric flush, then the jump/return with its
+   hook, then the clock tick — the order of the reference's count, step
+   and run loop. *)
+let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
+  let hb = hs.hs_branch and hr = hs.hs_ret in
   match b.L.lb_term with
   | L.LBr i ->
       let target = lf.L.lf_blocks.(i) in
@@ -1993,6 +1805,7 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
             xflush st uid b;
             let c = Int64.logand (rget fr s) 1L = 1L in
             st.lbranches <- st.lbranches + 1;
+            if hb then call_branch st c;
             record_entry st lf (if c then if_true else if_false);
             fr.lfr_block <- (if c then bt else bf);
             fr.lfr_ip <- 0;
@@ -2011,6 +1824,7 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
               invalid_arg msg;
             let c = Int64.logand (rget fr s) 1L = 1L in
             st.lbranches <- st.lbranches + 1;
+            if hb then call_branch st c;
             record_entry st lf (if c then if_true else if_false);
             fr.lfr_block <- (if c then bt else bf);
             fr.lfr_ip <- 0;
@@ -2022,66 +1836,43 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
             xflush st uid b;
             let c = Int64.equal (Int64.logand (gc st fr) 1L) 1L in
             st.lbranches <- st.lbranches + 1;
+            if hb then call_branch st c;
             record_entry st lf (if c then if_true else if_false);
             fr.lfr_block <- (if c then bt else bf);
             fr.lfr_ip <- 0;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LRet v -> (
-      match v with
-      | None ->
-          fun st th _ -> (
-            xflush st uid b;
-            match ldo_return_fast st th None with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
-      | Some (L.Oslot s) ->
-          fun st th fr -> (
-            xflush st uid b;
-            match ldo_return_slot st th (rget fr s) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
-      | Some (L.Ocheck { slot = s; reg }) ->
-          (* check after the metric flush, matching the generic arm's
-             operand-evaluation point *)
-          let msg =
-            Printf.sprintf "Interp: read of undefined register %s in %s" reg
-              lf.L.lf_name
-          in
-          fun st th fr -> (
-            xflush st uid b;
-            if Bytes.unsafe_get fr.lfr_defined s <> '\001' then
-              invalid_arg msg;
-            match ldo_return_slot st th (rget fr s) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
-      | Some o ->
-          let g = xget lf o in
-          fun st th fr -> (
-            xflush st uid b;
-            match ldo_return_slot st th (g st fr) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s))
+  | L.LRet None ->
+      fun st th _ ->
+        xflush st uid b;
+        if hr then call_ret st lf None;
+        xreturn st th ~some:false 0L
+  | L.LRet (Some (L.Oslot s)) ->
+      fun st th fr ->
+        xflush st uid b;
+        let v = rget fr s in
+        if hr then call_ret st lf (Some v);
+        xreturn st th ~some:true v
+  | L.LRet (Some (L.Ocheck { slot = s; reg })) ->
+      (* check after the metric flush, matching the generic arm's
+         operand-evaluation point *)
+      let msg =
+        Printf.sprintf "Interp: read of undefined register %s in %s" reg
+          lf.L.lf_name
+      in
+      fun st th fr ->
+        xflush st uid b;
+        if Bytes.unsafe_get fr.lfr_defined s <> '\001' then invalid_arg msg;
+        let v = rget fr s in
+        if hr then call_ret st lf (Some v);
+        xreturn st th ~some:true v
+  | L.LRet (Some o) ->
+      let g = xget lf o in
+      fun st th fr ->
+        xflush st uid b;
+        let v = g st fr in
+        if hr then call_ret st lf (Some v);
+        xreturn st th ~some:true v
   | L.LAbort msg ->
       fun st _ _ ->
         xflush st uid b;
@@ -2090,35 +1881,6 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
       fun st _ _ ->
         xflush st uid b;
         raise (Crash Failure.Unreachable_reached)
-
-(* Hooked singletons: thin wrappers over the reference step functions —
-   bit-identical hook behaviour by construction — plus the ip/clock and
-   blocked-attempt accounting the run loop / [lstep_thread] used to do. *)
-let xinstr_hooked (b : L.lblock) ip : xunit =
-  let i = b.L.lb_instrs.(ip) in
-  let src_i = b.L.lb_src.instrs.(ip) in
-  fun st th fr ->
-    match lstep_instr st th fr i with
-    | Stepped ->
-        st.lclock <- st.lclock + 1;
-        Stepped
-    | Blocked ->
-        if M.enabled M.default then count_instr src_i;
-        Blocked
-    | s -> s
-
-let xterm_hooked (b : L.lblock) ~uid : xunit =
-  let term = b.L.lb_term in
-  fun st th fr ->
-    xflush st uid b;
-    match lstep_term st th fr term with
-    | Stepped ->
-        st.lclock <- st.lclock + 1;
-        Stepped
-    | Program_done r ->
-        st.lclock <- st.lclock + 1;
-        Program_done r
-    | s -> s
 
 (* Superinstruction composition: the tail runs iff the head retired.
    Each side updates ip and clock itself, so the pair is observationally
@@ -2129,15 +1891,18 @@ let xpair (head : xunit) (tail : xunit) : xunit =
 (* The hottest committed pair gets a hand-fused unit: cmp feeding the
    block's own cond_br on the compared flag, sparing the flag re-read
    and re-test.  The flag register is still written (it stays
-   observable), and both sub-steps keep their own clock tick. *)
-let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
+   observable), and both sub-steps keep their own clock tick.  Under
+   on_def the pair composes its singletons instead, which fire on_def
+   between the two. *)
+let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
+    xunit option =
   match b.L.lb_instrs.(ip), b.L.lb_term with
   | ( L.LCmp { dst; op; w; a; b = ob; _ },
       L.LCond_br { cond = L.Oslot cs | L.Ocheck { slot = cs; _ }; if_true; if_false } )
-    when cs = dst ->
+    when cs = dst && not hs.hs_def ->
       let g = xguard lf [ ob; a ] in
       let cond = xcond lf ~op ~w (strip_check a) (strip_check ob) in
-      let tracked = lf.L.lf_tracked in
+      let tracked = lf.L.lf_tracked and hb = hs.hs_branch in
       let n = Array.length b.L.lb_instrs in
       let bt = lf.L.lf_blocks.(if_true) and bf = lf.L.lf_blocks.(if_false) in
       Some
@@ -2149,6 +1914,7 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
           st.lclock <- st.lclock + 1;
           xflush st uid b;
           st.lbranches <- st.lbranches + 1;
+          if hb then call_branch st c;
           record_entry st lf (if c then if_true else if_false);
           fr.lfr_block <- (if c then bt else bf);
           fr.lfr_ip <- 0;
@@ -2156,21 +1922,24 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
           Stepped))
   | _ -> None
 
-(* The hot half of one block's threaded code: the hook-free singleton
-   and fused-unit arrays the no-hooks dispatcher actually touches. *)
-let xcompile_block_hot (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) : xunit array * xunit array =
+(* One block's threaded code under hook set [hs]: singletons, fused
+   units, the control-transfer map and the whole-block chain. *)
+let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
+    ~(hs : hook_set) (fp : Fuse.block_plan) : xblock =
   let n = Array.length b.L.lb_instrs in
   let one =
     Array.init (n + 1) (fun ip ->
-        if ip < n then xinstr_fast low lf b ip else xterm_fast lf b ~uid)
+        if ip = n then xterm lf b ~uid ~hs
+        else
+          let u = xinstr low lf b ip ~hs in
+          if hs.hs_def then xdef lf b ip u else u)
   in
   (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
      terminator, where the hand-fused cmp+cond_br is tried first) *)
   let pair_at ip =
     if ip + 1 < n then xpair one.(ip) one.(ip + 1)
     else
-      match xcmp_br_fused lf b ~uid ~ip with
+      match xcmp_br_fused lf b ~uid ~ip ~hs with
       | Some u -> u
       | None -> xpair one.(ip) one.(n)
   in
@@ -2181,32 +1950,6 @@ let xcompile_block_hot (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
         | 2 -> pair_at ip
         | _ -> one.(ip))
   in
-  (one, big)
-
-(* The cold half: hook-consulting units, plus assembly of the final
-   record.  Built in a separate pass over the whole program so the hot
-   closures of [xcompile_block_hot] stay contiguous in the heap instead
-   of interleaving with hooked closures the no-hooks fast path never
-   touches — dispatch is pointer-chasing, so cache density of the hot
-   half is part of the speedup. *)
-let xcompile_block_hooked (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) ((one, big) : xunit array * xunit array) : xblock =
-  let n = Array.length b.L.lb_instrs in
-  let one_h =
-    Array.init (n + 1) (fun ip ->
-        if ip < n then xinstr_hooked b ip else xterm_hooked b ~uid)
-  in
-  let pair_at_h ip =
-    if ip + 1 < n then xpair one_h.(ip) one_h.(ip + 1)
-    else xpair one_h.(ip) one_h.(n)
-  in
-  let big_h =
-    Array.init (n + 1) (fun ip ->
-        match fp.Fuse.fp_len.(ip) with
-        | 3 -> xpair one_h.(ip) (pair_at_h (ip + 1))
-        | 2 -> pair_at_h ip
-        | _ -> one_h.(ip))
-  in
   (* a unit may transfer control iff it is the terminator, a call (frame
      push; spawn only adds a thread, the current frame continues), or a
      fused unit ending in the terminator *)
@@ -2216,16 +1959,17 @@ let xcompile_block_hooked (b : L.lblock) ~uid
         || (match b.L.lb_instrs.(ip) with L.LCall _ -> true | _ -> false)
         || (fp.Fuse.fp_len.(ip) > 1 && ip + fp.Fuse.fp_len.(ip) - 1 = n))
   in
-  (* Whole-block chain over the hot units.  Only blocks whose every
+  (* Whole-block chain over the fused units.  Only blocks whose every
      instruction is fusable qualify: calls push frames, inputs touch the
      stream cursor, ptwrite retires clock-free ([Stepped_free] would cut
      the chain), the sync ops may block — all of those keep per-unit
      dispatch.  Each sub-unit still updates ip and the clock itself, so
-     crashes, failure reports and Ocheck traps inside the chain keep
-     exact instruction granularity; the budget gate in the dispatcher
-     guarantees the chain never starts unless the whole block fits the
-     remaining quantum.  Cost is [n + 1]: one tick per instruction plus
-     the terminator (no ptwrite here by construction). *)
+     crashes, failure reports, hook calls and Ocheck traps inside the
+     chain keep exact instruction granularity; the budget gate in the
+     dispatcher guarantees the chain never starts unless the whole block
+     fits the remaining quantum.  Cost is [n + 1]: one tick per
+     instruction plus the terminator (no ptwrite here by
+     construction). *)
   let wcost, whole =
     if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
       let rec chain ip =
@@ -2241,70 +1985,70 @@ let xcompile_block_hooked (b : L.lblock) ~uid
     xb_cost = fp.Fuse.fp_cost;
     xb_one = one;
     xb_big = big;
-    xb_one_h = one_h;
-    xb_big_h = big_h;
     xb_ctl = ctl;
     xb_whole = whole;
     xb_wcost = wcost;
     xb_pairs = Fuse.block_pair_keys b;
   }
 
-let xcompile (low : L.t) : xblock array array =
+let xcompile (low : L.t) (hs : hook_set) : xblock array array =
   let fuse = Fuse.analyze low in
   let nfuncs = Array.length low.L.l_funcs in
   let base = Array.make (nfuncs + 1) 0 in
   for i = 0 to nfuncs - 1 do
     base.(i + 1) <- base.(i) + Array.length low.L.l_funcs.(i).L.lf_blocks
   done;
-  let hot =
-    Array.mapi
-      (fun fi (lf : L.lfunc) ->
-         Array.mapi
-           (fun bi b ->
-              xcompile_block_hot low lf b ~uid:(base.(fi) + bi)
-                fuse.Fuse.f_blocks.(fi).(bi))
-           lf.L.lf_blocks)
-      low.L.l_funcs
-  in
   Array.mapi
     (fun fi (lf : L.lfunc) ->
        Array.mapi
          (fun bi b ->
-            xcompile_block_hooked b ~uid:(base.(fi) + bi)
-              fuse.Fuse.f_blocks.(fi).(bi)
-              hot.(fi).(bi))
+            xcompile_block low lf b ~uid:(base.(fi) + bi) ~hs
+              fuse.Fuse.f_blocks.(fi).(bi))
          lf.L.lf_blocks)
     low.L.l_funcs
 
 (* Bounded compile cache keyed by the *physical* identity of the lowered
    program ([Prog.lowered] memoizes, so every state of one program sees
-   the same [L.t]).  Compiled code is immutable, so sharing it across
+   the same [L.t]).  Each entry holds one compilation per hook set the
+   program has run under — a handful at most (plain, ER recording,
+   Verify, rr), so a program's entry stops growing once each kind of
+   run has happened.  Compiled code is immutable, so sharing it across
    states — and across fleet domains — is safe; the mutex only guards
-   the cache list itself. *)
-let xcache : (L.t * xblock array array) list ref = ref []
+   the cache lists themselves. *)
+let xcache : (L.t * (hook_set * xblock array array) list ref) list ref =
+  ref []
+
 let xcache_mutex = Mutex.create ()
 let xcache_cap = 32
 
-let xcode_of (low : L.t) : xblock array array =
+let xcode_of (low : L.t) (hs : hook_set) : xblock array array =
   Mutex.lock xcache_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock xcache_mutex)
     (fun () ->
-      match List.find_opt (fun (k, _) -> k == low) !xcache with
-      | Some (_, code) ->
-          if not (match !xcache with (k, _) :: _ -> k == low | [] -> false)
-          then
-            xcache :=
-              (low, code) :: List.filter (fun (k, _) -> not (k == low)) !xcache;
-          code
+      let codes =
+        match List.find_opt (fun (k, _) -> k == low) !xcache with
+        | Some ((_, codes) as entry) ->
+            if not (match !xcache with (k, _) :: _ -> k == low | [] -> false)
+            then
+              xcache :=
+                entry :: List.filter (fun (k, _) -> not (k == low)) !xcache;
+            codes
+        | None ->
+            let codes = ref [] in
+            let kept =
+              if List.length !xcache >= xcache_cap then
+                List.filteri (fun i _ -> i < xcache_cap - 1) !xcache
+              else !xcache
+            in
+            xcache := (low, codes) :: kept;
+            codes
+      in
+      match List.assoc_opt hs !codes with
+      | Some code -> code
       | None ->
-          let code = xcompile low in
-          let kept =
-            if List.length !xcache >= xcache_cap then
-              List.filteri (fun i _ -> i < xcache_cap - 1) !xcache
-            else !xcache
-          in
-          xcache := (low, code) :: kept;
+          let code = xcompile low hs in
+          codes := (hs, code) :: !codes;
           code)
 
 (* --- the threaded dispatcher ----------------------------------------------- *)
@@ -2312,13 +2056,14 @@ let xcode_of (low : L.t) : xblock array array =
 (* Run [th] by threaded dispatch for at most [budget] clock ticks
    (callers guarantee [budget >= 1] and measure consumed ticks as the
    clock delta).  Returns on budget exhaustion ([Stepped] with the
-   thread still runnable), on a scheduling event (Blocked /
-   Thread_done / Program_done), or — under a plan — whenever the top
-   frame needs the single-step path: a pending virtual ptwrite to fire,
-   or a plan-marked block, whose fused units must split at the marked
-   instructions.  Fused units never start unless their full cost fits
-   the remaining budget, so quantum boundaries and the hang check land
-   on exactly the instruction they would in singleton dispatch. *)
+   thread still runnable) or on a scheduling event (Blocked /
+   Thread_done / Program_done).  Under a plan, a frame's pending
+   virtual ptwrite fires before its next step, and a plan-marked block
+   runs one singleton per pass, each marked instruction leaving its
+   pending ptwrite as it retires.  Fused units never start unless their
+   full cost fits the remaining budget, so quantum boundaries and the
+   hang check land on exactly the instruction they would in singleton
+   dispatch. *)
 let exec_threaded (st : t) (th : lthread) ~budget : step =
   let deadline = st.lclock + budget in
   let result = ref Stepped in
@@ -2329,35 +2074,39 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
         th.lstatus <- Done_t;
         result := Thread_done;
         running := false
+    | _ :: _ when st.lclock >= deadline -> running := false
+    | ({ lfr_pending = Some slot; _ } as fr) :: _ -> fire_pending st fr slot
     | fr :: _ ->
         (* [lf_idx]/[lb_index] index the per-program tables by
            construction, so the block-transfer re-resolution — run once
            per block, the second-hottest path after dispatch itself —
            can skip the bounds checks *)
-        if
-          st.lplan_on
-          && ((match fr.lfr_pending with Some _ -> true | None -> false)
-             || Array.length
-                  (Array.unsafe_get
-                     (Array.unsafe_get st.lmarks fr.lfr_func.L.lf_idx)
-                     fr.lfr_block.L.lb_index)
-                <> 0)
-        then running := false
+        let b0 = fr.lfr_block in
+        let fidx = fr.lfr_func.L.lf_idx in
+        let xb =
+          Array.unsafe_get (Array.unsafe_get st.lxcode fidx) b0.L.lb_index
+        in
+        let marks =
+          if st.lplan_on then
+            Array.unsafe_get (Array.unsafe_get st.lmarks fidx) b0.L.lb_index
+          else [||]
+        in
+        if Array.length marks <> 0 then begin
+          (* plan-marked block: fused units would step over the marks *)
+          let ip = fr.lfr_ip in
+          match (Array.unsafe_get xb.xb_one ip) st th fr with
+          | Stepped ->
+              if ip < Array.length marks && marks.(ip) >= 0 then
+                fr.lfr_pending <- Some marks.(ip)
+          | Stepped_free -> ()
+          | (Blocked | Thread_done | Program_done _) as s ->
+              result := s;
+              running := false
+        end
         else begin
-          let b0 = fr.lfr_block in
-          let xb =
-            Array.unsafe_get
-              (Array.unsafe_get st.lxcode fr.lfr_func.L.lf_idx)
-              b0.L.lb_index
-          in
-          let one, big =
-            if st.lno_hooks then xb.xb_one, xb.xb_big
-            else xb.xb_one_h, xb.xb_big_h
-          in
+          let one = xb.xb_one and big = xb.xb_big in
           let cost = xb.xb_cost and ctl = xb.xb_ctl in
-          (* hooks want per-unit dispatch; max_int disables the chain *)
-          let wcost = if st.lno_hooks then xb.xb_wcost else max_int in
-          let whole = xb.xb_whole in
+          let wcost = xb.xb_wcost and whole = xb.xb_whole in
           (* tight loop: stay while this frame keeps running this block
              (self-loops included); any frame or block change falls out
              to re-resolve the closure arrays and the plan checks *)
@@ -2456,14 +2205,7 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
       lresult = None;
       lturn = 0;
       lcur = main_thread;
-      lxcode = xcode_of low;
-      lno_hooks =
-        (match config.hooks with
-         | { on_branch = None; on_switch = None; on_ptwrite = None;
-             on_input = None; on_store = None; on_alloc = None;
-             on_def = None; on_enter = None; on_ret = None } ->
-             true
-         | _ -> false);
+      lxcode = xcode_of low (hook_set_of config.hooks);
     }
   in
   (* main's entry block is current from clock 0 *)
@@ -2594,58 +2336,26 @@ let run ?pause_at (t : t) : run_result option =
              { Failure.kind = Failure.Hang; point = lpoint_of fr;
                stack = lstack_of th; thread = th.ltid })
       end
-      else if t.lplan_on && fire_pending t th then ()
       else begin
-        (* a plan-marked block splits every fused unit: single-step it
-           through [lstep_thread] so marks are applied per instruction *)
-        let marked =
-          t.lplan_on
-          && (match th.lstack with
-             | fr :: _ ->
-                 Array.length
-                   t.lmarks.(fr.lfr_func.L.lf_idx).(fr.lfr_block.L.lb_index)
-                 <> 0
-             | [] -> false)
-        in
-        if marked then begin
-          match lstep_thread t th with
-          | exception Crash kind ->
-              let fr = List.hd th.lstack in
-              finish t ~crashed:th
-                (Failed
-                   { Failure.kind; point = lpoint_of fr;
-                     stack = lstack_of th; thread = th.ltid })
-          | Stepped ->
-              t.lclock <- t.lclock + 1;
-              incr steps
-          | Stepped_free -> ()
-          | Blocked -> stop := true
-          | Thread_done -> stop := true
-          | Program_done v ->
-              t.lclock <- t.lclock + 1;
-              finish t (Finished v)
-        end
-        else begin
-          (* threaded dispatch for as much of the quantum as remains;
-             the hang bound caps the budget so the check above fires at
-             exactly the reference instruction *)
-          let budget = min (quantum - !steps) (config.max_instrs - t.lclock) in
-          let c0 = t.lclock in
-          match exec_threaded t th ~budget with
-          | exception Crash kind ->
-              let fr = List.hd th.lstack in
-              finish t ~crashed:th
-                (Failed
-                   { Failure.kind; point = lpoint_of fr;
-                     stack = lstack_of th; thread = th.ltid })
-          | Stepped | Stepped_free -> steps := !steps + (t.lclock - c0)
-          | Blocked | Thread_done ->
-              steps := !steps + (t.lclock - c0);
-              stop := true
-          | Program_done v ->
-              steps := !steps + (t.lclock - c0);
-              finish t (Finished v)
-        end
+        (* threaded dispatch for as much of the quantum as remains;
+           the hang bound caps the budget so the check above fires at
+           exactly the reference instruction *)
+        let budget = min (quantum - !steps) (config.max_instrs - t.lclock) in
+        let c0 = t.lclock in
+        match exec_threaded t th ~budget with
+        | exception Crash kind ->
+            let fr = List.hd th.lstack in
+            finish t ~crashed:th
+              (Failed
+                 { Failure.kind; point = lpoint_of fr;
+                   stack = lstack_of th; thread = th.ltid })
+        | Stepped | Stepped_free -> steps := !steps + (t.lclock - c0)
+        | Blocked | Thread_done ->
+            steps := !steps + (t.lclock - c0);
+            stop := true
+        | Program_done v ->
+            steps := !steps + (t.lclock - c0);
+            finish t (Finished v)
       end
     done;
     (match t.lresult with

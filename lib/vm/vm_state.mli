@@ -8,11 +8,20 @@
     intervals, and reverts to the deepest checkpoint still valid for the
     next iteration's recording-point set.
 
+    One compiled engine runs every configuration.  Each block compiles
+    to closure units — singletons, fused superinstructions, whole-block
+    chains — once per lowered program and per set of installed hooks,
+    and the units call those hooks themselves, at the reference
+    engine's points and in its order.  Plain, recorded (ER, rr) and
+    replayed ([Verify]) runs therefore share one dispatch path;
+    [Interp.run_reference] is the oracle it is tested against.
+
     Recording points are applied as a {!plan} over the base program
     rather than by rewriting it with ptwrite instructions: a plan-marked
     instruction leaves a pending virtual ptwrite on its frame that fires
     (clock-free, like an instrumented [Ptwrite]) before the frame's next
-    step.  The executed program is therefore constant across iterations
+    step.  Marked blocks run their singleton units so every mark is
+    seen.  The executed program is therefore constant across iterations
     and checkpoints never need remapping when the point set changes. *)
 
 open Er_ir.Types
@@ -63,6 +72,10 @@ type hooks = {
 }
 
 val no_hooks : hooks
+
+(** ER's production recording into an encoder: branch outcomes, thread
+    switches, traced data values and allocation sizes. *)
+val recording_hooks : Er_trace.Encoder.t -> hooks
 
 (** Run two hook sets side by side (first argument first). *)
 val compose_hooks : hooks -> hooks -> hooks

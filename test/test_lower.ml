@@ -116,29 +116,56 @@ type vm_obs = {
   o_outputs : int64 list;
   o_peak : int;
   o_trace : string;  (* finished encoder packet bytes *)
-  o_bits : bool list;  (* conditional-branch outcome sequence *)
+  o_calls : string list;  (* every hook call with its arguments, in order *)
 }
 
-let observe
+(* All nine hooks, each logging its call and arguments in call order. *)
+let logging_hooks () =
+  let log = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let hooks =
+    {
+      Interp.on_branch = Some (fun b -> add "branch %b" b);
+      on_switch = Some (fun ~tid ~clock -> add "switch %d at %d" tid clock);
+      on_ptwrite = Some (fun v -> add "ptwrite %Ld" v);
+      on_input = Some (fun ~stream ~value -> add "input %s %Ld" stream value);
+      on_store =
+        Some
+          (fun ~obj ~index ~old_value ~new_value ->
+             add "store %d[%d] %Ld -> %Ld" obj index old_value new_value);
+      on_alloc = Some (fun n -> add "alloc %Ld" n);
+      on_def =
+        Some
+          (fun p ~reg ~value ->
+             add "def %s %s = %Ld" (point_to_string p) reg value);
+      on_enter =
+        Some
+          (fun ~func ~args ->
+             add "enter %s(%s)" func
+               (String.concat ", " (List.map Int64.to_string args)));
+      on_ret =
+        Some
+          (fun ~func ~value ->
+             add "ret %s %s" func
+               (match value with Some v -> Int64.to_string v | None -> "-"));
+    }
+  in
+  (hooks, fun () -> List.rev !log)
+
+(* One run under ER's recording hooks and, unless [~recording_only],
+   the nine logging hooks too.  The two are separate compilations: the
+   production one keeps every fused unit, while on_def splits the
+   hand-fused cmp+cond_br. *)
+let observe ?(recording_only = false)
     (run :
        ?config:Interp.config -> Prog.t -> Er_vm.Inputs.t -> Interp.run_result)
     prog inputs ~seed ~config =
   let enc = Er_trace.Encoder.create () in
   Er_trace.Encoder.start enc;
-  let bits = ref [] in
+  let log, calls = logging_hooks () in
   let hooks =
-    {
-      Interp.no_hooks with
-      Interp.on_branch =
-        Some
-          (fun b ->
-             bits := b :: !bits;
-             Er_trace.Encoder.branch enc b);
-      on_switch =
-        Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-      on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-      on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-    }
+    if recording_only then Er_vm.Vm_state.recording_hooks enc
+    else Interp.compose_hooks (Er_vm.Vm_state.recording_hooks enc) log
   in
   let config = { config with Interp.sched_seed = seed; hooks } in
   let r = run ~config prog inputs in
@@ -149,7 +176,7 @@ let observe
     o_outputs = r.Interp.outputs;
     o_peak = r.Interp.peak_mem_cells;
     o_trace = Bytes.to_string (Er_trace.Encoder.finish enc);
-    o_bits = List.rev !bits;
+    o_calls = calls ();
   }
 
 let outcome_str = function
@@ -168,14 +195,14 @@ let check_same_obs name (a : vm_obs) (b : vm_obs) =
   Alcotest.(check (list int64)) (name ^ ": outputs") a.o_outputs b.o_outputs;
   Alcotest.(check int) (name ^ ": peak_mem_cells") a.o_peak b.o_peak;
   Alcotest.(check string) (name ^ ": packet bytes") a.o_trace b.o_trace;
-  Alcotest.(check (list bool)) (name ^ ": branch outcomes") a.o_bits b.o_bits
+  Alcotest.(check (list string)) (name ^ ": hook calls") a.o_calls b.o_calls
 
 let obs_equal (a : vm_obs) (b : vm_obs) =
   a.o_outcome = b.o_outcome && a.o_instrs = b.o_instrs
   && a.o_branches = b.o_branches && a.o_outputs = b.o_outputs
   && a.o_peak = b.o_peak
   && String.equal a.o_trace b.o_trace
-  && a.o_bits = b.o_bits
+  && a.o_calls = b.o_calls
 
 (* --- corpus differential: VM ------------------------------------------- *)
 
@@ -184,17 +211,21 @@ let test_corpus_vm_differential () =
     (fun (s : Bug.spec) ->
        let prog = Prog.of_program s.Bug.program in
        for occ = 1 to 2 do
-         let name = Printf.sprintf "%s occ %d" s.Bug.name occ in
-         let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
-         let a =
-           observe Interp.run_reference prog inputs ~seed
-             ~config:Interp.default_config
-         in
-         let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
-         let b =
-           observe Interp.run prog inputs ~seed ~config:Interp.default_config
-         in
-         check_same_obs name a b
+         List.iter
+           (fun recording_only ->
+              let name =
+                Printf.sprintf "%s occ %d%s" s.Bug.name occ
+                  (if recording_only then " (recording hooks)" else "")
+              in
+              let observe run =
+                let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
+                observe ~recording_only run prog inputs ~seed
+                  ~config:Interp.default_config
+              in
+              check_same_obs name
+                (observe Interp.run_reference)
+                (observe Interp.run))
+           [ false; true ]
        done)
     Er_corpus.Registry.table1
 
@@ -209,18 +240,10 @@ let trace_failure prog (s : Bug.spec) =
       let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
       let enc = Er_trace.Encoder.create () in
       Er_trace.Encoder.start enc;
-      let hooks =
-        {
-          Interp.no_hooks with
-          Interp.on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
-          on_switch =
-            Some
-              (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-          on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-          on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-        }
+      let config =
+        { Interp.default_config with
+          sched_seed = seed; hooks = Er_vm.Vm_state.recording_hooks enc }
       in
-      let config = { Interp.default_config with sched_seed = seed; hooks } in
       let r = Interp.run ~config prog inputs in
       match r.Interp.outcome with
       | Interp.Failed failure -> (
@@ -568,12 +591,15 @@ let test_mt_lock_parity () =
 
 (* --- no-hooks fast-path differentials ------------------------------------ *)
 
-(* Everything above installs trace hooks, which routes execution through
-   the hooked singleton units.  The fused threaded dispatcher — committed
-   superinstruction pairs and triples, whole-block chains, pre-validated
-   Ocheck guards, the specialised call/return path — only runs hook-free,
-   so these differentials compare the engines under [no_hooks], exactly
-   as `bench vm` and plan-less replay execute. *)
+(* Everything above installs all nine hooks, and the engine compiles one
+   code set per set of installed hooks: under on_def the hand-fused
+   cmp+cond_br splits back into its singletons, under on_enter calls take
+   the generic path, under on_store stores take the result-returning
+   memory API.  These differentials compare the engines under
+   [no_hooks], the compilation `bench vm` and plain runs execute, where
+   every specialisation — committed pairs and triples, whole-block
+   chains, pre-validated Ocheck guards, the specialised call/return
+   path — is live. *)
 
 module Vs = Er_vm.Vm_state
 
@@ -626,6 +652,127 @@ let qcheck_vm_fast_differential =
               (Er_vm.Inputs.make [ ("s", input_vals) ]))
        in
        run Interp.run_reference = run Interp.run)
+
+(* A helper thread spawned at entry and joined on the way out, so chunk
+   switches interleave with the recorded values. *)
+let with_worker (p : program) =
+  let spawn_main (f : func) =
+    let last = List.length f.blocks - 1 in
+    let blocks =
+      List.mapi
+        (fun i b ->
+           let instrs = Array.to_list b.instrs in
+           let instrs =
+             if i = 0 then
+               Spawn
+                 { func = "helper"; args = [ Imm (3L, I64); Imm (4L, I64) ] }
+               :: instrs
+             else instrs
+           in
+           let instrs = if i = last then Join :: instrs else instrs in
+           { b with instrs = Array.of_list instrs })
+        f.blocks
+    in
+    { f with blocks }
+  in
+  { p with
+    funcs =
+      List.map (fun f -> if f.fname = p.main then spawn_main f else f) p.funcs }
+
+(* The production configuration: ER's recording hooks plus a random
+   recording plan, paused at random clocks with the VM and the encoder
+   snapshotted and reverted together.  The oracle is the reference
+   engine on the program [Instrument.apply] rewrites for the same
+   points; failure reports are compared in its coordinates.  A short
+   quantum puts pause points and thread switches all through these
+   small programs. *)
+let gen_plan_case =
+  let open QCheck2.Gen in
+  let* program, input_vals, seed = gen_prog_and_inputs in
+  let* threaded = bool in
+  let program = if threaded then with_worker program else program in
+  let defs =
+    List.concat_map
+      (fun f ->
+         List.concat_map
+           (fun b ->
+              List.concat
+                (List.mapi
+                   (fun i ins ->
+                      if def_of_instr ins = None then []
+                      else
+                        [ { p_func = f.fname; p_block = b.label; p_index = i } ])
+                   (Array.to_list b.instrs)))
+           f.blocks)
+      program.funcs
+  in
+  let* picks = flatten_l (List.map (fun _ -> bool) defs) in
+  let points =
+    List.filter_map
+      (fun (p, keep) -> if keep then Some p else None)
+      (List.combine defs picks)
+  in
+  let* k1 = int_range 1 40 and* k2 = int_range 1 40 in
+  return (program, input_vals, seed, points, k1, k2)
+
+let qcheck_plan_recording_differential =
+  QCheck2.Test.make
+    ~name:
+      "ER-hooked plan run with snapshot/revert matches instrumented \
+       reference"
+    ~count:150 gen_plan_case
+    (fun (program, input_vals, seed, points, k1, k2) ->
+       let mk_inputs () = Er_vm.Inputs.make [ ("s", input_vals) ] in
+       let config enc =
+         { Interp.default_config with
+           quantum = 10; quantum_jitter = 4; sched_seed = seed;
+           hooks = Vs.recording_hooks enc }
+       in
+       let fresh_encoder () =
+         let enc = Er_trace.Encoder.create () in
+         Er_trace.Encoder.start enc;
+         enc
+       in
+       let enc_ref = fresh_encoder () in
+       let inst, _ = Er_select.Instrument.apply program points in
+       let expected =
+         Interp.run_reference ~config:(config enc_ref) (Prog.of_program inst)
+           (mk_inputs ())
+       in
+       let enc = fresh_encoder () in
+       let prog = Prog.of_program program in
+       let vm =
+         Vs.create ~config:(config enc)
+           ~plan:(Vs.plan_of_points (Prog.lowered prog) points)
+           prog (mk_inputs ())
+       in
+       let r =
+         match Vs.run ~pause_at:k1 vm with
+         | Some r -> r
+         | None ->
+             let vck = Vs.snapshot vm
+             and eck = Er_trace.Encoder.checkpoint enc in
+             ignore (Vs.run ~pause_at:(k1 + k2) vm);
+             Vs.revert vm vck;
+             if not (Er_trace.Encoder.revert enc eck) then
+               failwith "encoder refused its own checkpoint";
+             Vs.run_to_end vm
+       in
+       let fwd = Er_select.Instrument.forward program points in
+       let outcome =
+         match r.Vs.outcome with
+         | Vs.Failed f ->
+             Vs.Failed
+               { f with
+                 Er_vm.Failure.point = fwd f.Er_vm.Failure.point;
+                 stack = List.map fwd f.Er_vm.Failure.stack }
+         | o -> o
+       in
+       outcome = expected.Interp.outcome
+       && r.Vs.instr_count = expected.Interp.instr_count
+       && Bytes.equal
+            (Er_trace.Encoder.finish enc)
+            (Er_trace.Encoder.finish enc_ref))
 
 (* A self-looping block whose static shape exercises every unit kind at
    once: a committed load+bin pair, a store singleton, the hand-fused
@@ -1003,6 +1150,7 @@ let suites =
           test_mt_lock_parity;
         Alcotest.test_case "metrics parity" `Quick test_metrics_parity;
         QCheck_alcotest.to_alcotest qcheck_vm_differential;
+        QCheck_alcotest.to_alcotest qcheck_plan_recording_differential;
       ] );
     ( "lower fused fast path",
       [

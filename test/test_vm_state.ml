@@ -52,19 +52,9 @@ let tracing_config seed =
   Er_trace.Encoder.start enc;
   let bits = ref [] in
   let hooks =
-    {
-      Interp.no_hooks with
-      Interp.on_branch =
-        Some
-          (fun b ->
-             bits := b :: !bits;
-             Er_trace.Encoder.branch enc b);
-      on_switch =
-        Some
-          (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-      on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-      on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-    }
+    Interp.compose_hooks (Vs.recording_hooks enc)
+      { Interp.no_hooks with
+        Interp.on_branch = Some (fun b -> bits := b :: !bits) }
   in
   let config = { Interp.default_config with Interp.sched_seed = seed; hooks } in
   (config, enc, bits)
