@@ -1,10 +1,11 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
 # full test suite, the format check, the one-bug bench smoke, the
-# serve-daemon smoke, the fleet-determinism gate and the
-# persisted-trajectory validation.
+# serve-daemon smoke, the section 5.3 offline-overhead gate, the
+# fleet-determinism gate and the persisted-trajectory validation.
 
 .PHONY: all build test fmt ci fleet fleet-determinism bench-smoke bench-vm \
-	bench-fleet bench-long-trace bench-serve bench-warm bench-diff
+	bench-fleet bench-long-trace bench-serve bench-warm bench-offline \
+	bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -40,6 +41,7 @@ ci:
 	$(MAKE) bench-long-trace
 	$(MAKE) bench-serve
 	$(MAKE) bench-warm
+	$(MAKE) bench-offline
 	$(MAKE) fleet-determinism
 	dune exec bench/main.exe -- --validate BENCH_10.json --baseline BENCH_9.json --baseline-exact
 	$(MAKE) bench-diff
@@ -90,6 +92,12 @@ bench-serve:
 bench-warm:
 	ER_BENCH_CACHE_DIR=$(ER_BENCH_CACHE_DIR) \
 		dune exec bench/main.exe -- warm -o /tmp/er_bench_warm.json
+
+# Section 5.3's shape: Table 1's summed selection time must stay within
+# 10% of its summed symex time (the job self-gates and prints both
+# totals and their ratio).
+bench-offline:
+	dune exec bench/main.exe -- offline
 
 # Trajectory delta between the two newest committed bench files: solver
 # cost must be exactly identical (the counters are deterministic), vm

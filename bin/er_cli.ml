@@ -224,10 +224,9 @@ let fleet_cmd =
        Printf.printf
          "fleet: checkpoints %d taken, %d resume(s), %d instrs saved\n" ckt
          ckr cks);
-    Printf.printf "fleet: %d job(s), wall %.3fs, cpu %.3fs, speedup %.2fx\n"
+    Printf.printf "fleet: %d job(s), wall %.3fs, process cpu %.3fs\n"
       report.Er_core.Fleet.jobs report.Er_core.Fleet.wall
-      report.Er_core.Fleet.cpu
-      (Er_core.Fleet.speedup report);
+      report.Er_core.Fleet.cpu;
     (* wall-clock speedup against the committed sequential trajectory:
        the jobs=1 fleet trial persisted in BENCH_*.json.  Table mode
        only — the normalized JSON report must stay free of wall clocks
@@ -314,7 +313,7 @@ let fleet_cmd =
       value & flag
       & info [ "json" ]
           ~doc:"Emit the fleet report (per-bug results, worker placement, \
-                wall clocks, speedup, and the wall-speedup comparison \
+                wall clocks, process CPU, and the wall-speedup comparison \
                 against the committed sequential baseline) as \
                 machine-readable JSON instead of the human table.")
   in

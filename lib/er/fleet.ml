@@ -5,9 +5,9 @@
    the batch face of the job API: it wraps each corpus bug in a
    {!Job.Thunk}, submits the lot to a {!Scheduler} pool under one
    anonymous tenant, awaits the handles in submission order and renders
-   the familiar speedup report.  Per-job crash isolation (an exception
-   in one bug's reconstruction becomes a structured [Worker_crashed]
-   row, not a fleet abort) now lives in {!Job.execute}.
+   a wall-clock and process-CPU report.  Per-job crash isolation (an
+   exception in one bug's reconstruction becomes a structured
+   [Worker_crashed] row, not a fleet abort) now lives in {!Job.execute}.
 
    Determinism contract: [run ~jobs:8] produces the same per-bug
    iteration counts, solver costs and recorded-value sets as
@@ -24,7 +24,7 @@
        (a happens-before edge on [await]), and rows are reported in
        submission order regardless of completion order.
 
-   Only wall-clock fields ([row_wall], [wall], [cpu]) and the executing
+   Only timing fields ([row_wall], [wall], [cpu]) and the executing
    worker index vary between runs; [report_to_json_value ~normalize:true]
    strips exactly those, which is what the CI fleet-determinism gate
    diffs. *)
@@ -53,10 +53,13 @@ type report = {
   rows : row list;  (* submission order, not completion order *)
   jobs : int;       (* workers actually used *)
   wall : float;     (* fleet wall clock, spawn to last join *)
-  cpu : float;      (* sum of per-job walls: the sequential-equivalent time *)
+  cpu : float;      (* process user + system seconds across [run] *)
 }
 
-let speedup r = if r.wall > 0. then r.cpu /. r.wall else 1.
+(* [Unix.times] covers every domain of the process. *)
+let process_cpu () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
 
 (* ---------------------------------------------------------------- *)
 (* Batch execution over the scheduler                                 *)
@@ -67,7 +70,7 @@ let run ?jobs (js : job list) : report =
     match jobs with Some n -> n | None -> Domain.recommended_domain_count ()
   in
   let nworkers = max 1 (min requested (List.length js)) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Unix.gettimeofday () and c0 = process_cpu () in
   let sched = Scheduler.create ~workers:nworkers () in
   let handles =
     List.map
@@ -110,8 +113,7 @@ let run ?jobs (js : job list) : report =
   in
   Scheduler.shutdown sched;
   let wall = Unix.gettimeofday () -. t0 in
-  let cpu = List.fold_left (fun a r -> a +. r.row_wall) 0. rows in
-  { rows; jobs = nworkers; wall; cpu }
+  { rows; jobs = nworkers; wall; cpu = process_cpu () -. c0 }
 
 (* ---------------------------------------------------------------- *)
 (* JSON rendering                                                    *)
@@ -182,7 +184,7 @@ let report_to_json_value ?(normalize = false) ?baseline (r : report) :
     in
     Obj
       ([ ("jobs", Int r.jobs); ("wall", Float r.wall); ("cpu", Float r.cpu);
-         ("speedup", Float (speedup r)); ("rows", rows) ]
+         ("rows", rows) ]
        @ baseline_fields)
 
 let report_to_json ?normalize ?baseline r =

@@ -3,10 +3,11 @@
     The batch face of the job API: wraps each corpus bug in a
     {!Job.Thunk}, submits the lot to a {!Scheduler} pool under one
     tenant, awaits the handles in submission order and renders a
-    speedup report.  Determinism contract: [run ~jobs:8] produces the
-    same per-bug content as [run ~jobs:1]; only wall clocks and worker
-    placement vary, and [report_to_json_value ~normalize:true] strips
-    exactly those (the CI fleet-determinism gate diffs that view). *)
+    wall-clock and process-CPU report.  Determinism contract: [run
+    ~jobs:8] produces the same per-bug content as [run ~jobs:1]; only
+    timings and worker placement vary, and [report_to_json_value
+    ~normalize:true] strips exactly those (the CI fleet-determinism gate
+    diffs that view). *)
 
 type job = {
   job_name : string;
@@ -33,10 +34,10 @@ type report = {
   rows : row list;  (** submission order, not completion order *)
   jobs : int;       (** workers actually used *)
   wall : float;     (** fleet wall clock, spawn to last join *)
-  cpu : float;      (** sum of per-job walls: sequential-equivalent time *)
+  cpu : float;
+      (** process user + system seconds across {!run}, every domain
+          included ([Unix.times]) *)
 }
-
-val speedup : report -> float
 
 val run : ?jobs:int -> job list -> report
 (** Execute the jobs on [jobs] worker domains (default

@@ -9,7 +9,11 @@
 
    When a stall occurs without any symbolic write chain (pure arithmetic
    complexity), the fall-back bottleneck is the set of symbolic register
-   values appearing directly in the path constraints. *)
+   values appearing directly in the path constraints.
+
+   Selection sends no solver query.  The paper's determinedness step —
+   dropping a candidate whose value follows from the values already
+   chosen — is structural and lives in {!Recording.determined_by}. *)
 
 module Expr = Er_smt.Expr
 module Symmem = Er_symex.Symmem
@@ -32,18 +36,11 @@ let m_graph_edges =
   M.gauge ~help:"Constraint-graph edges at the last selection round."
     "er_select_graph_edges"
 
-let m_determined =
-  M.counter
-    ~help:"Bottleneck candidates the path constraints already pin to a \
-           single value (recording them would add no information)."
-    "er_select_determined_candidates_total"
-
 type t = {
   elements : Expr.t list;          (* deduplicated symbolic terms *)
   longest_chain : int;
   largest_object_bytes : int;
   chain_objects : int list;        (* object ids of the two chosen chains *)
-  determined : int;                (* candidates entailed to a constant *)
 }
 
 let dedup exprs =
@@ -82,45 +79,11 @@ let fallback_elements (graph : Cgraph.t) =
   Hashtbl.fold (fun _ e acc -> e :: acc) with_prov []
   |> List.sort (fun a b -> Int.compare (Expr.id a) (Expr.id b))
 
-(* Determinedness audit (section 3.3.2): a candidate whose value the path
-   constraints already entail would be concretized to the only value it
-   can take — recording it buys nothing.  We count such candidates (as a
-   selection-quality signal) but never prune them, so the recording plan
-   is exactly the paper's.  Each candidate is judged against the *slice*
-   of assertions mentioning it: the full set at a stall is by definition
-   over budget, the slice rarely is.  An [Error] from a budget-exhausted
-   audit query counts as undetermined. *)
-let audit_budget = 20_000
-
-let mentions root e =
-  Expr.fold_subterms (fun found t -> found || Expr.equal t e) false [ root ]
-
-let entailed_constant (graph : Cgraph.t) (e : Expr.t) : bool =
-  let slice = List.filter (fun r -> mentions r e) graph.Cgraph.assertions in
-  slice <> []
-  &&
-  match
-    Er_smt.Solver.check ~budget:audit_budget ~gate_budget:audit_budget slice
-  with
-  | Er_smt.Solver.Sat m, _ -> (
-      let v = Expr.const ~width:(Expr.width e) (Er_smt.Model.eval m e) in
-      match
-        Er_smt.Solver.must_be_true ~budget:audit_budget
-          ~gate_budget:audit_budget slice (Expr.eq e v)
-      with
-      | Ok entailed -> entailed
-      | Error _ -> false)
-  | (Er_smt.Solver.Unsat | Er_smt.Solver.Unknown _), _ -> false
-
-let count_determined graph elements =
-  List.length (List.filter (entailed_constant graph) elements)
-
 let compute (graph : Cgraph.t) (mem : Symmem.t) : t =
   let finish (t : t) =
     if M.enabled M.default then begin
       M.inc m_selections;
       M.add m_candidates (List.length t.elements);
-      M.add m_determined t.determined;
       M.set m_graph_nodes (float_of_int (Cgraph.node_count graph));
       M.set m_graph_edges (float_of_int (Cgraph.edge_count graph))
     end;
@@ -138,7 +101,6 @@ let compute (graph : Cgraph.t) (mem : Symmem.t) : t =
           longest_chain = 0;
           largest_object_bytes = 0;
           chain_objects = [];
-          determined = count_determined graph elements;
         }
   | _ ->
       let by_chain =
@@ -165,5 +127,4 @@ let compute (graph : Cgraph.t) (mem : Symmem.t) : t =
           longest_chain = Symmem.sym_chain_length by_chain;
           largest_object_bytes = Symmem.size_bytes by_size;
           chain_objects = List.map (fun o -> o.Symmem.s_id) chosen;
-          determined = count_determined graph elements;
         }

@@ -42,7 +42,7 @@
 
 module J = Er_json
 
-let format_version = 1
+let format_version = 2
 let magic = "er-smt-cache"
 
 (* --- journal entries --------------------------------------------------- *)

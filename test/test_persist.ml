@@ -168,6 +168,16 @@ let sample_entries =
       en_budget = 500; en_cost = 12;
       en_answer = P.Stalled "budget exhausted"; en_summary = None } ]
 
+(* [store] with its header's version replaced by [v]; the current
+   version is one digit, so the header prefix is 15 bytes. *)
+let with_version v store =
+  "er-smt-cache " ^ v ^ String.sub store 15 (String.length store - 15)
+
+(* A v1 store interleaves symex's answers with those of the solver
+   queries key data value selection used to send; replay would diverge
+   at the first of them, so the version gate must reject it up front. *)
+let v1_store fp = with_version "v1" (P.render ~fingerprint:fp sample_entries)
+
 let test_rejections () =
   let fp = "fp-a" in
   let good = P.render ~fingerprint:fp sample_entries in
@@ -184,14 +194,14 @@ let test_rejections () =
   expect "bad magic"
     (P.parse ~fingerprint:fp ("er-other v1 fp=x md5=y\n{}"))
     "bad magic";
-  (* version bump: patch the header's v1 to a future version *)
-  let v99 =
-    "er-smt-cache v99"
-    ^ String.sub good 15 (String.length good - 15)
-  in
+  (* version bump: patch the header to a future version *)
+  let v99 = with_version "v99" good in
   Alcotest.(check string) "patched header shape" "er-smt-cache v99 fp="
     (String.sub v99 0 20);
   expect "version bump" (P.parse ~fingerprint:fp v99) "version mismatch";
+  Alcotest.(check int) "current format" 2 P.format_version;
+  expect "previous version" (P.parse ~fingerprint:fp (v1_store fp))
+    "version mismatch (v1, want v2)";
   (* fingerprint change: config drift must cold-start *)
   expect "fingerprint mismatch" (P.parse ~fingerprint:"fp-b" good)
     "fingerprint mismatch";
@@ -209,22 +219,31 @@ let test_rejections () =
 
 let test_attach_cold_fallback () =
   let dir = fresh_dir () in
-  let label = "cold-fallback" in
-  write_file (P.store_path ~dir ~label) "er-smt-cache v1 half a hea";
-  Expr.in_fresh_space (fun () ->
-      (match P.attach ~dir ~label ~fingerprint:"fp" with
-       | P.Cold { reason = Some r } ->
-           Alcotest.(check bool) "reason names the failure" true
-             (contains ~sub:"truncated" r || contains ~sub:"malformed" r)
-       | P.Cold { reason = None } ->
-           Alcotest.fail "corrupt store reported as absent"
-       | P.Loaded _ -> Alcotest.fail "corrupt store was loaded");
-      (* the rejection surfaces as a flush warning too *)
-      match P.detach_and_flush () with
-      | None -> Alcotest.fail "no slot attached"
-      | Some fl ->
-          Alcotest.(check bool) "warning mentions the stale store" true
-            (List.exists (contains ~sub:"stale store rejected") fl.P.fl_warnings))
+  List.iter
+    (fun (label, contents, reasons) ->
+       write_file (P.store_path ~dir ~label) contents;
+       Expr.in_fresh_space (fun () ->
+           (match P.attach ~dir ~label ~fingerprint:"fp" with
+            | P.Cold { reason = Some r } ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: reason %S names the failure" label r)
+                  true
+                  (List.exists (fun sub -> contains ~sub r) reasons)
+            | P.Cold { reason = None } ->
+                Alcotest.failf "%s: store reported as absent" label
+            | P.Loaded _ -> Alcotest.failf "%s: store was loaded" label);
+           (* the rejection surfaces as a flush warning too *)
+           match P.detach_and_flush () with
+           | None -> Alcotest.fail "no slot attached"
+           | Some fl ->
+               Alcotest.(check bool)
+                 (label ^ ": warning mentions the stale store") true
+                 (List.exists
+                    (contains ~sub:"stale store rejected")
+                    fl.P.fl_warnings)))
+    [ ("cold-fallback", "er-smt-cache v1 half a hea",
+       [ "truncated"; "malformed" ]);
+      ("v1-store", v1_store "fp", [ "version mismatch (v1, want v2)" ]) ]
 
 (* -- concurrent writers to one cache directory ----------------------- *)
 

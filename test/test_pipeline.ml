@@ -1,6 +1,7 @@
 (* Staged-pipeline accounting: occurrence counting vs skipped runs, budget
    escalation exactly at selection fixpoints, per-stage event coverage,
-   event-derived iteration records, and the JSONL round-trip. *)
+   event-derived iteration records, the JSONL round-trip, and a selection
+   stage that sends no SMT query. *)
 
 open Er_corpus
 module P = Er_core.Pipeline
@@ -249,6 +250,59 @@ let test_jsonl_round_trip () =
             | None -> Alcotest.fail ("unparseable line: " ^ line))
          lines r2.P.events)
 
+(* --- selection never calls the solver ---------------------------------- *)
+
+(* Every SMT query of a reconstruction belongs to symex: the selector
+   wrapped below adds up the solver's query counter across each of its
+   calls, over the whole Table 1 corpus. *)
+let select_queries = ref 0
+let select_calls = ref 0
+
+module Counting_selector : P.SELECTOR = struct
+  let select ~stall ~mapper ~existing =
+    let before = Test_select.smt_queries () in
+    let sel = P.Default_selector.select ~stall ~mapper ~existing in
+    select_queries :=
+      !select_queries + (Test_select.smt_queries () - before);
+    incr select_calls;
+    sel
+end
+
+module Counted =
+  P.Make (P.Default_tracer) (P.Default_shepherd) (Counting_selector)
+    (P.Default_verifier)
+
+let test_selection_sends_no_query () =
+  let reg = Er_metrics.default in
+  let was = Er_metrics.enabled reg in
+  Er_metrics.set_enabled reg true;
+  select_queries := 0;
+  select_calls := 0;
+  let total_queries = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Er_metrics.set_enabled reg was)
+    (fun () ->
+       List.iter
+         (fun (s : Bug.spec) ->
+            let before = Test_select.smt_queries () in
+            let r =
+              Counted.run ~config:s.Bug.config ~base_prog:s.Bug.program
+                ~workload:s.Bug.failing_workload ()
+            in
+            total_queries :=
+              !total_queries + (Test_select.smt_queries () - before);
+            match r.P.status with
+            | P.Reproduced _ -> ()
+            | P.Gave_up g ->
+                Alcotest.failf "%s gave up: %s" s.Bug.name
+                  (O.give_up_to_string g))
+         Registry.table1);
+  Alcotest.(check bool) "the corpus exercised the selector" true
+    (!select_calls > 0);
+  Alcotest.(check bool) "the corpus sent SMT queries" true
+    (!total_queries > 0);
+  Alcotest.(check int) "SMT queries sent during selection" 0 !select_queries
+
 (* --- compatibility wrapper --------------------------------------------- *)
 
 let test_driver_wrapper_matches_pipeline () =
@@ -291,6 +345,8 @@ let suites =
         Alcotest.test_case "per-stage accounting" `Slow test_stage_accounting;
         Alcotest.test_case "JSONL sink round-trips" `Slow
           test_jsonl_round_trip;
+        Alcotest.test_case "selection sends no SMT query (Table 1)" `Slow
+          test_selection_sends_no_query;
         Alcotest.test_case "driver wrapper matches pipeline" `Slow
           test_driver_wrapper_matches_pipeline;
       ] );

@@ -45,6 +45,33 @@ let test_bottleneck_fig4 () =
   Alcotest.(check bool) "c in bottleneck" true (has c);
   Alcotest.(check bool) "V[x] in bottleneck" true (has vx)
 
+(* Selection is a structural search over the constraint graph: it must
+   not ask the solver anything, even about candidates (here x and c) that
+   the path constraints mention. *)
+let smt_queries () =
+  List.fold_left
+    (fun acc -> function
+       | Er_metrics.Snapshot.Counter { name = "er_smt_queries_total"; value; _ }
+         ->
+           acc + value
+       | _ -> acc)
+    0 (Er_metrics.snapshot ()).Er_metrics.Snapshot.samples
+
+let test_bottleneck_sends_no_query () =
+  let g, mem, _, _, _ = fig4 () in
+  let reg = Er_metrics.default in
+  let was = Er_metrics.enabled reg in
+  Er_metrics.set_enabled reg true;
+  Fun.protect
+    ~finally:(fun () -> Er_metrics.set_enabled reg was)
+    (fun () ->
+       let before = smt_queries () in
+       let b = Er_select.Bottleneck.compute g mem in
+       Alcotest.(check bool) "bottleneck set is non-empty" true
+         (b.Er_select.Bottleneck.elements <> []);
+       Alcotest.(check int) "no SMT query during selection" before
+         (smt_queries ()))
+
 let test_recording_reduction_fig4 () =
   (* the paper's reduction: record {x, c}; V[x] is deducible from them *)
   let g, mem, x, c, vx = fig4 () in
@@ -118,6 +145,8 @@ let suites =
     ( "select",
       [
         Alcotest.test_case "fig4 bottleneck set" `Quick test_bottleneck_fig4;
+        Alcotest.test_case "bottleneck sends no SMT query" `Quick
+          test_bottleneck_sends_no_query;
         Alcotest.test_case "fig4 recording reduction" `Quick
           test_recording_reduction_fig4;
         Alcotest.test_case "cost = size x refcount" `Quick test_cost_uses_refcount;
