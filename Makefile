@@ -1,11 +1,12 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
-# full test suite, the format check, the one-bug bench smoke, the
-# serve-daemon smoke, the section 5.3 offline-overhead gate, the
-# fleet-determinism gate and the persisted-trajectory validation.
+# full test suite, the four examples, the format check, the one-bug
+# bench smoke, the serve-daemon smoke, the section 5.3 offline-overhead
+# gate, the fleet-determinism gate and the persisted-trajectory
+# validation.
 
-.PHONY: all build test fmt ci fleet fleet-determinism bench-smoke bench-vm \
-	bench-fleet bench-long-trace bench-serve bench-warm bench-offline \
-	bench-diff
+.PHONY: all build test examples fmt ci fleet fleet-determinism bench-smoke \
+	bench-vm bench-fleet bench-long-trace bench-serve bench-warm \
+	bench-offline bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -18,6 +19,14 @@ build:
 
 test:
 	dune runtest
+
+# Run the four examples: each exits 1 unless its reconstruction
+# reproduces the failure and verifies.
+examples:
+	for e in quickstart sql_reconstruction failure_localization \
+		concurrency_uaf; do \
+		dune exec examples/$$e.exe || exit 1; \
+	done
 
 # Format check.  Local dev soft-skips when ocamlformat is not on PATH;
 # CI sets FMT_STRICT=1, which turns a missing ocamlformat into a hard
@@ -35,6 +44,7 @@ fmt:
 ci:
 	dune build
 	dune runtest
+	$(MAKE) examples
 	$(MAKE) fmt
 	$(MAKE) bench-smoke
 	$(MAKE) bench-vm

@@ -54,9 +54,29 @@ let section title =
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A corpus reconstruction runs as a job, as in the fleet: in a fresh
+   interning space, so a bug's solver calls do not depend on which jobs
+   ran before it in the same invocation. *)
 let reconstruct_spec (s : Bug.spec) =
-  Er_core.Pipeline.run ~config:s.Bug.config ~base_prog:s.Bug.program
-    ~workload:s.Bug.failing_workload ()
+  let h = Er_core.Job.create (Bug.request s) in
+  Er_core.Job.execute h;
+  match Er_core.Job.await h with
+  | Er_core.Job.Finished r -> r
+  | Er_core.Job.Crashed { exn; _ } ->
+      Printf.eprintf "bench: %s crashed: %s\n" s.Bug.name exn;
+      exit 1
+  | Er_core.Job.Cancelled _ -> assert false
+
+(* One fresh job handle per Table 1 bug for {!Er_core.Fleet.run};
+   [cache_dir] binds each to its persistent solver store. *)
+let table1_jobs ?cache_dir () =
+  List.map
+    (fun s ->
+       Er_core.Job.create
+         (Bug.request
+            ~configure:(fun c -> { c with Er_core.Job.Config.cache_dir })
+            s))
+    Registry.table1
 
 let table1_results : (string * Er_core.Pipeline.result) list ref = ref []
 
@@ -297,8 +317,9 @@ let run_fig5 () =
           gate_budget = max_int / 2 }
       in
       let series k =
-        (* recording set after k driver iterations: rerun the driver with a
-           run budget of k failure occurrences and harvest its points *)
+        (* recording set after k pipeline iterations: rerun the pipeline
+           with a run budget of k failure occurrences and harvest its
+           points *)
         let points =
           if k = 0 then []
           else begin
@@ -446,6 +467,7 @@ let run_offline () =
   Printf.printf "%-22s %12s %14s %12s %12s\n" "Bug" "graph nodes"
     "selection (s)" "symex (s)" "solver calls";
   let sel_total = ref 0.0 and symex_total = ref 0.0 in
+  let nodes0 = Er_smt.Expr.live_nodes () in
   List.iter
     (fun (s : Bug.spec) ->
        let r = reconstruct_spec s in
@@ -469,8 +491,8 @@ let run_offline () =
        Printf.printf "%-22s %12d %14.4f %12.2f %12d\n%!" s.Bug.name nodes sel
          r.Er_core.Pipeline.total_symex_time calls)
     Registry.table1;
-  Printf.printf "\ninterned constraint-graph terms process-wide: %d\n"
-    (Er_smt.Expr.live_nodes ());
+  Printf.printf "\ninterned constraint-graph terms, all Table 1 jobs: %d\n"
+    (Er_smt.Expr.live_nodes () - nodes0);
   Printf.printf
     "Table 1 totals: selection %.4fs, symex %.4fs, selection/symex %.1f%% \
      (gate: <= %.0f%%)\n%!"
@@ -1146,23 +1168,9 @@ let run_smoke () =
 
 let run_fleet () =
   section "Fleet: Table 1 corpus on a domain pool, -j 1 vs -j 4";
-  let fleet_jobs () =
-    List.map
-      (fun (s : Bug.spec) ->
-         {
-           Er_core.Fleet.job_name = s.Bug.name;
-           job_run =
-             (fun () ->
-                Er_core.Pipeline.run ~config:s.Bug.config
-                  ~base_prog:s.Bug.program
-                  ~workload:s.Bug.failing_workload ());
-           job_config = Er_core.Job.Config.of_pipeline s.Bug.config;
-         })
-      Registry.table1
-  in
   (* speedup is wall over wall, against this job's own -j 1 trial *)
   let trial ~seq_wall n =
-    let rep = Er_core.Fleet.run ~jobs:n (fleet_jobs ()) in
+    let rep = Er_core.Fleet.run ~jobs:n (table1_jobs ()) in
     let wall = rep.Er_core.Fleet.wall in
     let speedup =
       match seq_wall with Some w when wall > 0. -> w /. wall | _ -> 1.
@@ -1262,15 +1270,6 @@ let run_longtrace () =
    and latency percentiles are recorded as informational numbers. *)
 let run_serve () =
   section "bench serve: er-serve daemon under a 4-client loadgen";
-  let resolver name =
-    Option.map
-      (fun (s : Bug.spec) ->
-         ( { Er_core.Job.src_name = s.Bug.name;
-             src_prog = s.Bug.program;
-             src_workload = s.Bug.failing_workload },
-           Er_core.Job.Config.of_pipeline s.Bug.config ))
-      (Registry.find name)
-  in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "er-bench-serve-%d.sock" (Unix.getpid ()))
@@ -1278,7 +1277,7 @@ let run_serve () =
   let config =
     { Er_core.Server.default_config with socket_path = socket; workers = 4 }
   in
-  let srv = Er_core.Server.start ~config ~resolver () in
+  let srv = Er_core.Server.start ~config ~resolver:Registry.resolver () in
   let bugs = List.map (fun (s : Bug.spec) -> s.Bug.name) Registry.table1 in
   let r = Er_core.Loadgen.run ~socket ~clients:4 ~bugs () in
   Er_core.Server.stop srv;
@@ -1358,38 +1357,23 @@ let run_warm () =
     Array.iter
       (fun f -> Sys.remove (Filename.concat dir f))
       (Sys.readdir dir);
-  let fleet_jobs () =
-    List.map
-      (fun (s : Bug.spec) ->
-         {
-           Er_core.Fleet.job_name = s.Bug.name;
-           job_run =
-             (fun () ->
-                Er_core.Pipeline.run ~config:s.Bug.config
-                  ~base_prog:s.Bug.program
-                  ~workload:s.Bug.failing_workload ());
-           job_config =
-             { (Er_core.Job.Config.of_pipeline s.Bug.config) with
-               Er_core.Job.Config.cache_dir = Some dir };
-         })
-      Registry.table1
-  in
   let cost_of_result (r : Er_core.Pipeline.result) =
     List.fold_left
       (fun a it -> a + it.Er_core.Pipeline.solver_cost)
       0 r.Er_core.Pipeline.iterations
   in
   let pass label =
-    let rep = Er_core.Fleet.run ~jobs:1 (fleet_jobs ()) in
+    let rep = Er_core.Fleet.run ~jobs:1 (table1_jobs ~cache_dir:dir ()) in
     let cost =
       List.fold_left
         (fun a r ->
            match r.Er_core.Fleet.row_outcome with
-           | Er_core.Fleet.Finished res -> a + cost_of_result res
-           | Er_core.Fleet.Worker_crashed { exn; _ } ->
+           | Er_core.Job.Finished res -> a + cost_of_result res
+           | Er_core.Job.Crashed { exn; _ } ->
                Printf.eprintf "warm: %s crashed during the %s pass: %s\n"
                  r.Er_core.Fleet.row_name label exn;
-               exit 1)
+               exit 1
+           | Er_core.Job.Cancelled _ -> assert false)
         0 rep.Er_core.Fleet.rows
     in
     Printf.printf "  %-4s pass: wall %.3fs  total solver_cost %d\n%!" label
@@ -1403,8 +1387,8 @@ let run_warm () =
     (fun c w ->
        let cost row =
          match row.Er_core.Fleet.row_outcome with
-         | Er_core.Fleet.Finished res -> cost_of_result res
-         | Er_core.Fleet.Worker_crashed _ -> 0
+         | Er_core.Job.Finished res -> cost_of_result res
+         | Er_core.Job.Crashed _ | Er_core.Job.Cancelled _ -> 0
        in
        Printf.printf "    %-22s cold %8d  warm %8d\n" c.Er_core.Fleet.row_name
          (cost c) (cost w))

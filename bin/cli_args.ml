@@ -25,18 +25,6 @@ let bug_conv =
 let spec_arg =
   Arg.(required & pos 0 (some bug_conv) None & info [] ~docv:"BUG")
 
-(* The daemon's bug-name resolver: corpus name -> job source + the
-   bug's committed pipeline config, flattened to a Job.Config the wire
-   protocol can override field-by-field. *)
-let resolver name : (Er_core.Job.source * Er_core.Job.Config.t) option =
-  Option.map
-    (fun (s : Er_corpus.Bug.spec) ->
-       ( { Er_core.Job.src_name = s.Er_corpus.Bug.name;
-           src_prog = s.Er_corpus.Bug.program;
-           src_workload = s.Er_corpus.Bug.failing_workload },
-         Er_core.Job.Config.of_pipeline s.Er_corpus.Bug.config ))
-    (Er_corpus.Registry.find_any name)
-
 (* -- events sinks -------------------------------------------------- *)
 
 (* Run with a JSONL events sink on FILE ("-" for stdout). *)
@@ -98,60 +86,31 @@ let tagged_jsonl_sink mutex oc job_name : Er_core.Events.sink =
          output_string oc (line ^ "\n");
          flush oc)
 
-(* -- pipeline invocation ------------------------------------------- *)
+(* -- job invocation ------------------------------------------------- *)
 
-let run_pipeline ?(incremental = true) ?(portfolio = 0)
-    (spec : Er_corpus.Bug.spec) events =
-  let config =
-    if incremental then spec.Er_corpus.Bug.config
-    else
-      { spec.Er_corpus.Bug.config with Er_core.Pipeline.incremental = false }
-  in
-  let config =
-    if portfolio = 0 then config
-    else
-      { config with
-        Er_core.Pipeline.exec_config =
-          { config.Er_core.Pipeline.exec_config with
-            Er_symex.Exec.portfolio } }
-  in
-  Er_core.Pipeline.run ~config ~events ~base_prog:spec.Er_corpus.Bug.program
-    ~workload:spec.Er_corpus.Bug.failing_workload ()
+(* The config overrides [reproduce] and [fleet] share: --no-incremental,
+   --portfolio and --cache-dir. *)
+let configure ~incremental ~portfolio ~cache_dir (c : Er_core.Job.Config.t) =
+  { c with
+    Er_core.Job.Config.incremental =
+      c.Er_core.Job.Config.incremental && incremental;
+    portfolio;
+    cache_dir }
 
-(* Job-centric invocation: [reproduce] with --cache-dir/--portfolio
-   routes through {!Er_core.Job.execute}, which runs the body in a fresh
-   interning space and binds the persistent solver store to it. *)
-let run_job ?(incremental = true) ?(portfolio = 0) ?cache_dir
-    (spec : Er_corpus.Bug.spec) events =
-  let config =
-    let c = Er_core.Job.Config.of_pipeline spec.Er_corpus.Bug.config in
-    { c with
-      Er_core.Job.Config.incremental =
-        c.Er_core.Job.Config.incremental && incremental;
-      portfolio;
-      cache_dir }
-  in
+(* [reproduce] runs its bug as a job on the calling domain: a fresh
+   interning space, the persistent solver store bound when the config
+   names a cache directory, and the job's [bug:<name>] metrics span. *)
+let run_job ~configure (spec : Er_corpus.Bug.spec) events =
   let h =
-    Er_core.Job.create ~events
-      {
-        Er_core.Job.tenant = "cli";
-        work =
-          Er_core.Job.Reconstruct
-            {
-              Er_core.Job.src_name = spec.Er_corpus.Bug.name;
-              src_prog = spec.Er_corpus.Bug.program;
-              src_workload = spec.Er_corpus.Bug.failing_workload;
-            };
-        config;
-      }
+    Er_core.Job.create ~events (Er_corpus.Bug.request ~configure spec)
   in
   Er_core.Job.execute h;
-  match Er_core.Job.poll h with
-  | Some (Er_core.Job.Finished r) | Some (Er_core.Job.Cancelled (Some r)) -> r
-  | Some (Er_core.Job.Crashed { exn; backtrace }) ->
+  match Er_core.Job.await h with
+  | Er_core.Job.Finished r | Er_core.Job.Cancelled (Some r) -> r
+  | Er_core.Job.Crashed { exn; backtrace } ->
       Printf.eprintf "er_cli: reconstruction crashed: %s\n%s\n" exn backtrace;
       exit 1
-  | Some (Er_core.Job.Cancelled None) | None -> assert false
+  | Er_core.Job.Cancelled None -> assert false
 
 (* -- shared flags -------------------------------------------------- *)
 
@@ -270,41 +229,3 @@ let render_metrics fmt oc =
       output_string oc (Er_metrics.Snapshot.to_json snap);
       output_char oc '\n'
   | `Prometheus -> output_string oc (Er_metrics.Snapshot.to_prometheus snap)
-
-(* -- committed baseline lookup ------------------------------------- *)
-
-(* The committed bench trajectory's sequential fleet wall clock: the
-   jobs=1 trial of the newest BENCH_*.json in the working directory.
-   Absent file or section (running outside the repo root, say) simply
-   disables the comparison. *)
-let baseline_sequential_wall () =
-  let module J = Er_core.Json in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let wall_of path =
-    if not (Sys.file_exists path) then None
-    else
-      Option.bind (J.parse (read_file path)) (fun doc ->
-          Option.bind (J.member "fleet" doc) (fun f ->
-              Option.bind (J.member "trials" f) (fun t ->
-                  Option.bind (J.to_list t) (fun trials ->
-                      List.find_map
-                        (fun trial ->
-                           match
-                             Option.bind (J.member "jobs" trial) J.to_int
-                           with
-                           | Some 1 ->
-                               Option.bind
-                                 (Option.bind (J.member "wall" trial)
-                                    J.to_float)
-                                 (fun w -> Some (path, w))
-                           | Some _ | None -> None)
-                        trials))))
-  in
-  List.find_map wall_of
-    [ "BENCH_10.json"; "BENCH_9.json"; "BENCH_8.json"; "BENCH_6.json";
-      "BENCH_5.json"; "BENCH_4.json" ]

@@ -50,14 +50,11 @@ let reproduce_cmd =
         (Option.is_some metrics || recorder)
         (fun () ->
            let r =
-             Cli_args.with_events_sink events_file (fun events ->
-                 (* the job path binds the persistent store inside a
-                    fresh interning space; the legacy direct path stays
-                    byte-compatible for plain runs *)
-                 if cache_dir <> None || portfolio > 0 then
-                   Cli_args.run_job ~incremental ~portfolio ?cache_dir spec
-                     events
-                 else Cli_args.run_pipeline ~incremental spec events)
+             Cli_args.with_events_sink events_file
+               (Cli_args.run_job
+                  ~configure:
+                    (Cli_args.configure ~incremental ~portfolio ~cache_dir)
+                  spec)
            in
            Option.iter Cli_args.write_trace_out trace_out;
            r)
@@ -158,12 +155,13 @@ let fleet_cmd =
     List.iter
       (fun (row : Er_core.Fleet.row) ->
          match row.Er_core.Fleet.row_outcome with
-         | Er_core.Fleet.Worker_crashed { exn; _ } ->
+         | Er_core.Job.Crashed { exn; _ } ->
              incr crashed;
              Printf.printf "%-22s %-8s %3d %8.3f %s\n"
                row.Er_core.Fleet.row_name "CRASHED"
                row.Er_core.Fleet.row_worker row.Er_core.Fleet.row_wall exn
-         | Er_core.Fleet.Finished r ->
+         | Er_core.Job.Cancelled _ -> assert false (* nothing cancels them *)
+         | Er_core.Job.Finished r ->
              let tr, sy, se, ve = stage_times r in
              let calls, cost, hits, misses =
                List.fold_left
@@ -226,19 +224,7 @@ let fleet_cmd =
          ckr cks);
     Printf.printf "fleet: %d job(s), wall %.3fs, process cpu %.3fs\n"
       report.Er_core.Fleet.jobs report.Er_core.Fleet.wall
-      report.Er_core.Fleet.cpu;
-    (* wall-clock speedup against the committed sequential trajectory:
-       the jobs=1 fleet trial persisted in BENCH_*.json.  Table mode
-       only — the normalized JSON report must stay free of wall clocks
-       so the determinism gate keeps diffing byte-identical output. *)
-    match Cli_args.baseline_sequential_wall () with
-    | Some (file, base_wall) when report.Er_core.Fleet.wall > 0. ->
-        Printf.printf
-          "fleet: %.2fx wall speedup vs committed sequential baseline \
-           (%s: %.3fs)\n"
-          (base_wall /. report.Er_core.Fleet.wall)
-          file base_wall
-    | Some _ | None -> ()
+      report.Er_core.Fleet.cpu
   in
   let run jobs json normalize events_file metrics_out trace_out no_incremental
       cache_dir portfolio =
@@ -249,29 +235,20 @@ let fleet_cmd =
           | None -> Er_core.Events.null
           | Some oc -> Cli_args.tagged_jsonl_sink sink_mutex oc name
         in
-        let incremental = not no_incremental in
-        let fleet_jobs =
+        let configure =
+          Cli_args.configure ~incremental:(not no_incremental) ~portfolio
+            ~cache_dir
+        in
+        let handles =
           List.map
             (fun (s : Er_corpus.Bug.spec) ->
-               let events = sink_for s.Er_corpus.Bug.name in
-               { Er_core.Fleet.job_name = s.Er_corpus.Bug.name;
-                 job_run =
-                   (fun () ->
-                      Cli_args.run_pipeline ~incremental ~portfolio s events);
-                 job_config =
-                   { (Er_core.Job.Config.of_pipeline s.Er_corpus.Bug.config)
-                     with
-                     Er_core.Job.Config.incremental;
-                     portfolio;
-                     cache_dir } })
+               Er_core.Job.create ~events:(sink_for s.Er_corpus.Bug.name)
+                 (Er_corpus.Bug.request ~configure s))
             Er_corpus.Registry.table1
         in
-        let report = Er_core.Fleet.run ?jobs fleet_jobs in
+        let report = Er_core.Fleet.run ?jobs handles in
         if json then
-          print_endline
-            (Er_core.Fleet.report_to_json ~normalize
-               ?baseline:(Cli_args.baseline_sequential_wall ())
-               report)
+          print_endline (Er_core.Fleet.report_to_json ~normalize report)
         else print_table report);
     Option.iter Cli_args.write_trace_out trace_out;
     match metrics_out with
@@ -313,9 +290,8 @@ let fleet_cmd =
       value & flag
       & info [ "json" ]
           ~doc:"Emit the fleet report (per-bug results, worker placement, \
-                wall clocks, process CPU, and the wall-speedup comparison \
-                against the committed sequential baseline) as \
-                machine-readable JSON instead of the human table.")
+                wall clocks and process CPU) as machine-readable JSON \
+                instead of the human table.")
   in
   let normalize =
     Arg.(
@@ -954,7 +930,7 @@ let serve_cmd =
         ~config:
           { Er_core.Server.socket_path = socket; workers; queue_limit;
             prometheus_port; cache_dir }
-        ~resolver:Cli_args.resolver ()
+        ~resolver:Er_corpus.Registry.resolver ()
     in
     Printf.printf "er-serve: listening on %s (%d worker(s), queue %d%s%s)\n%!"
       socket workers queue_limit

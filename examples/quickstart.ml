@@ -6,7 +6,8 @@
    reoccur, and watch ER iterate: stall, select key data values, record
    them with ptwrite on the next occurrence, reproduce, verify.
 
-   Run with:  dune exec examples/quickstart.exe *)
+   Run with:  dune exec examples/quickstart.exe
+   (exits 1 unless the failure is reproduced and verified) *)
 
 let () =
   let spec = Er_corpus.Registry.running_example in
@@ -19,36 +20,44 @@ let () =
     Er_corpus.Bug.config_with ~solver_budget:1_500 ~gate_budget:600 ()
   in
   let r =
-    Er_core.Driver.reconstruct ~config ~base_prog:spec.Er_corpus.Bug.program
+    Er_core.Pipeline.run ~config ~base_prog:spec.Er_corpus.Bug.program
       ~workload:spec.Er_corpus.Bug.failing_workload ()
   in
   List.iter
-    (fun (it : Er_core.Driver.iteration) ->
+    (fun (it : Er_core.Pipeline.iteration) ->
        Printf.printf "occurrence %d: trace %d bytes (%d packets, %d ptwrites); "
-         it.Er_core.Driver.occurrence it.Er_core.Driver.trace_bytes
-         it.Er_core.Driver.trace_packets it.Er_core.Driver.ptwrites_recorded;
-       match it.Er_core.Driver.outcome with
-       | `Complete -> Printf.printf "symbolic execution completed\n"
-       | `Stalled why ->
-           Printf.printf "solver stalled (%s) -> key data value selection\n" why
-       | `Diverged why -> Printf.printf "diverged: %s\n" why)
-    r.Er_core.Driver.iterations;
+         it.Er_core.Pipeline.occurrence it.Er_core.Pipeline.trace_bytes
+         it.Er_core.Pipeline.trace_packets
+         it.Er_core.Pipeline.ptwrites_recorded;
+       match it.Er_core.Pipeline.outcome with
+       | Er_core.Outcome.Completed ->
+           Printf.printf "symbolic execution completed\n"
+       | Er_core.Outcome.Stalled s ->
+           Printf.printf
+             "solver stalled (%s) -> key data value selection adds %d \
+              point(s)\n"
+             s.Er_core.Outcome.reason s.Er_core.Outcome.points_added
+       | Er_core.Outcome.Diverged why -> Printf.printf "diverged: %s\n" why)
+    r.Er_core.Pipeline.iterations;
   Printf.printf "\nrecording set converged to %d program points:\n"
-    (List.length r.Er_core.Driver.recording_points);
+    (List.length r.Er_core.Pipeline.recording_points);
   List.iter
     (fun p -> Printf.printf "  ptwrite after %s\n" (Er_ir.Types.point_to_string p))
-    r.Er_core.Driver.recording_points;
-  match r.Er_core.Driver.status with
-  | Er_core.Driver.Gave_up m -> Printf.printf "\nER gave up: %s\n" m
-  | Er_core.Driver.Reproduced { testcase; verified; _ } ->
+    r.Er_core.Pipeline.recording_points;
+  match r.Er_core.Pipeline.status with
+  | Er_core.Pipeline.Gave_up g ->
+      Printf.printf "\nER gave up: %s\n" (Er_core.Outcome.give_up_to_string g);
+      exit 1
+  | Er_core.Pipeline.Reproduced { testcase; verified; _ } ->
       Printf.printf "\ngenerated failure-inducing input:\n%s\n"
         (Fmt.str "%a" Er_core.Testcase.pp testcase);
+      Printf.printf
+        "(the original failing input was 1,0,2,0,2 — any satisfying input \
+         reproduces the identical execution)\n";
       (match verified with
        | Some v ->
            Printf.printf
              "verification: same failure = %b, same control flow = %b\n"
-             v.Er_core.Verify.same_failure v.Er_core.Verify.same_control_flow
-       | None -> ());
-      Printf.printf
-        "(the original failing input was 1,0,2,0,2 — any satisfying input \
-         reproduces the identical execution)\n"
+             v.Er_core.Verify.same_failure v.Er_core.Verify.same_control_flow;
+           if not v.Er_core.Verify.ok then exit 1
+       | None -> exit 1)

@@ -34,3 +34,11 @@ let all = table1 @ case_studies @ [ running_example; long_trace ]
 
 let find_any name =
   List.find_opt (fun (s : Bug.spec) -> String.equal s.Bug.name name) all
+
+(* The daemon's bug-name resolver over every entry: the source and
+   default config of the bug's {!Bug.request}, which submit frames
+   override field by field. *)
+let resolver name : (Er_core.Job.source * Er_core.Job.Config.t) option =
+  Option.map
+    (fun s -> (Bug.source s, (Bug.request s).Er_core.Job.config))
+    (find_any name)

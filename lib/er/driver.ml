@@ -1,94 +1,13 @@
-(* Compatibility surface over the staged {!Pipeline}.
-
-   The iterative ER algorithm (Fig. 2, section 3.3.4) now lives in
-   {!Pipeline} as four first-class stages folded over occurrences with a
-   structured event stream.  This module keeps the original driver API —
-   the same config/iteration/result records with string-rendered outcomes
-   — so existing callers (tests, bench harness, examples) are untouched;
-   the full structured result is available via {!result.pipeline}. *)
-
-open Er_ir.Types
-module Interp = Er_vm.Interp
-module Exec = Er_symex.Exec
+(* [Pipeline.config] under its pre-{!Job} name.  Reconstruction runs
+   through {!Pipeline.run} or a {!Job.request}; this alias survives only
+   because the perfbench harness reads [Er_core.Driver.max_occurrences]. *)
 
 type config = Pipeline.config = {
   max_occurrences : int;
-  exec_config : Exec.config;
-  vm_config : Interp.config;
+  exec_config : Er_symex.Exec.config;
+  vm_config : Er_vm.Interp.config;
   ring_bytes : int;
   verify : bool;
   incremental : bool;
   checkpoint_interval : int;
 }
-
-let default_config = Pipeline.default_config
-
-type iteration = {
-  occurrence : int;
-  trace_bytes : int;
-  trace_packets : int;
-  ptwrites_recorded : int;
-  vm_instrs : int;
-  symex_steps : int;
-  symex_time : float;          (* seconds of wall-clock symbolic execution *)
-  solver_calls : int;
-  solver_cost : int;
-  outcome : [ `Complete | `Stalled of string | `Diverged of string ];
-  recording_set_size : int;    (* accumulated points after this iteration *)
-  graph_nodes : int;           (* constraint graph size at stall/finish *)
-  selection_time : float;      (* seconds spent in key data value selection *)
-}
-
-type status =
-  | Reproduced of {
-      testcase : Testcase.t;
-      verified : Verify.verdict option;
-      solution : Exec.solution;
-    }
-  | Gave_up of string
-
-type result = {
-  status : status;
-  iterations : iteration list;
-  occurrences : int;
-  total_symex_time : float;
-  recording_points : point list;      (* base-program coordinates *)
-  failure : Er_vm.Failure.t option;   (* base-program coordinates *)
-  pipeline : Pipeline.result;         (* the structured result underneath *)
-}
-
-type workload = Pipeline.workload
-
-let iteration_of_pipeline (it : Pipeline.iteration) : iteration =
-  {
-    occurrence = it.Pipeline.occurrence;
-    trace_bytes = it.Pipeline.trace_bytes;
-    trace_packets = it.Pipeline.trace_packets;
-    ptwrites_recorded = it.Pipeline.ptwrites_recorded;
-    vm_instrs = it.Pipeline.vm_instrs;
-    symex_steps = it.Pipeline.symex_steps;
-    symex_time = it.Pipeline.symex_time;
-    solver_calls = it.Pipeline.solver_calls;
-    solver_cost = it.Pipeline.solver_cost;
-    outcome = Outcome.step_to_compat it.Pipeline.outcome;
-    recording_set_size = it.Pipeline.recording_set_size;
-    graph_nodes = it.Pipeline.graph_nodes;
-    selection_time = it.Pipeline.selection_time;
-  }
-
-let reconstruct ?(config = default_config) ~(base_prog : program)
-    ~(workload : workload) () : result =
-  let p = Pipeline.run ~config ~base_prog ~workload () in
-  {
-    status =
-      (match p.Pipeline.status with
-       | Pipeline.Reproduced { testcase; verified; solution } ->
-           Reproduced { testcase; verified; solution }
-       | Pipeline.Gave_up g -> Gave_up (Outcome.give_up_to_string g));
-    iterations = List.map iteration_of_pipeline p.Pipeline.iterations;
-    occurrences = p.Pipeline.occurrences;
-    total_symex_time = p.Pipeline.total_symex_time;
-    recording_points = p.Pipeline.recording_points;
-    failure = p.Pipeline.failure;
-    pipeline = p;
-  }

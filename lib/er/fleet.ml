@@ -2,12 +2,13 @@
 
    ER's iterate-until-reproduced loop is embarrassingly parallel across
    failures: each corpus bug reconstructs independently.  This module is
-   the batch face of the job API: it wraps each corpus bug in a
-   {!Job.Thunk}, submits the lot to a {!Scheduler} pool under one
-   anonymous tenant, awaits the handles in submission order and renders
-   a wall-clock and process-CPU report.  Per-job crash isolation (an
-   exception in one bug's reconstruction becomes a structured
-   [Worker_crashed] row, not a fleet abort) now lives in {!Job.execute}.
+   the batch face of the job API: it submits the {!Job.t} handles its
+   caller created — each carrying its own request (budgets and
+   [cache_dir] in one {!Job.Config.t}) and event sink — to a
+   {!Scheduler} pool, awaits them in submission order and renders a
+   wall-clock and process-CPU report.  Per-job crash isolation (an
+   exception in one bug's reconstruction becomes a [Crashed] row, not a
+   fleet abort) lives in {!Job.execute}.
 
    Determinism contract: [run ~jobs:8] produces the same per-bug
    iteration counts, solver costs and recorded-value sets as
@@ -29,22 +30,9 @@
    strips exactly those, which is what the CI fleet-determinism gate
    diffs. *)
 
-type job = {
-  job_name : string;
-  job_run : unit -> Pipeline.result;
-  (* request config of the job: {!Job.execute} reads cache_dir from it
-     to bind the persistent solver store; the budgets the thunk actually
-     uses are bound inside [job_run] *)
-  job_config : Job.Config.t;
-}
-
-type outcome =
-  | Finished of Pipeline.result
-  | Worker_crashed of { exn : string; backtrace : string }
-
 type row = {
   row_name : string;
-  row_outcome : outcome;
+  row_outcome : Job.outcome;
   row_worker : int;  (* index of the worker that executed the job *)
   row_wall : float;  (* wall-clock seconds the job took *)
 }
@@ -65,47 +53,29 @@ let process_cpu () =
 (* Batch execution over the scheduler                                 *)
 (* ---------------------------------------------------------------- *)
 
-let run ?jobs (js : job list) : report =
+let run ?jobs (handles : Job.t list) : report =
   let requested =
     match jobs with Some n -> n | None -> Domain.recommended_domain_count ()
   in
-  let nworkers = max 1 (min requested (List.length js)) in
+  let nworkers = max 1 (min requested (List.length handles)) in
   let t0 = Unix.gettimeofday () and c0 = process_cpu () in
   let sched = Scheduler.create ~workers:nworkers () in
-  let handles =
-    List.map
-      (fun j ->
-         let h =
-           Job.create
-             {
-               Job.tenant = "fleet";
-               work = Job.Thunk { name = j.job_name; run = j.job_run };
-               config = j.job_config;
-             }
-         in
-         (* the queue bound is a service concern; a batch run submits a
-            known, finite corpus, so a refusal here is a programming
-            error, not backpressure *)
-         (match Scheduler.submit sched h with
-         | Ok () -> ()
-         | Error _ -> invalid_arg "Fleet.run: scheduler refused a job");
-         h)
-      js
-  in
+  List.iter
+    (fun h ->
+       (* the queue bound is a service concern; a batch run submits a
+          known, finite corpus, so a refusal here is a programming
+          error, not backpressure *)
+       match Scheduler.submit sched h with
+       | Ok () -> ()
+       | Error _ -> invalid_arg "Fleet.run: scheduler refused a job")
+    handles;
   let rows =
     List.map
       (fun h ->
-         let outcome =
-           match Job.await h with
-           | Job.Finished r -> Finished r
-           | Job.Crashed { exn; backtrace } -> Worker_crashed { exn; backtrace }
-           | Job.Cancelled _ ->
-               (* nothing cancels batch jobs; keep the row total *)
-               assert false
-         in
+         let row_outcome = Job.await h in
          {
            row_name = Job.name h;
-           row_outcome = outcome;
+           row_outcome;
            row_worker = (match Job.worker h with Some w -> w | None -> 0);
            row_wall = Job.wall h;
          })
@@ -143,49 +113,33 @@ let row_to_json ~normalize (r : row) : Json.t =
     if normalize then []
     else [ ("worker", Int r.row_worker); ("wall", Float r.row_wall) ]
   in
+  let result res =
+    let res_json = Pipeline.result_to_json_value res in
+    ("result", if normalize then normalize_json res_json else res_json)
+  in
   let fields =
     match r.row_outcome with
-    | Finished res ->
-        let res_json = Pipeline.result_to_json_value res in
-        [ ("outcome", Str "finished");
-          ("result", if normalize then normalize_json res_json else res_json) ]
-    | Worker_crashed { exn; backtrace } ->
+    | Job.Finished res -> [ ("outcome", Str "finished"); result res ]
+    | Job.Crashed { exn; backtrace } ->
         ("outcome", Str "crashed") :: ("exn", Str exn)
         :: (if normalize then [] else [ ("backtrace", Str backtrace) ])
+    | Job.Cancelled partial ->
+        ("outcome", Str "cancelled")
+        :: Option.to_list (Option.map result partial)
   in
   Obj ((("bug", Str r.row_name) :: fields) @ timing)
 
 (* [~normalize:true] is the determinism view: per-bug content only, no
-   wall clocks, no worker placement, no job count — the baseline fields
-   are wall clocks, so the normalized schema omits them *by design*
-   (documented in DESIGN.md "Domain-safety model"; consumers of the
-   normalized view must not expect them).  Two reports from the same
-   corpus at different [-j] must render byte-identically.
-   [?baseline:(file, wall)] adds the committed sequential baseline the
-   human table compares against; in the full view the three baseline
-   keys are always present — explicit [null]s when no baseline was given
-   (or the report's wall clock is unusable) — so downstream consumers
-   can key on them unconditionally. *)
-let report_to_json_value ?(normalize = false) ?baseline (r : report) :
-    Json.t =
+   wall clocks, no worker placement, no job count.  Two reports from the
+   same corpus at different [-j] must render byte-identically. *)
+let report_to_json_value ?(normalize = false) (r : report) : Json.t =
   let open Json in
   let rows = List (List.map (row_to_json ~normalize) r.rows) in
   if normalize then Obj [ ("rows", rows) ]
   else
-    let baseline_fields =
-      match baseline with
-      | Some (file, base_wall) when r.wall > 0. ->
-          [ ("baseline_file", Str file);
-            ("baseline_wall", Float base_wall);
-            ("baseline_speedup", Float (base_wall /. r.wall)) ]
-      | Some _ | None ->
-          [ ("baseline_file", Null); ("baseline_wall", Null);
-            ("baseline_speedup", Null) ]
-    in
     Obj
-      ([ ("jobs", Int r.jobs); ("wall", Float r.wall); ("cpu", Float r.cpu);
-         ("rows", rows) ]
-       @ baseline_fields)
+      [ ("jobs", Int r.jobs); ("wall", Float r.wall); ("cpu", Float r.cpu);
+        ("rows", rows) ]
 
-let report_to_json ?normalize ?baseline r =
-  Json.to_string (report_to_json_value ?normalize ?baseline r)
+let report_to_json ?normalize r =
+  Json.to_string (report_to_json_value ?normalize r)

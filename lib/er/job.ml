@@ -2,10 +2,9 @@
 
    ER's deployment story is continuous: failures arrive one at a time
    from a fleet of production VMs, not as a batch corpus.  This module is
-   the job-centric entry point everything else now consumes — the batch
-   {!Fleet} runner, the {!Server} daemon behind [er_cli serve], and the
-   thin {!Driver} compatibility wrapper are all clients of the same
-   request/handle API:
+   the job-centric entry point everything else consumes — [er_cli
+   reproduce], the batch {!Fleet} runner and the {!Server} daemon behind
+   [er_cli serve] are all clients of the same request/handle API:
 
      - a {!request} names what to reconstruct (program + occurrence
        workload), who asked ({!request.tenant}) and under which budgets
@@ -209,9 +208,10 @@ type source = {
 
 (* The job body.  [Reconstruct] is the first-class form — the pipeline
    runs under the request's config with cooperative cancellation.
-   [Thunk] is the batch-compat form ({!Fleet} jobs are pre-bound
-   closures over corpus specs): the body is opaque, so such a job can
-   only be cancelled while still queued. *)
+   [Thunk] is the opaque-body form (a pre-bound closure, say a
+   {!Pipeline.Make} instance with instrumented stages): it binds its own
+   budgets, so only the config's [cache_dir] applies, and it can only be
+   cancelled while still queued. *)
 type work =
   | Reconstruct of source
   | Thunk of { name : string; run : unit -> Pipeline.result }

@@ -1,11 +1,12 @@
 (** First-class reconstruction jobs.
 
     The job API is the single entry point every execution mode consumes:
-    batch ({!Fleet}), daemon ({!Server}) and the one-shot {!Driver}
-    wrapper.  A {!request} bundles what to reconstruct with who asked and
-    under which budgets; {!create} yields a handle that any domain can
-    [status]/[poll]/[cancel]/[await] while an executor drives it with
-    {!execute}. *)
+    one-shot ([er_cli reproduce]), batch ({!Fleet}) and daemon
+    ({!Server}).  A {!request} bundles what to reconstruct with who asked
+    and under which budgets; {!create} yields a handle that any domain
+    can [status]/[poll]/[cancel]/[await] while an executor drives it with
+    {!execute}.  {!Pipeline.run} stays the library call for a single
+    reconstruction in a process that runs nothing else. *)
 
 module Config : sig
   (** Every serializable reconstruction knob, flattened into one record:
@@ -72,8 +73,10 @@ type work =
       (** first-class form: the pipeline runs under the request's
           config with cooperative cancellation *)
   | Thunk of { name : string; run : unit -> Pipeline.result }
-      (** batch-compat form ({!Fleet} jobs): opaque pre-bound body,
-          cancellable only while still queued *)
+      (** opaque-body form: a pre-bound body (say, a {!Pipeline.Make}
+          instance with instrumented stages) that binds its own budgets,
+          so only the config's [cache_dir] applies; cancellable only
+          while still queued *)
 
 type request = {
   tenant : string;  (** fair-queueing identity *)

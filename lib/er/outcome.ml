@@ -1,12 +1,9 @@
 (* Structured outcomes for the staged ER pipeline.
 
-   The original driver threaded failure information around as formatted
-   strings ("stalled — …; +2 points (chain=7, obj=1024B)"), which made it
-   impossible for downstream tooling — the fleet aggregator, the JSONL
-   event sink, tests — to act on *why* an iteration stopped.  These
-   variants carry the same information structurally; the string renderings
-   below exist only for the human-facing compatibility surface of
-   {!Driver}. *)
+   Each iteration and each reconstruction says *why* it stopped as a
+   variant, so downstream tooling — the fleet aggregator, the JSONL event
+   sink, tests — can act on the reason; the string renderings below are
+   for human-facing output only. *)
 
 type stall = {
   reason : string;              (* the executor's stall description *)
@@ -26,22 +23,6 @@ type give_up =
   | Decode_error of string      (* the shipped trace snapshot was corrupt *)
   | Max_occurrences of int      (* occurrence budget exhausted *)
   | Cancelled                   (* the owning job was cancelled mid-flight *)
-
-let step_tag = function
-  | Completed -> `Complete
-  | Stalled _ -> `Stalled
-  | Diverged _ -> `Diverged
-
-(* The legacy [`Stalled of string] rendering kept bottleneck statistics
-   inside the message; reproduce it exactly for Driver compatibility. *)
-let step_to_compat :
-  step -> [ `Complete | `Stalled of string | `Diverged of string ] = function
-  | Completed -> `Complete
-  | Stalled s ->
-      `Stalled
-        (Printf.sprintf "%s; +%d points (chain=%d, obj=%dB)" s.reason
-           s.points_added s.longest_chain s.largest_object_bytes)
-  | Diverged m -> `Diverged m
 
 let give_up_to_string = function
   | Decode_error e -> "trace decode failed: " ^ e

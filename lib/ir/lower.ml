@@ -74,7 +74,7 @@ type lterm =
 (* Per-class retirement counts for one whole block (instructions plus
    terminator), precomputed so that the VM bumps each class counter once
    per retired block.  Field names follow the metric classes of
-   [Er_vm.Interp.count_instr]/[count_term]; [d_cond] is the conditional-
+   [Er_vm.Vm_state.count_instr]/[count_term]; [d_cond] is the conditional-
    branch count feeding [er_vm_branches_total]. *)
 type delta = {
   d_alu : int;

@@ -69,7 +69,7 @@ type lterm =
   | LUnreachable
 
 (** Per-class retirement counts for a whole block (instructions plus
-    terminator), matching the classes of [Er_vm.Interp.count_instr] /
+    terminator), matching the classes of [Er_vm.Vm_state.count_instr] /
     [count_term]; [d_cond] counts conditional branches. *)
 type delta = {
   d_alu : int;

@@ -22,27 +22,15 @@
    name-resolved jumps — whose bit-for-bit agreement with the lowered
    engine the differential suite in test/test_lower.ml enforces.  The
    shared pieces (hooks, config, metrics, evaluation helpers) are
-   defined once in {!Vm_state} and re-exported here under their
-   historical names. *)
+   defined once in {!Vm_state}; the interface re-exports only the hook,
+   config and result types. *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
 module M = Er_metrics
 
-(* --- re-exports from the production engine ------------------------------- *)
+(* --- shared with the production engine ------------------------------------ *)
 
-let m_i_alu = Vm_state.m_i_alu
-let m_i_load = Vm_state.m_i_load
-let m_i_store = Vm_state.m_i_store
-let m_i_mem = Vm_state.m_i_mem
-let m_i_call = Vm_state.m_i_call
-let m_i_io = Vm_state.m_i_io
-let m_i_sync = Vm_state.m_i_sync
-let m_i_branch = Vm_state.m_i_branch
-let m_i_other = Vm_state.m_i_other
-let m_loads = Vm_state.m_loads
-let m_stores = Vm_state.m_stores
-let m_branches = Vm_state.m_branches
 let m_switches = Vm_state.m_switches
 let count_instr = Vm_state.count_instr
 let count_term = Vm_state.count_term

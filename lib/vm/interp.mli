@@ -11,31 +11,12 @@
     hook call with its arguments, failure reports, outputs, metric
     totals).
 
-    The shared types and helpers (hooks, config, results, metrics) are
-    defined in {!Vm_state} and re-exported here under their historical
-    names, so existing callers keep writing [Interp.run],
-    [Interp.default_config], [Interp.m_i_alu], ... *)
+    The hook, config and result types are defined in {!Vm_state} and
+    re-exported here, so callers write [Interp.run] and
+    [Interp.default_config]; the retirement counters and evaluation
+    helpers both engines share live in {!Vm_state} only. *)
 
 open Er_ir.Types
-
-(** {1 Retirement metrics} *)
-
-val m_i_alu : Er_metrics.counter
-val m_i_load : Er_metrics.counter
-val m_i_store : Er_metrics.counter
-val m_i_mem : Er_metrics.counter
-val m_i_call : Er_metrics.counter
-val m_i_io : Er_metrics.counter
-val m_i_sync : Er_metrics.counter
-val m_i_branch : Er_metrics.counter
-val m_i_other : Er_metrics.counter
-val m_loads : Er_metrics.counter
-val m_stores : Er_metrics.counter
-val m_branches : Er_metrics.counter
-val m_switches : Er_metrics.counter
-
-val count_instr : instr -> unit
-val count_term : terminator -> unit
 
 (** {1 Hooks and configuration} *)
 
@@ -82,34 +63,6 @@ type run_result = Vm_state.run_result = {
   peak_mem_cells : int;
   final_mem : Memory.t;
 }
-
-type tstatus = Vm_state.tstatus =
-  | Runnable
-  | Blocked_lock of int64
-  | Waiting_join
-  | Done_t
-
-type step = Vm_state.step =
-  | Stepped
-  | Stepped_free
-  | Blocked
-  | Thread_done
-  | Program_done of int64 option
-
-exception Crash of Failure.kind
-
-(** {1 Shared evaluation helpers} *)
-
-val norm : ty -> int64 -> int64
-val smt_binop : binop -> Er_smt.Expr.binop
-val eval_cmp : cmpop -> int -> int64 -> int64 -> bool
-
-(** Deterministic per-(seed, chunk#) quantum jitter. *)
-val chunk_quantum : config -> int -> int
-
-(** Shared by both engines so global allocation order — hence object ids
-    and packed pointers — is identical. *)
-val alloc_global_mem : Memory.t -> global -> int64
 
 (** {1 Execution} *)
 

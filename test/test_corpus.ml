@@ -70,18 +70,20 @@ let test_reconstructs_all () =
   List.iter
     (fun (s : Bug.spec) ->
        let r =
-         Er_core.Driver.reconstruct ~config:s.Bug.config
-           ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()
+         Er_core.Pipeline.run ~config:s.Bug.config ~base_prog:s.Bug.program
+           ~workload:s.Bug.failing_workload ()
        in
-       match r.Er_core.Driver.status with
-       | Er_core.Driver.Reproduced { verified = Some v; _ } ->
+       match r.Er_core.Pipeline.status with
+       | Er_core.Pipeline.Reproduced { verified = Some v; _ } ->
            if not v.Er_core.Verify.ok then
              Alcotest.fail
                (Printf.sprintf "%s: reproduced but not verified (%s)"
                   s.Bug.name v.Er_core.Verify.detail)
-       | Er_core.Driver.Reproduced { verified = None; _ } -> ()
-       | Er_core.Driver.Gave_up m ->
-           Alcotest.fail (Printf.sprintf "%s: gave up (%s)" s.Bug.name m))
+       | Er_core.Pipeline.Reproduced { verified = None; _ } -> ()
+       | Er_core.Pipeline.Gave_up g ->
+           Alcotest.fail
+             (Printf.sprintf "%s: gave up (%s)" s.Bug.name
+                (Er_core.Outcome.give_up_to_string g)))
     (Registry.table1 @ Registry.case_studies)
 
 let test_occurrence_distribution () =
@@ -91,10 +93,10 @@ let test_occurrence_distribution () =
     List.map
       (fun (s : Bug.spec) ->
          let r =
-           Er_core.Driver.reconstruct ~config:s.Bug.config
-             ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()
+           Er_core.Pipeline.run ~config:s.Bug.config ~base_prog:s.Bug.program
+             ~workload:s.Bug.failing_workload ()
          in
-         (s.Bug.name, r.Er_core.Driver.occurrences))
+         (s.Bug.name, r.Er_core.Pipeline.occurrences))
       Registry.table1
   in
   let single = List.filter (fun (_, o) -> o = 1) occs in

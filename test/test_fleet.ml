@@ -1,6 +1,7 @@
 (* Tests for domain-parallel fleet execution (Er_core.Fleet) and the
    domain-safety work underneath it: the determinism contract between
-   -j settings, per-bug crash isolation, and exact solver result-cache
+   -j settings, per-bug crash isolation, each job's own event stream
+   (persistent-store events included), and exact solver result-cache
    accounting when one shared cache is hammered from several domains. *)
 
 module Fleet = Er_core.Fleet
@@ -23,15 +24,8 @@ let subset () =
        | None -> Alcotest.failf "corpus bug %s disappeared" n)
     subset_names
 
-let job_of_spec ?(events = Events.null) (s : Bug.spec) =
-  {
-    Fleet.job_name = s.Bug.name;
-    job_run =
-      (fun () ->
-         Pipeline.run ~config:s.Bug.config ~events ~base_prog:s.Bug.program
-           ~workload:s.Bug.failing_workload ());
-    job_config = Job.Config.of_pipeline s.Bug.config;
-  }
+let job_of_spec ?events ?configure (s : Bug.spec) =
+  Job.create ?events (Bug.request ?configure s)
 
 (* --- determinism: -j 1 and -j 4 agree byte for byte ----------------- *)
 
@@ -50,7 +44,7 @@ let test_determinism () =
 (* --- crash isolation ------------------------------------------------ *)
 
 (* A synthetic corpus bug whose workload raises while the pipeline is
-   driving it: the fleet must report a structured [Worker_crashed] row
+   driving it: the fleet must report a structured [Crashed] row
    for it and still complete every other bug.  Every job also writes
    into one shared job-tagged JSONL log (the same shape [er_cli fleet
    --events] produces, line-serialized under one mutex), and the log
@@ -80,18 +74,15 @@ let test_crash_isolation () =
   in
   let sick = Registry.running_example in
   let crashing =
-    {
-      Fleet.job_name = "synthetic-crasher";
-      job_run =
-        (fun () ->
-           Pipeline.run ~config:sick.Bug.config
-             ~events:(tagged_sink "synthetic-crasher")
-             ~base_prog:sick.Bug.program
-             ~workload:(fun ~occurrence:_ ->
-               failwith "synthetic mid-reconstruction fault")
-             ());
-      job_config = Job.Config.of_pipeline sick.Bug.config;
-    }
+    Job.create ~events:(tagged_sink "synthetic-crasher")
+      { (Bug.request sick) with
+        Job.work =
+          Job.Reconstruct
+            { (Bug.source sick) with
+              Job.src_name = "synthetic-crasher";
+              src_workload =
+                (fun ~occurrence:_ ->
+                   failwith "synthetic mid-reconstruction fault") } }
   in
   (* crasher in the middle, so healthy jobs surround it in every deque *)
   let jobs =
@@ -102,8 +93,8 @@ let test_crash_isolation () =
     List.partition
       (fun r ->
          match r.Fleet.row_outcome with
-         | Fleet.Worker_crashed _ -> true
-         | Fleet.Finished _ -> false)
+         | Job.Crashed _ -> true
+         | Job.Finished _ | Job.Cancelled _ -> false)
       report.Fleet.rows
   in
   let contains ~sub s =
@@ -114,10 +105,10 @@ let test_crash_isolation () =
   (match crashed with
    | [ { Fleet.row_name = "synthetic-crasher"; row_outcome; _ } ] -> (
        match row_outcome with
-       | Fleet.Worker_crashed { exn; _ } ->
+       | Job.Crashed { exn; _ } ->
            Alcotest.(check bool) "exception text preserved" true
              (contains ~sub:"synthetic" exn)
-       | Fleet.Finished _ -> assert false)
+       | Job.Finished _ | Job.Cancelled _ -> assert false)
    | rows ->
        Alcotest.failf "expected exactly the synthetic crash, got %d crashes"
          (List.length rows));
@@ -126,12 +117,12 @@ let test_crash_isolation () =
   List.iter
     (fun r ->
        match r.Fleet.row_outcome with
-       | Fleet.Finished res -> (
+       | Job.Finished res -> (
            match res.Pipeline.status with
            | Pipeline.Reproduced _ -> ()
            | Pipeline.Gave_up _ ->
                Alcotest.failf "%s should reproduce" r.Fleet.row_name)
-       | Fleet.Worker_crashed _ -> assert false)
+       | Job.Crashed _ | Job.Cancelled _ -> assert false)
     finished;
   (* The event log survived the crash intact: every line parses back
      through [Events.of_json] with its job tag, every finished bug
@@ -175,6 +166,58 @@ let test_crash_isolation () =
     (crasher_events <> []);
   Alcotest.(check bool) "crasher never logged pipeline_finished" true
     (List.for_all (fun (_, e) -> not (is_finish e)) crasher_events)
+
+(* --- each job's stream carries its persistent-store events ---------- *)
+
+(* Two fleet passes over one cache directory, each job with its own
+   buffer sink: the first pass finds no store and writes one, the second
+   warm-starts from it and replays it without writing.  The store
+   events are emitted by the job around its pipeline run, so they reach
+   the sink only when the job itself owns it. *)
+let test_cache_events_per_job () =
+  let specs =
+    List.filter
+      (fun s -> List.mem s.Bug.name [ "bash-108885"; "pbzip2" ])
+      (subset ())
+  in
+  let dir = Test_persist.fresh_dir () in
+  let configure c = { c with Job.Config.cache_dir = Some dir } in
+  let pass () =
+    let streams = List.map (fun s -> (s, ref [])) specs in
+    let report =
+      Fleet.run ~jobs:2
+        (List.map
+           (fun (s, log) ->
+              job_of_spec ~configure ~events:(fun e -> log := e :: !log) s)
+           streams)
+    in
+    List.iter
+      (fun r ->
+         match r.Fleet.row_outcome with
+         | Job.Finished _ -> ()
+         | Job.Crashed { exn; _ } ->
+             Alcotest.failf "%s crashed: %s" r.Fleet.row_name exn
+         | Job.Cancelled _ -> Alcotest.failf "%s cancelled" r.Fleet.row_name)
+      report.Fleet.rows;
+    List.map
+      (fun (s, log) ->
+         ( s.Bug.name,
+           List.filter_map
+             (function
+               | Events.Cache_status { state; _ } -> Some state | _ -> None)
+             (List.rev !log) ))
+      streams
+  in
+  let check label expected streams =
+    List.iter
+      (fun (name, states) ->
+         Alcotest.(check (list string))
+           (Printf.sprintf "%s, %s pass" name label)
+           expected states)
+      streams
+  in
+  check "first" [ "cold"; "flushed" ] (pass ());
+  check "second" [ "warm"; "replayed" ] (pass ())
 
 (* --- concurrent access to one shared solver cache ------------------- *)
 
@@ -265,5 +308,7 @@ let suites =
         Alcotest.test_case "worker crash isolates to its row" `Slow
           test_crash_isolation;
         test_concurrent_cache;
+        Alcotest.test_case "each job's stream logs its store events" `Slow
+          test_cache_events_per_job;
       ] );
   ]

@@ -67,13 +67,15 @@ let test_er_and_direct_agree () =
   let prog = Er_ir.Prog.of_program spec.Er_corpus.Bug.program in
   let passing = List.init 4 Er_corpus.Coreutils_od.passing_inputs in
   let r =
-    Er_core.Driver.reconstruct ~config:spec.Er_corpus.Bug.config
+    Er_core.Pipeline.run ~config:spec.Er_corpus.Bug.config
       ~base_prog:spec.Er_corpus.Bug.program
       ~workload:spec.Er_corpus.Bug.failing_workload ()
   in
-  match r.Er_core.Driver.status with
-  | Er_core.Driver.Gave_up m -> Alcotest.fail ("reconstruction gave up: " ^ m)
-  | Er_core.Driver.Reproduced { testcase; _ } ->
+  match r.Er_core.Pipeline.status with
+  | Er_core.Pipeline.Gave_up g ->
+      Alcotest.fail
+        ("reconstruction gave up: " ^ Er_core.Outcome.give_up_to_string g)
+  | Er_core.Pipeline.Reproduced { testcase; _ } ->
       let failing_er = Er_core.Testcase.to_inputs testcase in
       let original, _ = spec.Er_corpus.Bug.failing_workload ~occurrence:1 in
       let top inputs =

@@ -289,7 +289,7 @@ let test_corpus_symex_differential () =
        match trace_failure prog s with
        | None -> Alcotest.fail (s.Bug.name ^ ": no failing trace captured")
        | Some (split, failure, clock) ->
-           let config = s.Bug.config.Er_core.Driver.exec_config in
+           let config = s.Bug.config.Er_core.Pipeline.exec_config in
            (* each engine runs in a fresh interning space: identical
               Expr ids, an isolated solver-cache shard, and therefore a
               bit-identical deterministic solver trajectory *)
@@ -1037,19 +1037,19 @@ let test_fast_shift_cmp_edges () =
 
 let vm_counters =
   [
-    ("alu", Interp.m_i_alu);
-    ("load", Interp.m_i_load);
-    ("store", Interp.m_i_store);
-    ("mem", Interp.m_i_mem);
-    ("call", Interp.m_i_call);
-    ("io", Interp.m_i_io);
-    ("sync", Interp.m_i_sync);
-    ("branch", Interp.m_i_branch);
-    ("other", Interp.m_i_other);
-    ("loads", Interp.m_loads);
-    ("stores", Interp.m_stores);
-    ("branches", Interp.m_branches);
-    ("switches", Interp.m_switches);
+    ("alu", Vs.m_i_alu);
+    ("load", Vs.m_i_load);
+    ("store", Vs.m_i_store);
+    ("mem", Vs.m_i_mem);
+    ("call", Vs.m_i_call);
+    ("io", Vs.m_i_io);
+    ("sync", Vs.m_i_sync);
+    ("branch", Vs.m_i_branch);
+    ("other", Vs.m_i_other);
+    ("loads", Vs.m_loads);
+    ("stores", Vs.m_stores);
+    ("branches", Vs.m_branches);
+    ("switches", Vs.m_switches);
   ]
 
 (* Run [f] with the default registry enabled and return the counter

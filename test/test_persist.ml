@@ -415,24 +415,12 @@ let test_job_cold_warning_and_warm_identity () =
     "er-smt-cache v1 fp=dead md5=beef\n{\"not\":\"a payload\"}";
   let run () =
     let events = ref [] in
-    let config =
-      { (Job.Config.of_pipeline s.Er_corpus.Bug.config) with
-        Job.Config.cache_dir = Some dir }
-    in
     let h =
       Job.create
         ~events:(fun e -> events := e :: !events)
-        {
-          Job.tenant = "test";
-          work =
-            Job.Reconstruct
-              {
-                Job.src_name = s.Er_corpus.Bug.name;
-                src_prog = s.Er_corpus.Bug.program;
-                src_workload = s.Er_corpus.Bug.failing_workload;
-              };
-          config;
-        }
+        (Er_corpus.Bug.request
+           ~configure:(fun c -> { c with Job.Config.cache_dir = Some dir })
+           s)
     in
     Job.execute h;
     match Job.poll h with

@@ -303,33 +303,6 @@ let test_selection_sends_no_query () =
     (!total_queries > 0);
   Alcotest.(check int) "SMT queries sent during selection" 0 !select_queries
 
-(* --- compatibility wrapper --------------------------------------------- *)
-
-let test_driver_wrapper_matches_pipeline () =
-  let d =
-    Er_core.Driver.reconstruct ~config:spec.Bug.config
-      ~base_prog:spec.Bug.program ~workload:spec.Bug.failing_workload ()
-  in
-  let p = d.Er_core.Driver.pipeline in
-  Alcotest.(check int) "same occurrence count" p.P.occurrences
-    d.Er_core.Driver.occurrences;
-  Alcotest.(check int) "same iteration count"
-    (List.length p.P.iterations)
-    (List.length d.Er_core.Driver.iterations);
-  List.iter2
-    (fun (a : Er_core.Driver.iteration) (b : P.iteration) ->
-       Alcotest.(check int) "solver calls agree" b.P.solver_calls
-         a.Er_core.Driver.solver_calls;
-       Alcotest.(check bool) "outcomes agree" true
-         (a.Er_core.Driver.outcome = O.step_to_compat b.P.outcome))
-    d.Er_core.Driver.iterations p.P.iterations;
-  match d.Er_core.Driver.status, p.P.status with
-  | Er_core.Driver.Reproduced _, P.Reproduced _ -> ()
-  | Er_core.Driver.Gave_up a, P.Gave_up g ->
-      Alcotest.(check string) "give-up reason renders identically" a
-        (O.give_up_to_string g)
-  | _ -> Alcotest.fail "wrapper status disagrees with pipeline status"
-
 let suites =
   [
     ( "pipeline",
@@ -347,7 +320,5 @@ let suites =
           test_jsonl_round_trip;
         Alcotest.test_case "selection sends no SMT query (Table 1)" `Slow
           test_selection_sends_no_query;
-        Alcotest.test_case "driver wrapper matches pipeline" `Slow
-          test_driver_wrapper_matches_pipeline;
       ] );
   ]

@@ -323,17 +323,10 @@ let test_cancel_mid_iteration () =
   in
   let j =
     Job.create
-      {
-        Job.tenant = "t";
-        work =
+      { (Bug.request s) with
+        Job.work =
           Job.Reconstruct
-            {
-              Job.src_name = s.Bug.name;
-              src_prog = s.Bug.program;
-              src_workload = gated_workload;
-            };
-        config = Job.Config.of_pipeline s.Bug.config;
-      }
+            { (Bug.source s) with Job.src_workload = gated_workload } }
   in
   let d = Domain.spawn (fun () -> Job.execute j) in
   Alcotest.(check bool) "job reached its first production run" true
@@ -364,17 +357,6 @@ let test_cancel_mid_iteration () =
    and the batch side's corpus-wide solver cost is pinned to the
    committed trajectory, so the pin transfers to the daemon. *)
 let test_serve_matches_batch () =
-  let resolver name =
-    Option.map
-      (fun (s : Bug.spec) ->
-         ( {
-             Job.src_name = s.Bug.name;
-             src_prog = s.Bug.program;
-             src_workload = s.Bug.failing_workload;
-           },
-           Job.Config.of_pipeline s.Bug.config ))
-      (Registry.find name)
-  in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "er-test-serve-%d.sock" (Unix.getpid ()))
@@ -382,7 +364,7 @@ let test_serve_matches_batch () =
   let config =
     { Server.default_config with socket_path = socket; workers = 4 }
   in
-  let srv = Server.start ~config ~resolver () in
+  let srv = Server.start ~config ~resolver:Registry.resolver () in
   let bugs = List.map (fun (s : Bug.spec) -> s.Bug.name) Registry.table1 in
   let r = Loadgen.run ~socket ~clients:4 ~bugs () in
   Server.stop srv;
