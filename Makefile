@@ -1,12 +1,12 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
 # full test suite, the four examples, the format check, the one-bug
 # bench smoke, the serve-daemon smoke, the section 5.3 offline-overhead
-# gate, the fleet-determinism gate and the persisted-trajectory
-# validation.
+# gate, the Fig. 6 ER-below-rr gate, the fleet-determinism gate and the
+# persisted-trajectory validation.
 
 .PHONY: all build test examples fmt ci fleet fleet-determinism bench-smoke \
 	bench-vm bench-fleet bench-long-trace bench-serve bench-warm \
-	bench-offline bench-diff
+	bench-offline bench-fig6 bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -52,8 +52,9 @@ ci:
 	$(MAKE) bench-serve
 	$(MAKE) bench-warm
 	$(MAKE) bench-offline
+	$(MAKE) bench-fig6
 	$(MAKE) fleet-determinism
-	dune exec bench/main.exe -- --validate BENCH_10.json --baseline BENCH_9.json --baseline-exact
+	dune exec bench/main.exe -- --validate BENCH_11.json --baseline BENCH_10.json --baseline-exact
 	$(MAKE) bench-diff
 
 # Run the whole bug corpus through the staged pipeline on a domain pool.
@@ -77,9 +78,11 @@ bench-smoke:
 # Block-fused threaded-dispatch engine vs reference interpreter on the
 # Table 1 perf workloads.  The gate compares speedup ratios, not raw
 # instr/sec, so it holds across machines: below 4x, or >10% under the
-# committed trajectory's recorded speedup, fails.
+# committed trajectory's recorded speedup, fails.  The job also times
+# ER's production run (recording hooks under the plan a reconstruction
+# of each bug selects) and fails above 1.4x the untraced time.
 bench-vm:
-	dune exec bench/main.exe -- vm -o /tmp/er_bench_vm.json --vm-baseline BENCH_10.json
+	dune exec bench/main.exe -- vm -o /tmp/er_bench_vm.json --vm-baseline BENCH_11.json
 
 # The long-trace workload family: the incremental tracer must beat
 # from-scratch tracing end-to-end by at least 1.5x (the job self-gates),
@@ -109,17 +112,24 @@ bench-warm:
 bench-offline:
 	dune exec bench/main.exe -- offline
 
+# Fig. 6's claim as a gate: ER's production run, under the recording
+# plan a reconstruction of each bug selects, must cost less than rr's
+# record on every Table 1 program (the job exits 1 naming the programs
+# where it does not).
+bench-fig6:
+	dune exec bench/main.exe -- fig6
+
 # Trajectory delta between the two newest committed bench files: solver
 # cost must be exactly identical (the counters are deterministic), vm
 # speedup must not drop more than 10%; wall clocks render as
 # informational deltas only.  A regression names its section before the
 # nonzero exit.
 bench-diff:
-	dune exec bench/main.exe -- diff BENCH_9.json BENCH_10.json --exact
+	dune exec bench/main.exe -- diff BENCH_10.json BENCH_11.json --exact
 
 # Regenerate the committed trajectory: full corpus + overheads + the
 # sequential-vs-parallel fleet trials + the vm engine comparison + the
 # long-trace incremental-tracing family + the serve loadgen smoke + the
 # cold-vs-warm persistent-store trial.
 bench-fleet:
-	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace serve warm -o BENCH_10.json
+	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace serve warm -o BENCH_11.json

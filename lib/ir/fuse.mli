@@ -6,10 +6,11 @@
     committed pair widens to a triple), and what every dispatch unit
     costs in clock ticks.  The analysis is
     pure and static; the closure compiler that turns it into executable
-    units lives in [Er_vm.Vm_state].  Dynamic split points — plan-marked
-    blocks and quantum-budget expiry — are the dispatcher's job: it
-    falls back to singleton units there, so checkpoints, virtual
-    recording and failure reports keep exact instruction granularity. *)
+    units lives in [Er_vm.Vm_state], which also compiles a recording
+    plan's marks into the units.  The dynamic split point — quantum-budget
+    expiry — is the dispatcher's job: it falls back to singleton units
+    there, so checkpoints, virtual recording and failure reports keep
+    exact instruction granularity. *)
 
 (** {1 Opcode classes} *)
 

@@ -2,7 +2,10 @@
    into TNT packets and streams packets into the ring buffer, exactly the
    work a PT-enabled CPU does on the program's behalf.  The interpreter
    calls [branch]/[thread_switch]/[ptwrite] from its hot loop, so the cost
-   of this module is the online monitoring overhead that Fig. 6 measures. *)
+   of this module is the online monitoring overhead that Fig. 6 measures.
+   Every packet is written straight into the ring as raw bytes — the
+   layout of [Packet.append_bytes], which stays the test oracle — so no
+   path allocates. *)
 
 module M = Er_metrics
 
@@ -27,14 +30,12 @@ and m_pk_tnt = packet_counter "tnt"
 and m_pk_tip = packet_counter "tip"
 and m_pk_ptw = packet_counter "ptw"
 and m_pk_mtc = packet_counter "mtc"
-and m_pk_ovf = packet_counter "ovf"
 
 let m_by_psb = byte_counter "psb"
 and m_by_tnt = byte_counter "tnt"
 and m_by_tip = byte_counter "tip"
 and m_by_ptw = byte_counter "ptw"
 and m_by_mtc = byte_counter "mtc"
-and m_by_ovf = byte_counter "ovf"
 
 let m_ring_overwritten =
   M.counter ~help:"Ring-buffer bytes lost to wrap-around."
@@ -49,19 +50,6 @@ let m_compression =
     ~help:"Branch outcomes encoded per trace byte in the last capture."
     "er_trace_compression_ratio"
 
-let count_packet pkt =
-  let pk, by =
-    match (pkt : Packet.t) with
-    | Packet.Psb -> (m_pk_psb, m_by_psb)
-    | Packet.Tnt _ -> (m_pk_tnt, m_by_tnt)
-    | Packet.Tip _ -> (m_pk_tip, m_by_tip)
-    | Packet.Ptw _ -> (m_pk_ptw, m_by_ptw)
-    | Packet.Mtc _ -> (m_pk_mtc, m_by_mtc)
-    | Packet.Ovf -> (m_pk_ovf, m_by_ovf)
-  in
-  M.inc pk;
-  M.add by (Packet.size pkt)
-
 type stats = {
   mutable branches : int;
   mutable ptwrites : int;
@@ -73,11 +61,9 @@ type stats = {
 type t = {
   ring : Ring.t;
   (* TNT bits awaiting flush, accumulated as an int exactly like the
-     hardware packet generator: oldest branch at the highest bit.  The
-     hot path ([branch]) is allocation-free. *)
+     hardware packet generator: oldest branch at the highest bit. *)
   mutable pending_bits : int;
   mutable pending_n : int;
-  scratch : Buffer.t;
   stats : stats;
 }
 
@@ -86,17 +72,21 @@ let create ?(ring_bytes = 1 lsl 22) () =
     ring = Ring.create ring_bytes;
     pending_bits = 0;
     pending_n = 0;
-    scratch = Buffer.create 16;
     stats = { branches = 0; ptwrites = 0; switches = 0; packets = 0; bytes = 0 };
   }
 
-let emit t pkt =
-  Buffer.clear t.scratch;
-  Packet.append_bytes t.scratch pkt;
-  Ring.write_bytes t.ring (Buffer.to_bytes t.scratch);
+(* Account one emitted packet of [size] bytes ([Packet.size]). *)
+let[@inline] counted t pk by size =
   t.stats.packets <- t.stats.packets + 1;
-  t.stats.bytes <- t.stats.bytes + Packet.size pkt;
-  if M.enabled M.default then count_packet pkt
+  t.stats.bytes <- t.stats.bytes + size;
+  M.inc pk;
+  M.add by size
+
+(* The low [n] bytes of [v], least significant first. *)
+let write_le ring v n =
+  for i = 0 to n - 1 do
+    Ring.write_byte ring (v lsr (8 * i))
+  done
 
 let flush_tnt t =
   if t.pending_n > 0 then begin
@@ -105,16 +95,14 @@ let flush_tnt t =
        1..n (newest at bit 1), stop bit at n+1 *)
     let byte = 1 lor (t.pending_bits lsl 1) lor (1 lsl (n + 1)) in
     Ring.write_byte t.ring byte;
-    t.stats.packets <- t.stats.packets + 1;
-    t.stats.bytes <- t.stats.bytes + 1;
-    M.inc m_pk_tnt;
-    M.inc m_by_tnt;
+    counted t m_pk_tnt m_by_tnt 1;
     t.pending_bits <- 0;
     t.pending_n <- 0
   end
 
 let start t =
-  emit t Packet.Psb
+  Ring.write_byte t.ring Packet.op_psb;
+  counted t m_pk_psb m_by_psb 1
 
 let branch t taken =
   t.stats.branches <- t.stats.branches + 1;
@@ -123,20 +111,23 @@ let branch t taken =
   t.pending_n <- t.pending_n + 1;
   if t.pending_n = Packet.max_tnt_bits then flush_tnt t
 
+(* TIP (opcode + 4-byte thread id) then MTC (opcode + the clock's low
+   16 bits), both little-endian. *)
 let thread_switch t ~tid ~clock =
   flush_tnt t;
   t.stats.switches <- t.stats.switches + 1;
-  emit t (Packet.Tip tid);
-  emit t (Packet.Mtc clock)
-
-let timestamp t ~clock =
-  flush_tnt t;
-  emit t (Packet.Mtc clock)
+  Ring.write_byte t.ring Packet.op_tip;
+  write_le t.ring tid 4;
+  counted t m_pk_tip m_by_tip 5;
+  Ring.write_byte t.ring Packet.op_mtc;
+  write_le t.ring clock 2;
+  counted t m_pk_mtc m_by_mtc 3
 
 let ptwrite t v =
   flush_tnt t;
   t.stats.ptwrites <- t.stats.ptwrites + 1;
-  emit t (Packet.Ptw v)
+  Ring.write_op64 t.ring Packet.op_ptw v;
+  counted t m_pk_ptw m_by_ptw 9
 
 (* Finish tracing and snapshot the buffer (what the ER runtime ships to
    the analysis engine when the failure fires). *)

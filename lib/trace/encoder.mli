@@ -1,7 +1,10 @@
 (** The runtime side of hardware-style tracing: accumulates branch
     outcomes into TNT packets and streams packets into the ring buffer —
     the per-instruction work whose cost is the online monitoring overhead
-    of Fig. 6.  The branch hot path is allocation-free. *)
+    of Fig. 6.  Every packet path — branch, ptwrite, thread switch,
+    sync — writes its bytes straight into the ring and allocates
+    nothing; the byte stream is exactly [Packet.append_bytes] of the
+    packet sequence. *)
 
 type stats = {
   mutable branches : int;
@@ -25,9 +28,6 @@ val branch : t -> bool -> unit
 
 (** Chunk boundary: TIP (thread id) + MTC (low 16 clock bits). *)
 val thread_switch : t -> tid:int -> clock:int -> unit
-
-(** A standalone MTC timestamp. *)
-val timestamp : t -> clock:int -> unit
 
 (** A traced data value (ptwrite instrumentation or allocation size). *)
 val ptwrite : t -> int64 -> unit

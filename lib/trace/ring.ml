@@ -16,7 +16,6 @@ let create capacity =
   { data = Bytes.create capacity; capacity; head = 0; written = 0; wraps = 0 }
 
 let capacity t = t.capacity
-let total_written t = t.written
 let overflowed t = t.written > t.capacity
 
 (* Bytes lost to wrap-around: everything written beyond one capacity's
@@ -35,37 +34,39 @@ let write_byte t b =
   end;
   t.written <- t.written + 1
 
-(* Bulk write as one or two [Bytes.blit]s split at the wrap point,
-   instead of a byte loop that re-checks the wrap per byte.  The
-   [written]/[wraps]/[head] accounting is exactly the byte loop's:
-   [head] advances by [len] modulo capacity and [wraps] increments once
-   per capacity boundary crossed (a qcheck oracle in test/test_trace.ml
-   compares against the loop, including multi-wrap writes). *)
-let write_bytes t (s : Bytes.t) =
-  let len = Bytes.length s in
-  let cap = t.capacity in
-  let wraps_delta = (t.head + len) / cap in
-  if len >= cap then begin
-    (* only the last [cap] bytes survive; they land ending at the new
-       head, exactly where the byte loop would have left them *)
-    let final_head = (t.head + len) mod cap in
-    let src = len - cap in
-    Bytes.blit s src t.data final_head (cap - final_head);
-    Bytes.blit s (src + cap - final_head) t.data 0 final_head;
-    t.head <- final_head
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* One opcode byte followed by [v] as eight little-endian bytes: the
+   PTW packet.  When all nine bytes fit before the wrap point this is a
+   byte store plus one unboxed 64-bit store ([%caml_bytes_set64u] is
+   native-endian, so big-endian hosts swap first); a packet that
+   straddles the wrap point goes byte by byte.  Either way the
+   [written]/[wraps]/[head] accounting is exactly nine [write_byte]s. *)
+let write_op64 t op v =
+  let h = t.head in
+  if h + 9 <= t.capacity then begin
+    Bytes.unsafe_set t.data h (Char.unsafe_chr (op land 0xFF));
+    set64u t.data (h + 1) (if Sys.big_endian then bswap64 v else v);
+    if h + 9 = t.capacity then begin
+      t.head <- 0;
+      t.wraps <- t.wraps + 1
+    end
+    else t.head <- h + 9;
+    t.written <- t.written + 9
   end
   else begin
-    let n1 = min len (cap - t.head) in
-    Bytes.blit s 0 t.data t.head n1;
-    Bytes.blit s n1 t.data 0 (len - n1);
-    t.head <- (t.head + len) mod cap
-  end;
-  t.wraps <- t.wraps + wraps_delta;
-  t.written <- t.written + len
+    write_byte t op;
+    for i = 0 to 7 do
+      write_byte t (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+    done
+  end
 
-(* Snapshot the live contents, oldest byte first. *)
+(* Snapshot the live contents, oldest byte first.  Without overflow they
+   start at offset 0 and run for [written] bytes — not [head], which is
+   already back at 0 when the writes exactly filled the ring. *)
 let contents t =
-  if not (overflowed t) then Bytes.sub t.data 0 t.head
+  if not (overflowed t) then Bytes.sub t.data 0 t.written
   else begin
     let out = Bytes.create t.capacity in
     let tail = t.capacity - t.head in

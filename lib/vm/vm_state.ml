@@ -11,16 +11,20 @@
    valid for the new recording-point set.
 
    Recording points are applied as a *plan* over the base program rather
-   than by rewriting it with ptwrite instructions: when a marked
-   instruction retires, its frame carries a pending virtual ptwrite that
-   fires (as a clock-free step, exactly like an instrumented [Ptwrite])
-   before that frame's next step.  Because the executed program is
-   constant across iterations, checkpoints never need frame remapping
-   when the point set changes.
+   than by rewriting it with ptwrite instructions.  The plan is an input
+   of the compiled code: each marked instruction's unit is followed by a
+   virtual ptwrite (a clock-free step, exactly like an instrumented
+   [Ptwrite]) that fires inline while the thread's budget lasts, inside
+   fused units and whole-block chains alike.  Only a mark that ends a
+   budget, or sits on a call, waits on its frame and fires before the
+   frame's next step.  Because the executed program is constant across
+   iterations, checkpoints never need frame remapping when the point set
+   changes.
 
    Every run — plain, recorded, plan-marked — dispatches through one
    engine: per-block closure units compiled once per program and set of
-   installed hooks, which call those hooks themselves.  Hook invocations
+   installed hooks (and, for a plan's marked blocks, once per plan),
+   which call those hooks themselves.  Hook invocations
    and their order, failure reports, outputs and metric totals match
    [Interp.run_reference] bit for bit on instrumented programs (the
    differential suite in test/test_lower.ml pins this down), and
@@ -183,6 +187,33 @@ let compose_hooks (a : hooks) (b : hooks) : hooks =
           g ~func ~value);
   }
 
+(* Which hooks a compilation calls: with the program, the key under
+   which the code cache keeps compilations.  Presence alone is the key
+   — the closures are read from the running state's config — so every
+   run under the same kinds of hooks (each ER recording with its own
+   encoder, say) shares one compilation.  [on_switch] fires in the
+   scheduler, outside compiled code. *)
+type hook_set = {
+  hs_branch : bool;
+  hs_ptwrite : bool;
+  hs_alloc : bool;
+  hs_input : bool;
+  hs_store : bool;
+  hs_def : bool;
+  hs_enter : bool;
+  hs_ret : bool;
+}
+
+let hook_set_of (h : hooks) =
+  { hs_branch = Option.is_some h.on_branch;
+    hs_ptwrite = Option.is_some h.on_ptwrite;
+    hs_alloc = Option.is_some h.on_alloc;
+    hs_input = Option.is_some h.on_input;
+    hs_store = Option.is_some h.on_store;
+    hs_def = Option.is_some h.on_def;
+    hs_enter = Option.is_some h.on_enter;
+    hs_ret = Option.is_some h.on_ret }
+
 type config = {
   max_instrs : int;
   max_call_depth : int;
@@ -274,14 +305,6 @@ let alloc_global_mem mem (g : global) : int64 =
 
 (* --- recording plans ------------------------------------------------------- *)
 
-(* A plan marks instructions of the *base* program for virtual ptwrite
-   recording, the plan-mode equivalent of [Instrument.apply] inserting a
-   [Ptwrite (Reg dst)] right after each recording point that defines a
-   register.  [pl_marks.(fidx).(bidx)] is either [||] (block unmarked) or
-   a per-instruction-index array of the destination slot to trace, -1 for
-   unmarked indices. *)
-type plan = { pl_marks : int array array array }
-
 (* The defined slot of a lowered instruction — mirrors
    [Er_ir.Types.def_of_instr] on the source instruction, so a plan marks
    exactly the points [Instrument.apply] would instrument. *)
@@ -293,42 +316,6 @@ let ldef_slot (i : L.linstr) : int option =
   | L.LCall { dst; _ } -> dst
   | L.LStore _ | L.LFree _ | L.LOutput _ | L.LPtwrite _ | L.LAssert _
   | L.LSpawn _ | L.LJoin | L.LLock _ | L.LUnlock _ -> None
-
-let empty_plan (low : L.t) : plan =
-  { pl_marks =
-      Array.map
-        (fun lf -> Array.make (Array.length lf.L.lf_blocks) [||])
-        low.L.l_funcs }
-
-let plan_of_points (low : L.t) (points : point list) : plan =
-  let plan = empty_plan low in
-  List.iter
-    (fun (p : point) ->
-       match Hashtbl.find_opt low.L.l_func_index p.p_func with
-       | None -> ()
-       | Some fidx ->
-           let lf = low.L.l_funcs.(fidx) in
-           Array.iter
-             (fun (b : L.lblock) ->
-                if String.equal b.L.lb_label p.p_block then begin
-                  let n = Array.length b.L.lb_instrs in
-                  if p.p_index >= 0 && p.p_index < n then
-                    match ldef_slot b.L.lb_instrs.(p.p_index) with
-                    | None -> ()    (* point defines nothing: not recordable *)
-                    | Some slot ->
-                        let row =
-                          match plan.pl_marks.(fidx).(b.L.lb_index) with
-                          | [||] ->
-                              let r = Array.make n (-1) in
-                              plan.pl_marks.(fidx).(b.L.lb_index) <- r;
-                              r
-                          | r -> r
-                        in
-                        row.(p.p_index) <- slot
-                end)
-             lf.L.lf_blocks)
-    points;
-  plan
 
 (* Whether the program can ever create a second thread.  A statically
    spawn-free program is scheduler-seed-independent: quantum boundaries
@@ -362,8 +349,9 @@ type lframe = {
   lfr_defined : Bytes.t;   (* per-slot definedness; length 0 when untracked *)
   lfr_dst : int option;    (* caller slot for the return value *)
   mutable lfr_stack_objs : int list;
-  (* slot whose value a virtual ptwrite must trace before this frame's
-     next step; set when a plan-marked instruction retires *)
+  (* slot whose value a deferred virtual ptwrite must trace before this
+     frame's next step: set when a plan-marked instruction retires at
+     the end of a budget, or when a plan-marked call pushes its callee *)
   mutable lfr_pending : int option;
 }
 
@@ -419,10 +407,10 @@ and t = {
   mutable lclock : int;
   mutable lbranches : int;
   mutable loutputs : int64 list;
-  (* recording plan; [lplan_on] is false for plain (instrumented-program)
-     runs, which then pay one dead branch per step *)
-  mutable lplan_on : bool;
-  mutable lmarks : int array array array;
+  (* clock at which the current [exec_threaded] budget ends: a
+     plan-marked unit fires its virtual ptwrite inline while the clock
+     is below it *)
+  mutable ldeadline : int;
   (* program-wide block uid = lblock_base.(lf_idx) + lb_index *)
   lblock_base : int array;
   (* retirements per block uid (metrics-gated; monotone across reverts
@@ -436,11 +424,66 @@ and t = {
   mutable lresult : run_result option;
   mutable lturn : int;
   mutable lcur : lthread;
-  (* pre-compiled threaded code for this state's hook set, indexed
-     [lf_idx].(lb_index); physically shared between states of the same
-     lowered program and hook set via a bounded compile cache *)
-  lxcode : xblock array array;
+  (* pre-compiled threaded code for this state's hook set and recording
+     plan, indexed [lf_idx].(lb_index); physically shared between states
+     of the same lowered program and hook set via a bounded compile
+     cache, and — for plan-marked blocks — via the plan's own memo.
+     [set_plan] swaps it. *)
+  mutable lxcode : xblock array array;
 }
+
+(* A plan marks instructions of the *base* program for virtual ptwrite
+   recording, the plan-mode equivalent of [Instrument.apply] inserting a
+   [Ptwrite (Reg dst)] right after each recording point that defines a
+   register.  [pl_marks.(fidx).(bidx)] is either [||] (block unmarked) or
+   a per-instruction-index array of the destination slot to trace, -1 for
+   unmarked indices.  The marks are an input of the threaded code: a
+   plan memoizes its compilation per hook set in [pl_code] (see
+   [plan_code]), where only its marked blocks are compiled afresh and
+   every unmarked block shares the program's plain [xblock]. *)
+type plan = {
+  pl_low : L.t;
+  pl_marks : int array array array;
+  mutable pl_code : (hook_set * xblock array array) list;
+}
+
+let empty_plan (low : L.t) : plan =
+  { pl_low = low;
+    pl_marks =
+      Array.map
+        (fun lf -> Array.make (Array.length lf.L.lf_blocks) [||])
+        low.L.l_funcs;
+    pl_code = [] }
+
+let plan_of_points (low : L.t) (points : point list) : plan =
+  let plan = empty_plan low in
+  List.iter
+    (fun (p : point) ->
+       match Hashtbl.find_opt low.L.l_func_index p.p_func with
+       | None -> ()
+       | Some fidx ->
+           let lf = low.L.l_funcs.(fidx) in
+           Array.iter
+             (fun (b : L.lblock) ->
+                if String.equal b.L.lb_label p.p_block then begin
+                  let n = Array.length b.L.lb_instrs in
+                  if p.p_index >= 0 && p.p_index < n then
+                    match ldef_slot b.L.lb_instrs.(p.p_index) with
+                    | None -> ()    (* point defines nothing: not recordable *)
+                    | Some slot ->
+                        let row =
+                          match plan.pl_marks.(fidx).(b.L.lb_index) with
+                          | [||] ->
+                              let r = Array.make n (-1) in
+                              plan.pl_marks.(fidx).(b.L.lb_index) <- r;
+                              r
+                          | r -> r
+                        in
+                        row.(p.p_index) <- slot
+                end)
+             lf.L.lf_blocks)
+    points;
+  plan
 
 (* Slot indices come from the lowering's own numbering, always in
    bounds, so the reads and writes are unchecked. *)
@@ -548,18 +591,22 @@ let flush_partial st ~(crashed : lthread option) =
            th.lstack)
       st.lthreads
 
-(* Fire the pending virtual ptwrite [slot] of top frame [fr]: exactly
-   what an instrumented [Ptwrite (Reg dst)] placed after the marked
-   instruction would do, as a clock-free step before the frame's next
-   real one (so across calls it fires after the return value binds, and
-   across quantum expiry after the thread is rescheduled — the same
-   positions the inserted instruction would occupy). *)
-let fire_pending st (fr : lframe) slot =
-  fr.lfr_pending <- None;
+(* The virtual ptwrite of slot [slot] of frame [fr]: exactly what an
+   instrumented [Ptwrite (Reg dst)] placed after the marked instruction
+   does, as a clock-free step. *)
+let fire_ptwrite st (fr : lframe) slot =
   (match st.lcfg.hooks.on_ptwrite with
    | Some f -> f (rget fr slot)
    | None -> ());
   if M.enabled M.default then M.inc m_i_io
+
+(* Fire the deferred virtual ptwrite of top frame [fr] before the
+   frame's next real step: across a call it fires after the return value
+   binds, and across quantum expiry after the thread is rescheduled —
+   the positions the inserted instruction would occupy. *)
+let fire_pending st (fr : lframe) slot =
+  fr.lfr_pending <- None;
+  fire_ptwrite st fr slot
 
 (* --- threaded code: the block-fused closure compiler ----------------------- *)
 
@@ -582,33 +629,6 @@ let fire_pending st (fr : lframe) slot =
    form: its per-instruction cost is dominated by term construction and
    path bookkeeping, fusion would buy nothing, and single-stepping is
    load-bearing for path splitting.  Only this concrete engine threads. *)
-
-(* Which hooks a compilation calls: with the program, the key under
-   which the code cache keeps compilations.  Presence alone is the key
-   — the closures are read from the running state's config — so every
-   run under the same kinds of hooks (each ER recording with its own
-   encoder, say) shares one compilation.  [on_switch] fires in the
-   scheduler, outside compiled code. *)
-type hook_set = {
-  hs_branch : bool;
-  hs_ptwrite : bool;
-  hs_alloc : bool;
-  hs_input : bool;
-  hs_store : bool;
-  hs_def : bool;
-  hs_enter : bool;
-  hs_ret : bool;
-}
-
-let hook_set_of (h : hooks) =
-  { hs_branch = Option.is_some h.on_branch;
-    hs_ptwrite = Option.is_some h.on_ptwrite;
-    hs_alloc = Option.is_some h.on_alloc;
-    hs_input = Option.is_some h.on_input;
-    hs_store = Option.is_some h.on_store;
-    hs_def = Option.is_some h.on_def;
-    hs_enter = Option.is_some h.on_enter;
-    hs_ret = Option.is_some h.on_ret }
 
 (* Hook calls of the compiled units.  A unit calls one only when its
    hook set holds that hook, so the [None] arms never run; hot units
@@ -1922,24 +1942,62 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
           Stepped))
   | _ -> None
 
-(* One block's threaded code under hook set [hs]: singletons, fused
-   units, the control-transfer map and the whole-block chain. *)
+(* A plan-marked singleton: the unit [u] of the instruction at [ip]
+   followed by its virtual ptwrite of [slot].  The ptwrite fires inline
+   when the clock after the instruction is still below the budget's
+   deadline, which is exactly when a pending mark would fire on the
+   dispatcher's next pass: nothing observable happens between the two
+   points, so the hook sequence is unchanged.  At the budget's end the
+   thread yields first, so the mark defers through [lfr_pending] and
+   fires when the thread is rescheduled.  A marked call always defers:
+   its ptwrite traces the return value, which binds only when the callee
+   returns.  Wrapping [xdef]'s unit keeps on_def before the ptwrite, as
+   in the reference. *)
+let xplanned (b : L.lblock) ip slot (u : xunit) : xunit =
+  let pending = Some slot in
+  match b.L.lb_instrs.(ip) with
+  | L.LCall _ -> (
+      fun st th fr ->
+        match u st th fr with
+        | Stepped ->
+            fr.lfr_pending <- pending;
+            Stepped
+        | s -> s)
+  | _ -> (
+      fun st th fr ->
+        match u st th fr with
+        | Stepped ->
+            if st.lclock < st.ldeadline then fire_ptwrite st fr slot
+            else fr.lfr_pending <- pending;
+            Stepped
+        | s -> s)
+
+(* One block's threaded code under hook set [hs] and plan row [marks]
+   ([||] when the block is unmarked): singletons, fused units, the
+   control-transfer map and the whole-block chain.  Marked singletons
+   compose into the fused units and the chain like any other; only the
+   hand-fused cmp+cond_br needs an unmarked cmp, since it has no point
+   between its two steps to fire at. *)
 let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    ~(hs : hook_set) (fp : Fuse.block_plan) : xblock =
+    ~(hs : hook_set) ~(marks : int array) (fp : Fuse.block_plan) : xblock =
   let n = Array.length b.L.lb_instrs in
+  let marked ip = Array.length marks <> 0 && marks.(ip) >= 0 in
   let one =
     Array.init (n + 1) (fun ip ->
         if ip = n then xterm lf b ~uid ~hs
         else
           let u = xinstr low lf b ip ~hs in
-          if hs.hs_def then xdef lf b ip u else u)
+          let u = if hs.hs_def then xdef lf b ip u else u in
+          if marked ip then xplanned b ip marks.(ip) u else u)
   in
   (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
      terminator, where the hand-fused cmp+cond_br is tried first) *)
   let pair_at ip =
     if ip + 1 < n then xpair one.(ip) one.(ip + 1)
     else
-      match xcmp_br_fused lf b ~uid ~ip ~hs with
+      match
+        if marked ip then None else xcmp_br_fused lf b ~uid ~ip ~hs
+      with
       | Some u -> u
       | None -> xpair one.(ip) one.(n)
   in
@@ -1967,9 +2025,10 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
      crashes, failure reports, hook calls and Ocheck traps inside the
      chain keep exact instruction granularity; the budget gate in the
      dispatcher guarantees the chain never starts unless the whole block
-     fits the remaining quantum.  Cost is [n + 1]: one tick per
-     instruction plus the terminator (no ptwrite here by
-     construction). *)
+     fits the remaining quantum, so every plan mark inside it fires
+     inline.  Cost is [n + 1]: one tick per instruction plus the
+     terminator (no ptwrite instruction here by construction; virtual
+     ones are clock-free). *)
   let wcost, whole =
     if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
       let rec chain ip =
@@ -1991,64 +2050,105 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
     xb_pairs = Fuse.block_pair_keys b;
   }
 
-let xcompile (low : L.t) (hs : hook_set) : xblock array array =
-  let fuse = Fuse.analyze low in
+(* Program-wide block uids: [base.(fidx) + bidx]. *)
+let block_base (low : L.t) : int array =
   let nfuncs = Array.length low.L.l_funcs in
   let base = Array.make (nfuncs + 1) 0 in
   for i = 0 to nfuncs - 1 do
     base.(i + 1) <- base.(i) + Array.length low.L.l_funcs.(i).L.lf_blocks
   done;
+  base
+
+let xcompile (low : L.t) (fuse : Fuse.t) (hs : hook_set) : xblock array array =
+  let base = block_base low in
   Array.mapi
     (fun fi (lf : L.lfunc) ->
        Array.mapi
          (fun bi b ->
-            xcompile_block low lf b ~uid:(base.(fi) + bi) ~hs
+            xcompile_block low lf b ~uid:(base.(fi) + bi) ~hs ~marks:[||]
               fuse.Fuse.f_blocks.(fi).(bi))
          lf.L.lf_blocks)
     low.L.l_funcs
 
 (* Bounded compile cache keyed by the *physical* identity of the lowered
    program ([Prog.lowered] memoizes, so every state of one program sees
-   the same [L.t]).  Each entry holds one compilation per hook set the
-   program has run under — a handful at most (plain, ER recording,
-   Verify, rr), so a program's entry stops growing once each kind of
-   run has happened.  Compiled code is immutable, so sharing it across
-   states — and across fleet domains — is safe; the mutex only guards
-   the cache lists themselves. *)
-let xcache : (L.t * (hook_set * xblock array array) list ref) list ref =
-  ref []
+   the same [L.t]).  Each entry holds the program's fusion analysis and
+   one compilation per hook set the program has run under — a handful
+   at most (plain, ER recording, Verify, rr), so a program's entry stops
+   growing once each kind of run has happened.  Compiled code is
+   immutable, so sharing it across states — and across fleet domains —
+   is safe; the mutex guards the cache lists and the plans' memos. *)
+type prog_code = {
+  pc_fuse : Fuse.t;
+  mutable pc_codes : (hook_set * xblock array array) list;
+}
 
+let xcache : (L.t * prog_code) list ref = ref []
 let xcache_mutex = Mutex.create ()
 let xcache_cap = 32
 
-let xcode_of (low : L.t) (hs : hook_set) : xblock array array =
+let with_xcache f =
   Mutex.lock xcache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock xcache_mutex)
-    (fun () ->
-      let codes =
-        match List.find_opt (fun (k, _) -> k == low) !xcache with
-        | Some ((_, codes) as entry) ->
-            if not (match !xcache with (k, _) :: _ -> k == low | [] -> false)
-            then
-              xcache :=
-                entry :: List.filter (fun (k, _) -> not (k == low)) !xcache;
-            codes
-        | None ->
-            let codes = ref [] in
-            let kept =
-              if List.length !xcache >= xcache_cap then
-                List.filteri (fun i _ -> i < xcache_cap - 1) !xcache
-              else !xcache
-            in
-            xcache := (low, codes) :: kept;
-            codes
+  Fun.protect ~finally:(fun () -> Mutex.unlock xcache_mutex) f
+
+(* The cache entry of [low], most recently used first; call under the
+   mutex. *)
+let prog_code (low : L.t) : prog_code =
+  match List.find_opt (fun (k, _) -> k == low) !xcache with
+  | Some ((_, pc) as entry) ->
+      if not (match !xcache with (k, _) :: _ -> k == low | [] -> false) then
+        xcache := entry :: List.filter (fun (k, _) -> not (k == low)) !xcache;
+      pc
+  | None ->
+      let pc = { pc_fuse = Fuse.analyze low; pc_codes = [] } in
+      let kept =
+        if List.length !xcache >= xcache_cap then
+          List.filteri (fun i _ -> i < xcache_cap - 1) !xcache
+        else !xcache
       in
-      match List.assoc_opt hs !codes with
+      xcache := (low, pc) :: kept;
+      pc
+
+let code_in (low : L.t) (pc : prog_code) (hs : hook_set) =
+  match List.assoc_opt hs pc.pc_codes with
+  | Some code -> code
+  | None ->
+      let code = xcompile low pc.pc_fuse hs in
+      pc.pc_codes <- (hs, code) :: pc.pc_codes;
+      code
+
+let xcode_of (low : L.t) (hs : hook_set) : xblock array array =
+  with_xcache (fun () -> code_in low (prog_code low) hs)
+
+(* The threaded code of a run under plan [p] and hook set [hs], memoized
+   in the plan.  Marked blocks compile with their marks against the
+   program's fusion analysis; unmarked blocks are the plain code's own
+   [xblock]s. *)
+let plan_code (p : plan) (hs : hook_set) : xblock array array =
+  with_xcache (fun () ->
+      match List.assoc_opt hs p.pl_code with
       | Some code -> code
       | None ->
-          let code = xcompile low hs in
-          codes := (hs, code) :: !codes;
+          let low = p.pl_low in
+          let pc = prog_code low in
+          let plain = code_in low pc hs in
+          let base = block_base low in
+          let code =
+            Array.mapi
+              (fun fi row ->
+                 let lf = low.L.l_funcs.(fi) in
+                 Array.mapi
+                   (fun bi xb ->
+                      match p.pl_marks.(fi).(bi) with
+                      | [||] -> xb
+                      | marks ->
+                          xcompile_block low lf lf.L.lf_blocks.(bi)
+                            ~uid:(base.(fi) + bi) ~hs ~marks
+                            pc.pc_fuse.Fuse.f_blocks.(fi).(bi))
+                   row)
+              plain
+          in
+          p.pl_code <- (hs, code) :: p.pl_code;
           code)
 
 (* --- the threaded dispatcher ----------------------------------------------- *)
@@ -2057,15 +2157,16 @@ let xcode_of (low : L.t) (hs : hook_set) : xblock array array =
    (callers guarantee [budget >= 1] and measure consumed ticks as the
    clock delta).  Returns on budget exhaustion ([Stepped] with the
    thread still runnable) or on a scheduling event (Blocked /
-   Thread_done / Program_done).  Under a plan, a frame's pending
-   virtual ptwrite fires before its next step, and a plan-marked block
-   runs one singleton per pass, each marked instruction leaving its
-   pending ptwrite as it retires.  Fused units never start unless their
-   full cost fits the remaining budget, so quantum boundaries and the
-   hang check land on exactly the instruction they would in singleton
-   dispatch. *)
+   Thread_done / Program_done).  Plan marks are compiled into the units
+   (see [xplanned]), which fire their virtual ptwrites inline below
+   [ldeadline]; the only marks left for the dispatcher are the deferred
+   ones, which fire from [lfr_pending] before the frame's next step.
+   Fused units never start unless their full cost fits the remaining
+   budget, so quantum boundaries and the hang check land on exactly the
+   instruction they would in singleton dispatch. *)
 let exec_threaded (st : t) (th : lthread) ~budget : step =
   let deadline = st.lclock + budget in
+  st.ldeadline <- deadline;
   let result = ref Stepped in
   let running = ref true in
   while !running do
@@ -2086,79 +2187,60 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
         let xb =
           Array.unsafe_get (Array.unsafe_get st.lxcode fidx) b0.L.lb_index
         in
-        let marks =
-          if st.lplan_on then
-            Array.unsafe_get (Array.unsafe_get st.lmarks fidx) b0.L.lb_index
-          else [||]
-        in
-        if Array.length marks <> 0 then begin
-          (* plan-marked block: fused units would step over the marks *)
-          let ip = fr.lfr_ip in
-          match (Array.unsafe_get xb.xb_one ip) st th fr with
-          | Stepped ->
-              if ip < Array.length marks && marks.(ip) >= 0 then
-                fr.lfr_pending <- Some marks.(ip)
-          | Stepped_free -> ()
-          | (Blocked | Thread_done | Program_done _) as s ->
-              result := s;
-              running := false
-        end
-        else begin
-          let one = xb.xb_one and big = xb.xb_big in
-          let cost = xb.xb_cost and ctl = xb.xb_ctl in
-          let wcost = xb.xb_wcost and whole = xb.xb_whole in
-          (* tight loop: stay while this frame keeps running this block
-             (self-loops included); any frame or block change falls out
-             to re-resolve the closure arrays and the plan checks *)
-          let inblock = ref true in
-          while !inblock do
-            if st.lclock >= deadline then begin
-              inblock := false;
-              running := false
-            end
-            else begin
-              let ip = fr.lfr_ip in
-              if ip = 0 && wcost <= deadline - st.lclock then
-                (* whole-block chain: ends in the terminator, so only a
-                   self-loop back to this block stays in the tight loop *)
-                match whole st th fr with
-                | Stepped ->
-                    if
-                      not
-                        (fr.lfr_block == b0
-                        && (match th.lstack with
-                           | top :: _ -> top == fr
-                           | [] -> false))
-                    then inblock := false
-                | Stepped_free -> ()
-                | (Blocked | Thread_done | Program_done _) as s ->
-                    result := s;
-                    inblock := false;
-                    running := false
-              else
-                let f =
-                  if Array.unsafe_get cost ip <= deadline - st.lclock then
-                    Array.unsafe_get big ip
-                  else Array.unsafe_get one ip
-                in
-                match f st th fr with
-                | Stepped ->
-                    if
-                      Array.unsafe_get ctl ip
-                      && not
-                           (fr.lfr_block == b0
-                           && (match th.lstack with
-                              | top :: _ -> top == fr
-                              | [] -> false))
-                    then inblock := false
-                | Stepped_free -> ()
-                | (Blocked | Thread_done | Program_done _) as s ->
-                    result := s;
-                    inblock := false;
-                    running := false
-            end
-          done
-        end
+        let one = xb.xb_one and big = xb.xb_big in
+        let cost = xb.xb_cost and ctl = xb.xb_ctl in
+        let wcost = xb.xb_wcost and whole = xb.xb_whole in
+        (* tight loop: stay while this frame keeps running this block
+           (self-loops included); any frame or block change falls out
+           to re-resolve the closure arrays and the deferred mark *)
+        let inblock = ref true in
+        while !inblock do
+          if st.lclock >= deadline then begin
+            inblock := false;
+            running := false
+          end
+          else begin
+            let ip = fr.lfr_ip in
+            if ip = 0 && wcost <= deadline - st.lclock then
+              (* whole-block chain: ends in the terminator, so only a
+                 self-loop back to this block stays in the tight loop *)
+              match whole st th fr with
+              | Stepped ->
+                  if
+                    not
+                      (fr.lfr_block == b0
+                      && (match th.lstack with
+                         | top :: _ -> top == fr
+                         | [] -> false))
+                  then inblock := false
+              | Stepped_free -> ()
+              | (Blocked | Thread_done | Program_done _) as s ->
+                  result := s;
+                  inblock := false;
+                  running := false
+            else
+              let f =
+                if Array.unsafe_get cost ip <= deadline - st.lclock then
+                  Array.unsafe_get big ip
+                else Array.unsafe_get one ip
+              in
+              match f st th fr with
+              | Stepped ->
+                  if
+                    Array.unsafe_get ctl ip
+                    && not
+                         (fr.lfr_block == b0
+                         && (match th.lstack with
+                            | top :: _ -> top == fr
+                            | [] -> false))
+                  then inblock := false
+              | Stepped_free -> ()
+              | (Blocked | Thread_done | Program_done _) as s ->
+                  result := s;
+                  inblock := false;
+                  running := false
+          end
+        done
   done;
   !result
 
@@ -2168,13 +2250,18 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
     (inputs : Inputs.t) : t =
   Inputs.reset inputs;
   let low = Er_ir.Prog.lowered prog in
+  let hs = hook_set_of config.hooks in
+  let code =
+    match plan with
+    | None -> xcode_of low hs
+    | Some p ->
+        if p.pl_low != low then
+          invalid_arg "Vm_state.create: plan built for another program";
+        plan_code p hs
+  in
   let mem = Memory.create () in
   let nfuncs = Array.length low.L.l_funcs in
-  let block_base = Array.make (nfuncs + 1) 0 in
-  for i = 0 to nfuncs - 1 do
-    block_base.(i + 1) <-
-      block_base.(i) + Array.length low.L.l_funcs.(i).L.lf_blocks
-  done;
+  let block_base = block_base low in
   let main_thread =
     { ltid = 0;
       lstack = [ make_lframe low.L.l_funcs.(low.L.l_main) [] ~dst:None ];
@@ -2193,9 +2280,7 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
       lclock = 0;
       lbranches = 0;
       loutputs = [];
-      lplan_on = plan <> None;
-      lmarks =
-        (match plan with Some p -> p.pl_marks | None -> [||]);
+      ldeadline = 0;
       lblock_base = block_base;
       lblk_counts = Array.make block_base.(nfuncs) 0;
       lfexec =
@@ -2205,7 +2290,7 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
       lresult = None;
       lturn = 0;
       lcur = main_thread;
-      lxcode = xcode_of low (hook_set_of config.hooks);
+      lxcode = code;
     }
   in
   (* main's entry block is current from clock 0 *)
@@ -2215,10 +2300,15 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
   end;
   t
 
+(* Swap in [p]'s threaded code.  A state created without a plan tracks
+   no first executions, so checkpoint validity could not be judged for
+   the new points: refused. *)
 let set_plan (t : t) (p : plan) =
-  if not t.lplan_on then
+  if Array.length t.lfexec = 0 then
     invalid_arg "Vm_state.set_plan: state was created without a plan";
-  t.lmarks <- p.pl_marks
+  if p.pl_low != t.llow then
+    invalid_arg "Vm_state.set_plan: plan built for another program";
+  t.lxcode <- plan_code p (hook_set_of t.lcfg.hooks)
 
 (* This state's adjacent-pair retirement counts: every pair of a block
    (terminator included) weighted by the block's retirement count.  The

@@ -17,12 +17,15 @@
     [Interp.run_reference] is the oracle it is tested against.
 
     Recording points are applied as a {!plan} over the base program
-    rather than by rewriting it with ptwrite instructions: a plan-marked
-    instruction leaves a pending virtual ptwrite on its frame that fires
-    (clock-free, like an instrumented [Ptwrite]) before the frame's next
-    step.  Marked blocks run their singleton units so every mark is
-    seen.  The executed program is therefore constant across iterations
-    and checkpoints never need remapping when the point set changes. *)
+    rather than by rewriting it with ptwrite instructions.  The plan is
+    a compile-time input of the threaded code: its marked blocks compile
+    with a virtual ptwrite (clock-free, like an instrumented [Ptwrite])
+    after each marked instruction, inside the fused units and whole-block
+    chains, and its unmarked blocks share the plain code.  A mark fires
+    inline unless the instruction ends the thread's budget or is a call;
+    then it waits on the frame and fires before the frame's next step.
+    The executed program is therefore constant across iterations and
+    checkpoints never need remapping when the point set changes. *)
 
 open Er_ir.Types
 
@@ -152,11 +155,16 @@ type t
 (** [create ?config ?plan prog inputs] readies a run from clock 0.
     Passing [~plan] (even an empty one) enables plan-driven recording
     and first-execution tracking; without it the engine behaves exactly
-    like the classic lowered interpreter on the given program. *)
+    like the classic lowered interpreter on the given program.  The
+    plan's marked blocks are compiled for the config's hook set on first
+    use and memoized in the plan.  Raises [Invalid_argument] if the plan
+    was built for another lowered program. *)
 val create : ?config:config -> ?plan:plan -> Er_ir.Prog.t -> Inputs.t -> t
 
-(** Replace the recording plan (between runs or after a revert).  Raises
-    [Invalid_argument] if the state was created without a plan. *)
+(** Replace the recording plan (between runs or after a revert) by
+    swapping in its compiled code.  A mark already waiting on a frame
+    still fires.  Raises [Invalid_argument] if the state was created
+    without a plan, or if the plan was built for another program. *)
 val set_plan : t -> plan -> unit
 
 (** Run until the program finishes, or — with [~pause_at:c] — until the

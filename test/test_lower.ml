@@ -775,9 +775,9 @@ let qcheck_plan_recording_differential =
             (Er_trace.Encoder.finish enc_ref))
 
 (* A self-looping block whose static shape exercises every unit kind at
-   once: a committed load+bin pair, a store singleton, the hand-fused
-   cmp+cond_br terminator pair — and, every instruction being fusable,
-   the whole-block chain. *)
+   once: a committed load+bin+store triple, the hand-fused cmp+cond_br
+   terminator pair — and, every instruction being fusable, the
+   whole-block chain. *)
 let fused_loop_prog ?(bound = 50L) () =
   mk_prog
     ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -854,34 +854,130 @@ let test_fast_checkpoint_resume () =
     (fun () -> fst (spec.Bug.failing_workload ~occurrence:1))
     [ 1; 3; 7; 12; 19; 27; 40 ]
 
-(* A recording-plan mark landing on the interior instruction of a
-   would-be-fused pair forces the dispatcher back to singleton units for
-   that block; the run must stay bit-identical to the unmarked one. *)
-let test_plan_split_fused_pair () =
-  let program = fused_loop_prog () in
-  let prog = Prog.of_program program in
-  let low = Prog.lowered prog in
-  let run plan =
-    let vm =
-      Vs.create ~config:Interp.default_config ~plan prog (Er_vm.Inputs.make [])
+(* [fused_loop_prog] with the bin replaced by a call: the loop's new
+   value comes back through a return, so a mark on the call must wait
+   for the return to bind it. *)
+let call_loop_prog () =
+  mk_prog
+    ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
+    [
+      mk_func "main" [] (Some I64)
+        [
+          mk_block "entry" [] (Br "loop");
+          mk_block "loop"
+            [
+              Load { dst = "%i"; ty = I64; addr = Global "cell" };
+              Call { dst = Some "%j"; func = "bump"; args = [ Reg "%i" ] };
+              Store { ty = I64; v = Reg "%j"; addr = Global "cell" };
+              Cmp { dst = "%c"; op = Ult; ty = I64; a = Reg "%j"; b = Imm (30L, I64) };
+            ]
+            (Cond_br { cond = Reg "%c"; if_true = "loop"; if_false = "done" });
+          mk_block "done" [ Output { v = Reg "%j" } ] (Ret (Some (Reg "%j")));
+        ];
+      mk_func "bump" [ ("%x", I64) ] (Some I64)
+        [
+          mk_block "entry"
+            [ Bin { dst = "%y"; op = Add; ty = I64; a = Reg "%x"; b = Imm (1L, I64) } ]
+            (Ret (Some (Reg "%y")));
+        ];
+    ]
+    "main"
+
+(* [p] with a second thread counting its own global to 40, spawned at
+   main's entry and joined in main's "done" block.  Budget ends then
+   switch threads, which puts TIP/MTC packets between a mark deferred at
+   a budget end and its instruction. *)
+let with_spinner (p : program) =
+  let spin =
+    mk_func "spin" [] None
+      [
+        mk_block "entry" [] (Br "loop");
+        mk_block "loop"
+          [
+            Load { dst = "%k"; ty = I64; addr = Global "spun" };
+            Bin { dst = "%k1"; op = Add; ty = I64; a = Reg "%k"; b = Imm (1L, I64) };
+            Store { ty = I64; v = Reg "%k1"; addr = Global "spun" };
+            Cmp { dst = "%d"; op = Ult; ty = I64; a = Reg "%k1"; b = Imm (40L, I64) };
+          ]
+          (Cond_br { cond = Reg "%d"; if_true = "loop"; if_false = "out" });
+        mk_block "out" [] (Ret None);
+      ]
+  in
+  let prepend i b = { b with instrs = Array.append [| i |] b.instrs } in
+  let main f =
+    if f.fname <> p.main then f
+    else
+      { f with
+        blocks =
+          List.map
+            (fun b ->
+               match b.label with
+               | "entry" -> prepend (Spawn { func = "spin"; args = [] }) b
+               | "done" -> prepend Join b
+               | _ -> b)
+            f.blocks }
+  in
+  { p with
+    globals = { gname = "spun"; g_elt_ty = I64; g_size = 1; g_init = None } :: p.globals;
+    funcs = List.map main p.funcs @ [ spin ] }
+
+(* Plan marks are compiled into the fused units, so each must fire its
+   virtual ptwrite exactly where the instruction [Instrument.apply]
+   inserts would run.  In [fused_loop_prog]'s loop, p_index 0-3 are the
+   head, middle and tail of the load+bin+store triple and the cmp of the
+   hand-fused cmp+cond_br pair, all inside the whole-block chain; each
+   is marked alone and then all together.  A 10 +/- 4 quantum over ten
+   scheduler seeds ends budgets on every position of the 5-tick loop,
+   so marks both fire inline and defer across the budget end, and each
+   program also runs [with_spinner], where a deferred mark must follow
+   the thread switch.  The call program marks a call, whose ptwrite
+   must trace the bound return value.  Outcome, instruction count and
+   the packet bytes must equal the reference engine's on the
+   instrumented program. *)
+let test_plan_marks_land_exactly () =
+  let check_marks name program indices =
+    let points =
+      List.map (fun i -> { p_func = "main"; p_block = "loop"; p_index = i }) indices
     in
-    resume_obs (Vs.run_to_end vm)
+    let inst, _ = Er_select.Instrument.apply program points in
+    let prog = Prog.of_program program in
+    let plan = Vs.plan_of_points (Prog.lowered prog) points in
+    for seed = 0 to 9 do
+      let run f =
+        let enc = Er_trace.Encoder.create () in
+        Er_trace.Encoder.start enc;
+        let config =
+          { Interp.default_config with
+            quantum = 10; quantum_jitter = 4; sched_seed = seed;
+            hooks = Vs.recording_hooks enc }
+        in
+        let r = f config in
+        (resume_obs r, Bytes.to_string (Er_trace.Encoder.finish enc))
+      in
+      let expected_obs, expected_bytes =
+        run (fun config ->
+            Interp.run_reference ~config (Prog.of_program inst)
+              (Er_vm.Inputs.make []))
+      in
+      let obs, bytes =
+        run (fun config ->
+            Vs.run_to_end (Vs.create ~config ~plan prog (Er_vm.Inputs.make [])))
+      in
+      let label = Printf.sprintf "%s seed %d" name seed in
+      Alcotest.check resume_obs_t (label ^ ": run") expected_obs obs;
+      Alcotest.(check string) (label ^ ": packet bytes") expected_bytes bytes
+    done
   in
-  let unmarked = run (Vs.empty_plan low) in
-  (* p_index 1 is the Bin: the tail of the committed load+bin pair *)
-  let marked =
-    run
-      (Vs.plan_of_points low
-         [ { p_func = "main"; p_block = "loop"; p_index = 1 } ])
-  in
-  Alcotest.check resume_obs_t "plan mark inside a fused pair" unmarked marked;
-  let reference =
-    fast_obs
-      (Interp.run_reference ~config:Interp.default_config prog
-         (Er_vm.Inputs.make []))
-  in
-  let (o, i), (_, outs) = reference in
-  Alcotest.check resume_obs_t "marked run vs reference" (o, i, outs) marked
+  List.iter
+    (fun (name, threaded) ->
+       let variant p = if threaded then with_spinner p else p in
+       let loop = variant (fused_loop_prog ()) in
+       List.iter
+         (fun i -> check_marks (Printf.sprintf "%s, mark %d" name i) loop [ i ])
+         [ 0; 1; 2; 3 ];
+       check_marks (name ^ ", marks 0-3") loop [ 0; 1; 2; 3 ];
+       check_marks (name ^ ", marked call") (variant (call_loop_prog ())) [ 0; 1; 3 ])
+    [ ("one thread", false); ("with spinner", true) ]
 
 (* Crashes inside fused units: the failure must name the exact
    sub-instruction, with the preceding elements of the unit retired. *)
@@ -1156,8 +1252,8 @@ let suites =
       [
         Alcotest.test_case "checkpoint/resume at fused boundaries" `Quick
           test_fast_checkpoint_resume;
-        Alcotest.test_case "plan mark splits a fused pair" `Quick
-          test_plan_split_fused_pair;
+        Alcotest.test_case "plan marks land exactly in fused units" `Quick
+          test_plan_marks_land_exactly;
         Alcotest.test_case "crashes inside fused units" `Quick
           test_fused_unit_crash_parity;
         Alcotest.test_case "undefined read inside a fused unit" `Quick

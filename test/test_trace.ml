@@ -124,62 +124,122 @@ let test_stats_counting () =
   (* 100 branches = 16 full TNT packets + 1 partial + PSB *)
   Alcotest.(check int) "packets" 18 st.Encoder.packets
 
-(* --- write_bytes blit vs byte-loop oracle ------------------------------- *)
+(* --- direct ring writes vs the Packet oracle ----------------------------- *)
 
-(* The pre-blit implementation, kept as the oracle: one write_byte per
-   byte, re-checking the wrap each time. *)
-let oracle_write_bytes r (s : Bytes.t) =
-  for i = 0 to Bytes.length s - 1 do
-    Ring.write_byte r (Char.code (Bytes.get s i))
-  done
+type event = Br of bool | Ptw of int64 | Switch of int * int
 
-let rings_agree name (a : Ring.t) (b : Ring.t) =
-  Alcotest.(check int) (name ^ ": written") (Ring.total_written a)
-    (Ring.total_written b);
-  Alcotest.(check int) (name ^ ": wraps") (Ring.wraps a) (Ring.wraps b);
-  Alcotest.(check bool) (name ^ ": overflowed") (Ring.overflowed a)
-    (Ring.overflowed b);
-  Alcotest.(check string) (name ^ ": contents")
-    (Bytes.to_string (Ring.contents a))
-    (Bytes.to_string (Ring.contents b))
+(* The packet sequence an encoder must emit for [events]:
+   [Packet.append_bytes] of these packets is the byte oracle. *)
+let oracle_packets events =
+  let out = ref [ Packet.Psb ] and tnt = ref [] in
+  let flush () =
+    if !tnt <> [] then begin
+      out := Packet.Tnt (List.rev !tnt) :: !out;
+      tnt := []
+    end
+  in
+  List.iter
+    (function
+      | Br b ->
+          tnt := b :: !tnt;
+          if List.length !tnt = Packet.max_tnt_bits then flush ()
+      | Ptw v ->
+          flush ();
+          out := Packet.Ptw v :: !out
+      | Switch (tid, clock) ->
+          flush ();
+          out := Packet.Mtc clock :: Packet.Tip tid :: !out)
+    events;
+  flush ();
+  List.rev !out
 
-let test_write_bytes_multiwrap () =
-  (* one blit call larger than twice the capacity: several wraps at once *)
-  let cap = 8 in
-  let blit = Ring.create cap and loop = Ring.create cap in
-  let payload = Bytes.init (3 * cap + 5) (fun i -> Char.chr (i land 0xFF)) in
-  Ring.write_bytes blit payload;
-  oracle_write_bytes loop payload;
-  Alcotest.(check int) "three wraps" 3 (Ring.wraps blit);
-  rings_agree "multiwrap" blit loop;
-  (* landing exactly on the wrap boundary *)
-  let b2 = Ring.create cap and l2 = Ring.create cap in
-  Ring.write_bytes b2 (Bytes.make 3 'x');
-  oracle_write_bytes l2 (Bytes.make 3 'x');
-  Ring.write_bytes b2 (Bytes.make (cap - 3) 'y');
-  oracle_write_bytes l2 (Bytes.make (cap - 3) 'y');
-  Alcotest.(check int) "boundary write wraps once" 1 (Ring.wraps b2);
-  rings_agree "boundary" b2 l2
+let oracle_bytes packets =
+  let buf = Buffer.create 64 in
+  List.iter (Packet.append_bytes buf) packets;
+  Buffer.to_bytes buf
 
-let qcheck_write_bytes_blit_oracle =
+let gen_event =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun b -> Br b) bool);
+        ( 3,
+          map
+            (fun v -> Ptw v)
+            (oneof
+               [
+                 oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ];
+                 map Int64.of_int int;
+                 ui64;
+               ]) );
+        ( 1,
+          map2
+            (fun tid clock -> Switch (tid, clock))
+            (int_range 0 5) (int_bound 200_000) );
+      ])
+
+(* Byte offset at which the [k]-th PTW packet (mod the PTW count) of
+   [packets] starts, or the stream length when there is none. *)
+let ptw_offset packets k =
+  let ptws =
+    List.length (List.filter (function Packet.Ptw _ -> true | _ -> false) packets)
+  in
+  let target = if ptws = 0 then -1 else k mod ptws in
+  let rec go off i = function
+    | [] -> off
+    | (Packet.Ptw _ as p) :: rest ->
+        if i = target then off else go (off + Packet.size p) (i + 1) rest
+    | p :: rest -> go (off + Packet.size p) i rest
+  in
+  go 0 0 packets
+
+(* The ring is sized so that either one PTW starts 0-9 bytes before the
+   wrap point (its payload splits at every position, or lands exactly on
+   the boundary), or the whole stream ends 0-9 bytes short of it.  The
+   snapshot must be the last [capacity] bytes of the oracle stream. *)
+let qcheck_encoder_bytes_oracle =
   let gen =
     QCheck2.Gen.(
-      pair (int_range 1 17)
-        (small_list (string_size ~gen:printable (int_range 0 40))))
+      quad (list_size (int_range 0 60) gen_event) nat (int_range 0 9) bool)
   in
-  QCheck2.Test.make ~name:"write_bytes blit matches byte loop" ~count:500 gen
-    (fun (cap, chunks) ->
-       let blit = Ring.create cap and loop = Ring.create cap in
-       List.iter
-         (fun s ->
-            let s = Bytes.of_string s in
-            Ring.write_bytes blit s;
-            oracle_write_bytes loop s)
-         chunks;
-       Ring.total_written blit = Ring.total_written loop
-       && Ring.wraps blit = Ring.wraps loop
-       && Ring.overflowed blit = Ring.overflowed loop
-       && Bytes.equal (Ring.contents blit) (Ring.contents loop))
+  QCheck2.Test.make ~name:"encoder ring bytes match the Packet oracle"
+    ~count:500 gen (fun (events, k, d, at_ptw) ->
+      let packets = oracle_packets events in
+      let stream = oracle_bytes packets in
+      let len = Bytes.length stream in
+      let cap = (if at_ptw then ptw_offset packets k else len) + d in
+      let enc = Encoder.create ~ring_bytes:cap () in
+      Encoder.start enc;
+      List.iter
+        (function
+          | Br b -> Encoder.branch enc b
+          | Ptw v -> Encoder.ptwrite enc v
+          | Switch (tid, clock) -> Encoder.thread_switch enc ~tid ~clock)
+        events;
+      let snap = Encoder.finish enc in
+      let keep = min len cap in
+      let st = Encoder.stats enc in
+      let count f = List.length (List.filter f events) in
+      Bytes.equal snap (Bytes.sub stream (len - keep) keep)
+      && st.Encoder.branches = count (function Br _ -> true | _ -> false)
+      && st.Encoder.ptwrites = count (function Ptw _ -> true | _ -> false)
+      && st.Encoder.switches = count (function Switch _ -> true | _ -> false)
+      && st.Encoder.packets = List.length packets
+      && st.Encoder.bytes = len
+      && Encoder.overwritten enc = len - keep
+      && (Encoder.overwritten enc > 0
+         ||
+         match Decoder.decode snap with
+         | Error _ -> false
+         | Ok decoded ->
+             decoded
+             = List.map
+                 (function
+                   | Br b -> Decoder.Branch b
+                   | Ptw v -> Decoder.Data v
+                   | Switch (tid, clock) ->
+                       Decoder.Switch { tid; clock = clock land 0xFFFF })
+                 events))
 
 let suites =
   [
@@ -187,13 +247,11 @@ let suites =
       [
         Alcotest.test_case "TNT byte round trip" `Quick test_tnt_byte_roundtrip;
         Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
-        Alcotest.test_case "ring write_bytes multi-wrap" `Quick
-          test_write_bytes_multiwrap;
-        QCheck_alcotest.to_alcotest qcheck_write_bytes_blit_oracle;
         Alcotest.test_case "decoder requires PSB" `Quick test_decoder_needs_psb;
         Alcotest.test_case "mixed stream decode" `Quick test_encode_decode_mixed;
         Alcotest.test_case "MTC clock widening" `Quick test_clock_widening;
         Alcotest.test_case "encoder stats" `Quick test_stats_counting;
         QCheck_alcotest.to_alcotest qcheck_stream_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_encoder_bytes_oracle;
       ] );
   ]
