@@ -13,6 +13,7 @@
      rept       sec. 5.2 — REPT-style recovery accuracy vs trace length
      offline    sec. 5.3 — constraint graph size, selection time, memory;
                 gates Table 1's selection time at 10% of its symex time
+                and its SMT minor words per bit-blast gate at 100
      casestudy  sec. 5.4 — invariant-based failure localization (od, pr)
      micro      Bechamel micro-benchmarks
      smoke      one-bug pipeline + overhead run, for CI
@@ -513,12 +514,28 @@ let run_rept () =
    Table 1 total at 10% of the symex total. *)
 let offline_max_selection_share = 0.10
 
+(* The SMT front end adds gate clauses to a flat arena and interns terms
+   without building hash tuples: Table 1 reads about 28 minor words per
+   bit-blast gate, where list-built clauses read about 350.  The job
+   gates Table 1's words per gate (the [er_smt_minor_words_total]
+   counter: the checking domain's allocation inside [Session.check]). *)
+let offline_max_words_per_gate = 100.
+
+let smt_alloc_counters () =
+  let snap = Er_metrics.snapshot () in
+  ( Er_metrics.Snapshot.counter_total snap "er_smt_minor_words_total",
+    Er_metrics.Snapshot.counter_total snap "er_smt_bitblast_gates_total" )
+
 let run_offline () =
   section "Offline analysis overhead: graph size, selection time, symex time";
   Printf.printf "%-22s %12s %14s %12s %12s\n" "Bug" "graph nodes"
     "selection (s)" "symex (s)" "solver calls";
   let sel_total = ref 0.0 and symex_total = ref 0.0 in
   let nodes0 = Er_smt.Expr.live_nodes () in
+  let reg = Er_metrics.default in
+  let was_enabled = Er_metrics.enabled reg in
+  let words0, gates0 = smt_alloc_counters () in
+  Er_metrics.set_enabled reg true;
   List.iter
     (fun (s : Bug.spec) ->
        let r = reconstruct_spec s in
@@ -542,6 +559,10 @@ let run_offline () =
        Printf.printf "%-22s %12d %14.4f %12.2f %12d\n%!" s.Bug.name nodes sel
          r.Er_core.Pipeline.total_symex_time calls)
     Registry.table1;
+  Er_metrics.set_enabled reg was_enabled;
+  let words1, gates1 = smt_alloc_counters () in
+  let words = words1 - words0 and gates = gates1 - gates0 in
+  let words_per_gate = float_of_int words /. float_of_int (max 1 gates) in
   Printf.printf "\ninterned constraint-graph terms, all Table 1 jobs: %d\n"
     (Er_smt.Expr.live_nodes () - nodes0);
   Printf.printf
@@ -550,6 +571,17 @@ let run_offline () =
     !sel_total !symex_total
     (100. *. !sel_total /. !symex_total)
     (100. *. offline_max_selection_share);
+  Printf.printf
+    "Table 1 SMT allocation: %d minor words over %d bit-blast gates, %.1f \
+     words/gate (gate: <= %.0f)\n%!"
+    words gates words_per_gate offline_max_words_per_gate;
+  if words_per_gate > offline_max_words_per_gate then begin
+    Printf.eprintf
+      "offline: SMT checks allocate %.1f minor words per bit-blast gate, \
+       above %.0f\n"
+      words_per_gate offline_max_words_per_gate;
+    exit 1
+  end;
   if !sel_total > offline_max_selection_share *. !symex_total then begin
     Printf.eprintf
       "offline: selection %.4fs exceeds %.0f%% of symex %.4fs \

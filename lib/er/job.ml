@@ -405,9 +405,14 @@ let execute ?(worker = 0) (t : t) : unit =
                          fl.Er_smt.Persist.fl_replayed
                          fl.Er_smt.Persist.fl_saved_cost))
     in
+    (* The fresh space ends with the job, and so does its shard of the
+       solver's result cache: a served or benchmarked process runs jobs
+       without end. *)
     let run () =
       Er_metrics.with_span ("bug:" ^ name t) (fun () ->
-          Er_smt.Expr.in_fresh_space body_with_store)
+          Er_smt.Expr.in_fresh_space (fun () ->
+              Fun.protect body_with_store
+                ~finally:Er_smt.Solver.release_cache))
     in
     let outcome =
       match run () with

@@ -57,9 +57,9 @@ let g_and ctx a b =
   else if a = -b then ff ctx
   else begin
     let y = fresh ctx in
-    Sat.add_clause ctx.sat [ -y; a ];
-    Sat.add_clause ctx.sat [ -y; b ];
-    Sat.add_clause ctx.sat [ y; -a; -b ];
+    Sat.add_clause2 ctx.sat (-y) a;
+    Sat.add_clause2 ctx.sat (-y) b;
+    Sat.add_clause3 ctx.sat y (-a) (-b);
     y
   end
 
@@ -74,10 +74,10 @@ let g_xor ctx a b =
   else if a = -b then tt ctx
   else begin
     let y = fresh ctx in
-    Sat.add_clause ctx.sat [ -y; a; b ];
-    Sat.add_clause ctx.sat [ -y; -a; -b ];
-    Sat.add_clause ctx.sat [ y; -a; b ];
-    Sat.add_clause ctx.sat [ y; a; -b ];
+    Sat.add_clause3 ctx.sat (-y) a b;
+    Sat.add_clause3 ctx.sat (-y) (-a) (-b);
+    Sat.add_clause3 ctx.sat y (-a) b;
+    Sat.add_clause3 ctx.sat y a (-b);
     y
   end
 
@@ -89,10 +89,10 @@ let g_ite ctx c a b =
   else if a = ff ctx && b = tt ctx then -c
   else begin
     let y = fresh ctx in
-    Sat.add_clause ctx.sat [ -y; -c; a ];
-    Sat.add_clause ctx.sat [ -y; c; b ];
-    Sat.add_clause ctx.sat [ y; -c; -a ];
-    Sat.add_clause ctx.sat [ y; c; -b ];
+    Sat.add_clause3 ctx.sat (-y) (-c) a;
+    Sat.add_clause3 ctx.sat (-y) c b;
+    Sat.add_clause3 ctx.sat y (-c) (-a);
+    Sat.add_clause3 ctx.sat y c (-b);
     y
   end
 

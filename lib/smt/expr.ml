@@ -67,23 +67,53 @@ let hash (a : t) = a.hkey
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A term's [hkey] fits 30 bits, so a table slot packs it with the
+   term's local id (see [space] below). *)
+let hkey_bits = 30
+let hkey_mask = (1 lsl hkey_bits) - 1
+
+(* The intern hash: integer mixing of the node's tag, operator, child
+   ids, constant and sort, folded to [hkey_bits].  It builds nothing, so
+   looking up a term that already exists allocates only the caller's
+   node.  The hash decides where a term sits in its space's table, never
+   its id or local id: those are assigned in interning order. *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let unop_tag = function Neg -> 0 | Lognot -> 1
+
+let binop_tag = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Udiv -> 3 | Urem -> 4 | And -> 5
+  | Or -> 6 | Xor -> 7 | Shl -> 8 | Lshr -> 9 | Ashr -> 10
+
+let cmpop_tag = function Eq -> 0 | Ult -> 1 | Ule -> 2 | Slt -> 3 | Sle -> 4
+
+let mix_int64 h v =
+  mix (mix h (Int64.to_int v)) (Int64.to_int (Int64.shift_right_logical v 32))
+
 let hash_node ty n =
-  let ph = Hashtbl.hash in
-  let base =
+  let h =
     match n with
-    | Const v -> ph (0, v)
-    | Var s -> ph (1, s)
-    | Unop (op, a) -> ph (2, op, a.id)
-    | Binop (op, a, b) -> ph (3, op, a.id, b.id)
-    | Cmp (op, a, b) -> ph (4, op, a.id, b.id)
-    | Ite (c, a, b) -> ph (5, c.id, a.id, b.id)
-    | Extract { hi; lo; arg } -> ph (6, hi, lo, arg.id)
-    | Concat (a, b) -> ph (7, a.id, b.id)
-    | Read { arr; idx } -> ph (8, arr.id, idx.id)
-    | Write { arr; idx; value } -> ph (9, arr.id, idx.id, value.id)
-    | Const_array v -> ph (10, v)
+    | Const v -> mix_int64 1 v
+    | Var s -> mix 2 (Hashtbl.hash s)
+    | Unop (op, a) -> mix (mix 3 (unop_tag op)) a.id
+    | Binop (op, a, b) -> mix (mix (mix 4 (binop_tag op)) a.id) b.id
+    | Cmp (op, a, b) -> mix (mix (mix 5 (cmpop_tag op)) a.id) b.id
+    | Ite (c, a, b) -> mix (mix (mix 6 c.id) a.id) b.id
+    | Extract { hi; lo; arg } -> mix (mix (mix 7 hi) lo) arg.id
+    | Concat (a, b) -> mix (mix 8 a.id) b.id
+    | Read { arr; idx } -> mix (mix 9 arr.id) idx.id
+    | Write { arr; idx; value } -> mix (mix (mix 10 arr.id) idx.id) value.id
+    | Const_array v -> mix_int64 11 v
   in
-  ph (base, ty)
+  let h =
+    match ty with
+    | Ty.Bv w -> mix h w
+    | Ty.Arr { idx; elt } -> mix (mix h (64 + idx)) elt
+  in
+  (* fold the high bits down, so the table index (the low bits) depends
+     on every input *)
+  let h = (h lxor (h lsr 32)) * 0xd6e8feb86659fd9 in
+  (h lxor (h lsr 32)) land hkey_mask
 
 let node_equal na nb =
   match na, nb with
@@ -117,9 +147,8 @@ let next_stamp = Atomic.make 0
    per step), and a probe reads the dense key array first and
    dereferences a term only on a hash match — one or two cache misses
    per lookup, where a chained table pays for the bucket, the chain cell
-   and the term.  A slot's key packs the term's [hkey] (30 bits, the
-   range of [Hashtbl.hash]) with its local id above it; -1 marks an
-   empty slot.
+   and the term.  A slot's key packs the term's [hkey] (30 bits) with
+   its local id above it; -1 marks an empty slot.
 
    Local ids are dense (0, 1, 2, ... in interning order of this space),
    so they are stable across processes for any deterministic client —
@@ -134,8 +163,6 @@ type space = {
   mutable sp_count : int;          (* terms interned: the next local id *)
 }
 
-let hkey_bits = 30
-let hkey_mask = (1 lsl hkey_bits) - 1
 let initial_slots = 32_768
 let empty_slot = { node = Const_array 0L; ty = Ty.bool; id = -1; hkey = -1 }
 

@@ -6,7 +6,12 @@
    gives up deterministically once the budget is exhausted.  This budget is
    ER's stand-in for the paper's 30-second constraint-solver timeout — it
    makes "symbolic execution stalls" a reproducible event rather than a
-   wall-clock race. *)
+   wall-clock race.
+
+   Bit-blasting adds clauses by the hundred thousand, so the clause path
+   allocates nothing per clause: every clause, learned ones included,
+   lives in one flat int arena, and every add path normalises its
+   literals in place in a per-solver buffer. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -140,15 +145,23 @@ let default_config =
   { var_decay = 0.95; restart = `Luby 64; phase_saving = true;
     default_phase = false }
 
+(* Clause arena layout: a clause is a header word holding its length
+   [n >= 2], followed by its [n] literals; a clause reference is the
+   offset of its header.  Watch lists and [reason] hold references;
+   [reason] is -1 for decisions and level-0 units. *)
 type t = {
   config : config;
   mutable nvars : int;
-  mutable clauses : int array array;      (* clause arena *)
+  mutable cap : int;                      (* capacity of per-var arrays *)
+  mutable arena : int array;              (* all clauses, back to back *)
+  mutable arena_len : int;
   mutable nclauses : int;
-  mutable watches : Veci.t array;         (* literal -> clause ids *)
+  mutable watches : int array array;      (* literal -> clause refs; [||]
+                                             until its first watch *)
+  mutable watch_len : int array;
   mutable assigns : int array;            (* var -> 0 undef | 1 | -1 *)
   mutable level : int array;
-  mutable reason : int array;             (* var -> clause id or -1 *)
+  mutable reason : int array;             (* var -> clause ref or -1 *)
   mutable phase : bool array;             (* saved polarity *)
   trail : Veci.t;
   trail_lim : Veci.t;
@@ -163,20 +176,27 @@ type t = {
   mutable restarts : int;
   seen : Veci.t;                          (* scratch for analyze *)
   mutable seen_flags : bool array;
+  learnt : Veci.t;                        (* analyze's learned clause *)
+  buf : Veci.t;                           (* add-path normalisation *)
 }
 
+let initial_cap = 16
+
 let create ?(config = default_config) () =
-  let activity = ref (Array.make 16 0.0) in
+  let activity = ref (Array.make initial_cap 0.0) in
   {
     config;
     nvars = 0;
-    clauses = Array.make 64 [||];
+    cap = initial_cap;
+    arena = Array.make 256 0;
+    arena_len = 0;
     nclauses = 0;
-    watches = Array.init 32 (fun _ -> Veci.create ());
-    assigns = Array.make 16 0;
-    level = Array.make 16 0;
-    reason = Array.make 16 (-1);
-    phase = Array.make 16 config.default_phase;
+    watches = Array.make (2 * initial_cap) [||];
+    watch_len = Array.make (2 * initial_cap) 0;
+    assigns = Array.make initial_cap 0;
+    level = Array.make initial_cap 0;
+    reason = Array.make initial_cap (-1);
+    phase = Array.make initial_cap config.default_phase;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
@@ -189,42 +209,50 @@ let create ?(config = default_config) () =
     decisions = 0;
     restarts = 0;
     seen = Veci.create ();
-    seen_flags = Array.make 16 false;
+    seen_flags = Array.make initial_cap false;
+    learnt = Veci.create ();
+    buf = Veci.create ();
   }
 
-let grow_arrays s n =
-  let cap a fill =
-    if n <= Array.length a then a
-    else begin
-      let c = max n (2 * Array.length a) in
-      let a' = Array.make c fill in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    end
-  in
-  s.assigns <- cap s.assigns 0;
-  s.level <- cap s.level 0;
-  s.reason <- cap s.reason (-1);
-  s.phase <- cap s.phase s.config.default_phase;
-  s.seen_flags <- cap s.seen_flags false;
-  (if 2 * n > Array.length s.watches then begin
-     let c = max (2 * n) (2 * Array.length s.watches) in
-     let w = Array.init c (fun i ->
-         if i < Array.length s.watches then s.watches.(i) else Veci.create ())
-     in
-     s.watches <- w
-   end);
-  if n > Array.length !(s.activity) then begin
-    let c = max n (2 * Array.length !(s.activity)) in
-    let a = Array.make c 0.0 in
-    Array.blit !(s.activity) 0 a 0 (Array.length !(s.activity));
-    s.activity := a
+let grow_ints (a : int array) c fill =
+  let a' = Array.make c fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let grow_bools (a : bool array) c fill =
+  let a' = Array.make c fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let grow_watches (a : int array array) c =
+  let a' = Array.make c [||] in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let grow_floats (a : float array) c =
+  let a' = Array.make c 0.0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Per-variable arrays share one capacity and double together. *)
+let grow_vars s n =
+  if n > s.cap then begin
+    let c = max n (2 * s.cap) in
+    s.cap <- c;
+    s.assigns <- grow_ints s.assigns c 0;
+    s.level <- grow_ints s.level c 0;
+    s.reason <- grow_ints s.reason c (-1);
+    s.phase <- grow_bools s.phase c s.config.default_phase;
+    s.seen_flags <- grow_bools s.seen_flags c false;
+    s.watches <- grow_watches s.watches (2 * c);
+    s.watch_len <- grow_ints s.watch_len (2 * c) 0;
+    s.activity := grow_floats !(s.activity) c
   end
 
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  grow_arrays s s.nvars;
+  grow_vars s s.nvars;
   Heap.insert s.heap v;
   v + 1  (* external, 1-based *)
 
@@ -240,115 +268,188 @@ let enqueue s l reason =
   if s.config.phase_saving then s.phase.(v) <- l land 1 = 0;
   Veci.push s.trail l
 
-let add_clause_arena s lits =
-  if s.nclauses = Array.length s.clauses then begin
-    let c = Array.make (2 * s.nclauses) [||] in
-    Array.blit s.clauses 0 c 0 s.nclauses;
-    s.clauses <- c
-  end;
-  let id = s.nclauses in
-  s.clauses.(id) <- lits;
-  s.nclauses <- id + 1;
-  Veci.push s.watches.(lit_neg lits.(0)) id;
-  Veci.push s.watches.(lit_neg lits.(1)) id;
-  id
+(* Append clause reference [cr] to literal [l]'s watch list, allocating
+   the list on its first watch. *)
+let watch s l cr =
+  let n = s.watch_len.(l) in
+  let ws = s.watches.(l) in
+  if n = Array.length ws then begin
+    let ws' = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ws 0 ws' 0 n;
+    ws'.(n) <- cr;
+    s.watches.(l) <- ws'
+  end
+  else ws.(n) <- cr;
+  s.watch_len.(l) <- n + 1
+
+(* Copy the [n >= 2] literals [lits.(0..n-1)] into the arena as one
+   clause watching its first two literals; returns its reference. *)
+let attach s lits n =
+  let cr = s.arena_len in
+  let need = cr + 1 + n in
+  if need > Array.length s.arena then
+    s.arena <- grow_ints s.arena (max need (2 * Array.length s.arena)) 0;
+  s.arena.(cr) <- n;
+  Array.blit lits 0 s.arena (cr + 1) n;
+  s.arena_len <- need;
+  s.nclauses <- s.nclauses + 1;
+  watch s (lit_neg lits.(0)) cr;
+  watch s (lit_neg lits.(1)) cr;
+  cr
+
+(* Store internal literal [l] at position [i] of the add buffer. *)
+let buf_set s i l =
+  let b = s.buf in
+  if i >= Array.length b.Veci.data then
+    b.Veci.data <- grow_ints b.Veci.data (2 * (i + 1)) 0;
+  b.Veci.data.(i) <- l
+
+(* Add the clause held in [buf.(0..n-1)] (internal literals).  One
+   normalisation for every add path: sort ascending and dedupe, drop a
+   tautology, drop literals already false at level 0, drop a clause
+   already true at level 0; empty and unit remainders settle at once. *)
+let add_buffered s n =
+  let b = s.buf.Veci.data in
+  for i = 1 to n - 1 do
+    let x = b.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && b.(!j) > x do
+      b.(!j + 1) <- b.(!j);
+      decr j
+    done;
+    b.(!j + 1) <- x
+  done;
+  (* sorted, so a duplicate or a complementary pair is adjacent *)
+  let m = ref 0 and tauto = ref false in
+  for i = 0 to n - 1 do
+    let x = b.(i) in
+    if !m = 0 || b.(!m - 1) <> x then begin
+      if !m > 0 && lit_var b.(!m - 1) = lit_var x then tauto := true;
+      b.(!m) <- x;
+      incr m
+    end
+  done;
+  if not !tauto then begin
+    let k = ref 0 and sat_already = ref false in
+    for i = 0 to !m - 1 do
+      let x = b.(i) in
+      let v = value_lit s x in
+      if v <> 0 && s.level.(lit_var x) = 0 then begin
+        if v = 1 then sat_already := true
+      end
+      else begin
+        b.(!k) <- x;
+        incr k
+      end
+    done;
+    if not !sat_already then
+      match !k with
+      | 0 -> s.ok <- false
+      | 1 ->
+          let l = b.(0) in
+          let v = value_lit s l in
+          if v = -1 then s.ok <- false else if v = 0 then enqueue s l (-1)
+      | k -> ignore (attach s b k)
+  end
 
 (* Add an external clause (DIMACS literals).  Must be called before or
    between solves; handles unit and empty clauses at level 0. *)
 let add_clause s dimacs =
   if s.ok then begin
-    (* dedup and check for tautology *)
-    let lits = List.sort_uniq compare (List.map lit_of_dimacs dimacs) in
-    let tauto =
-      List.exists (fun l -> List.mem (lit_neg l) lits) lits
+    let n =
+      List.fold_left
+        (fun i l ->
+          buf_set s i (lit_of_dimacs l);
+          i + 1)
+        0 dimacs
     in
-    if not tauto then begin
-      (* drop literals already false at level 0; detect satisfied clause *)
-      let lits =
-        List.filter
-          (fun l -> not (value_lit s l = -1 && s.level.(lit_var l) = 0))
-          lits
-      in
-      let sat_already =
-        List.exists (fun l -> value_lit s l = 1 && s.level.(lit_var l) = 0) lits
-      in
-      if not sat_already then
-        match lits with
-        | [] -> s.ok <- false
-        | [ l ] ->
-            if value_lit s l = -1 then s.ok <- false
-            else if value_lit s l = 0 then enqueue s l (-1)
-        | l0 :: l1 :: _ ->
-            let arr = Array.of_list lits in
-            (* ensure the two watched positions are the first two *)
-            arr.(0) <- l0; arr.(1) <- l1;
-            let rec fill i = function
-              | [] -> ()
-              | x :: rest -> arr.(i) <- x; fill (i + 1) rest
-            in
-            fill 0 lits;
-            ignore (add_clause_arena s arr)
-    end
+    add_buffered s n
   end
 
-exception Conflict of int
+(* The two- and three-literal forms every bit-blast gate clause takes:
+   the same normalisation as [add_clause], with no list in between. *)
+let add_clause2 s a b =
+  if s.ok then begin
+    let buf = s.buf.Veci.data in
+    buf.(0) <- lit_of_dimacs a;
+    buf.(1) <- lit_of_dimacs b;
+    add_buffered s 2
+  end
 
-(* Propagate all enqueued literals; returns conflicting clause id or -1. *)
+let add_clause3 s a b c =
+  if s.ok then begin
+    let buf = s.buf.Veci.data in
+    buf.(0) <- lit_of_dimacs a;
+    buf.(1) <- lit_of_dimacs b;
+    buf.(2) <- lit_of_dimacs c;
+    add_buffered s 3
+  end
+
+(* Propagate all enqueued literals; returns the conflicting clause
+   reference or -1. *)
 let propagate s =
-  try
-    while s.qhead < Veci.len s.trail do
-      let l = Veci.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      let ws = s.watches.(l) in
-      let n = Veci.len ws in
-      let j = ref 0 in
-      (try
-         for i = 0 to n - 1 do
-           let cid = Veci.get ws i in
-           let c = s.clauses.(cid) in
-           (* make sure the false literal is at position 1 *)
-           let falsel = lit_neg l in
-           if c.(0) = falsel then begin
-             c.(0) <- c.(1); c.(1) <- falsel
-           end;
-           if value_lit s c.(0) = 1 then begin
-             (* clause satisfied; keep watch *)
-             Veci.set ws !j cid; incr j
-           end else begin
-             (* look for a new literal to watch *)
-             let len = Array.length c in
-             let found = ref false in
-             let k = ref 2 in
-             while (not !found) && !k < len do
-               if value_lit s c.(!k) <> -1 then begin
-                 c.(1) <- c.(!k);
-                 c.(!k) <- falsel;
-                 Veci.push s.watches.(lit_neg c.(1)) cid;
-                 found := true
-               end;
-               incr k
-             done;
-             if !found then ()
-             else begin
-               (* unit or conflicting *)
-               Veci.set ws !j cid; incr j;
-               if value_lit s c.(0) = -1 then begin
-                 (* copy remaining watches before raising *)
-                 for m = i + 1 to n - 1 do
-                   Veci.set ws !j (Veci.get ws m); incr j
-                 done;
-                 Veci.shrink ws !j;
-                 raise (Conflict cid)
-               end else enqueue s c.(0) cid
-             end
-           end
-         done;
-         Veci.shrink ws !j
-       with Conflict _ as e -> raise e)
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < Veci.len s.trail do
+    let l = Veci.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    (* The clauses watching [falsel].  A replacement watch always goes
+       to a non-false literal's list, never back to this one, so [ws]
+       stays this literal's array throughout. *)
+    let ws = s.watches.(l) in
+    let n = s.watch_len.(l) in
+    let arena = s.arena in
+    let falsel = lit_neg l in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let cr = ws.(!i) in
+      incr i;
+      let c = cr + 1 in
+      (* make sure the false literal is at position 1 *)
+      if arena.(c) = falsel then begin
+        arena.(c) <- arena.(c + 1);
+        arena.(c + 1) <- falsel
+      end;
+      if value_lit s arena.(c) = 1 then begin
+        (* clause satisfied; keep watch *)
+        ws.(!j) <- cr;
+        incr j
+      end
+      else begin
+        (* look for a new literal to watch *)
+        let len = arena.(cr) in
+        let found = ref false in
+        let k = ref 2 in
+        while (not !found) && !k < len do
+          let lk = arena.(c + !k) in
+          if value_lit s lk <> -1 then begin
+            arena.(c + 1) <- lk;
+            arena.(c + !k) <- falsel;
+            watch s (lit_neg lk) cr;
+            found := true
+          end;
+          incr k
+        done;
+        if not !found then begin
+          (* unit or conflicting *)
+          ws.(!j) <- cr;
+          incr j;
+          if value_lit s arena.(c) = -1 then begin
+            (* keep the remaining watches *)
+            while !i < n do
+              ws.(!j) <- ws.(!i);
+              incr i;
+              incr j
+            done;
+            confl := cr
+          end
+          else enqueue s arena.(c) cr
+        end
+      end
     done;
-    -1
-  with Conflict cid -> cid
+    s.watch_len.(l) <- !j
+  done;
+  !confl
 
 let var_bump s v =
   let act = !(s.activity) in
@@ -363,48 +464,49 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. s.config.var_decay
 
-(* First-UIP conflict analysis.  Returns (learned clause, backjump level);
-   learned.(0) is the asserting literal. *)
 (* Test hook: observe learned clauses (used by the SAT fuzz harness). *)
 let learn_hook : (int array -> unit) option ref = ref None
 
+(* First-UIP conflict analysis.  Leaves the learned clause in [s.learnt]
+   with the asserting literal first and returns the backjump level. *)
 let analyze s confl =
-  let learned = Veci.create () in
-  Veci.push learned 0;                    (* slot for asserting literal *)
+  let learnt = s.learnt in
+  Veci.clear learnt;
+  Veci.push learnt 0;                     (* slot for asserting literal *)
   let path = ref 0 in
   let p = ref (-1) in
-  let cid = ref confl in
+  let cr = ref confl in
   let idx = ref (Veci.len s.trail - 1) in
   let continue = ref true in
   while !continue do
-    let c = s.clauses.(!cid) in
+    let arena = s.arena in
+    let c = !cr in
     let start = if !p = -1 then 0 else 1 in
-    for i = start to Array.length c - 1 do
-      let q = c.(i) in
+    for i = start to arena.(c) - 1 do
+      let q = arena.(c + 1 + i) in
       let v = lit_var q in
       if (not s.seen_flags.(v)) && s.level.(v) > 0 then begin
         s.seen_flags.(v) <- true;
         Veci.push s.seen v;
         var_bump s v;
         if s.level.(v) = Veci.len s.trail_lim then incr path
-        else Veci.push learned q
+        else Veci.push learnt q
       end
     done;
     (* pick next literal to expand from the trail *)
-    let rec next () =
-      let l = Veci.get s.trail !idx in
-      decr idx;
-      if s.seen_flags.(lit_var l) then l else next ()
-    in
-    let l = next () in
+    while not s.seen_flags.(lit_var (Veci.get s.trail !idx)) do
+      decr idx
+    done;
+    let l = Veci.get s.trail !idx in
+    decr idx;
     s.seen_flags.(lit_var l) <- false;
     decr path;
     if !path = 0 then begin
-      Veci.set learned 0 (lit_neg l);
+      Veci.set learnt 0 (lit_neg l);
       continue := false
     end else begin
       p := l;
-      cid := s.reason.(lit_var l)
+      cr := s.reason.(lit_var l)
     end
   done;
   (* clear remaining seen flags *)
@@ -412,21 +514,23 @@ let analyze s confl =
     s.seen_flags.(Veci.get s.seen i) <- false
   done;
   Veci.clear s.seen;
-  let arr = Array.init (Veci.len learned) (Veci.get learned) in
-  (* backjump level = max level among arr.(1..) *)
+  (* backjump level = max level among learnt.(1..) *)
+  let n = Veci.len learnt in
   let blevel = ref 0 in
   let pos = ref 1 in
-  for i = 1 to Array.length arr - 1 do
-    let lv = s.level.(lit_var arr.(i)) in
+  for i = 1 to n - 1 do
+    let lv = s.level.(lit_var (Veci.get learnt i)) in
     if lv > !blevel then begin blevel := lv; pos := i end
   done;
-  if Array.length arr > 1 then begin
-    let tmp = arr.(1) in
-    arr.(1) <- arr.(!pos);
-    arr.(!pos) <- tmp
+  if n > 1 then begin
+    let tmp = Veci.get learnt 1 in
+    Veci.set learnt 1 (Veci.get learnt !pos);
+    Veci.set learnt !pos tmp
   end;
-  (match !learn_hook with Some f -> f arr | None -> ());
-  (arr, !blevel)
+  (match !learn_hook with
+   | Some f -> f (Array.sub learnt.Veci.data 0 n)
+   | None -> ());
+  !blevel
 
 let cancel_until s lvl =
   if Veci.len s.trail_lim > lvl then begin
@@ -549,17 +653,18 @@ let solve ?(budget = max_int) ?(assumptions = []) s =
               result := Some Unsat
             end
             else begin
-              let learned, blevel = analyze s confl in
+              let blevel = analyze s confl in
               cancel_until s blevel;
-              (match Array.length learned with
+              let asserting = Veci.get s.learnt 0 in
+              (match Veci.len s.learnt with
                | 1 ->
                    (* A unit learned clause always backjumps to root and
                       is implied by the clause database alone, so it is
                       sound to keep across assumption changes. *)
-                   enqueue s learned.(0) (-1)
-               | _ ->
-                   let cid = add_clause_arena s learned in
-                   enqueue s learned.(0) cid);
+                   enqueue s asserting (-1)
+               | n ->
+                   let cr = attach s s.learnt.Veci.data n in
+                   enqueue s asserting cr);
               var_decay s
             end
           end
@@ -608,17 +713,34 @@ let decisions s = s.decisions
 let restarts s = s.restarts
 let num_vars s = s.nvars
 
+(* The [k] highest of [act.(0..n-1)] as (external variable, activity),
+   highest first, ties by variable: one pass keeping the best [k] in
+   rank order.  Variables arrive in ascending order, so a newcomer ranks
+   below every kept entry it merely ties. *)
+let top_k ~k act n =
+  if k <= 0 then []
+  else begin
+    let vs = Array.make k 0 and acts = Array.make k 0.0 in
+    let size = ref 0 in
+    for v = 0 to n - 1 do
+      let a = act.(v) in
+      if !size < k || Float.compare a acts.(k - 1) > 0 then begin
+        let i = ref (min !size (k - 1)) in
+        while !i > 0 && Float.compare a acts.(!i - 1) > 0 do
+          vs.(!i) <- vs.(!i - 1);
+          acts.(!i) <- acts.(!i - 1);
+          decr i
+        done;
+        vs.(!i) <- v + 1;
+        acts.(!i) <- a;
+        if !size < k then incr size
+      end
+    done;
+    List.init !size (fun i -> (vs.(i), acts.(i)))
+  end
+
 (* The k most active variables (external 1-based indices) with their
    VSIDS activities, highest first, ties by variable index — the
    deterministic "what the search cared about" summary the persistent
    store keeps alongside each solved entry. *)
-let top_activity ?(k = 8) s =
-  let act = !(s.activity) in
-  let all = List.init s.nvars (fun v -> (v + 1, act.(v))) in
-  let sorted =
-    List.sort
-      (fun (va, aa) (vb, ab) ->
-        match Float.compare ab aa with 0 -> Int.compare va vb | c -> c)
-      all
-  in
-  List.filteri (fun i _ -> i < k) sorted
+let top_activity ?(k = 8) s = top_k ~k !(s.activity) s.nvars

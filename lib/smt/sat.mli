@@ -26,8 +26,19 @@ val create : ?config:config -> unit -> t
 val new_var : t -> int
 
 (** Add a clause of DIMACS literals (non-zero; sign = polarity).  Must be
-    called at decision level zero (before or between [solve] calls). *)
+    called at decision level zero (before or between [solve] calls).
+    The literals are sorted and deduplicated; a tautology, or a clause
+    already true at level zero, is dropped, and literals already false
+    at level zero are removed. *)
 val add_clause : t -> int list -> unit
+
+(** [add_clause2 t a b] = [add_clause t [a; b]] and [add_clause3 t a b c]
+    = [add_clause t [a; b; c]], with identical effect on the clause
+    database, watch lists and search — but no list and no allocation
+    per clause.  Bit-blasting adds every gate clause through these. *)
+val add_clause2 : t -> int -> int -> unit
+
+val add_clause3 : t -> int -> int -> int -> unit
 
 (** [solve ~budget ~assumptions t] searches until a model or refutation
     is found, or until the budget (propagations + weighted conflicts,
@@ -64,6 +75,12 @@ val num_vars : t -> int
 (** The [k] most VSIDS-active variables (external indices, activity),
     highest first, ties by index — deterministic. *)
 val top_activity : ?k:int -> t -> (int * float) list
+
+(** [top_k ~k act n]: the [k] greatest of [act.(0..n-1)] as (index + 1,
+    value), greatest first by [Float.compare], ties by index — the
+    selection {!top_activity} runs over the activity array, in one pass
+    without sorting. *)
+val top_k : k:int -> float array -> int -> (int * float) list
 
 (** Test hook: observe each learned clause (internal literal encoding),
     used by the SAT fuzz harness to validate learning. *)

@@ -65,6 +65,12 @@ let m_vars =
   M.counter ~help:"SAT variables allocated by bit-blasting."
     "er_smt_bitblast_vars_total"
 
+let m_minor_words =
+  M.counter
+    ~help:"Words the checking domain allocated on the minor heap during \
+           SMT checks."
+    "er_smt_minor_words_total"
+
 let m_query_seconds =
   M.histogram ~help:"Per-query solve wall time."
     ~buckets:[ 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10. ]
@@ -131,6 +137,14 @@ let outcome_label = function
   | Sat _ -> "sat"
   | Unsat -> "unsat"
   | Unknown _ -> "unknown"
+
+(* Record one query in the hot-spot table; the key is rendered only
+   when metrics are on. *)
+let observe_query key o ~cached cost =
+  if M.enabled M.default then
+    M.top_observe m_top_queries ~key:(query_key key)
+      ~labels:[ ("outcome", outcome_label o); ("cached", cached) ]
+      cost
 
 (* Default budgets: generous enough for well-conditioned queries, small
    enough that ite towers from long write chains exhaust them. *)
@@ -200,6 +214,18 @@ module Cache = struct
     Hashtbl.reset shards;
     Mutex.unlock shards_mutex
 
+  let release () =
+    let stamp = Expr.space_stamp () in
+    Mutex.lock shards_mutex;
+    Hashtbl.remove shards stamp;
+    Mutex.unlock shards_mutex
+
+  let count () =
+    Mutex.lock shards_mutex;
+    let n = Hashtbl.length shards in
+    Mutex.unlock shards_mutex;
+    n
+
   let locked sh f =
     Mutex.lock sh.sh_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mutex) f
@@ -234,6 +260,8 @@ module Cache = struct
 end
 
 let reset_cache = Cache.clear
+let release_cache = Cache.release
+let cache_shards = Cache.count
 
 (* --- incremental sessions --------------------------------------------- *)
 
@@ -410,9 +438,7 @@ module Session = struct
           (* zero-cost row: a hit never displaces the original solve's
              cost for the same key, but records that the set was asked
              again and answered from cache *)
-          M.top_observe m_top_queries ~key:(query_key key)
-            ~labels:[ ("outcome", outcome_label o); ("cached", kind_label) ]
-            0;
+          observe_query key o ~cached:kind_label 0;
           (o, zero_stats t)
       | None -> (
           (* Machine-stable form of [key] for the persistent journal:
@@ -465,9 +491,7 @@ module Session = struct
                     Sat m
                 | Persist.Stalled reason -> Unknown reason
               in
-              M.top_observe m_top_queries ~key:(query_key key)
-                ~labels:[ ("outcome", outcome_label o); ("cached", "warm") ]
-                0;
+              observe_query key o ~cached:"warm" 0;
               (o, zero_stats t)
           | None ->
               t.misses <- t.misses + 1;
@@ -494,9 +518,7 @@ module Session = struct
                 M.add m_decisions st.decisions;
                 M.add m_restarts st.restarts;
                 M.add m_clauses st.clauses;
-                M.top_observe m_top_queries ~key:(query_key key)
-                  ~labels:[ ("outcome", outcome_label o); ("cached", "no") ]
-                  (st.gates + st.propagations);
+                observe_query key o ~cached:"no" (st.gates + st.propagations);
                 (o, st)
               in
               (* Conclude a real solve: report stats and append the
@@ -604,9 +626,11 @@ module Session = struct
   let check ?budget ?gate_budget t : outcome * stats =
     if not (M.enabled M.default) then check_core ?budget ?gate_budget t
     else begin
+      let w0 = Gc.minor_words () in
       let t0 = M.now M.default in
       let ((res, _) as out) = check_core ?budget ?gate_budget t in
       M.observe m_query_seconds (M.now M.default -. t0);
+      M.add m_minor_words (int_of_float (Gc.minor_words () -. w0));
       (match res with
       | Sat _ -> M.inc m_q_sat
       | Unsat -> M.inc m_q_unsat

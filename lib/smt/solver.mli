@@ -141,4 +141,14 @@ val must_be_true :
 (** Drop every shard of the result cache (test isolation). *)
 val reset_cache : unit -> unit
 
+(** Drop the current interning space's shard of the result cache.  A
+    job calls this as its fresh space ends: nothing can intern into that
+    space again, so its shard would otherwise stay reachable for the
+    life of the process.  Sessions still holding the shard keep working. *)
+val release_cache : unit -> unit
+
+(** Number of result-cache shards alive (one per space that created a
+    session and has not released it). *)
+val cache_shards : unit -> int
+
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -6,16 +6,19 @@ type t =
   | Bv of int                        (* bitvector of the given width *)
   | Arr of { idx : int; elt : int }  (* array from Bv idx to Bv elt *)
 
+(* One shared value per width, so building a sort allocates nothing. *)
+let bv_sorts = Array.init 65 (fun w -> Bv w)
+
 let bv width =
   if width < 1 || width > 64 then invalid_arg "Ty.bv: width out of 1..64";
-  Bv width
+  Array.unsafe_get bv_sorts width
 
 let arr ~idx ~elt =
   if idx < 1 || idx > 64 then invalid_arg "Ty.arr: index width out of 1..64";
   if elt < 1 || elt > 64 then invalid_arg "Ty.arr: element width out of 1..64";
   Arr { idx; elt }
 
-let bool = Bv 1
+let bool = bv 1
 
 let equal a b =
   match a, b with

@@ -292,6 +292,30 @@ let concurrent_cache_prop picks =
   session_exact && hits + misses = queries
   && m_hits = hits && m_misses = misses
 
+(* --- a finished job leaves no result-cache shard behind ------------- *)
+
+(* Every job runs in a fresh interning space, and the solver shards its
+   result cache by space; a job that kept its shard after finishing
+   would grow a long-running daemon by one shard per job. *)
+let test_job_releases_cache_shard () =
+  let run () =
+    List.iter
+      (fun s ->
+         let h = job_of_spec s in
+         Job.execute h;
+         match Job.await h with
+         | Job.Finished _ -> ()
+         | _ -> Alcotest.failf "%s did not finish" s.Bug.name)
+      (subset ())
+  in
+  let before = Er_smt.Solver.cache_shards () in
+  run ();
+  Alcotest.(check int) "shards after one pass" before
+    (Er_smt.Solver.cache_shards ());
+  run ();
+  Alcotest.(check int) "shards after a second pass" before
+    (Er_smt.Solver.cache_shards ())
+
 let test_concurrent_cache =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:15
@@ -310,5 +334,7 @@ let suites =
         test_concurrent_cache;
         Alcotest.test_case "each job's stream logs its store events" `Slow
           test_cache_events_per_job;
+        Alcotest.test_case "a finished job releases its cache shard" `Quick
+          test_job_releases_cache_shard;
       ] );
   ]

@@ -73,6 +73,32 @@ let test_extract_concat () =
 
 (* --- Sat --------------------------------------------------------------- *)
 
+(* Clause-adding front ends.  [add_list] is the list path; [add_gate]
+   sends two- and three-literal clauses down the gate path bit-blasting
+   uses, which must leave the solver in exactly the state the list path
+   does. *)
+let add_list s c = Sat.add_clause s c
+
+let add_gate s c =
+  match c with
+  | [ a; b ] -> Sat.add_clause2 s a b
+  | [ a; b; c ] -> Sat.add_clause3 s a b c
+  | c -> Sat.add_clause s c
+
+(* [n] pigeons in [n - 1] holes. *)
+let pigeonhole add s n =
+  let v = Array.init n (fun _ -> Array.init (n - 1) (fun _ -> Sat.new_var s)) in
+  for p = 0 to n - 1 do
+    add s (Array.to_list v.(p))
+  done;
+  for h = 0 to n - 2 do
+    for p1 = 0 to n - 1 do
+      for p2 = p1 + 1 to n - 1 do
+        add s [ -v.(p1).(h); -v.(p2).(h) ]
+      done
+    done
+  done
+
 let test_sat_basic () =
   let s = Sat.create () in
   let a = Sat.new_var s and b = Sat.new_var s in
@@ -92,17 +118,7 @@ let test_sat_basic () =
 let test_sat_pigeonhole () =
   (* 4 pigeons in 3 holes: classic small UNSAT requiring real search *)
   let s = Sat.create () in
-  let v = Array.init 4 (fun _ -> Array.init 3 (fun _ -> Sat.new_var s)) in
-  for p = 0 to 3 do
-    Sat.add_clause s [ v.(p).(0); v.(p).(1); v.(p).(2) ]
-  done;
-  for h = 0 to 2 do
-    for p1 = 0 to 3 do
-      for p2 = p1 + 1 to 3 do
-        Sat.add_clause s [ -v.(p1).(h); -v.(p2).(h) ]
-      done
-    done
-  done;
+  pigeonhole add_list s 4;
   match Sat.solve s with
   | Sat.Unsat -> ()
   | _ -> Alcotest.fail "expected unsat"
@@ -110,33 +126,33 @@ let test_sat_pigeonhole () =
 let test_sat_budget () =
   (* 9 pigeons in 8 holes with a tiny budget must time out *)
   let s = Sat.create () in
-  let n = 9 in
-  let v = Array.init n (fun _ -> Array.init (n - 1) (fun _ -> Sat.new_var s)) in
-  for p = 0 to n - 1 do
-    Sat.add_clause s (Array.to_list v.(p))
-  done;
-  for h = 0 to n - 2 do
-    for p1 = 0 to n - 1 do
-      for p2 = p1 + 1 to n - 1 do
-        Sat.add_clause s [ -v.(p1).(h); -v.(p2).(h) ]
-      done
-    done
-  done;
+  pigeonhole add_list s 9;
   match Sat.solve ~budget:200 s with
   | Sat.Unknown -> ()
   | Sat.Sat -> Alcotest.fail "pigeonhole cannot be sat"
   | Sat.Unsat -> Alcotest.fail "budget too generous for this test"
 
 let qcheck_sat_random_3cnf =
-  (* random small 3-CNF: solver's Sat answers must satisfy the formula,
-     and Unsat answers must agree with brute force *)
+  (* random small 3-CNF with level-0 units up front and clauses that
+     repeat a literal or hold a complementary pair: both add paths must
+     agree on the answer, the model and every work counter; Sat answers
+     must satisfy the formula, and Unsat answers must agree with brute
+     force *)
   QCheck2.Test.make ~name:"sat agrees with brute force on random 3-CNF"
-    ~count:60
+    ~count:200
     QCheck2.Gen.(
       let lit = map2 (fun v s -> if s then v + 1 else -(v + 1)) (int_bound 5) bool in
-      let clause = list_size (int_range 1 3) lit in
-      list_size (int_range 1 18) clause)
-    (fun clauses ->
+      let clause =
+        oneof
+          [
+            list_size (int_range 1 3) lit;
+            map2 (fun l m -> [ l; m; l ]) lit lit;
+            map2 (fun l m -> [ l; -l; m ]) lit lit;
+          ]
+      in
+      pair (list_size (int_bound 2) lit) (list_size (int_range 1 18) clause))
+    (fun (units, clauses) ->
+       let clauses = List.map (fun l -> [ l ]) units @ clauses in
        let brute_sat =
          (* 6 variables -> 64 assignments *)
          let eval_lit assign l =
@@ -152,10 +168,21 @@ let qcheck_sat_random_3cnf =
          in
          go 0
        in
-       let s = Sat.create () in
-       for _ = 1 to 6 do ignore (Sat.new_var s) done;
-       List.iter (fun c -> Sat.add_clause s c) clauses;
-       match Sat.solve s with
+       let solve add =
+         let s = Sat.create () in
+         for _ = 1 to 6 do ignore (Sat.new_var s) done;
+         List.iter (add s) clauses;
+         let r = Sat.solve s in
+         let model =
+           if r = Sat.Sat then List.init 6 (fun v -> Sat.value s (v + 1)) else []
+         in
+         (s, r, model, Sat.stats s, Sat.decisions s)
+       in
+       let s, r, model, stats, decisions = solve add_list in
+       let _, r', model', stats', decisions' = solve add_gate in
+       r = r' && model = model' && stats = stats' && decisions = decisions'
+       &&
+       match r with
        | Sat.Sat ->
            brute_sat
            && List.for_all
@@ -164,6 +191,116 @@ let qcheck_sat_random_3cnf =
                 clauses
        | Sat.Unsat -> not brute_sat
        | Sat.Unknown -> false)
+
+(* --- exact search trajectories ----------------------------------------- *)
+
+(* The SAT core's work counters are the solver_cost every bench gate
+   pins, so its search must not move by one propagation.  These pins
+   were recorded from the list-built clause database that preceded the
+   clause arena; each formula is added through both add paths. *)
+
+(* A 48-bit LCG, so the formulas do not depend on the stdlib's PRNG;
+   literals may repeat within a clause. *)
+let seeded_3cnf add s ~seed ~vars ~clauses =
+  let st = ref seed in
+  let next bound =
+    st := ((!st * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;
+    (!st lsr 16) mod bound
+  in
+  for _ = 1 to vars do ignore (Sat.new_var s) done;
+  for _ = 1 to clauses do
+    let lit () =
+      let v = next vars + 1 in
+      if next 2 = 0 then v else -v
+    in
+    let a = lit () in
+    let b = lit () in
+    let c = lit () in
+    add s [ a; b; c ]
+  done
+
+(* (result, propagations, conflicts, decisions, clauses) *)
+let trajectory s r =
+  let p, c, cl = Sat.stats s in
+  (r, p, c, Sat.decisions s, cl)
+
+let result_t =
+  Alcotest.testable
+    (fun ppf r ->
+      Fmt.string ppf
+        (match r with Sat.Sat -> "sat" | Sat.Unsat -> "unsat" | Sat.Unknown -> "unknown"))
+    ( = )
+
+let trajectory_t = Alcotest.(pair result_t (pair int (pair int (pair int int))))
+let flat (r, p, c, d, cl) = (r, (p, (c, (d, cl))))
+
+let test_sat_trajectory_pins () =
+  List.iter
+    (fun (path, add) ->
+      List.iter
+        (fun (n, expect) ->
+          let s = Sat.create () in
+          pigeonhole add s n;
+          let r = Sat.solve s in
+          Alcotest.check trajectory_t
+            (Printf.sprintf "%s: pigeonhole %d" path n)
+            (flat expect) (flat (trajectory s r)))
+        [ (4, (Sat.Unsat, 54, 7, 7, 26)); (6, (Sat.Unsat, 1937, 167, 208, 242)) ];
+      List.iter
+        (fun (seed, expect, top) ->
+          let s = Sat.create () in
+          seeded_3cnf add s ~seed ~vars:60 ~clauses:256;
+          let r = Sat.solve s in
+          Alcotest.check trajectory_t
+            (Printf.sprintf "%s: 3-CNF seed %d" path seed)
+            (flat expect) (flat (trajectory s r));
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: 3-CNF seed %d top activity" path seed)
+            top (List.map fst (Sat.top_activity s)))
+        [
+          (1, (Sat.Sat, 959, 54, 63, 304), [ 57; 60; 59; 5; 41; 39; 16; 27 ]);
+          (2, (Sat.Sat, 923, 53, 71, 301), [ 23; 30; 58; 15; 35; 39; 60; 24 ]);
+          (3, (Sat.Unsat, 1407, 85, 106, 329), [ 24; 19; 14; 11; 7; 9; 48; 51 ]);
+          (* eight-way activity tie: ranked by variable *)
+          (4, (Sat.Sat, 108, 2, 18, 252), [ 3; 14; 15; 16; 26; 39; 46; 54 ]);
+        ];
+      (* incremental: assumptions, clauses added between solves
+         (duplicate, tautology, a level-0 unit), then a budgeted solve *)
+      let s = Sat.create () in
+      seeded_3cnf add s ~seed:7 ~vars:40 ~clauses:150;
+      let r1 = Sat.solve ~assumptions:[ 1; -2; 3; -4 ] s in
+      Alcotest.check trajectory_t (path ^ ": incremental, assumptions")
+        (flat (Sat.Unsat, 45, 4, 10, 148)) (flat (trajectory s r1));
+      Sat.backtrack_root s;
+      List.iter (add s) [ [ 5; 6 ]; [ -5; 7; 7 ]; [ 8; -8; 9 ]; [ -1 ] ];
+      let r2 = Sat.solve ~assumptions:[ 2; -3 ] s in
+      Alcotest.check trajectory_t (path ^ ": incremental, re-solve")
+        (flat (Sat.Sat, 106, 6, 28, 152)) (flat (trajectory s r2));
+      let r3 = Sat.solve ~budget:50 s in
+      Alcotest.check trajectory_t (path ^ ": incremental, budgeted")
+        (flat (Sat.Sat, 145, 6, 41, 152)) (flat (trajectory s r3)))
+    [ ("list", add_list); ("gate", add_gate) ]
+
+(* [Sat.top_k] is a one-pass selection; the sort it replaced is the
+   oracle.  Activities come from a small pool so ties are common. *)
+let qcheck_top_k =
+  let oracle ~k act n =
+    List.init n (fun v -> (v + 1, act.(v)))
+    |> List.sort (fun (va, aa) (vb, ab) ->
+           match Float.compare ab aa with 0 -> Int.compare va vb | c -> c)
+    |> List.filteri (fun i _ -> i < k)
+  in
+  QCheck2.Test.make ~name:"top_k agrees with the sorted oracle" ~count:300
+    QCheck2.Gen.(
+      triple (int_range (-1) 10)
+        (array_size (int_bound 40)
+           (oneofl [ 0.; -0.; 1.; 2.5; 2.5; 1e100; -1.; Float.nan; 7. ]))
+        (int_bound 40))
+    (fun (k, act, n) ->
+       let n = min n (Array.length act) in
+       List.equal
+         (fun (va, aa) (vb, ab) -> va = vb && Float.equal aa ab)
+         (oracle ~k act n) (Sat.top_k ~k act n))
 
 (* --- Solver end-to-end -------------------------------------------------- *)
 
@@ -485,6 +622,8 @@ let suites =
         Alcotest.test_case "pigeonhole unsat" `Quick test_sat_pigeonhole;
         Alcotest.test_case "budget timeout" `Quick test_sat_budget;
         qcheck_of qcheck_sat_random_3cnf;
+        Alcotest.test_case "trajectory pins" `Quick test_sat_trajectory_pins;
+        qcheck_of qcheck_top_k;
       ] );
     ( "smt.solver",
       [
