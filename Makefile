@@ -1,12 +1,13 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
-# full test suite, the four examples, the format check, the one-bug
-# bench smoke, the serve-daemon smoke, the section 5.3 offline-overhead
-# gate, the Fig. 6 ER-below-rr gate, the fleet-determinism gate and the
-# persisted-trajectory validation.
+# full test suite, the four examples, the format check, the vm,
+# long-trace and warm-start bench gates, the section 5.3
+# offline-overhead gate, the Fig. 6 ER-below-rr gate, the
+# fleet-determinism gate and the trajectory check of the newest
+# committed BENCH_N.json against the one before it.
 
-.PHONY: all build test examples fmt ci fleet fleet-determinism bench-smoke \
-	bench-vm bench-fleet bench-long-trace bench-serve bench-warm \
-	bench-offline bench-fig6 bench-diff
+.PHONY: all build test examples fmt ci fleet fleet-determinism bench-vm \
+	bench-fleet bench-long-trace bench-warm bench-offline bench-fig6 \
+	bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -46,15 +47,12 @@ ci:
 	dune runtest
 	$(MAKE) examples
 	$(MAKE) fmt
-	$(MAKE) bench-smoke
 	$(MAKE) bench-vm
 	$(MAKE) bench-long-trace
-	$(MAKE) bench-serve
 	$(MAKE) bench-warm
 	$(MAKE) bench-offline
 	$(MAKE) bench-fig6
 	$(MAKE) fleet-determinism
-	dune exec bench/main.exe -- --validate BENCH_11.json --baseline BENCH_10.json --baseline-exact
 	$(MAKE) bench-diff
 
 # Run the whole bug corpus through the staged pipeline on a domain pool.
@@ -70,38 +68,32 @@ fleet-determinism:
 	cmp /tmp/er_fleet_j1.json /tmp/er_fleet_j4.json
 	@echo "fleet-determinism: -j 1 and -j 4 normalized reports are byte-identical"
 
-# One-bug end-to-end bench: pipeline + recording overhead, persisted
-# trajectory written and re-parsed with the shared JSON reader.
-bench-smoke:
-	dune exec bench/main.exe -- smoke -o /tmp/er_bench_smoke.json
+# Every `-o FILE` below writes the job's section of a trajectory and
+# checks it against the newest committed BENCH_N.json (the rows of
+# bench/trajectory.ml), failing on a regression that names its section.
 
 # Block-fused threaded-dispatch engine vs reference interpreter on the
-# Table 1 perf workloads.  The gate compares speedup ratios, not raw
+# Table 1 perf workloads.  The check compares speedup ratios, not raw
 # instr/sec, so it holds across machines: below 4x, or >10% under the
 # committed trajectory's recorded speedup, fails.  The job also times
 # ER's production run (recording hooks under the plan a reconstruction
 # of each bug selects) and fails above 1.4x the untraced time.
 bench-vm:
-	dune exec bench/main.exe -- vm -o /tmp/er_bench_vm.json --vm-baseline BENCH_11.json
+	dune exec bench/main.exe -- vm -o /tmp/er_bench_vm.json
 
 # The long-trace workload family: the incremental tracer must beat
 # from-scratch tracing end-to-end by at least 1.5x (the job self-gates),
-# with identical reconstruction results between the two modes.
+# with identical reconstruction results between the two modes and
+# checkpoint counters identical to the committed trajectory's.
 bench-long-trace:
 	dune exec bench/main.exe -- longtrace -o /tmp/er_bench_longtrace.json
-
-# The serve smoke: an in-process er-serve daemon under a 4-client
-# loadgen replay of the corpus.  The job self-gates: every submit must
-# resolve, no job may crash, and every client must receive the
-# byte-identical normalized payload per bug.
-bench-serve:
-	dune exec bench/main.exe -- serve -o /tmp/er_bench_serve.json
 
 # The warm-start gate: a cold fleet pass records every solver answer
 # into per-job journals under ER_BENCH_CACHE_DIR, a warm pass replays
 # them.  The job self-gates: warm total solver_cost strictly below
 # cold, per-bug trajectories byte-identical between the passes, and
-# the stall-time portfolio must resolve stalls on the throttled bug.
+# the stall-time portfolio must resolve stalls on the throttled bug;
+# the check adds a warm cost no higher than the committed one's.
 bench-warm:
 	ER_BENCH_CACHE_DIR=$(ER_BENCH_CACHE_DIR) \
 		dune exec bench/main.exe -- warm -o /tmp/er_bench_warm.json
@@ -120,17 +112,19 @@ bench-offline:
 bench-fig6:
 	dune exec bench/main.exe -- fig6
 
-# Trajectory delta between the two newest committed bench files: solver
-# cost must be exactly identical (the counters are deterministic), vm
-# speedup must not drop more than 10%; wall clocks render as
-# informational deltas only.  A regression names its section before the
-# nonzero exit.
+# The newest committed trajectory checked against the one before it:
+# deterministic counters (solver cost, per-bug work, checkpoint and
+# portfolio counters) must be identical, ratios stay within their
+# bounds, wall clocks print as informational deltas.  A regression
+# names its section before the nonzero exit.
 bench-diff:
-	dune exec bench/main.exe -- diff BENCH_10.json BENCH_11.json --exact
+	dune exec bench/main.exe -- diff
 
-# Regenerate the committed trajectory: full corpus + overheads + the
-# sequential-vs-parallel fleet trials + the vm engine comparison + the
-# long-trace incremental-tracing family + the serve loadgen smoke + the
-# cold-vs-warm persistent-store trial.
+# Record the next trajectory, BENCH_<newest + 1>.json: full corpus +
+# overheads + the sequential-vs-parallel fleet trials + the vm engine
+# comparison + the long-trace incremental-tracing family + the
+# cold-vs-warm persistent-store trial, checked against the newest.
 bench-fleet:
-	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace serve warm -o BENCH_11.json
+	n=$$(ls BENCH_*.json | sed 's/[^0-9]//g' | sort -n | tail -1); \
+	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace warm \
+		-o BENCH_$$((n + 1)).json

@@ -1,7 +1,5 @@
 (* The evaluation harness: regenerates every table and figure of the
-   paper's evaluation (section 5) against the OCaml reproduction, plus one
-   Bechamel micro-benchmark per table/figure for the kernel that dominates
-   that experiment.
+   paper's evaluation (section 5) against the OCaml reproduction.
 
      table1     Table 1  — 13 bugs: #instr, #occur, symex time
      fig1       Fig. 1   — efficiency/effectiveness/accuracy spectra
@@ -15,38 +13,24 @@
                 gates Table 1's selection time at 10% of its symex time
                 and its SMT minor words per bit-blast gate at 100
      casestudy  sec. 5.4 — invariant-based failure localization (od, pr)
-     micro      Bechamel micro-benchmarks
-     smoke      one-bug pipeline + overhead run, for CI
      vm         compiled engine vs reference interpreter, instr/sec, and
                 ER-traced (under each bug's recording plan) vs untraced
                 time; gates the traced/untraced ratio at 1.4
      fleet      Table 1 corpus on a domain pool, -j 1 vs -j 4
      longtrace  long-trace family: checkpoint/resume vs from-scratch
-     serve      in-process er-serve daemon under a 4-client loadgen;
-                gates zero failed jobs and cross-client determinism
      warm       cold fleet pass, then a warm pass replaying the persisted
                 solver store; gates warm total solver_cost strictly below
                 cold with byte-identical per-bug trajectories, plus the
                 stall-time portfolio trial (K configs racing a throttled
                 solver)
-     diff       OLD.json NEW.json [--exact] — render trajectory deltas
-                (solver cost, vm speedup, fleet walls, resumes, warm
-                replay) and exit non-zero on a regression, naming the
-                section that regressed
 
-   With no argument, everything runs in order.  [-o FILE] persists the
-   collected per-bug trajectory (overhead %, trace bytes, solver cost,
-   cache traffic, iterations) as JSON — the committed BENCH_11.json is
-   produced by `table1 fig6 fleet vm longtrace serve warm -o BENCH_11.json`.
-   [--validate FILE]
-   re-parses such a file with Er_core.Json and checks its shape, exiting
-   non-zero on any mismatch.  [--baseline FILE] additionally gates the
-   validated trajectory's total solver_cost against FILE's: more than a
-   10% regression exits non-zero (the counters are deterministic, so the
-   gate is machine-independent); [--baseline-exact] tightens that to
-   exact equality.  [--vm-baseline FILE] gates the [vm] job's
-   lowered-vs-reference speedup: below 4x, or more than 10% under
-   FILE's recorded speedup, exits non-zero. *)
+   With no argument, everything runs in order.  [-o FILE] persists what
+   the jobs measured as a trajectory document, one section per job that
+   ran, then checks it against the newest committed BENCH_N.json with
+   {!Trajectory.check}, exiting non-zero on a regression.
+   `diff OLD.json NEW.json` checks NEW against OLD the same way, and a
+   bare `diff` checks the newest committed trajectory against the one
+   before it. *)
 
 open Er_corpus
 
@@ -257,10 +241,6 @@ let vm_totals rows =
        (i + i', r +. r', l +. l', t +. t'))
     (0, 0., 0., 0.) rows
 
-(* The recording-overhead gate of `bench vm`: the corpus-aggregate
-   planned traced/untraced time ratio must not exceed this. *)
-let max_traced_ratio = 1.4
-
 (* `bench vm --opcode-mix`: instead of timing, report the hottest
    adjacent opcode pairs (block-retirement weighted) per corpus program
    plus the corpus aggregate — the mining pass behind the committed
@@ -343,11 +323,11 @@ let run_vm_timed () =
     (if tl > 0. then float_of_int ti /. tl else 0.)
     (if tl > 0. then tr /. tl else 1.)
     traced_ratio;
-  if traced_ratio > max_traced_ratio then begin
+  if traced_ratio > Trajectory.max_traced_ratio then begin
     Printf.eprintf
       "bench vm: ER-traced runs take %.2fx the untraced time, over the \
        %.1fx recording-overhead limit\n"
-      traced_ratio max_traced_ratio;
+      traced_ratio Trajectory.max_traced_ratio;
     exit 1
   end
 
@@ -689,7 +669,7 @@ let run_casestudy () =
   study Coreutils_pr.spec Coreutils_pr.passing_inputs "balance"
 
 (* ------------------------------------------------------------------ *)
-(* Persisted bench trajectory (BENCH_2.json)                           *)
+(* Persisted bench trajectory (BENCH_N.json)                           *)
 (* ------------------------------------------------------------------ *)
 
 module J = Er_core.Json
@@ -704,10 +684,6 @@ let fleet_deterministic : bool option ref = ref None
    incremental run's checkpoint counters. *)
 let longtrace_stats :
   (float * float * Er_core.Pipeline.ckpt_stats) option ref = ref None
-
-(* Filled by [run_serve]: the loadgen measurement over the in-process
-   daemon. *)
-let serve_stats : Er_core.Loadgen.result option ref = ref None
 
 (* Filled by [run_warm]: the cold-vs-warm fleet passes over one
    persistent solver store, and the stall-time portfolio trial. *)
@@ -724,9 +700,10 @@ type warm_trial = {
 
 let warm_stats : warm_trial option ref = ref None
 
-(* One row per bug from whatever jobs ran: pipeline work from [table1]
-   (or [smoke]), recording overheads from [fig6] when available. *)
-let bench_json () =
+(* Trajectory document [number]: one section per job that ran.  [table1]
+   writes one row per bug and the totals, with recording overheads when
+   [fig6] ran too. *)
+let bench_json number =
   let results = List.rev !table1_results in
   let overheads =
     List.map (fun (n, er, rr) -> (n, (er, rr))) !fig6_results
@@ -831,11 +808,6 @@ let bench_json () =
                   | Some b -> J.Bool b
                   | None -> J.Null ) ] ) ]
   in
-  let serve_section =
-    match !serve_stats with
-    | None -> []
-    | Some r -> [ ("serve", Er_core.Loadgen.to_json_value r) ]
-  in
   let longtrace_section =
     match !longtrace_stats with
     | None -> []
@@ -876,374 +848,52 @@ let bench_json () =
                       ("cost_solo", J.Int c0);
                       ("cost_portfolio", J.Int ck) ] ) ] ) ]
   in
+  let table1_sections =
+    if results = [] then []
+    else
+      [
+        ("bugs", J.List (List.map bug_obj results));
+        ( "totals",
+          J.Obj
+            [
+              ("bugs", J.Int (List.length results));
+              ("reproduced", J.Int reproduced);
+              ("trace_bytes", J.Int (total (fun it -> it.Er_core.Pipeline.trace_bytes)));
+              ("solver_calls", J.Int (total (fun it -> it.Er_core.Pipeline.solver_calls)));
+              ("solver_cost", J.Int (total (fun it -> it.Er_core.Pipeline.solver_cost)));
+              ("cache_hits", J.Int (total (fun it -> it.Er_core.Pipeline.cache_hits)));
+              ("cache_misses", J.Int (total (fun it -> it.Er_core.Pipeline.cache_misses)));
+              ("mean_er_overhead_pct", mean (fun (_, e, _) -> e));
+              ("mean_rr_overhead_pct", mean (fun (_, _, r) -> r));
+            ] );
+      ]
+  in
   J.Obj
-    ([
-      ("bench", J.Int 11);
-      ("bugs", J.List (List.map bug_obj results));
-      ( "totals",
-        J.Obj
-          [
-            ("bugs", J.Int (List.length results));
-            ("reproduced", J.Int reproduced);
-            ("trace_bytes", J.Int (total (fun it -> it.Er_core.Pipeline.trace_bytes)));
-            ("solver_calls", J.Int (total (fun it -> it.Er_core.Pipeline.solver_calls)));
-            ("solver_cost", J.Int (total (fun it -> it.Er_core.Pipeline.solver_cost)));
-            ("cache_hits", J.Int (total (fun it -> it.Er_core.Pipeline.cache_hits)));
-            ("cache_misses", J.Int (total (fun it -> it.Er_core.Pipeline.cache_misses)));
-            ("mean_er_overhead_pct", mean (fun (_, e, _) -> e));
-            ("mean_rr_overhead_pct", mean (fun (_, _, r) -> r));
-          ] );
-    ]
-     @ vm_section @ fleet_section @ serve_section @ longtrace_section
-     @ warm_section)
+    ((("bench", J.Int number) :: table1_sections)
+     @ vm_section @ fleet_section @ longtrace_section @ warm_section)
 
-(* Every gate reads committed BENCH_*.json trajectories; a missing file
-   is an environment problem (wrong checkout, wrong cwd), so fail fast
-   with a message naming the file instead of a Sys_error backtrace. *)
-let read_file path =
+(* Every check reads committed BENCH_N.json trajectories; a missing or
+   malformed file is an environment problem (wrong checkout, wrong cwd),
+   so fail fast with a message naming the file instead of a Sys_error
+   backtrace. *)
+let read_doc path =
   if not (Sys.file_exists path) then begin
-    Printf.eprintf
-      "bench: %s does not exist — run from the repository root, or \
-       regenerate it (see the bench-fleet target in the Makefile)\n"
+    Printf.eprintf "bench: %s does not exist — run from the repository root\n"
       path;
     exit 1
   end;
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Shape check for a persisted trajectory: parses with the shared JSON
-   reader and carries the fields downstream tooling depends on. *)
-let validate_bench path =
-  match J.parse (read_file path) with
+  match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Some doc -> doc
   | None ->
-      Printf.eprintf "%s: does not parse as JSON\n" path;
-      false
-  | Some doc ->
-      let ok_version =
-        match Option.bind (J.member "bench" doc) J.to_int with
-        | Some (2 | 3 | 4 | 5 | 6 | 8 | 9 | 10 | 11) -> true
-        | _ ->
-            Printf.eprintf "%s: missing or wrong \"bench\" version\n" path;
-            false
-      in
-      let bugs =
-        Option.bind (J.member "bugs" doc) J.to_list |> Option.value ~default:[]
-      in
-      let ok_bugs =
-        (* a single-job trajectory (CI's `vm -o FILE`, `longtrace -o
-           FILE`, `serve -o FILE` or `warm -o FILE`) has no pipeline
-           rows *)
-        (bugs <> []
-         || Option.is_some (J.member "vm" doc)
-         || Option.is_some (J.member "long_trace" doc)
-         || Option.is_some (J.member "serve" doc)
-         || Option.is_some (J.member "warm" doc))
-        && List.for_all
-             (fun b ->
-                let has k conv = Option.is_some (Option.bind (J.member k b) conv) in
-                has "name" J.to_str && has "trace_bytes" J.to_int
-                && has "solver_cost" J.to_int && has "iterations" J.to_int
-                && has "reproduced" J.to_bool)
-             bugs
-      in
-      if not ok_bugs then
-        Printf.eprintf "%s: \"bugs\" is empty or rows lack required fields\n"
-          path;
-      let ok_totals = Option.is_some (J.member "totals" doc) in
-      if not ok_totals then Printf.eprintf "%s: missing \"totals\"\n" path;
-      if ok_version && ok_bugs && ok_totals then begin
-        Printf.printf "%s: OK (%d bugs)\n" path (List.length bugs);
-        true
-      end
-      else false
-
-(* The deterministic perf gate: the validated trajectory's total
-   solver_cost must stay within 10% of the baseline trajectory's.
-   solver_cost counts gates built plus propagations charged, so the
-   comparison is exact across machines — no wall-clock noise. *)
-let total_solver_cost path =
-  Option.bind (J.parse (read_file path)) (fun doc ->
-      Option.bind (J.member "totals" doc) (fun t ->
-          Option.bind (J.member "solver_cost" t) J.to_int))
-
-let check_baseline ~exact ~current ~baseline =
-  match (total_solver_cost current, total_solver_cost baseline) with
-  | Some cur, Some base when exact ->
-      if cur <> base then begin
-        Printf.eprintf
-          "%s: total solver_cost %d differs from %s (%d); the counters are \
-           deterministic, so any drift is a real behavior change\n"
-          current cur baseline base;
-        false
-      end
-      else begin
-        Printf.printf "%s: total solver_cost %d exactly matches %s\n" current
-          cur baseline;
-        true
-      end
-  | Some cur, Some base ->
-      let limit = base + (base / 10) in
-      if cur > limit then begin
-        Printf.eprintf
-          "%s: total solver_cost %d regresses more than 10%% over %s (%d; limit %d)\n"
-          current cur baseline base limit;
-        false
-      end
-      else begin
-        Printf.printf "%s: total solver_cost %d within 10%% of %s (%d)\n"
-          current cur baseline base;
-        true
-      end
-  | None, _ ->
-      Printf.eprintf "%s: cannot read totals.solver_cost\n" current;
-      false
-  | _, None ->
-      Printf.eprintf "%s: cannot read totals.solver_cost\n" baseline;
-      false
-
-(* The [vm] job's perf gate: the lowered engine must stay at least 4x
-   over the reference interpreter, and within 10% of the committed
-   trajectory's recorded speedup.  The gate compares speedup ratios,
-   not raw instr/sec, so it transfers across machines. *)
-let vm_speedup path =
-  Option.bind (J.parse (read_file path)) (fun doc ->
-      Option.bind (J.member "vm" doc) (fun v ->
-          Option.bind (J.member "speedup" v) J.to_float))
-
-let check_vm_baseline ~current ~baseline =
-  match vm_speedup current with
-  | None ->
-      Printf.eprintf "%s: cannot read vm.speedup\n" current;
-      false
-  | Some cur ->
-      let floor_speedup =
-        match vm_speedup baseline with
-        | Some base -> Float.max 4.0 (0.9 *. base)
-        | None -> 4.0 (* pre-lowering trajectories carry no vm section *)
-      in
-      if cur < floor_speedup then begin
-        Printf.eprintf
-          "%s: vm speedup %.2fx is below the regression floor %.2fx \
-           (baseline %s)\n"
-          current cur floor_speedup baseline;
-        false
-      end
-      else begin
-        Printf.printf "%s: vm speedup %.2fx (floor %.2fx from %s)\n" current
-          cur floor_speedup baseline;
-        true
-      end
-
-(* ------------------------------------------------------------------ *)
-(* bench diff: trajectory deltas between two persisted BENCH files     *)
-(* ------------------------------------------------------------------ *)
-
-(* `bench diff OLD.json NEW.json [--exact]` renders the deltas between
-   two committed trajectories — solver cost, vm speedup, fleet walls,
-   long-trace resumes — and exits non-zero on a regression.  The
-   deterministic counters gate hard (under [--exact], totals.solver_cost
-   must be identical); wall-clock numbers are rendered as informational
-   deltas only, since the two files may come from different machines. *)
-let run_diff ~exact old_path new_path =
-  let parse path =
-    match J.parse (read_file path) with
-    | Some doc -> doc
-    | None ->
-        Printf.eprintf "%s: does not parse as JSON\n" path;
-        exit 1
-  in
-  let old_doc = parse old_path and new_doc = parse new_path in
-  (* every regression is tagged with the trajectory section it came
-     from, so the failure output says *what* regressed without a rerun *)
-  let regressions : (string * string) list ref = ref [] in
-  let regress section fmt =
-    Printf.ksprintf
-      (fun s -> regressions := (section, s) :: !regressions)
-      fmt
-  in
-  let pct o n = if o = 0. then 0. else 100. *. (n -. o) /. o in
-  Printf.printf "bench diff: %s -> %s\n" old_path new_path;
-  let solver_cost doc =
-    Option.bind (J.member "totals" doc) (fun t ->
-        Option.bind (J.member "solver_cost" t) J.to_int)
-  in
-  (match (solver_cost old_doc, solver_cost new_doc) with
-   | Some o, Some n ->
-       Printf.printf "  totals.solver_cost : %d -> %d (%+d)\n" o n (n - o);
-       if exact && n <> o then
-         regress "totals"
-           "totals.solver_cost %d differs from %d — identity required; the \
-            counters are deterministic, so any drift is a real behavior \
-            change"
-           n o
-       else if (not exact) && n > o + (o / 10) then
-         regress "totals" "totals.solver_cost regresses more than 10%% (%d -> %d)"
-           o n
-   | _ ->
-       Printf.printf
-         "  totals.solver_cost : n/a (missing in one file), not compared\n");
-  let vm doc =
-    Option.bind (J.member "vm" doc) (fun v ->
-        Option.bind (J.member "speedup" v) J.to_float)
-  in
-  (match (vm old_doc, vm new_doc) with
-   | Some o, Some n ->
-       Printf.printf "  vm.speedup         : %.2fx -> %.2fx (%+.1f%%)\n" o n
-         (pct o n);
-       if n < 0.9 *. o then
-         regress "vm" "vm.speedup dropped more than 10%% (%.2fx -> %.2fx)" o n
-   | _ -> Printf.printf "  vm.speedup         : n/a, not compared\n");
-  (* per-bug vm speedups: the aggregate can hide one workload falling off
-     a specialization (fused units, memory cache) while the rest improve,
-     so render every shared bug's delta; informational only — per-bug
-     wall times are noisier than the instruction-weighted aggregate *)
-  let vm_bugs doc =
-    Option.bind (J.member "vm" doc) (fun v ->
-        Option.bind (J.member "bugs" v) J.to_list)
-    |> Option.value ~default:[]
-    |> List.filter_map (fun b ->
-        match
-          ( Option.bind (J.member "name" b) J.to_str,
-            Option.bind (J.member "speedup" b) J.to_float )
-        with
-        | Some n, Some s -> Some (n, s)
-        | _ -> None)
-  in
-  let old_vm_bugs = vm_bugs old_doc in
-  let shared_vm_bugs =
-    List.filter_map
-      (fun (n, ns) ->
-         Option.map (fun os -> (n, os, ns)) (List.assoc_opt n old_vm_bugs))
-      (vm_bugs new_doc)
-  in
-  if shared_vm_bugs = [] then
-    Printf.printf "  vm per-bug         : n/a, not compared\n"
-  else
-    List.iter
-      (fun (n, os, ns) ->
-         Printf.printf
-           "  vm %-16s: %.2fx -> %.2fx (%+.1f%%, informational)\n" n os ns
-           (pct os ns))
-      shared_vm_bugs;
-  let fleet_trials doc =
-    Option.bind (J.member "fleet" doc) (fun f ->
-        Option.bind (J.member "trials" f) J.to_list)
-    |> Option.value ~default:[]
-    |> List.filter_map (fun t ->
-        match
-          ( Option.bind (J.member "jobs" t) J.to_int,
-            Option.bind (J.member "wall" t) J.to_float )
-        with
-        | Some j, Some w -> Some (j, w)
-        | _ -> None)
-  in
-  let old_trials = fleet_trials old_doc in
-  let shared_trials =
-    List.filter_map
-      (fun (j, nw) ->
-         Option.map (fun ow -> (j, ow, nw)) (List.assoc_opt j old_trials))
-      (fleet_trials new_doc)
-  in
-  if shared_trials = [] then
-    Printf.printf "  fleet trials       : n/a, not compared\n"
-  else
-    List.iter
-      (fun (j, ow, nw) ->
-         Printf.printf
-           "  fleet -j %-2d wall   : %.3fs -> %.3fs (%+.1f%%, informational)\n"
-           j ow nw (pct ow nw))
-      shared_trials;
-  let lt doc k conv =
-    Option.bind (J.member "long_trace" doc) (fun l ->
-        Option.bind (J.member k l) conv)
-  in
-  (match (lt old_doc "resumes" J.to_int, lt new_doc "resumes" J.to_int) with
-   | Some o, Some n ->
-       Printf.printf "  long_trace.resumes : %d -> %d\n" o n;
-       if o > 0 && n = 0 then
-         regress "long_trace" "incremental tracer stopped resuming (%d -> 0)" o
-   | _ -> Printf.printf "  long_trace.resumes : n/a, not compared\n");
-  (match (lt old_doc "speedup" J.to_float, lt new_doc "speedup" J.to_float) with
-   | Some o, Some n ->
-       Printf.printf
-         "  long_trace.speedup : %.2fx -> %.2fx (%+.1f%%, informational)\n" o
-         n (pct o n)
-   | _ -> Printf.printf "  long_trace.speedup : n/a, not compared\n");
-  let serve doc k conv =
-    Option.bind (J.member "serve" doc) (fun s -> Option.bind (J.member k s) conv)
-  in
-  (match
-     ( serve old_doc "throughput_rps" J.to_float,
-       serve new_doc "throughput_rps" J.to_float )
-   with
-   | Some o, Some n ->
-       Printf.printf
-         "  serve.throughput   : %.2f -> %.2f rec/s (%+.1f%%, informational)\n"
-         o n (pct o n)
-   | _ -> Printf.printf "  serve.throughput   : n/a, not compared\n");
-  (match serve new_doc "deterministic" J.to_bool with
-   | Some false ->
-       regress "serve" "serve loadgen results are no longer deterministic"
-   | Some true | None -> ());
-  let warm doc k =
-    Option.bind (J.member "warm" doc) (fun w ->
-        Option.bind (J.member k w) J.to_int)
-  in
-  (match (warm new_doc "solver_cost_cold", warm new_doc "solver_cost_warm") with
-   | Some c, Some w ->
-       Printf.printf "  warm.solver_cost   : cold %d -> warm %d (saved %d)\n"
-         c w (c - w);
-       if w >= c then
-         regress "warm"
-           "warm replay no longer saves solver work (warm %d >= cold %d)" w c;
-       (match
-          Option.bind (J.member "warm" new_doc) (fun s ->
-              Option.bind (J.member "trajectories_identical" s) J.to_bool)
-        with
-        | Some false ->
-            regress "warm" "warm trajectories diverged from the cold pass"
-        | Some true | None -> ())
-   | _ -> Printf.printf "  warm.solver_cost   : n/a, not compared\n");
-  match List.rev !regressions with
-  | [] -> Printf.printf "no regressions\n"
-  | rs ->
-      let sections =
-        List.fold_left
-          (fun acc (sec, _) -> if List.mem sec acc then acc else acc @ [ sec ])
-          [] rs
-      in
-      List.iter (fun (sec, msg) -> Printf.eprintf "REGRESSION [%s]: %s\n" sec msg) rs;
-      Printf.eprintf "bench diff: %d regression(s) in section(s): %s\n"
-        (List.length rs)
-        (String.concat ", " sections);
+      Printf.eprintf "bench: %s does not parse as JSON\n" path;
       exit 1
 
-(* ------------------------------------------------------------------ *)
-(* Smoke: one bug end to end, cheap enough for every CI run            *)
-(* ------------------------------------------------------------------ *)
-
-let run_smoke () =
-  section "Smoke: one-bug pipeline + recording overhead";
-  let s =
-    match Registry.find "libpng-2004-0597" with
-    | Some s -> s
-    | None -> List.hd Registry.table1
-  in
-  let r = reconstruct_spec s in
-  table1_results := (s.Bug.name, r) :: !table1_results;
-  let er, rr = overhead_of s ~runs:3 in
-  fig6_results := (s.Bug.name, er, rr) :: !fig6_results;
-  let reproduced =
-    match r.Er_core.Pipeline.status with
-    | Er_core.Pipeline.Reproduced _ -> true
-    | Er_core.Pipeline.Gave_up _ -> false
-  in
-  Printf.printf
-    "%s: reproduced=%b occurrences=%d ER overhead %.1f%% rr overhead %.1f%%\n"
-    s.Bug.name reproduced r.Er_core.Pipeline.occurrences er rr;
-  if not reproduced then exit 1
+(* The committed trajectories in the working directory, oldest first. *)
+let committed () =
+  Sys.readdir "." |> Array.to_list
+  |> List.filter_map (fun f ->
+         Scanf.sscanf_opt f "BENCH_%u.json%!" (fun n -> (n, f)))
+  |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: domain-parallel corpus trajectory (sequential vs parallel)   *)
@@ -1341,57 +991,6 @@ let run_longtrace () =
     exit 1
   end;
   longtrace_stats := Some (wi, ws, ck)
-
-(* ------------------------------------------------------------------ *)
-(* Serve: the daemon under a concurrent multi-tenant load generator    *)
-(* ------------------------------------------------------------------ *)
-
-(* Spin up an in-process er-serve daemon on a temp socket, replay the
-   Table 1 corpus as four concurrent tenants, and gate the service
-   contract: every submit resolves, nothing crashes, and all clients
-   receive the byte-identical normalized payload per bug.  Throughput
-   and latency percentiles are recorded as informational numbers. *)
-let run_serve () =
-  section "bench serve: er-serve daemon under a 4-client loadgen";
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "er-bench-serve-%d.sock" (Unix.getpid ()))
-  in
-  let config =
-    { Er_core.Server.default_config with socket_path = socket; workers = 4 }
-  in
-  let srv = Er_core.Server.start ~config ~resolver:Registry.resolver () in
-  let bugs = List.map (fun (s : Bug.spec) -> s.Bug.name) Registry.table1 in
-  let r = Er_core.Loadgen.run ~socket ~clients:4 ~bugs () in
-  Er_core.Server.stop srv;
-  Er_core.Server.wait srv;
-  let open Er_core.Loadgen in
-  Printf.printf
-    "  4 tenants x %d bugs: %d result(s) in %.3fs (%.2f rec/s)\n"
-    (List.length bugs) r.lg_jobs r.lg_wall (throughput r);
-  Printf.printf "  latency p50 %.0fms  p99 %.0fms  backpressure rejects %d\n"
-    (1000. *. percentile 50. r.lg_latencies)
-    (1000. *. percentile 99. r.lg_latencies)
-    r.lg_rejected;
-  Printf.printf "  failed %d  errors %d  deterministic %b\n%!" r.lg_failed
-    r.lg_errors (deterministic r);
-  serve_stats := Some r;
-  let expected = 4 * List.length bugs in
-  if r.lg_jobs <> expected then begin
-    Printf.eprintf "serve: expected %d results, received %d\n" expected
-      r.lg_jobs;
-    exit 1
-  end;
-  if r.lg_failed > 0 || r.lg_errors > 0 then begin
-    Printf.eprintf "serve: %d job(s) failed, %d protocol error(s)\n"
-      r.lg_failed r.lg_errors;
-    exit 1
-  end;
-  if not (deterministic r) then begin
-    Printf.eprintf
-      "serve: clients received differing payloads for the same bug\n";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Warm: cold vs warm fleet over one persistent solver store           *)
@@ -1578,90 +1177,6 @@ let run_warm () =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure                     *)
-(* ------------------------------------------------------------------ *)
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let fig3_query () =
-    let open Er_smt in
-    let v0 = Expr.const_array ~idx:32 ~elt:32 0L in
-    let x = Expr.bv_var "mx" ~width:32 and c = Expr.bv_var "mc" ~width:32 in
-    let v1 = Expr.write v0 x (Expr.const ~width:32 1L) in
-    let v2 = Expr.write v1 c (Expr.const ~width:32 512L) in
-    let r = Expr.read v2 x in
-    ignore
-      (Solver.check ~budget:50_000 ~gate_budget:20_000
-         [
-           Expr.ult x (Expr.const ~width:32 256L);
-           Expr.eq r (Expr.const ~width:32 1L);
-         ])
-  in
-  let fig6_encode () =
-    let enc = Er_trace.Encoder.create ~ring_bytes:(1 lsl 16) () in
-    Er_trace.Encoder.start enc;
-    for i = 0 to 4095 do
-      Er_trace.Encoder.branch enc (i land 3 = 0)
-    done;
-    ignore (Er_trace.Encoder.finish enc)
-  in
-  let ablation_selection () =
-    let open Er_smt in
-    let g = Er_symex.Cgraph.create () in
-    let mem = Er_symex.Symmem.create () in
-    let o =
-      Er_symex.Symmem.alloc mem ~elt_ty:Er_ir.Types.I32 ~size:256 ~heap:true
-    in
-    let pt i = { Er_ir.Types.p_func = "f"; p_block = "b"; p_index = i } in
-    let x = Expr.bv_var "sx" ~width:32 in
-    Er_symex.Cgraph.define g (pt 0) x;
-    for i = 1 to 24 do
-      let idx = Expr.add x (Expr.const ~width:32 (Int64.of_int i)) in
-      Er_symex.Cgraph.define g (pt i) idx;
-      Er_symex.Symmem.write o idx (Expr.const ~width:32 1L)
-    done;
-    let b = Er_select.Bottleneck.compute g mem in
-    ignore (Er_select.Recording.reduce g b.Er_select.Bottleneck.elements)
-  in
-  let casestudy_infer () =
-    let obs = Er_invariants.Daikon.observations () in
-    for k = 0 to 63 do
-      Er_invariants.Daikon.record_enter obs ~func:"f"
-        [ Int64.of_int (k mod 8); Int64.of_int ((k mod 8) + 1) ]
-    done;
-    ignore (Er_invariants.Daikon.infer obs)
-  in
-  let tests =
-    [
-      Test.make ~name:"table1.solver-query" (Staged.stage fig3_query);
-      Test.make ~name:"fig6.trace-encode-4k-branches" (Staged.stage fig6_encode);
-      Test.make ~name:"fig5+ablation.key-data-selection"
-        (Staged.stage ablation_selection);
-      Test.make ~name:"casestudy.invariant-inference"
-        (Staged.stage casestudy_infer);
-    ]
-  in
-  List.iter
-    (fun t ->
-       let instances = [ Toolkit.Instance.monotonic_clock ] in
-       let cfg =
-         Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-       in
-       let results = Benchmark.all cfg instances t in
-       let ols =
-         Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-       in
-       let a = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-       Hashtbl.iter
-         (fun name res ->
-            match Analyze.OLS.estimates res with
-            | Some [ est ] -> Printf.printf "%-38s %14.1f ns/run\n%!" name est
-            | Some _ | None -> Printf.printf "%-38s (no estimate)\n%!" name)
-         a)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let jobs =
@@ -1674,91 +1189,67 @@ let () =
       ("rept", run_rept);
       ("offline", run_offline);
       ("casestudy", run_casestudy);
-      ("micro", run_micro);
-      ("smoke", run_smoke);
       ("vm", run_vm);
       ("fleet", run_fleet);
       ("longtrace", run_longtrace);
-      ("serve", run_serve);
       ("warm", run_warm);
     ]
   in
-  (* `diff` has its own argv shape (two positional files), so it is
-     dispatched before the job-name loop *)
-  (match Array.to_list Sys.argv with
-   | _ :: "diff" :: rest -> (
-       let exact = List.mem "--exact" rest in
-       match List.filter (fun a -> a <> "--exact") rest with
-       | [ old_path; new_path ] ->
-           run_diff ~exact old_path new_path;
-           exit 0
-       | _ ->
-           Printf.eprintf "usage: bench diff OLD.json NEW.json [--exact]\n";
-           exit 2)
+  let check reference path =
+    if not (Trajectory.report ~reference ~current:(path, read_doc path)) then
+      exit 1
+  in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match (args, List.rev (committed ())) with
+   | [ "diff"; old_path; new_path ], _
+   | [ "diff" ], (_, new_path) :: (_, old_path) :: _ ->
+       check (old_path, read_doc old_path) new_path;
+       exit 0
+   | "diff" :: _, _ ->
+       prerr_endline
+         "usage: bench diff [OLD.json NEW.json]; with no files, run from a \
+          directory holding two BENCH_N.json";
+       exit 2
    | _ -> ());
-  let exact = ref false in
-  let vm_base = ref None in
-  let rec parse (names, out, validate, baseline) = function
-    | [] -> (List.rev names, out, validate, baseline)
-    | "-o" :: f :: rest -> parse (names, Some f, validate, baseline) rest
-    | "--validate" :: f :: rest -> parse (names, out, Some f, baseline) rest
-    | "--baseline" :: f :: rest -> parse (names, out, validate, Some f) rest
-    | "--baseline-exact" :: rest ->
-        exact := true;
-        parse (names, out, validate, baseline) rest
-    | "--vm-baseline" :: f :: rest ->
-        vm_base := Some f;
-        parse (names, out, validate, baseline) rest
+  let rec parse names out = function
+    | [] -> (List.rev names, out)
+    | "-o" :: f :: rest -> parse names (Some f) rest
     | "--opcode-mix" :: rest ->
         opcode_mix := true;
-        parse (names, out, validate, baseline) rest
-    | n :: rest -> parse (n :: names, out, validate, baseline) rest
+        parse names out rest
+    | n :: rest -> parse (n :: names) out rest
   in
-  let names, out, validate, baseline =
-    parse ([], None, None, None) (List.tl (Array.to_list Sys.argv))
+  let names, out = parse [] None args in
+  (* the reference is read before any job runs: a missing one fails
+     fast, and an output that overwrites it is checked against its old
+     contents *)
+  let out =
+    Option.map
+      (fun path ->
+         match List.rev (committed ()) with
+         | (n, ref_path) :: _ -> (path, n + 1, (ref_path, read_doc ref_path))
+         | [] ->
+             prerr_endline
+               "bench: -o checks against the newest BENCH_N.json, and \
+                there is none here — run from the repository root";
+             exit 1)
+      out
   in
-  (match names, out, validate with
-   | [], None, None -> List.iter (fun (_, f) -> f ()) jobs
-   | [], _, _ -> ()
-   | names, _, _ ->
-       List.iter
-         (fun n ->
-            match List.assoc_opt n jobs with
-            | Some f -> f ()
-            | None ->
-                Printf.printf "unknown job %s (have: %s)\n" n
-                  (String.concat ", " (List.map fst jobs));
-                exit 1)
-         names);
-  (match out with
-   | None -> ()
-   | Some path ->
+  List.iter
+    (fun n ->
+       match List.assoc_opt n jobs with
+       | Some f -> f ()
+       | None ->
+           Printf.printf "unknown job %s (have: %s)\n" n
+             (String.concat ", " (List.map fst jobs));
+           exit 1)
+    (if names = [] then List.map fst jobs else names);
+  Option.iter
+    (fun (path, number, reference) ->
        let oc = open_out path in
-       output_string oc (J.to_string (bench_json ()));
+       output_string oc (J.to_string (bench_json number));
        output_char oc '\n';
        close_out oc;
-       (* round-trip the file we just wrote through the shared parser *)
-       if not (validate_bench path) then exit 1);
-  (match validate with
-   | None -> ()
-   | Some path -> if not (validate_bench path) then exit 1);
-  (match baseline with
-   | None -> ()
-   | Some base -> (
-       (* gate the validated trajectory (or the one just written) *)
-       match validate, out with
-       | Some cur, _ | None, Some cur ->
-           if not (check_baseline ~exact:!exact ~current:cur ~baseline:base)
-           then exit 1
-       | None, None ->
-           Printf.eprintf "--baseline needs --validate FILE or -o FILE\n";
-           exit 1));
-  match !vm_base with
-  | None -> ()
-  | Some base -> (
-      match validate, out with
-      | Some cur, _ | None, Some cur ->
-          if not (check_vm_baseline ~current:cur ~baseline:base) then exit 1
-      | None, None ->
-          Printf.eprintf "--vm-baseline needs --validate FILE or -o FILE\n";
-          exit 1)
+       (* the check re-reads the file through the shared parser *)
+       check reference path)
+    out

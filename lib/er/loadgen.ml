@@ -7,8 +7,8 @@
    backpressure delay), and determinism (every client must receive the
    byte-identical normalized result for the same bug).
 
-   Shared by [er_cli loadgen] and the bench serve smoke so the number
-   CI gates on is the number the CLI reports. *)
+   Shared by [er_cli loadgen] and the serve daemon test, so the verdict
+   CI checks is the verdict the CLI reports. *)
 
 type job_result = {
   jr_bug : string;

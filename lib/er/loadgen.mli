@@ -3,7 +3,7 @@
     Replays bug names as N concurrent client connections (one domain
     and tenant each, pipelined submits, retry-on-reject) and measures
     reconstructions/sec, per-job latency and cross-client determinism.
-    Shared by [er_cli loadgen] and the bench serve smoke. *)
+    Shared by [er_cli loadgen] and the serve daemon test. *)
 
 type result = {
   lg_clients : int;

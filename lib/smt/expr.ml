@@ -67,16 +67,14 @@ let hash (a : t) = a.hkey
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A term's [hkey] fits 30 bits, so a table slot packs it with the
-   term's local id (see [space] below). *)
-let hkey_bits = 30
-let hkey_mask = (1 lsl hkey_bits) - 1
+(* A term's [hkey] is its intern hash folded to 30 bits. *)
+let hkey_mask = (1 lsl 30) - 1
 
 (* The intern hash: integer mixing of the node's tag, operator, child
-   ids, constant and sort, folded to [hkey_bits].  It builds nothing, so
+   ids, constant and sort, folded to 30 bits.  It builds nothing, so
    looking up a term that already exists allocates only the caller's
    node.  The hash decides where a term sits in its space's table, never
-   its id or local id: those are assigned in interning order. *)
+   its id: ids are assigned in interning order. *)
 let mix h x = (h lxor x) * 0x100000001b3
 
 let unop_tag = function Neg -> 0 | Lognot -> 1
@@ -147,20 +145,14 @@ let next_stamp = Atomic.make 0
    per step), and a probe reads the dense key array first and
    dereferences a term only on a hash match — one or two cache misses
    per lookup, where a chained table pays for the bucket, the chain cell
-   and the term.  A slot's key packs the term's [hkey] (30 bits) with
-   its local id above it; -1 marks an empty slot.
-
-   Local ids are dense (0, 1, 2, ... in interning order of this space),
-   so they are stable across processes for any deterministic client —
-   unlike absolute ids, which depend on what every other space interned
-   first.  They are what the persistent solver-knowledge store keys its
-   entries by. *)
+   and the term.  A slot's key is the term's [hkey]; -1 marks an empty
+   slot. *)
 type space = {
   sp_stamp : int;
   sp_mutex : Mutex.t;
   mutable sp_keys : int array;
   mutable sp_terms : t array;
-  mutable sp_count : int;          (* terms interned: the next local id *)
+  mutable sp_count : int;          (* terms interned *)
 }
 
 let initial_slots = 32_768
@@ -175,10 +167,10 @@ let create_space () =
     sp_count = 0;
   }
 
-(* The slot holding [e], or the empty slot ending its probe sequence. *)
-let rec find_slot keys terms (e : t) i =
-  if Array.unsafe_get terms i == e || Array.unsafe_get keys i = -1 then i
-  else find_slot keys terms e ((i + 1) land (Array.length keys - 1))
+(* The first empty slot of the probe sequence starting at [i]. *)
+let rec free_slot keys i =
+  if Array.unsafe_get keys i = -1 then i
+  else free_slot keys ((i + 1) land (Array.length keys - 1))
 
 let grow sp =
   let old_keys = sp.sp_keys and old_terms = sp.sp_terms in
@@ -187,10 +179,9 @@ let grow sp =
   Array.iteri
     (fun j k ->
        if k <> -1 then begin
-         let e = old_terms.(j) in
-         let i = find_slot keys terms e (e.hkey land (n - 1)) in
+         let i = free_slot keys (k land (n - 1)) in
          keys.(i) <- k;
-         terms.(i) <- e
+         terms.(i) <- old_terms.(j)
        end)
     old_keys;
   sp.sp_keys <- keys;
@@ -221,13 +212,13 @@ let intern ty n =
     let k = Array.unsafe_get keys i in
     if k = -1 then begin
       let e = { node = n; ty; id = Atomic.fetch_and_add next_id 1; hkey } in
-      Array.unsafe_set keys i (hkey lor (sp.sp_count lsl hkey_bits));
+      Array.unsafe_set keys i hkey;
       Array.unsafe_set sp.sp_terms i e;
       sp.sp_count <- sp.sp_count + 1;
       if 2 * sp.sp_count > Array.length keys then grow sp;
       e
     end
-    else if k land hkey_mask = hkey then begin
+    else if k = hkey then begin
       let e = Array.unsafe_get sp.sp_terms i in
       if node_equal e.node n && Ty.equal e.ty ty then e
       else probe ((i + 1) land mask)
@@ -237,24 +228,6 @@ let intern ty n =
   let e = probe (hkey land mask) in
   Mutex.unlock sp.sp_mutex;
   e
-
-(* The current space's local id of [e]; terms interned by *another*
-   space (the shared [tru]/[fls], say) map to a negative marker derived
-   from their absolute id.  Within one space, local ids are
-   order-isomorphic to absolute ids, so sorting by either gives the
-   same canonical order. *)
-let local_id e =
-  let sp = Domain.DLS.get current in
-  Mutex.lock sp.sp_mutex;
-  let keys = sp.sp_keys and terms = sp.sp_terms in
-  let i = find_slot keys terms e (e.hkey land (Array.length keys - 1)) in
-  let l =
-    if Array.unsafe_get terms i == e then
-      Array.unsafe_get keys i lsr hkey_bits
-    else -e.id - 1
-  in
-  Mutex.unlock sp.sp_mutex;
-  l
 
 (* Number of distinct terms ever created (across all spaces); used by
    the offline-overhead experiment of section 5.3. *)

@@ -82,14 +82,6 @@ val in_fresh_space : (unit -> 'a) -> 'a
     between spaces. *)
 val space_stamp : unit -> int
 
-(** The current space's local id of a term: dense, assigned in interning
-    order, hence stable across processes for a deterministic client —
-    unlike {!id}, which is only unique within one process run.  Local
-    ids are order-isomorphic to absolute ids within their space.  Terms
-    interned by a different space map to a negative marker (they can
-    never match a persisted key, which is the safe answer). *)
-val local_id : t -> int
-
 (** Bit width of a bitvector-typed term ([Invalid_argument] on arrays). *)
 val width : t -> int
 

@@ -20,13 +20,16 @@
    what the warm run must answer to keep the ER iteration trajectory
    byte-identical while paying none of the cost.
 
-   Keys are per-space *local* ids ({!Expr.local_id}): dense interning
-   ordinals that a deterministic client reproduces across processes,
-   unlike absolute ids.  A key mismatch during replay (the program, the
-   corpus or a budget changed under an unchanged label) permanently
-   stops replay for the space — the run continues with real solving and
-   the flush rewrites the journal from the divergence point, so a stale
-   store self-heals instead of poisoning trajectories.
+   An entry is matched by its position in the journal, its budget and a
+   structural digest of the active formulas (their sorted printed
+   forms), which a deterministic client reproduces across processes.
+   Term ids are no part of the match: they count every term interned so
+   far, and a warm run that skips an encode interns fewer, so the same
+   formulas can carry different ids.  A mismatch during replay (the
+   program, the corpus or a budget changed under an unchanged label)
+   permanently stops replay for the space — the run continues with real
+   solving and the flush rewrites the journal from the divergence point,
+   so a stale store self-heals instead of poisoning trajectories.
 
    File format (one file per label under the cache dir):
 
@@ -42,7 +45,7 @@
 
 module J = Er_json
 
-let format_version = 2
+let format_version = 3
 let magic = "er-smt-cache"
 
 (* --- journal entries --------------------------------------------------- *)
@@ -67,7 +70,6 @@ type answer =
   | Stalled of string           (* the stall reason, replayed verbatim *)
 
 type entry = {
-  en_key : int array;           (* canonical sorted local ids *)
   en_hash : string;             (* structural digest of the active set *)
   en_budget : int;              (* propagation budget of the check *)
   en_cost : int;                (* gates + propagations the cold run paid *)
@@ -182,9 +184,8 @@ let model_of_json j =
   Some m
 
 let entry_to_json (e : entry) : J.t =
-  let key = ("k", J.List (Array.to_list (Array.map (fun i -> J.Int i) e.en_key))) in
   let base =
-    [ key; ("h", J.Str e.en_hash); ("b", J.Int e.en_budget);
+    [ ("h", J.Str e.en_hash); ("b", J.Int e.en_budget);
       ("c", J.Int e.en_cost) ]
   in
   let summary =
@@ -200,15 +201,6 @@ let entry_to_json (e : entry) : J.t =
 
 let entry_of_json (j : J.t) : entry option =
   let ( let* ) = Option.bind in
-  let* key = Option.bind (J.member "k" j) J.to_list in
-  let* key =
-    List.fold_left
-      (fun acc el ->
-        let* acc = acc in
-        match el with J.Int i -> Some (i :: acc) | _ -> None)
-      (Some []) key
-  in
-  let key = Array.of_list (List.rev key) in
   let* hash = Option.bind (J.member "h" j) J.to_str in
   let* budget = Option.bind (J.member "b" j) J.to_int in
   let* cost = Option.bind (J.member "c" j) J.to_int in
@@ -225,8 +217,8 @@ let entry_of_json (j : J.t) : entry option =
     | _ -> None
   in
   Some
-    { en_key = key; en_hash = hash; en_budget = budget; en_cost = cost;
-      en_answer = answer; en_summary = summary }
+    { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer;
+      en_summary = summary }
 
 (* --- file I/O ---------------------------------------------------------- *)
 
@@ -401,53 +393,38 @@ let locked sl f =
   Mutex.lock sl.sl_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock sl.sl_mutex) f
 
-(* Keys containing foreign-space markers (negative components) are
-   neither recorded nor replayed: the markers are not stable across
-   processes, so such an entry could never match.  In practice every
-   top-level assertion is interned by the job's own space and this
-   never fires. *)
-let key_portable key = Array.for_all (fun i -> i >= 0) key
-
 (* The next journal answer, iff the run is still in lock-step with the
-   recorded one: same canonical key, same structural digest, same
-   budget, at the same position.  The digest matters: local ids are
-   creation ordinals, so a changed run can mint *different* formulas at
-   the same ordinals — the hash makes a match mean "the same formulas",
-   never just "the same positions".  A mismatch permanently disables
-   replay for the space (the journal tail is rewritten from here at
-   flush). *)
-let replay (sl : handle) ~key ~hash ~budget : (answer * int) option =
-  if not (key_portable key) then None
+   recorded one: same structural digest and same budget, at the same
+   position.  A mismatch permanently disables replay for the space (the
+   journal tail is rewritten from here at flush). *)
+let replay (sl : handle) ~hash ~budget : (answer * int) option =
+  locked sl @@ fun () ->
+  if sl.sl_diverged || sl.sl_cursor >= Array.length sl.sl_replay then None
   else
-    locked sl @@ fun () ->
-    if sl.sl_diverged || sl.sl_cursor >= Array.length sl.sl_replay then None
-    else
-      let e = sl.sl_replay.(sl.sl_cursor) in
-      if e.en_budget = budget && e.en_key = key && String.equal e.en_hash hash
-      then begin
-        sl.sl_cursor <- sl.sl_cursor + 1;
-        sl.sl_replayed <- sl.sl_replayed + 1;
-        sl.sl_saved_cost <- sl.sl_saved_cost + e.en_cost;
-        Some (e.en_answer, e.en_cost)
-      end
-      else begin
-        sl.sl_diverged <- true;
-        sl.sl_warnings <-
-          Printf.sprintf
-            "journal diverged at entry %d: replay disabled, store will be \
-             rewritten"
-            sl.sl_cursor
-          :: sl.sl_warnings;
-        None
-      end
+    let e = sl.sl_replay.(sl.sl_cursor) in
+    if e.en_budget = budget && String.equal e.en_hash hash then begin
+      sl.sl_cursor <- sl.sl_cursor + 1;
+      sl.sl_replayed <- sl.sl_replayed + 1;
+      sl.sl_saved_cost <- sl.sl_saved_cost + e.en_cost;
+      Some (e.en_answer, e.en_cost)
+    end
+    else begin
+      sl.sl_diverged <- true;
+      sl.sl_warnings <-
+        Printf.sprintf
+          "journal diverged at entry %d: replay disabled, store will be \
+           rewritten"
+          sl.sl_cursor
+        :: sl.sl_warnings;
+      None
+    end
 
-let record (sl : handle) ~key ~hash ~budget ~cost ?summary answer : unit =
-  if key_portable key then
-    locked sl @@ fun () ->
-    sl.sl_fresh <-
-      { en_key = key; en_hash = hash; en_budget = budget; en_cost = cost;
-        en_answer = answer; en_summary = summary }
-      :: sl.sl_fresh
+let record (sl : handle) ~hash ~budget ~cost ?summary answer : unit =
+  locked sl @@ fun () ->
+  sl.sl_fresh <-
+    { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer;
+      en_summary = summary }
+    :: sl.sl_fresh
 
 let saved_cost (sl : handle) = locked sl @@ fun () -> sl.sl_saved_cost
 let replayed (sl : handle) = locked sl @@ fun () -> sl.sl_replayed

@@ -8,12 +8,11 @@
     them at zero search cost.
 
     Replay is lock-step: at each in-memory cache miss the solver asks
-    for the next journal entry, and it is used only if its canonical key
-    (sorted per-space {!Expr.local_id}s) and budget match the live
-    query.  Replayed Sat/Unsat answers are stored into the in-memory
-    cache exactly where the cold run stored them, so subset/superset
-    lookups evolve identically; replayed stalls return their recorded
-    reason verbatim.  This makes a warm run's trajectory byte-identical
+    for the next journal entry, and it is used only if its structural
+    digest and budget match the live query.  Replayed Sat/Unsat answers
+    are stored into the in-memory cache exactly where the cold run
+    stored them, so subset/superset lookups evolve identically; replayed
+    stalls return their recorded reason verbatim.  This makes a warm run's trajectory byte-identical
     to the cold run's by construction — only the cost disappears.  Any
     mismatch permanently stops replay for the space (the run continues
     with real solving) and the flush rewrites the journal from the
@@ -49,12 +48,9 @@ type answer =
   | Stalled of string  (** the stall reason, replayed verbatim *)
 
 type entry = {
-  en_key : int array;  (** canonical sorted local ids of the active set *)
   en_hash : string;
-      (** structural digest of the active formulas: local ids are
-          creation ordinals, so a changed run can mint different
-          formulas at the same ordinals — the digest makes a journal
-          match mean "same formulas", never just "same positions" *)
+      (** structural digest of the active formulas: their sorted
+          printed forms, which name no term ids *)
   en_budget : int;     (** propagation budget of the check *)
   en_cost : int;       (** gates + propagations the cold run paid *)
   en_answer : answer;
@@ -102,20 +98,16 @@ type handle
 val current : unit -> handle option
 
 (** The next journal answer together with its recorded cold cost, iff
-    the run is still in lock-step with the journal (same key, same
-    structural digest, same budget, same position).  A mismatch
-    permanently disables replay for this space.  Keys with
-    foreign-space (negative) components never match. *)
-val replay :
-  handle -> key:int array -> hash:string -> budget:int ->
-  (answer * int) option
+    the run is still in lock-step with the journal (same structural
+    digest, same budget, same position).  A mismatch permanently
+    disables replay for this space. *)
+val replay : handle -> hash:string -> budget:int -> (answer * int) option
 
 (** Append a freshly established answer to the journal (written back at
-    {!detach_and_flush}).  Keys with foreign-space components are
-    skipped — symmetrically with {!replay}. *)
+    {!detach_and_flush}). *)
 val record :
-  handle -> key:int array -> hash:string -> budget:int -> cost:int ->
-  ?summary:summary -> answer -> unit
+  handle -> hash:string -> budget:int -> cost:int -> ?summary:summary ->
+  answer -> unit
 
 (** Cold solver cost avoided by replay so far. *)
 val saved_cost : handle -> int

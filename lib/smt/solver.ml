@@ -441,33 +441,23 @@ module Session = struct
           observe_query key o ~cached:kind_label 0;
           (o, zero_stats t)
       | None -> (
-          (* Machine-stable form of [key] for the persistent journal:
-             per-space local ids, order-isomorphic to the absolute ids
-             within this space. *)
-          let local_key =
-            let ids = List.map (fun f -> Expr.local_id f.f_expr) active in
-            Array.of_list (List.sort_uniq compare ids)
-          in
-          (* Structural digest alongside the id key: local ids are
-             creation ordinals, so a changed client can mint different
-             formulas at the same ordinals; the digest ensures a journal
-             match means "the same formulas were asserted", never just
-             "the same positions were asked".  Computed only on
-             in-memory-cache misses, and only with a store attached. *)
-          let local_hash () =
+          (* The journal's machine-stable name for the active set: a
+             digest of its sorted printed formulas, which name no term
+             ids.  Computed only on in-memory-cache misses, and only
+             with a store attached. *)
+          let digest () =
             Digest.to_hex
               (Digest.string
                  (String.concat ";"
                     (List.sort compare
                        (List.map (fun f -> Expr.to_string f.f_expr) active))))
           in
-          let local_hash =
-            match t.persist with Some _ -> local_hash () | None -> ""
+          let digest =
+            match t.persist with Some _ -> digest () | None -> ""
           in
           let replayed =
             match t.persist with
-            | Some h ->
-                Persist.replay h ~key:local_key ~hash:local_hash ~budget
+            | Some h -> Persist.replay h ~hash:digest ~budget
             | None -> None
           in
           match replayed with
@@ -549,7 +539,7 @@ module Session = struct
                               sm_top = Sat.top_activity t.sat;
                             }
                     in
-                    Persist.record h ~key:local_key ~hash:local_hash ~budget
+                    Persist.record h ~hash:digest ~budget
                       ~cost:(st.gates + st.propagations) ?summary answer
                 | None -> ());
                 out

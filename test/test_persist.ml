@@ -45,8 +45,7 @@ let answer_eq a b =
   | _ -> false
 
 let entry_eq (a : P.entry) (b : P.entry) =
-  a.P.en_key = b.P.en_key
-  && String.equal a.P.en_hash b.P.en_hash
+  String.equal a.P.en_hash b.P.en_hash
   && a.P.en_budget = b.P.en_budget
   && a.P.en_cost = b.P.en_cost
   && answer_eq a.P.en_answer b.P.en_answer
@@ -58,12 +57,6 @@ let contains ~sub s =
   go 0
 
 (* -- generators ------------------------------------------------------ *)
-
-let gen_key =
-  QCheck.Gen.(
-    map
-      (fun l -> Array.of_list (List.sort_uniq compare l))
-      (list_size (int_range 1 6) (int_range 0 1000)))
 
 let gen_name =
   QCheck.Gen.(
@@ -119,15 +112,13 @@ let gen_answer =
 
 let gen_entry =
   QCheck.Gen.(
-    gen_key >>= fun key ->
     gen_name >>= fun hash_seed ->
     int_range 1 100_000 >>= fun budget ->
     int_range 0 100_000 >>= fun cost ->
     gen_answer >>= fun answer ->
     opt gen_summary >>= fun summary ->
     return
-      { P.en_key = key;
-        en_hash = Digest.to_hex (Digest.string hash_seed);
+      { P.en_hash = Digest.to_hex (Digest.string hash_seed);
         en_budget = budget; en_cost = cost; en_answer = answer;
         en_summary = summary })
 
@@ -161,11 +152,10 @@ let test_store_roundtrip =
 (* -- rejection paths: every bad store is a clean cold start ---------- *)
 
 let sample_entries =
-  [ { P.en_key = [| 1; 4; 9 |]; en_hash = Digest.to_hex (Digest.string "a");
-      en_budget = 500; en_cost = 77; en_answer = P.Solved_unsat;
-      en_summary = None };
-    { P.en_key = [| 2 |]; en_hash = Digest.to_hex (Digest.string "b");
-      en_budget = 500; en_cost = 12;
+  [ { P.en_hash = Digest.to_hex (Digest.string "a"); en_budget = 500;
+      en_cost = 77; en_answer = P.Solved_unsat; en_summary = None };
+    { P.en_hash = Digest.to_hex (Digest.string "b"); en_budget = 500;
+      en_cost = 12;
       en_answer = P.Stalled "budget exhausted"; en_summary = None } ]
 
 (* [store] with its header's version replaced by [v]; the current
@@ -173,10 +163,9 @@ let sample_entries =
 let with_version v store =
   "er-smt-cache " ^ v ^ String.sub store 15 (String.length store - 15)
 
-(* A v1 store interleaves symex's answers with those of the solver
-   queries key data value selection used to send; replay would diverge
-   at the first of them, so the version gate must reject it up front. *)
-let v1_store fp = with_version "v1" (P.render ~fingerprint:fp sample_entries)
+(* A v2 store's entries carry a term-id key that v3 dropped; the version
+   gate rejects it, so the job starts cold and rewrites the store. *)
+let v2_store fp = with_version "v2" (P.render ~fingerprint:fp sample_entries)
 
 let test_rejections () =
   let fp = "fp-a" in
@@ -199,9 +188,9 @@ let test_rejections () =
   Alcotest.(check string) "patched header shape" "er-smt-cache v99 fp="
     (String.sub v99 0 20);
   expect "version bump" (P.parse ~fingerprint:fp v99) "version mismatch";
-  Alcotest.(check int) "current format" 2 P.format_version;
-  expect "previous version" (P.parse ~fingerprint:fp (v1_store fp))
-    "version mismatch (v1, want v2)";
+  Alcotest.(check int) "current format" 3 P.format_version;
+  expect "previous version" (P.parse ~fingerprint:fp (v2_store fp))
+    "version mismatch (v2, want v3)";
   (* fingerprint change: config drift must cold-start *)
   expect "fingerprint mismatch" (P.parse ~fingerprint:"fp-b" good)
     "fingerprint mismatch";
@@ -243,25 +232,26 @@ let test_attach_cold_fallback () =
                     fl.P.fl_warnings)))
     [ ("cold-fallback", "er-smt-cache v1 half a hea",
        [ "truncated"; "malformed" ]);
-      ("v1-store", v1_store "fp", [ "version mismatch (v1, want v2)" ]) ]
+      ("v2-store", v2_store "fp", [ "version mismatch (v2, want v3)" ]) ]
 
 (* -- concurrent writers to one cache directory ----------------------- *)
 
 (* Four domains, each in its own interning space, flush to the same
-   label.  The final store must be exactly one writer's journal (last
-   writer wins), parse cleanly (tmp+rename forbids torn files), and the
-   directory must hold no leftover tmp files. *)
+   label; writer [i] records at budget [100 + i].  The final store must
+   be exactly one writer's journal (last writer wins), parse cleanly
+   (tmp+rename forbids torn files), and the directory must hold no
+   leftover tmp files. *)
 let test_concurrent_writers () =
   let dir = fresh_dir () in
   let label = "shared" and fp = "shared-fp" in
+  let hash i k = Digest.to_hex (Digest.string (Printf.sprintf "%d.%d" i k)) in
   let writer i () =
     Expr.in_fresh_space (fun () ->
         ignore (P.attach ~dir ~label ~fingerprint:fp);
         let h = Option.get (P.current ()) in
         for k = 0 to 2 + i do
-          P.record h ~key:[| i; k |]
-            ~hash:(Digest.to_hex (Digest.string (Printf.sprintf "%d.%d" i k)))
-            ~budget:100 ~cost:(10 * k) P.Solved_unsat
+          P.record h ~hash:(hash i k) ~budget:(100 + i) ~cost:(10 * k)
+            P.Solved_unsat
         done;
         P.detach_and_flush ())
   in
@@ -286,14 +276,15 @@ let test_concurrent_writers () =
   with
   | Error r -> Alcotest.failf "final store does not parse: %s" r
   | Ok entries ->
-      let owner = entries.(0).P.en_key.(0) in
+      let owner = entries.(0).P.en_budget - 100 in
       Alcotest.(check int)
         "the store is one writer's complete journal"
         (3 + owner) (Array.length entries);
       Array.iteri
         (fun k e ->
            Alcotest.(check bool) "entries all from the same writer" true
-             (e.P.en_key = [| owner; k |]))
+             (e.P.en_budget = 100 + owner
+              && String.equal e.P.en_hash (hash owner k)))
         entries
 
 (* -- warm-start replay through real solver sessions ------------------ *)
@@ -400,33 +391,37 @@ let test_divergence_self_heal () =
    sink: the run must fall back cold, emit the rejection as events, and
    still produce a result whose rerun (now warm) is identical modulo
    the masked cost fields. *)
-let test_job_cold_warning_and_warm_identity () =
+module Events = Er_core.Events
+
+(* Corpus bug [name] run as a job whose store lives in [dir]: its result
+   and its events in order. *)
+let run_job ~dir name =
   let module Job = Er_core.Job in
-  let module Events = Er_core.Events in
-  let module Json = Er_core.Json in
   let s =
-    match Er_corpus.Registry.find "bash-108885" with
+    match Er_corpus.Registry.find name with
     | Some s -> s
-    | None -> Alcotest.fail "corpus bug bash-108885 disappeared"
+    | None -> Alcotest.failf "corpus bug %s disappeared" name
   in
+  let events = ref [] in
+  let h =
+    Job.create
+      ~events:(fun e -> events := e :: !events)
+      (Er_corpus.Bug.request
+         ~configure:(fun c -> { c with Job.Config.cache_dir = Some dir })
+         s)
+  in
+  Job.execute h;
+  match Job.poll h with
+  | Some (Job.Finished r) -> (r, List.rev !events)
+  | _ -> Alcotest.fail "job did not finish"
+
+let test_job_cold_warning_and_warm_identity () =
+  let module Json = Er_core.Json in
   let dir = fresh_dir () in
   write_file
-    (P.store_path ~dir ~label:s.Er_corpus.Bug.name)
+    (P.store_path ~dir ~label:"bash-108885")
     "er-smt-cache v1 fp=dead md5=beef\n{\"not\":\"a payload\"}";
-  let run () =
-    let events = ref [] in
-    let h =
-      Job.create
-        ~events:(fun e -> events := e :: !events)
-        (Er_corpus.Bug.request
-           ~configure:(fun c -> { c with Job.Config.cache_dir = Some dir })
-           s)
-    in
-    Job.execute h;
-    match Job.poll h with
-    | Some (Job.Finished r) -> (r, List.rev !events)
-    | _ -> Alcotest.fail "job did not finish"
-  in
+  let run () = run_job ~dir "bash-108885" in
   let r1, events1 = run () in
   let cache_events =
     List.filter_map
@@ -475,6 +470,39 @@ let test_job_cold_warning_and_warm_identity () =
   Alcotest.(check string) "warm trajectory identical to cold" (view r1)
     (view r2)
 
+(* sqlite-4e8e485's warm run skips encodes its cold run paid for, so it
+   interns fewer terms and its queries' formulas carry other term ids
+   than the journal saw.  Replay matches on the formulas' digest, so the
+   warm run replays the whole journal at zero cost and leaves the store
+   as it was. *)
+let test_job_warm_replays_whole_journal () =
+  let dir = fresh_dir () in
+  ignore (run_job ~dir "sqlite-4e8e485");
+  let r, events = run_job ~dir "sqlite-4e8e485" in
+  let cache =
+    List.filter_map
+      (function
+        | Events.Cache_status { state; entries; detail; _ } ->
+            Some (state, entries, detail)
+        | _ -> None)
+      events
+  in
+  (match cache with
+   | [ ("warm", n, _); ("replayed", n', detail) ] ->
+       Alcotest.(check int) "the store keeps every entry" n n';
+       Alcotest.(check bool)
+         (Printf.sprintf "%S replays all %d entries" detail n)
+         true
+         (contains ~sub:(Printf.sprintf "%d replayed," n) detail)
+   | _ ->
+       let show (s, n, d) = Printf.sprintf "%s %d %s" s n d in
+       Alcotest.failf "warm run's cache events: %s"
+         (String.concat "; " (List.map show cache)));
+  Alcotest.(check int) "warm run pays no solver cost" 0
+    (List.fold_left
+       (fun a it -> a + it.Er_core.Pipeline.solver_cost)
+       0 r.Er_core.Pipeline.iterations)
+
 let suites =
   [
     ( "persist",
@@ -493,5 +521,7 @@ let suites =
           test_divergence_self_heal;
         Alcotest.test_case "job layer: cold-fallback events + warm identity"
           `Slow test_job_cold_warning_and_warm_identity;
+        Alcotest.test_case "job layer: warm run replays the whole journal"
+          `Slow test_job_warm_replays_whole_journal;
       ] );
   ]
