@@ -1,13 +1,13 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
 # full test suite, the four examples, the format check, the vm,
 # long-trace and warm-start bench gates, the section 5.3
-# offline-overhead gate, the Fig. 6 ER-below-rr gate, the
-# fleet-determinism gate and the trajectory check of the newest
-# committed BENCH_N.json against the one before it.
+# offline-overhead gate, the Fig. 6 ER-below-rr gate, the section 5.4
+# case-study gate, the fleet-determinism gate and the trajectory check
+# of the newest committed BENCH_N.json against the one before it.
 
 .PHONY: all build test examples fmt ci fleet fleet-determinism bench-vm \
 	bench-fleet bench-long-trace bench-warm bench-offline bench-fig6 \
-	bench-diff
+	bench-casestudy bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -52,6 +52,7 @@ ci:
 	$(MAKE) bench-warm
 	$(MAKE) bench-offline
 	$(MAKE) bench-fig6
+	$(MAKE) bench-casestudy
 	$(MAKE) fleet-determinism
 	$(MAKE) bench-diff
 
@@ -111,6 +112,13 @@ bench-offline:
 # where it does not).
 bench-fig6:
 	dune exec bench/main.exe -- fig6
+
+# Section 5.4's case study as a gate: for coreutils-od and coreutils-pr,
+# the top root-cause candidate from the ER-reconstructed execution must
+# equal both the original failing input's and the expected root cause
+# (the job exits 1 naming any bug where it does not).
+bench-casestudy:
+	dune exec bench/main.exe -- casestudy
 
 # The newest committed trajectory checked against the one before it:
 # deterministic counters (solver cost, per-bug work, checkpoint and

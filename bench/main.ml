@@ -465,7 +465,7 @@ let run_rept () =
        | Some s ->
            let inputs, seed = s.Bug.failing_workload ~occurrence:1 in
            let prog = Er_ir.Prog.of_program s.Bug.program in
-           let _r, defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
+           let defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
            Printf.printf "\n%s (%d register definitions in trace)\n" s.Bug.name
              (List.length defs);
            Printf.printf "  %10s %10s %10s %10s\n" "window" "%correct"
@@ -628,9 +628,15 @@ let run_fig1 () =
 (* Case study: invariant-based failure localization (sec. 5.4)         *)
 (* ------------------------------------------------------------------ *)
 
+(* Section 5.4's claim as a gate: for each bug, the top root-cause
+   candidate from the ER-reconstructed execution must be both the
+   original failing input's and the expected root cause.  This job is
+   the only consumer of the reference engine's function-boundary
+   callbacks. *)
 let run_casestudy () =
   section "Sec 5.4: invariant-based failure localization (MIMIC + Daikon)";
-  let study (s : Bug.spec) passing_inputs expected_func =
+  (* prints the study; true when the gate's condition holds *)
+  let study ((s : Bug.spec), passing_inputs, expected_func) =
     Printf.printf "\n--- %s ---\n" s.Bug.name;
     let prog = Er_ir.Prog.of_program s.Bug.program in
     let passing = List.init 4 passing_inputs in
@@ -638,7 +644,8 @@ let run_casestudy () =
     match r.Er_core.Pipeline.status with
     | Er_core.Pipeline.Gave_up g ->
         Printf.printf "reconstruction gave up: %s\n"
-          (Er_core.Outcome.give_up_to_string g)
+          (Er_core.Outcome.give_up_to_string g);
+        false
     | Er_core.Pipeline.Reproduced { testcase; _ } ->
         let failing_er = Er_core.Testcase.to_inputs testcase in
         let report_er =
@@ -663,10 +670,22 @@ let run_casestudy () =
           (if String.equal (top report_er) expected_func then "matched"
            else "differs");
         Printf.printf "%s\n%!"
-          (Fmt.str "%a" Er_invariants.Localize.pp_report report_er)
+          (Fmt.str "%a" Er_invariants.Localize.pp_report report_er);
+        String.equal (top report_er) (top report_ref)
+        && String.equal (top report_er) expected_func
   in
-  study Coreutils_od.spec Coreutils_od.passing_inputs "dump_block";
-  study Coreutils_pr.spec Coreutils_pr.passing_inputs "balance"
+  let studies =
+    [ (Coreutils_od.spec, Coreutils_od.passing_inputs, "dump_block");
+      (Coreutils_pr.spec, Coreutils_pr.passing_inputs, "balance") ]
+  in
+  match List.filter (fun st -> not (study st)) studies with
+  | [] -> ()
+  | failed ->
+      Printf.eprintf
+        "casestudy: the ER-reconstructed top candidate is not both the \
+         original input's and the expected root cause on %s\n"
+        (String.concat ", " (List.map (fun (s, _, _) -> s.Bug.name) failed));
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Persisted bench trajectory (BENCH_N.json)                           *)

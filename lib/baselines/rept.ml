@@ -29,21 +29,23 @@ type stats = {
   unknown : int;
 }
 
-(* Record a failing run, keeping the def log and the core dump. *)
+(* Record a failing run's def log, in execution order.  The experiment
+   is offline and untimed, so it runs on the reference engine, the only
+   one that reports every definition. *)
 let record ?(sched_seed = 0) prog inputs =
   let defs = ref [] in
-  let hooks =
+  let observer =
     {
-      Er_vm.Interp.no_hooks with
+      Er_vm.Interp.no_observer with
       Er_vm.Interp.on_def =
         Some
           (fun p ~reg ~value ->
              defs := { d_point = p; d_reg = reg; d_value = value } :: !defs);
     }
   in
-  let config = { Er_vm.Interp.default_config with sched_seed; hooks } in
-  let r = Er_vm.Interp.run ~config prog inputs in
-  (r, List.rev !defs)
+  let config = { Er_vm.Interp.default_config with sched_seed } in
+  ignore (Er_vm.Interp.run_observed ~config observer prog inputs);
+  List.rev !defs
 
 (* Is the instruction at [p] invertible, i.e. can the overwritten value be
    derived backward from the new value?  REPT's reverse execution inverts

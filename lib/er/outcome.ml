@@ -35,5 +35,3 @@ let pp_step ppf = function
       Fmt.pf ppf "stalled — %s; +%d points (chain=%d, obj=%dB)" s.reason
         s.points_added s.longest_chain s.largest_object_bytes
   | Diverged m -> Fmt.pf ppf "diverged — %s" m
-
-let pp_give_up ppf g = Fmt.string ppf (give_up_to_string g)

@@ -198,7 +198,6 @@ val run :
 
 (** {1 Machine-readable rendering} *)
 
-val point_to_json : point -> Json.t
 val iteration_to_json : iteration -> Json.t
 val result_to_json_value : result -> Json.t
 val result_to_json : result -> string

@@ -41,22 +41,6 @@ let to_inputs (t : t) : Er_vm.Inputs.t = Er_vm.Inputs.make t.streams
 let total_values t =
   List.fold_left (fun acc (_, l) -> acc + List.length l) 0 t.streams
 
-(* Render a stream as ASCII where printable — used to show that recovered
-   inputs (e.g. SQL text) differ from the original but follow the same
-   control flow. *)
-let stream_as_text t stream =
-  match List.assoc_opt stream t.streams with
-  | None -> None
-  | Some vals ->
-      let buf = Buffer.create 32 in
-      List.iter
-        (fun v ->
-           let c = Int64.to_int (Int64.logand v 0xFFL) in
-           if c >= 32 && c < 127 then Buffer.add_char buf (Char.chr c)
-           else Buffer.add_string buf (Printf.sprintf "\\x%02X" c))
-        vals;
-      Some (Buffer.contents buf)
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]"
     (Fmt.list (fun ppf (s, vals) ->

@@ -38,11 +38,6 @@ type server_frame =
           unknown id, bad config override *)
   | Shutting_down
 
-val client_to_json : client_frame -> Json.t
-val server_to_json : server_frame -> Json.t
-val client_of_json : Json.t -> client_frame option
-val server_of_json : Json.t -> server_frame option
-
 val client_to_line : client_frame -> string
 (** Encoded frame with trailing newline. *)
 

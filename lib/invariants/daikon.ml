@@ -89,18 +89,18 @@ let record_ret obs ~func value =
   | Some v -> push obs.values (point_to_string { func; slot = Ret }) v
   | None -> ()
 
-(* Hook bundle to plug into the interpreter. *)
-let hooks obs =
-  {
-    Er_vm.Interp.no_hooks with
-    Er_vm.Interp.on_enter = Some (fun ~func ~args -> record_enter obs ~func args);
-    on_ret = Some (fun ~func ~value -> record_ret obs ~func value);
-  }
-
-(* Run a program over an input set, collecting observations. *)
+(* Run a program over an input set, collecting observations.  Function
+   boundaries are callbacks of the reference engine only: the case study
+   is offline and untimed. *)
 let observe_run prog inputs obs =
-  let config = { Er_vm.Interp.default_config with hooks = hooks obs } in
-  Er_vm.Interp.run ~config prog inputs
+  Er_vm.Interp.run_observed
+    {
+      Er_vm.Interp.no_observer with
+      Er_vm.Interp.on_enter =
+        Some (fun ~func ~args -> record_enter obs ~func args);
+      on_ret = Some (fun ~func ~value -> record_ret obs ~func value);
+    }
+    prog inputs
 
 (* --- inference ----------------------------------------------------------- *)
 

@@ -37,11 +37,6 @@ let global t ~name ~ty ~size ?init () =
     invalid_arg (Printf.sprintf "Builder.global: duplicate %s" name);
   t.globals <- { gname = name; g_elt_ty = ty; g_size = size; g_init = init } :: t.globals
 
-(* Convenience: a global holding the bytes of an OCaml string (i8 cells). *)
-let global_string t ~name s =
-  let init = Array.init (String.length s) (fun i -> Int64.of_int (Char.code s.[i])) in
-  global t ~name ~ty:I8 ~size:(String.length s) ~init ()
-
 let fresh fb prefix =
   fb.fresh <- fb.fresh + 1;
   Printf.sprintf "%%%s%d" prefix fb.fresh
@@ -187,8 +182,6 @@ let func t ~name ~params ?ret body =
   t.funcs <-
     { fname = name; params; ret_ty = ret; blocks = List.rev fb.done_blocks }
     :: t.funcs
-
-let param fb i = Reg (fst (List.nth fb.fb_params i))
 
 let program t ~main =
   let prog = { globals = List.rev t.globals; funcs = List.rev t.funcs; main } in

@@ -12,32 +12,14 @@
     there, so checkpoints, virtual recording and failure reports keep
     exact instruction granularity. *)
 
-(** {1 Opcode classes} *)
-
-(** Stable per-constructor class names ("bin", "cmp", "load", ...):
-    the vocabulary of the committed pair set and of the
-    [er_vm_top_opcode_pair] profile. *)
-val opclass : Lower.linstr -> string
-
-(** Terminator class names ("br", "cond_br", "ret", ...). *)
-val termclass : Lower.lterm -> string
-
-(** ["head+tail"] — the profile/report key for an adjacent pair. *)
-val pair_key : string -> string -> string
-
 (** {1 Fusion eligibility} *)
 
 (** Same-frame, non-blocking instructions that may head a fused pair. *)
 val fusable_head : Lower.linstr -> bool
 
-(** Instructions that may be the second element of a fused pair. *)
-val fusable_tail_instr : Lower.linstr -> bool
-
-(** Terminators a block's last instruction may fuse into. *)
-val fusable_tail_term : Lower.lterm -> bool
-
 (** The committed superinstruction set, mined from the Table 1 perf
-    corpus with `bench vm --opcode-mix`. *)
+    corpus with `bench vm --opcode-mix`; pairs are named by stable
+    per-constructor opcode classes ("bin", "cmp", "cond_br", ...). *)
 val default_pairs : (string * string) list
 
 (** {1 The per-block unit plan} *)

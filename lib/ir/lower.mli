@@ -120,5 +120,3 @@ type t = {
 
 val compile : program -> t
 val func_by_name : t -> string -> lfunc
-val delta_of_block : block -> delta
-val zero_delta : delta

@@ -111,4 +111,3 @@ let pp_program ppf p =
     p.funcs p.main
 
 let program_to_string p = Fmt.str "%a@." pp_program p
-let instr_to_string i = Fmt.str "%a" pp_instr i

@@ -63,23 +63,3 @@ let instr_at t (p : point) =
   if p.p_index < 0 || p.p_index >= Array.length b.instrs then
     invalid_arg (Printf.sprintf "Prog.instr_at: %s out of range" (point_to_string p));
   b.instrs.(p.p_index)
-
-let static_instr_count t =
-  List.fold_left
-    (fun acc (f : func) ->
-       List.fold_left
-         (fun acc (b : block) -> acc + Array.length b.instrs + 1)
-         acc f.blocks)
-    0 t.program.funcs
-
-let iter_points t f =
-  List.iter
-    (fun fn ->
-       List.iter
-         (fun b ->
-            Array.iteri
-              (fun i instr ->
-                 f { p_func = fn.fname; p_block = b.label; p_index = i } instr)
-              b.instrs)
-         fn.blocks)
-    t.program.funcs

@@ -196,4 +196,3 @@ let to_float = function
 let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
-let to_obj = function Obj fields -> Some fields | _ -> None

@@ -409,8 +409,6 @@ type trace_event = {
 let set_recorder ?(registry = default) ?(capacity = 65536) on =
   registry.r_recorder <- (if on then max 1 capacity else 0)
 
-let recorder_enabled ?(registry = default) () = registry.r_recorder > 0
-
 (* All surviving events across domains, oldest first within a domain,
    globally sorted by (begin time, domain, path) so the drain is
    deterministic under a scripted clock. *)

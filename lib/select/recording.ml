@@ -171,13 +171,6 @@ let is_prefix (pre : point list) (full : point list) : bool =
   in
   go (pre, full)
 
-let common_prefix (a : point list) (b : point list) : point list =
-  let rec go acc = function
-    | p :: ps, q :: qs when point_compare p q = 0 -> go (p :: acc) (ps, qs)
-    | _ -> List.rev acc
-  in
-  go [] (a, b)
-
 (* Points not already in [existing], deduplicated and in first-seen order
    — the increment the pipeline's selector hands back each iteration. *)
 let fresh ~existing pts =

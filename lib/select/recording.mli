@@ -22,9 +22,6 @@ type plan = {
   reduced_cost : int;      (** cost of the final recording set *)
 }
 
-val best_cut :
-  Er_symex.Cgraph.t -> Er_smt.Expr.t -> (int * Er_smt.Expr.t list) option
-
 val determined_by : (int, unit) Hashtbl.t -> Er_smt.Expr.t -> bool
 
 val reduce : Er_symex.Cgraph.t -> Er_smt.Expr.t list -> plan
@@ -41,7 +38,3 @@ val fresh : existing:point list -> point list -> point list
     consecutive iterations' sets relate by list prefix; the incremental
     pipeline asserts this before reusing checkpoints. *)
 val is_prefix : point list -> point list -> bool
-
-(** Longest common prefix of two point lists (pointwise
-    [point_compare]). *)
-val common_prefix : point list -> point list -> point list

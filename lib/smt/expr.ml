@@ -440,10 +440,6 @@ let or_ a b =
 
 let implies a b = or_ (not_ a) b
 
-let conj = function
-  | [] -> tru
-  | e :: rest -> List.fold_left and_ e rest
-
 let ite c a b =
   if width c <> 1 then invalid_arg "Expr.ite: condition not boolean";
   if not (Ty.equal a.ty b.ty) then invalid_arg "Expr.ite: branch sort mismatch";
@@ -569,33 +565,6 @@ let vars roots =
     (fold_subterms
        (fun acc e -> match e.node with Var _ -> e :: acc | _ -> acc)
        [] roots)
-
-(* Parallel substitution of interned terms. *)
-let substitute map roots =
-  let memo = Hashtbl.create 256 in
-  let rec go e =
-    match Hashtbl.find_opt memo e.id with
-    | Some e' -> e'
-    | None ->
-        let e' =
-          match map e with
-          | Some r -> r
-          | None -> (
-              match e.node with
-              | Const _ | Var _ | Const_array _ -> e
-              | Unop (op, a) -> unop op (go a)
-              | Binop (op, a, b) -> binop op (go a) (go b)
-              | Cmp (op, a, b) -> cmp op (go a) (go b)
-              | Ite (c, a, b) -> ite (go c) (go a) (go b)
-              | Extract { hi; lo; arg } -> extract ~hi ~lo (go arg)
-              | Concat (a, b) -> concat (go a) (go b)
-              | Read { arr; idx } -> read (go arr) (go idx)
-              | Write { arr; idx; value } -> write (go arr) (go idx) (go value))
-        in
-        Hashtbl.add memo e.id e';
-        e'
-  in
-  List.map go roots
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)

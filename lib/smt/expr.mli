@@ -97,9 +97,6 @@ val live_nodes : unit -> int
 (* --- constructors --------------------------------------------------- *)
 
 val const : width:int -> int64 -> t
-val bool_ : bool -> t
-val tru : t
-val fls : t
 val var : string -> Ty.t -> t
 val bv_var : string -> width:int -> t
 val arr_var : string -> idx:int -> elt:int -> t
@@ -152,7 +149,6 @@ val sge : t -> t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
 val implies : t -> t -> t
-val conj : t list -> t
 val ite : t -> t -> t -> t
 val extract : hi:int -> lo:int -> t -> t
 val concat : t -> t -> t
@@ -171,8 +167,6 @@ val size : t -> int
 
 (** Distinct variables of a term list, in first-occurrence order. *)
 val vars : t list -> t list
-
-val substitute : (t -> t option) -> t list -> t list
 
 (* --- printing --------------------------------------------------------- *)
 

@@ -464,9 +464,6 @@ let var_bump s v =
 
 let var_decay s = s.var_inc <- s.var_inc /. s.config.var_decay
 
-(* Test hook: observe learned clauses (used by the SAT fuzz harness). *)
-let learn_hook : (int array -> unit) option ref = ref None
-
 (* First-UIP conflict analysis.  Leaves the learned clause in [s.learnt]
    with the asserting literal first and returns the backjump level. *)
 let analyze s confl =
@@ -527,9 +524,6 @@ let analyze s confl =
     Veci.set learnt 1 (Veci.get learnt !pos);
     Veci.set learnt !pos tmp
   end;
-  (match !learn_hook with
-   | Some f -> f (Array.sub learnt.Veci.data 0 n)
-   | None -> ());
   !blevel
 
 let cancel_until s lvl =

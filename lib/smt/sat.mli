@@ -81,7 +81,3 @@ val top_activity : ?k:int -> t -> (int * float) list
     selection {!top_activity} runs over the activity array, in one pass
     without sorting. *)
 val top_k : k:int -> float array -> int -> (int * float) list
-
-(** Test hook: observe each learned clause (internal literal encoding),
-    used by the SAT fuzz harness to validate learning. *)
-val learn_hook : (int array -> unit) option ref

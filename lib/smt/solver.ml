@@ -290,7 +290,6 @@ module Session = struct
     mutable hits : int;
     mutable misses : int;
     mutable replays : int; (* of [hits]: answered from the journal *)
-    mutable portfolio_wins : int;
   }
 
   type cache_stats = { cache_hits : int; cache_misses : int }
@@ -312,7 +311,6 @@ module Session = struct
       hits = 0;
       misses = 0;
       replays = 0;
-      portfolio_wins = 0;
     }
 
   let push t e =
@@ -338,7 +336,6 @@ module Session = struct
   let assertions t = List.rev_map (fun f -> f.f_expr) t.stack
   let cache_stats t = { cache_hits = t.hits; cache_misses = t.misses }
   let replays t = t.replays
-  let portfolio_wins t = t.portfolio_wins
 
   let stats_since t ~g0 ~p0 ~c0 ~d0 ~r0 ~cl0 =
     let propagations, conflicts, clauses = Sat.stats t.sat in
@@ -586,7 +583,6 @@ module Session = struct
                         match winner with
                         | None -> conclude (Unknown stall)
                         | Some w ->
-                            t.portfolio_wins <- t.portfolio_wins + 1;
                             M.inc m_portfolio_wins;
                             let summary =
                               {
@@ -651,8 +647,3 @@ let must_be_true ?budget ?gate_budget assumptions e =
   | Unsat -> Ok true
   | Sat _ -> Ok false
   | Unknown why -> Error why
-
-let pp_outcome ppf = function
-  | Sat _ -> Fmt.string ppf "sat"
-  | Unsat -> Fmt.string ppf "unsat"
-  | Unknown why -> Fmt.pf ppf "unknown (%s)" why

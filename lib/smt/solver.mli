@@ -36,9 +36,6 @@ type stats = {
   clauses : int;
 }
 
-val default_budget : int
-val default_gate_budget : int
-
 (** Incremental solving sessions.
 
     A session owns one SAT solver, one blasting context and one array
@@ -73,9 +70,8 @@ module Session : sig
   (** Cumulative result-cache traffic of this session. *)
   type cache_stats = { cache_hits : int; cache_misses : int }
 
-  (** [create ~budget ~gate_budget ()] — budgets default to
-      {!default_budget} / {!default_gate_budget} and apply to every
-      [check] unless overridden per call.
+  (** [create ~budget ~gate_budget ()] — the budgets (generous ones by
+      default) apply to every [check] unless overridden per call.
 
       If a persistent answer journal is attached to the current
       interning space ({!Persist.attach}), the session replays it: at
@@ -118,9 +114,6 @@ module Session : sig
   (** Of this session's cache hits, how many were answered by replaying
       the persistent journal. *)
   val replays : t -> int
-
-  (** Stalled checks resolved by the portfolio. *)
-  val portfolio_wins : t -> int
 end
 
 (** [check ~budget ~gate_budget assertions] decides the conjunction of
@@ -150,5 +143,3 @@ val release_cache : unit -> unit
 (** Number of result-cache shards alive (one per space that created a
     session and has not released it). *)
 val cache_shards : unit -> int
-
-val pp_outcome : Format.formatter -> outcome -> unit

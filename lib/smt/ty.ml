@@ -30,8 +30,6 @@ let width = function
   | Bv w -> w
   | Arr _ -> invalid_arg "Ty.width: array sort"
 
-let is_bv = function Bv _ -> true | Arr _ -> false
-
 let pp ppf = function
   | Bv w -> Fmt.pf ppf "bv%d" w
   | Arr { idx; elt } -> Fmt.pf ppf "(arr bv%d bv%d)" idx elt

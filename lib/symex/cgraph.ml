@@ -54,10 +54,3 @@ let edge_count t =
   Expr.fold_subterms
     (fun n e -> n + List.length (Expr.children e))
     0 t.assertions
-
-let pp_element t ppf e =
-  match provenance t e with
-  | Some p ->
-      Fmt.pf ppf "%a @@ %s (x%d)" Expr.pp e
-        (point_to_string p.pr_point) p.pr_count
-  | None -> Expr.pp ppf e

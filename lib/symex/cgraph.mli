@@ -39,5 +39,3 @@ val node_count : t -> int
 
 (** Edges of the term DAG: one per operand slot of each distinct node. *)
 val edge_count : t -> int
-
-val pp_element : t -> Format.formatter -> Expr.t -> unit

@@ -15,10 +15,6 @@ type t =
 
 let of_const ~width v = Bv (Expr.const ~width v)
 
-let is_concrete = function
-  | Bv e -> Expr.is_const e
-  | Ptr { index; _ } -> Expr.is_const index
-
 let null = Ptr { obj = 0; index = Expr.const ~width:32 0L }
 
 let pp ppf = function

@@ -214,4 +214,3 @@ let overflowed t = Ring.overflowed t.ring
 let overwritten t = Ring.overwritten t.ring
 let wraps t = Ring.wraps t.ring
 let stats t = t.stats
-let bytes_emitted t = t.stats.bytes

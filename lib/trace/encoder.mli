@@ -62,4 +62,3 @@ val overwritten : t -> int
 val wraps : t -> int
 
 val stats : t -> stats
-val bytes_emitted : t -> int

@@ -23,7 +23,11 @@
    engine the differential suite in test/test_lower.ml enforces.  The
    shared pieces (hooks, config, metrics, evaluation helpers) are
    defined once in {!Vm_state}; the interface re-exports only the hook,
-   config and result types. *)
+   config and result types.
+
+   The reference engine alone also fires an [observer]: the callbacks of
+   the untimed offline analyses (REPT's definition log, the Daikon case
+   study's function boundaries), which the compiled engine leaves out. *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
@@ -43,13 +47,21 @@ type hooks = Vm_state.hooks = {
   on_store :
     (obj:int -> index:int -> old_value:int64 -> new_value:int64 -> unit) option;
   on_alloc : (int64 -> unit) option;
-  on_def : (Er_ir.Types.point -> reg:string -> value:int64 -> unit) option;
-  on_enter : (func:string -> args:int64 list -> unit) option;
-  on_ret : (func:string -> value:int64 option -> unit) option;
 }
 
 let no_hooks = Vm_state.no_hooks
 let compose_hooks = Vm_state.compose_hooks
+
+type observer = {
+  (* every register definition with its concrete value: ground truth for
+     the REPT accuracy experiment *)
+  on_def : (point -> reg:string -> value:int64 -> unit) option;
+  (* function boundaries: used by the invariant-inference case study *)
+  on_enter : (func:string -> args:int64 list -> unit) option;
+  on_ret : (func:string -> value:int64 option -> unit) option;
+}
+
+let no_observer = { on_def = None; on_enter = None; on_ret = None }
 
 type config = Vm_state.config = {
   max_instrs : int;
@@ -129,6 +141,7 @@ type st = {
   mem : Memory.t;
   inputs : Inputs.t;
   cfg : config;
+  obs : observer;
   globals : (string, int64) Hashtbl.t;   (* name -> base pointer *)
   mutexes : (int64, int) Hashtbl.t;      (* lock address -> owner tid *)
   mutable threads : thread list;
@@ -193,7 +206,7 @@ let do_return st (th : thread) v : step =
   match th.stack with
   | [] -> assert false
   | fr :: rest ->
-      (match st.cfg.hooks.on_ret with
+      (match st.obs.on_ret with
        | Some h -> h ~func:fr.fr_func.fname ~value:v
        | None -> ());
       List.iter (Memory.release_stack st.mem) fr.fr_stack_objs;
@@ -217,7 +230,7 @@ let do_return st (th : thread) v : step =
 let step_instr st (th : thread) (fr : frame) (i : instr) : step =
   let ev v = eval_value st fr v in
   let set_reg fr r v =
-    (match st.cfg.hooks.on_def with
+    (match st.obs.on_def with
      | Some h -> h (point_of st fr) ~reg:r ~value:v
      | None -> ());
     set_reg fr r v
@@ -303,7 +316,7 @@ let step_instr st (th : thread) (fr : frame) (i : instr) : step =
         raise (Crash Failure.Stack_overflow);
       let f = Er_ir.Prog.func st.prog func in
       let vargs = List.map ev args in
-      (match st.cfg.hooks.on_enter with
+      (match st.obs.on_enter with
        | Some h -> h ~func ~args:vargs
        | None -> ());
       fr.fr_ip <- fr.fr_ip + 1;    (* return to the next instruction *)
@@ -423,8 +436,8 @@ let step_thread st (th : thread) : step =
 
 (* --- scheduler ------------------------------------------------------------ *)
 
-let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
-    (inputs : Inputs.t) : run_result =
+let run_observed ?(config = default_config) (obs : observer)
+    (prog : Er_ir.Prog.t) (inputs : Inputs.t) : run_result =
   Inputs.reset inputs;
   let st =
     {
@@ -432,6 +445,7 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
       mem = Memory.create ();
       inputs;
       cfg = config;
+      obs;
       globals = Hashtbl.create 16;
       mutexes = Hashtbl.create 8;
       threads = [];
@@ -563,3 +577,6 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
              end))
   done;
   match !result with Some r -> r | None -> assert false
+
+let run_reference ?config prog inputs =
+  run_observed ?config no_observer prog inputs

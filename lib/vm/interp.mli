@@ -9,7 +9,9 @@
     in this module; the differential suite in test/test_lower.ml
     enforces their bit-for-bit agreement on every observable (every
     hook call with its arguments, failure reports, outputs, metric
-    totals).
+    totals).  The untimed offline analyses run on the reference engine
+    through {!run_observed}, whose callbacks the production engine does
+    not have.
 
     The hook, config and result types are defined in {!Vm_state} and
     re-exported here, so callers write [Interp.run] and
@@ -28,9 +30,6 @@ type hooks = Vm_state.hooks = {
   on_store :
     (obj:int -> index:int -> old_value:int64 -> new_value:int64 -> unit) option;
   on_alloc : (int64 -> unit) option;
-  on_def : (point -> reg:string -> value:int64 -> unit) option;
-  on_enter : (func:string -> args:int64 list -> unit) option;
-  on_ret : (func:string -> value:int64 option -> unit) option;
 }
 
 val no_hooks : hooks
@@ -72,3 +71,19 @@ val run : ?config:config -> Er_ir.Prog.t -> Inputs.t -> run_result
 
 (** The tree-walking reference engine. *)
 val run_reference : ?config:config -> Er_ir.Prog.t -> Inputs.t -> run_result
+
+(** The offline analyses' callbacks: every register definition with its
+    value (REPT's ground truth) and every function entry and return (the
+    Daikon case study).  Only the reference engine fires them. *)
+type observer = {
+  on_def : (point -> reg:string -> value:int64 -> unit) option;
+  on_enter : (func:string -> args:int64 list -> unit) option;
+  on_ret : (func:string -> value:int64 option -> unit) option;
+}
+
+val no_observer : observer
+
+(** {!run_reference} firing the observer's callbacks as well as the
+    configured hooks. *)
+val run_observed :
+  ?config:config -> observer -> Er_ir.Prog.t -> Inputs.t -> run_result

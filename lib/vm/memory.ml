@@ -319,8 +319,6 @@ let peek t ~obj ~index =
       Some (pget o.o_pages.(index lsr page_bits) (index land page_mask))
   | Some _ | None -> None
 
-let size_of t id = Option.map (fun o -> o.o_size) (find t id)
-let elt_ty_of t id = Option.map (fun o -> o.o_elt_ty) (find t id)
 let peak_cells t = t.peak_cells
 let object_count t = Hashtbl.length t.objects
 

@@ -30,7 +30,6 @@ val ptr_obj : int64 -> int
 
 val ptr_index : int64 -> int
 val null : int64
-val is_null : int64 -> bool
 
 (** {1 Allocation and access} *)
 
@@ -65,8 +64,6 @@ val store_exn : t -> int64 -> ty:ty -> int64 -> unit
     checks; [None] only when the address names no allocated cell. *)
 val peek : t -> obj:int -> index:int -> int64 option
 
-val size_of : t -> int -> int option
-val elt_ty_of : t -> int -> ty option
 val peak_cells : t -> int
 val object_count : t -> int
 

@@ -29,7 +29,10 @@
    [Interp.run_reference] bit for bit on instrumented programs (the
    differential suite in test/test_lower.ml pins this down), and
    plan-driven runs match instrumented runs packet for packet
-   (test/test_vm_state.ml, test/test_lower.ml). *)
+   (test/test_vm_state.ml, test/test_lower.ml).  The untimed offline
+   analyses' callbacks (register definitions, function entries and
+   returns) are not hooks of this engine: only the reference engine
+   fires them ([Interp.run_observed]). *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
@@ -124,18 +127,11 @@ type hooks = {
   (* allocation sizes are always traced: the analysis engine needs the
      concrete heap layout to replay memory accesses *)
   on_alloc : (int64 -> unit) option;
-  (* every register definition with its concrete value: ground truth for
-     the REPT accuracy experiment *)
-  on_def : (Er_ir.Types.point -> reg:string -> value:int64 -> unit) option;
-  (* function boundaries: used by the invariant-inference case study *)
-  on_enter : (func:string -> args:int64 list -> unit) option;
-  on_ret : (func:string -> value:int64 option -> unit) option;
 }
 
 let no_hooks =
   { on_branch = None; on_switch = None; on_ptwrite = None; on_input = None;
-    on_store = None; on_alloc = None; on_def = None; on_enter = None;
-    on_ret = None }
+    on_store = None; on_alloc = None }
 
 (* ER's production recording: branch outcomes as TNT bits, chunk
    boundaries as TIP+MTC, traced data values and allocation sizes as
@@ -148,9 +144,8 @@ let recording_hooks (enc : Er_trace.Encoder.t) =
     on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
     on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v) }
 
-(* Run two hook sets side by side ([a] first).  Lets the pipeline attach
-   event-accounting observers next to the trace encoder hooks without
-   either knowing about the other. *)
+(* Run two hook sets side by side ([a] first): the tests log every hook
+   call of a run next to ER's trace encoder hooks. *)
 let compose_hooks (a : hooks) (b : hooks) : hooks =
   let fuse f g wrap =
     match f, g with
@@ -173,18 +168,6 @@ let compose_hooks (a : hooks) (b : hooks) : hooks =
           f ~obj ~index ~old_value ~new_value;
           g ~obj ~index ~old_value ~new_value);
     on_alloc = fuse a.on_alloc b.on_alloc (fun f g x -> f x; g x);
-    on_def =
-      fuse a.on_def b.on_def (fun f g p ~reg ~value ->
-          f p ~reg ~value;
-          g p ~reg ~value);
-    on_enter =
-      fuse a.on_enter b.on_enter (fun f g ~func ~args ->
-          f ~func ~args;
-          g ~func ~args);
-    on_ret =
-      fuse a.on_ret b.on_ret (fun f g ~func ~value ->
-          f ~func ~value;
-          g ~func ~value);
   }
 
 (* Which hooks a compilation calls: with the program, the key under
@@ -199,9 +182,6 @@ type hook_set = {
   hs_alloc : bool;
   hs_input : bool;
   hs_store : bool;
-  hs_def : bool;
-  hs_enter : bool;
-  hs_ret : bool;
 }
 
 let hook_set_of (h : hooks) =
@@ -209,10 +189,7 @@ let hook_set_of (h : hooks) =
     hs_ptwrite = Option.is_some h.on_ptwrite;
     hs_alloc = Option.is_some h.on_alloc;
     hs_input = Option.is_some h.on_input;
-    hs_store = Option.is_some h.on_store;
-    hs_def = Option.is_some h.on_def;
-    hs_enter = Option.is_some h.on_enter;
-    hs_ret = Option.is_some h.on_ret }
+    hs_store = Option.is_some h.on_store }
 
 type config = {
   max_instrs : int;
@@ -503,8 +480,8 @@ let lpoint_of (fr : lframe) =
 
 let lstack_of (th : lthread) = List.map lpoint_of th.lstack
 
-(* Slot write without the on_def hook: return values and parameter
-   binding, mirroring the plain [set_reg] of the reference engine. *)
+(* Slot write for parameter binding and return values: marks the slot
+   defined when the frame tracks definedness. *)
 let lset_slot (fr : lframe) slot v =
   rset fr slot v;
   if Bytes.length fr.lfr_defined <> 0 then Bytes.set fr.lfr_defined slot '\001'
@@ -635,11 +612,6 @@ let fire_pending st (fr : lframe) slot =
    test a captured [hs_*] immediate rather than the config. *)
 let[@inline] call_branch st c =
   match st.lcfg.hooks.on_branch with Some f -> f c | None -> ()
-
-let[@inline] call_ret st (lf : L.lfunc) value =
-  match st.lcfg.hooks.on_ret with
-  | Some f -> f ~func:lf.L.lf_name ~value
-  | None -> ()
 
 (* Compile-time operand getter.  [Oglobal] stays an [st] access because
    compiled code is shared across states; everything else resolves to a
@@ -1314,36 +1286,10 @@ let[@inline] xflush st uid (b : L.lblock) =
       (Array.unsafe_get st.lblk_counts uid + 1)
   end
 
-(* on_def around the singleton [u] of the instruction at [ip].  The
-   reference fires it from [set_reg], the instruction's last effect, so
-   firing it as soon as the unit retires is the same point in the hook
-   sequence; the point is a compile-time constant.  A call's result
-   binds at the return, without on_def, as in the reference. *)
-let xdef (lf : L.lfunc) (b : L.lblock) ip (u : xunit) : xunit =
-  match b.L.lb_instrs.(ip) with
-  | L.LCall _ -> u
-  | i -> (
-      match ldef_slot i with
-      | None -> u
-      | Some dst ->
-          let p =
-            { p_func = lf.L.lf_name; p_block = b.L.lb_label; p_index = ip }
-          in
-          let reg = lf.L.lf_reg_of_slot.(dst) in
-          fun st th fr ->
-            match u st th fr with
-            | Stepped ->
-                (match st.lcfg.hooks.on_def with
-                 | Some h -> h p ~reg ~value:(rget fr dst)
-                 | None -> ());
-                Stepped
-            | s -> s)
-
 (* Hand-specialised singleton for the instruction at [ip] under hook
-   set [hs] (on_def aside: see [xdef]).  Mirrors the reference's
-   [step_instr] case by case — same evaluation order, same crash
-   points, same writes, same hook calls — plus the ip/clock update of
-   its run loop. *)
+   set [hs].  Mirrors the reference's [step_instr] case by case — same
+   evaluation order, same crash points, same writes, same hook calls —
+   plus the ip/clock update of its run loop. *)
 let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
     xunit =
   let ip1 = ip + 1 in
@@ -1637,14 +1583,11 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LCall { dst; fidx; args } -> (
-      match
-        if hs.hs_enter then None else xcall_unit low lf ~ip1 ~dst ~fidx args
-      with
+      match xcall_unit low lf ~ip1 ~dst ~fidx args with
       | Some x -> x
       | None ->
-          (* on_enter wants the argument list, and an arity mismatch
-             must raise its invalid_arg after operand evaluation, like
-             the reference: both take the generic path *)
+          (* an arity mismatch must raise its invalid_arg after operand
+             evaluation, like the reference: the generic path *)
           let gargs = Array.map (xget lf) args in
           fun st th fr ->
             if th.ldepth >= st.lcfg.max_call_depth then
@@ -1653,9 +1596,6 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             let vargs =
               Array.fold_right (fun g acc -> g st fr :: acc) gargs []
             in
-            (match st.lcfg.hooks.on_enter with
-             | Some h -> h ~func:callee.L.lf_name ~args:vargs
-             | None -> ());
             fr.lfr_ip <- ip1;
             record_entry st callee 0;
             th.lstack <- make_lframe callee vargs ~dst :: th.lstack;
@@ -1806,7 +1746,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
    hook, then the clock tick — the order of the reference's count, step
    and run loop. *)
 let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
-  let hb = hs.hs_branch and hr = hs.hs_ret in
+  let hb = hs.hs_branch in
   match b.L.lb_term with
   | L.LBr i ->
       let target = lf.L.lf_blocks.(i) in
@@ -1865,14 +1805,11 @@ let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
   | L.LRet None ->
       fun st th _ ->
         xflush st uid b;
-        if hr then call_ret st lf None;
         xreturn st th ~some:false 0L
   | L.LRet (Some (L.Oslot s)) ->
       fun st th fr ->
         xflush st uid b;
-        let v = rget fr s in
-        if hr then call_ret st lf (Some v);
-        xreturn st th ~some:true v
+        xreturn st th ~some:true (rget fr s)
   | L.LRet (Some (L.Ocheck { slot = s; reg })) ->
       (* check after the metric flush, matching the generic arm's
          operand-evaluation point *)
@@ -1883,16 +1820,12 @@ let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
       fun st th fr ->
         xflush st uid b;
         if Bytes.unsafe_get fr.lfr_defined s <> '\001' then invalid_arg msg;
-        let v = rget fr s in
-        if hr then call_ret st lf (Some v);
-        xreturn st th ~some:true v
+        xreturn st th ~some:true (rget fr s)
   | L.LRet (Some o) ->
       let g = xget lf o in
       fun st th fr ->
         xflush st uid b;
-        let v = g st fr in
-        if hr then call_ret st lf (Some v);
-        xreturn st th ~some:true v
+        xreturn st th ~some:true (g st fr)
   | L.LAbort msg ->
       fun st _ _ ->
         xflush st uid b;
@@ -1911,15 +1844,13 @@ let xpair (head : xunit) (tail : xunit) : xunit =
 (* The hottest committed pair gets a hand-fused unit: cmp feeding the
    block's own cond_br on the compared flag, sparing the flag re-read
    and re-test.  The flag register is still written (it stays
-   observable), and both sub-steps keep their own clock tick.  Under
-   on_def the pair composes its singletons instead, which fire on_def
-   between the two. *)
+   observable), and both sub-steps keep their own clock tick. *)
 let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
     xunit option =
   match b.L.lb_instrs.(ip), b.L.lb_term with
   | ( L.LCmp { dst; op; w; a; b = ob; _ },
       L.LCond_br { cond = L.Oslot cs | L.Ocheck { slot = cs; _ }; if_true; if_false } )
-    when cs = dst && not hs.hs_def ->
+    when cs = dst ->
       let g = xguard lf [ ob; a ] in
       let cond = xcond lf ~op ~w (strip_check a) (strip_check ob) in
       let tracked = lf.L.lf_tracked and hb = hs.hs_branch in
@@ -1951,8 +1882,7 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
    thread yields first, so the mark defers through [lfr_pending] and
    fires when the thread is rescheduled.  A marked call always defers:
    its ptwrite traces the return value, which binds only when the callee
-   returns.  Wrapping [xdef]'s unit keeps on_def before the ptwrite, as
-   in the reference. *)
+   returns. *)
 let xplanned (b : L.lblock) ip slot (u : xunit) : xunit =
   let pending = Some slot in
   match b.L.lb_instrs.(ip) with
@@ -1987,7 +1917,6 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
         if ip = n then xterm lf b ~uid ~hs
         else
           let u = xinstr low lf b ip ~hs in
-          let u = if hs.hs_def then xdef lf b ip u else u in
           if marked ip then xplanned b ip marks.(ip) u else u)
   in
   (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
@@ -2665,7 +2594,6 @@ let branches (t : t) = t.lbranches
 let result (t : t) = t.lresult
 let memory (t : t) = t.lmem
 let inputs (t : t) = t.linputs
-let outputs_so_far (t : t) = List.rev t.loutputs
 let lowered (t : t) = t.llow
 
 type frame_view = {

@@ -14,7 +14,10 @@
     and the units call those hooks themselves, at the reference
     engine's points and in its order.  Plain, recorded (ER, rr) and
     replayed ([Verify]) runs therefore share one dispatch path;
-    [Interp.run_reference] is the oracle it is tested against.
+    [Interp.run_reference] is the oracle it is tested against.  The
+    untimed offline analyses (REPT's definition log, the Daikon case
+    study's function boundaries) run on the reference engine instead,
+    through [Interp.run_observed]; their callbacks are not hooks here.
 
     Recording points are applied as a {!plan} over the base program
     rather than by rewriting it with ptwrite instructions.  The plan is
@@ -48,19 +51,15 @@ val m_switches : Er_metrics.counter
 (** The thirteen VM counters above, in a fixed order. *)
 val vm_counters : Er_metrics.counter list
 
-(** Hottest lowered blocks by retirement count ([er_vm_top_block_retired]). *)
-val m_top_blocks : Er_metrics.top
-
-(** Hottest adjacent opcode pairs, weighted by block retirements
-    ([er_vm_top_opcode_pair]) — the mining input for the committed
-    superinstruction set in {!Er_ir.Fuse.default_pairs}. *)
-val m_top_pairs : Er_metrics.top
-
 val count_instr : instr -> unit
 val count_term : terminator -> unit
 
 (** {1 Hooks and configuration} *)
 
+(** The six hooks that production runs install: ER's recording (branch,
+    switch, ptwrite, alloc), rr's (input, switch, store) and [Verify]'s
+    replay (branch).  The compiled units call the ones their hook set
+    holds; [on_switch] fires in the scheduler. *)
 type hooks = {
   on_branch : (bool -> unit) option;
   on_switch : (tid:int -> clock:int -> unit) option;
@@ -69,9 +68,6 @@ type hooks = {
   on_store :
     (obj:int -> index:int -> old_value:int64 -> new_value:int64 -> unit) option;
   on_alloc : (int64 -> unit) option;
-  on_def : (point -> reg:string -> value:int64 -> unit) option;
-  on_enter : (func:string -> args:int64 list -> unit) option;
-  on_ret : (func:string -> value:int64 option -> unit) option;
 }
 
 val no_hooks : hooks
@@ -142,11 +138,6 @@ type plan
 
 val empty_plan : Er_ir.Lower.t -> plan
 val plan_of_points : Er_ir.Lower.t -> point list -> plan
-
-(** Whether the program can ever create a second thread.  Spawn-free
-    programs are scheduler-seed-independent, so their checkpoints stay
-    valid across occurrences that differ only in [sched_seed]. *)
-val has_spawn : Er_ir.Lower.t -> bool
 
 (** {1 Construction and running} *)
 
@@ -228,7 +219,6 @@ val branches : t -> int
 val result : t -> run_result option
 val memory : t -> Memory.t
 val inputs : t -> Inputs.t
-val outputs_so_far : t -> int64 list
 val lowered : t -> Er_ir.Lower.t
 
 (** This state's adjacent opcode-pair retirement counts (every adjacent

@@ -34,7 +34,7 @@ let test_rept_degrades_with_window () =
   | Some s ->
       let prog = Er_ir.Prog.of_program s.Er_corpus.Bug.program in
       let inputs, seed = s.Er_corpus.Bug.failing_workload ~occurrence:1 in
-      let _r, defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
+      let defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
       let series =
         Er_baselines.Rept.accuracy_series ~prog ~defs
           ~windows:[ 50; 500; 5000 ]
@@ -59,7 +59,7 @@ let test_rept_short_window_accurate () =
   | Some s ->
       let prog = Er_ir.Prog.of_program s.Er_corpus.Bug.program in
       let inputs, seed = s.Er_corpus.Bug.failing_workload ~occurrence:1 in
-      let _r, defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
+      let defs = Er_baselines.Rept.record ~sched_seed:seed prog inputs in
       let r = Er_baselines.Rept.recover ~prog ~defs ~window:30 in
       let st = Er_baselines.Rept.score r in
       Alcotest.(check bool) "mostly correct near the crash" true

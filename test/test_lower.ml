@@ -119,7 +119,7 @@ type vm_obs = {
   o_calls : string list;  (* every hook call with its arguments, in order *)
 }
 
-(* All nine hooks, each logging its call and arguments in call order. *)
+(* All six hooks, each logging its call and arguments in call order. *)
 let logging_hooks () =
   let log = ref [] in
   let add fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
@@ -134,7 +134,17 @@ let logging_hooks () =
           (fun ~obj ~index ~old_value ~new_value ->
              add "store %d[%d] %Ld -> %Ld" obj index old_value new_value);
       on_alloc = Some (fun n -> add "alloc %Ld" n);
-      on_def =
+    }
+  in
+  (hooks, fun () -> List.rev !log)
+
+(* The reference engine's analysis callbacks, logged the same way. *)
+let logging_observer () =
+  let log = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let observer =
+    {
+      Interp.on_def =
         Some
           (fun p ~reg ~value ->
              add "def %s %s = %Ld" (point_to_string p) reg value);
@@ -150,12 +160,12 @@ let logging_hooks () =
                (match value with Some v -> Int64.to_string v | None -> "-"));
     }
   in
-  (hooks, fun () -> List.rev !log)
+  (observer, fun () -> List.rev !log)
 
 (* One run under ER's recording hooks and, unless [~recording_only],
-   the nine logging hooks too.  The two are separate compilations: the
-   production one keeps every fused unit, while on_def splits the
-   hand-fused cmp+cond_br. *)
+   the six logging hooks too.  The two are separate compilations: under
+   the logging hooks, stores also take the result-returning memory API
+   that on_store needs. *)
 let observe ?(recording_only = false)
     (run :
        ?config:Interp.config -> Prog.t -> Er_vm.Inputs.t -> Interp.run_result)
@@ -226,6 +236,68 @@ let test_corpus_vm_differential () =
                 (observe Interp.run_reference)
                 (observe Interp.run))
            [ false; true ]
+       done)
+    Er_corpus.Registry.table1
+
+(* --- analysis callbacks: pinned ----------------------------------------- *)
+
+(* The analysis callbacks (REPT's definitions, the case study's function
+   entries and returns) have one implementation, the reference
+   engine's, so their call log on every Table 1 failing workload is
+   pinned: (bug, occurrence, calls, MD5 of the log joined by newlines).
+   The values were recorded while the compiled engine still fired the
+   same callbacks and the differential above held the two logs equal. *)
+let analysis_pins =
+  [
+    ("php-2012-2386", 1, 48, "175bb3840b618ac6100e7a7325a7f0d9");
+    ("php-2012-2386", 2, 48, "b8107022d57ef2c34b795e7eb12638d0");
+    ("php-74194", 1, 449, "a5687c9ca9d6c5f1210c0a4946a8b071");
+    ("php-74194", 2, 449, "92035ba88b2457ef458e7cb9752aaff1");
+    ("sqlite-7be932d", 1, 106, "0c1e97e88064fae72e2b0c20272a8a4b");
+    ("sqlite-7be932d", 2, 106, "5cce5585967b3cdac5d721d27b02908c");
+    ("sqlite-787fa71", 1, 72, "d5f3ae2b2e2d38ab46c9cda5ecf1abce");
+    ("sqlite-787fa71", 2, 72, "9c1f68301805851670d42f2be55f6b77");
+    ("sqlite-4e8e485", 1, 103, "8d809d3c70f23bc542813034182ed0ea");
+    ("sqlite-4e8e485", 2, 103, "6f7a706634d6a8bb0c40a57ce3f876c2");
+    ("nasm-2004-1287", 1, 111, "ab2d77973bf66161340bf0aac1e23218");
+    ("nasm-2004-1287", 2, 111, "db103d748fb68e3a8379d0de4fec65a3");
+    ("objdump-2018-6323", 1, 21, "47c49e9cd0b45c4d9b01b6952b336e2a");
+    ("objdump-2018-6323", 2, 21, "d385c70aeaaf51cda4d41c3dce0f1ee3");
+    ("matrixssl-2014-1569", 1, 618, "de9dce21e5644e46939b7a1043af9b68");
+    ("matrixssl-2014-1569", 2, 618, "410c4ec2a2621df7e8f14db6608e25b7");
+    ("memcached-2019-11596", 1, 1145, "e5dd5bd5e24497f63a2b1b2fdc9c7a2a");
+    ("memcached-2019-11596", 2, 887, "7ceece034f97c24948d4c617939c6577");
+    ("libpng-2004-0597", 1, 1550, "4bb5e19cabfc3f5ce6779557e4a52371");
+    ("libpng-2004-0597", 2, 1550, "580d3c6957d44f343629fed1f0c5b831");
+    ("bash-108885", 1, 13, "647de41a5a4189c42d37f0182c885907");
+    ("bash-108885", 2, 13, "647de41a5a4189c42d37f0182c885907");
+    ("python-2018-1000030", 1, 706, "dfa27027e5d2704d73c449a0d3552ad5");
+    ("python-2018-1000030", 2, 1394, "fa60833b1667a41ea99a6bb9e2f2a314");
+    ("pbzip2", 1, 638, "f603ae0dcadeb97ebc9e3415853e9ecb");
+    ("pbzip2", 2, 758, "42368ff0f92d26b07a826aa2e8c3899b");
+  ]
+
+let test_analysis_callbacks_pinned () =
+  List.iter
+    (fun (s : Bug.spec) ->
+       let prog = Prog.of_program s.Bug.program in
+       for occ = 1 to 2 do
+         let name = Printf.sprintf "%s occ %d" s.Bug.name occ in
+         let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
+         let observer, calls = logging_observer () in
+         let config = { Interp.default_config with sched_seed = seed } in
+         ignore (Interp.run_observed ~config observer prog inputs);
+         let log = calls () in
+         match
+           List.find_opt
+             (fun (b, o, _, _) -> String.equal b s.Bug.name && o = occ)
+             analysis_pins
+         with
+         | None -> Alcotest.fail (name ^ ": no pinned call log")
+         | Some (_, _, n, md5) ->
+             Alcotest.(check int) (name ^ ": calls") n (List.length log);
+             Alcotest.(check string) (name ^ ": call log md5") md5
+               (Digest.to_hex (Digest.string (String.concat "\n" log)))
        done)
     Er_corpus.Registry.table1
 
@@ -591,15 +663,13 @@ let test_mt_lock_parity () =
 
 (* --- no-hooks fast-path differentials ------------------------------------ *)
 
-(* Everything above installs all nine hooks, and the engine compiles one
-   code set per set of installed hooks: under on_def the hand-fused
-   cmp+cond_br splits back into its singletons, under on_enter calls take
-   the generic path, under on_store stores take the result-returning
-   memory API.  These differentials compare the engines under
-   [no_hooks], the compilation `bench vm` and plain runs execute, where
-   every specialisation — committed pairs and triples, whole-block
-   chains, pre-validated Ocheck guards, the specialised call/return
-   path — is live. *)
+(* The hooked differentials above install all six hooks, so they run
+   the fused units, the hand-fused cmp+cond_br and the specialised call
+   path with every hook call in place.  The engine compiles one code set
+   per set of installed hooks, and under on_store stores take the
+   result-returning memory API.  These differentials compare the engines
+   under [no_hooks], the compilation `bench vm` and plain runs execute,
+   where the specialised store arms are live too. *)
 
 module Vs = Er_vm.Vm_state
 
@@ -1270,5 +1340,7 @@ let suites =
           test_corpus_vm_differential;
         Alcotest.test_case "symex: all Table 1 bugs" `Slow
           test_corpus_symex_differential;
+        Alcotest.test_case "analysis callbacks: Table 1 pins" `Quick
+          test_analysis_callbacks_pinned;
       ] );
   ]
