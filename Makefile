@@ -92,9 +92,8 @@ bench-long-trace:
 # The warm-start gate: a cold fleet pass records every solver answer
 # into per-job journals under ER_BENCH_CACHE_DIR, a warm pass replays
 # them.  The job self-gates: warm total solver_cost strictly below
-# cold, per-bug trajectories byte-identical between the passes, and
-# the stall-time portfolio must resolve stalls on the throttled bug;
-# the check adds a warm cost no higher than the committed one's.
+# cold and per-bug trajectories byte-identical between the passes; the
+# check adds a warm cost no higher than the committed one's.
 bench-warm:
 	ER_BENCH_CACHE_DIR=$(ER_BENCH_CACHE_DIR) \
 		dune exec bench/main.exe -- warm -o /tmp/er_bench_warm.json
@@ -121,8 +120,8 @@ bench-casestudy:
 	dune exec bench/main.exe -- casestudy
 
 # The newest committed trajectory checked against the one before it:
-# deterministic counters (solver cost, per-bug work, checkpoint and
-# portfolio counters) must be identical, ratios stay within their
+# deterministic counters (solver cost, per-bug work, checkpoint
+# counters) must be identical, ratios stay within their
 # bounds, wall clocks print as informational deltas.  A regression
 # names its section before the nonzero exit.
 bench-diff:

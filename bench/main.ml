@@ -20,9 +20,7 @@
      longtrace  long-trace family: checkpoint/resume vs from-scratch
      warm       cold fleet pass, then a warm pass replaying the persisted
                 solver store; gates warm total solver_cost strictly below
-                cold with byte-identical per-bug trajectories, plus the
-                stall-time portfolio trial (K configs racing a throttled
-                solver)
+                cold with byte-identical per-bug trajectories
 
    With no argument, everything runs in order.  [-o FILE] persists what
    the jobs measured as a trajectory document, one section per job that
@@ -244,8 +242,9 @@ let vm_totals rows =
 (* `bench vm --opcode-mix`: instead of timing, report the hottest
    adjacent opcode pairs (block-retirement weighted) per corpus program
    plus the corpus aggregate — the mining pass behind the committed
-   superinstruction set in [Er_ir.Fuse.default_pairs].  The same counts
-   feed the [er_vm_top_opcode_pair] attribution table at run end. *)
+   superinstruction set that [Er_ir.Fuse.analyze] fuses against.  The
+   same counts feed the [er_vm_top_opcode_pair] attribution table at run
+   end. *)
 let opcode_mix = ref false
 
 let run_opcode_mix () =
@@ -705,16 +704,11 @@ let longtrace_stats :
   (float * float * Er_core.Pipeline.ckpt_stats) option ref = ref None
 
 (* Filled by [run_warm]: the cold-vs-warm fleet passes over one
-   persistent solver store, and the stall-time portfolio trial. *)
+   persistent solver store. *)
 type warm_trial = {
   wt_cold : int;       (* total solver_cost of the cold pass *)
   wt_warm : int;       (* total solver_cost of the warm pass *)
   wt_identical : bool; (* per-bug trajectories byte-identical *)
-  wt_pf_bug : string;
-  wt_pf_budget : int;
-  wt_pf_k : int;
-  wt_pf_solo : int * int * int;      (* stalls, occurrences, cost at K=0 *)
-  wt_pf_portfolio : int * int * int; (* same at K *)
 }
 
 let warm_stats : warm_trial option ref = ref None
@@ -846,26 +840,12 @@ let bench_json number =
     match !warm_stats with
     | None -> []
     | Some w ->
-        let st0, occ0, c0 = w.wt_pf_solo in
-        let stk, occk, ck = w.wt_pf_portfolio in
         [ ( "warm",
             J.Obj
               [ ("solver_cost_cold", J.Int w.wt_cold);
                 ("solver_cost_warm", J.Int w.wt_warm);
                 ("saved_cost", J.Int (w.wt_cold - w.wt_warm));
-                ("trajectories_identical", J.Bool w.wt_identical);
-                ( "portfolio",
-                  J.Obj
-                    [ ("bug", J.Str w.wt_pf_bug);
-                      ("solver_budget", J.Int w.wt_pf_budget);
-                      ("k", J.Int w.wt_pf_k);
-                      ("stalls_solo", J.Int st0);
-                      ("stalls_portfolio", J.Int stk);
-                      ("stalls_resolved", J.Int (st0 - stk));
-                      ("occurrences_solo", J.Int occ0);
-                      ("occurrences_portfolio", J.Int occk);
-                      ("cost_solo", J.Int c0);
-                      ("cost_portfolio", J.Int ck) ] ) ] ) ]
+                ("trajectories_identical", J.Bool w.wt_identical) ] ) ]
   in
   let table1_sections =
     if results = [] then []
@@ -1017,8 +997,8 @@ let run_longtrace () =
 
 (* Two sequential fleet passes of the Table 1 corpus share one
    [--cache-dir]: the first (cold) pass records every solver answer into
-   the per-job journals, the second (warm) pass replays them.  Three
-   hard gates:
+   the per-job journals, the second (warm) pass replays them.  Two hard
+   gates:
 
      - the warm pass's total solver_cost is *strictly* below the cold
        pass's (replayed answers cost zero);
@@ -1026,22 +1006,11 @@ let run_longtrace () =
        once the warm-sensitive accounting fields (solver_cost,
        cache_hits, cache_misses — a replayed answer counts as a hit
        where the cold run counted a miss) are masked on top of the
-       usual wall-clock normalization;
-     - the stall-time portfolio resolves stalls: one bug rerun under a
-       throttled propagation budget must reproduce with strictly fewer
-       stalled iterations at K>0 than at K=0.
+       usual wall-clock normalization.
 
    The store lives in a temp directory by default; CI points
    ER_BENCH_CACHE_DIR at a workspace path so the journals can be
    uploaded as workflow artifacts. *)
-
-(* memcached under a 250-propagation budget stalls five times solo; the
-   racing configurations finish two of those queries within the same
-   budget, saving two production reruns.  Pinned because the portfolio
-   gate needs a workload where heuristic diversity provably pays. *)
-let portfolio_bug = "memcached-2019-11596"
-let portfolio_budget = 250
-let portfolio_k = 4
 
 let run_warm () =
   section "bench warm: cold vs warm fleet over one persistent solver store";
@@ -1127,73 +1096,8 @@ let run_warm () =
       warm_cost cold_cost;
     exit 1
   end;
-  (* stall-time portfolio: throttle the propagation budget so the
-     default configuration stalls, then race K configurations *)
-  let s =
-    match Registry.find portfolio_bug with
-    | Some s -> s
-    | None ->
-        Printf.eprintf "warm: portfolio bug %s disappeared from the corpus\n"
-          portfolio_bug;
-        exit 1
-  in
-  let trial portfolio =
-    let config =
-      { s.Bug.config with
-        Er_core.Pipeline.exec_config =
-          { s.Bug.config.Er_core.Pipeline.exec_config with
-            Er_symex.Exec.solver_budget = portfolio_budget; portfolio } }
-    in
-    Er_smt.Solver.reset_cache ();
-    let r =
-      Er_core.Pipeline.run ~config ~base_prog:s.Bug.program
-        ~workload:s.Bug.failing_workload ()
-    in
-    let stalls =
-      List.length
-        (List.filter
-           (fun it ->
-              match it.Er_core.Pipeline.outcome with
-              | Er_core.Outcome.Stalled _ -> true
-              | Er_core.Outcome.Completed | Er_core.Outcome.Diverged _ ->
-                  false)
-           r.Er_core.Pipeline.iterations)
-    in
-    let ok =
-      match r.Er_core.Pipeline.status with
-      | Er_core.Pipeline.Reproduced _ -> true
-      | Er_core.Pipeline.Gave_up _ -> false
-    in
-    (ok, stalls, r.Er_core.Pipeline.occurrences, cost_of_result r)
-  in
-  let ok0, st0, occ0, c0 = trial 0 in
-  let okk, stk, occk, ck = trial portfolio_k in
-  Printf.printf
-    "  portfolio (%s, budget %d): K=0 stalls %d occ %d cost %d | K=%d \
-     stalls %d occ %d cost %d\n%!"
-    portfolio_bug portfolio_budget st0 occ0 c0 portfolio_k stk occk ck;
-  if not (ok0 && okk) then begin
-    Printf.eprintf "warm: the throttled portfolio bug failed to reproduce\n";
-    exit 1
-  end;
-  if stk >= st0 then begin
-    Printf.eprintf
-      "warm: portfolio K=%d resolved no stalls (%d vs %d solo)\n" portfolio_k
-      stk st0;
-    exit 1
-  end;
   warm_stats :=
-    Some
-      {
-        wt_cold = cold_cost;
-        wt_warm = warm_cost;
-        wt_identical = identical;
-        wt_pf_bug = portfolio_bug;
-        wt_pf_budget = portfolio_budget;
-        wt_pf_k = portfolio_k;
-        wt_pf_solo = (st0, occ0, c0);
-        wt_pf_portfolio = (stk, occk, ck);
-      }
+    Some { wt_cold = cold_cost; wt_warm = warm_cost; wt_identical = identical }
 
 (* ------------------------------------------------------------------ *)
 

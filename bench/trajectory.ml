@@ -60,9 +60,6 @@ let table =
   @ [ ("long_trace.resumes", Bound (Higher, 1.));
       ("long_trace.speedup", Info) ]
   @ exact "warm" [ "solver_cost_cold" ]
-  @ exact "warm.portfolio"
-      [ "stalls_solo"; "stalls_portfolio"; "occurrences_solo";
-        "occurrences_portfolio"; "cost_solo"; "cost_portfolio" ]
   @ [ (* a warm pass saves solver work and changes nothing it computes *)
       ("warm.saved_cost", Bound (Higher, 1.));
       ("warm.solver_cost_warm", Within (Lower, 0.));

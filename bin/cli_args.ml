@@ -88,13 +88,12 @@ let tagged_jsonl_sink mutex oc job_name : Er_core.Events.sink =
 
 (* -- job invocation ------------------------------------------------- *)
 
-(* The config overrides [reproduce] and [fleet] share: --no-incremental,
-   --portfolio and --cache-dir. *)
-let configure ~incremental ~portfolio ~cache_dir (c : Er_core.Job.Config.t) =
+(* The config overrides [reproduce] and [fleet] share: --no-incremental
+   and --cache-dir. *)
+let configure ~incremental ~cache_dir (c : Er_core.Job.Config.t) =
   { c with
     Er_core.Job.Config.incremental =
       c.Er_core.Job.Config.incremental && incremental;
-    portfolio;
     cache_dir }
 
 (* [reproduce] runs its bug as a job on the calling domain: a fresh
@@ -155,20 +154,11 @@ let cache_dir_flag =
     value
     & opt (some string) None
     & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:"Persist solver knowledge (result journal, learned-clause \
-              summaries) under $(docv) and warm-start from it on the next \
+        ~doc:"Persist solver knowledge (the journal of the job's solver \
+              answers) under $(docv) and warm-start from it on the next \
               run of the same job.  Stores are versioned, fingerprinted \
               against the job config and checksummed; any mismatch falls \
               back to a cold start.")
-
-let portfolio_flag =
-  Arg.(
-    value & opt int 0
-    & info [ "portfolio" ] ~docv:"K"
-        ~doc:"When a solver query exhausts its budget, race $(docv) \
-              alternative CDCL configurations (restart schedule, phase \
-              policy, VSIDS decay) over the stalled query and adopt the \
-              deterministic winner.  0 (default) disables the portfolio.")
 
 let socket_flag ~doc =
   Arg.(

@@ -42,7 +42,7 @@ let list_cmd =
 
 let reproduce_cmd =
   let run spec verbose events_file json metrics trace_out no_incremental
-      cache_dir portfolio =
+      cache_dir =
     let recorder = Option.is_some trace_out in
     let incremental = not no_incremental in
     let r =
@@ -53,7 +53,7 @@ let reproduce_cmd =
              Cli_args.with_events_sink events_file
                (Cli_args.run_job
                   ~configure:
-                    (Cli_args.configure ~incremental ~portfolio ~cache_dir)
+                    (Cli_args.configure ~incremental ~cache_dir)
                   spec)
            in
            Option.iter Cli_args.write_trace_out trace_out;
@@ -124,7 +124,7 @@ let reproduce_cmd =
     Term.(
       const run $ spec_arg $ verbose $ events_file $ json $ metrics
       $ Cli_args.trace_out_flag $ Cli_args.no_incremental_flag
-      $ Cli_args.cache_dir_flag $ Cli_args.portfolio_flag)
+      $ Cli_args.cache_dir_flag)
 
 (* Fleet mode: the whole Table 1 corpus through the staged pipeline on a
    Domain pool ([-j N], default = recommended domain count), with an
@@ -227,7 +227,7 @@ let fleet_cmd =
       report.Er_core.Fleet.cpu
   in
   let run jobs json normalize events_file metrics_out trace_out no_incremental
-      cache_dir portfolio =
+      cache_dir =
     Cli_args.with_events_channel events_file (fun chan ->
         let sink_mutex = Mutex.create () in
         let sink_for name =
@@ -236,8 +236,7 @@ let fleet_cmd =
           | Some oc -> Cli_args.tagged_jsonl_sink sink_mutex oc name
         in
         let configure =
-          Cli_args.configure ~incremental:(not no_incremental) ~portfolio
-            ~cache_dir
+          Cli_args.configure ~incremental:(not no_incremental) ~cache_dir
         in
         let handles =
           List.map
@@ -268,13 +267,13 @@ let fleet_cmd =
           (fun () -> Cli_args.render_metrics `Json oc)
   in
   let run jobs json normalize events_file metrics_out trace_out no_incremental
-      cache_dir portfolio =
+      cache_dir =
     let recorder = Option.is_some trace_out in
     Cli_args.with_metrics ~recorder
       (Option.is_some metrics_out || recorder)
       (fun () ->
          run jobs json normalize events_file metrics_out trace_out
-           no_incremental cache_dir portfolio)
+           no_incremental cache_dir)
   in
   let jobs =
     Arg.(
@@ -329,7 +328,7 @@ let fleet_cmd =
     Term.(
       const run $ jobs $ json $ normalize $ events_file $ metrics_out
       $ Cli_args.trace_out_flag $ Cli_args.no_incremental_flag
-      $ Cli_args.cache_dir_flag $ Cli_args.portfolio_flag)
+      $ Cli_args.cache_dir_flag)
 
 (* Post-hoc explainability: join a persisted JSONL event log (from
    [reproduce --events] or [fleet --events]) with an optional metrics

@@ -37,7 +37,7 @@ let source (s : spec) : Er_core.Job.source =
   }
 
 (* The job request that reconstructs [s], under its budgets adjusted by
-   [configure] (a cache directory, a portfolio, ...).  The CLI, the
+   [configure] (a cache directory, no checkpoints, ...).  The CLI, the
    fleet and the bench all run corpus bugs through one of these.  One
    tenant serves them all: fair queueing matters only on a scheduler
    that clients share, and a corpus batch gets a scheduler of its own. *)

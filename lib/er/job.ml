@@ -47,7 +47,6 @@ module Config = struct
     verify : bool;               (* re-execute the generated test case *)
     incremental : bool;          (* resume runs from CoW checkpoints *)
     checkpoint_interval : int;   (* instructions between checkpoints *)
-    portfolio : int;             (* CDCL configs raced on a stall; 0 = off *)
     cache_dir : string option;   (* persistent solver-knowledge store *)
   }
 
@@ -66,7 +65,6 @@ module Config = struct
       verify = c.Pipeline.verify;
       incremental = c.Pipeline.incremental;
       checkpoint_interval = c.Pipeline.checkpoint_interval;
-      portfolio = c.Pipeline.exec_config.Er_symex.Exec.portfolio;
       cache_dir = None;
     }
 
@@ -79,7 +77,6 @@ module Config = struct
           gate_budget = t.gate_budget;
           max_steps = t.max_steps;
           progress_every = t.progress_every;
-          portfolio = t.portfolio;
         };
       vm_config =
         {
@@ -131,8 +128,6 @@ module Config = struct
          fun t v -> { t with incremental = v });
       I ("checkpoint_interval", (fun t -> t.checkpoint_interval),
          fun t v -> { t with checkpoint_interval = v });
-      I ("portfolio", (fun t -> t.portfolio),
-         fun t v -> { t with portfolio = v });
       S ("cache_dir", (fun t -> t.cache_dir),
          fun t v -> { t with cache_dir = v });
     ]
@@ -151,40 +146,35 @@ module Config = struct
 
   (* Decode an object over [base]: present fields override, absent
      fields keep [base]'s value, and anything else — an unknown key, a
-     mistyped value, a non-object — rejects the whole document.  With
-     [~base:default] this is the submit-frame override decoder; a full
-     object round-trips exactly ([of_json_value (to_json_value t) = Some
-     t]). *)
-  let of_json_value ?(base = default) (j : Json.t) : t option =
+     mistyped value, a non-object — rejects the whole document with a
+     reason naming the first offending key.  With [~base:default] this
+     is the submit-frame override decoder; a full object round-trips
+     exactly ([of_json_value (to_json_value t) = Ok t]). *)
+  let of_json_value ?(base = default) (j : Json.t) : (t, string) result =
+    let name = function I (k, _, _) | B (k, _, _) | S (k, _, _) -> k in
+    let set t (k, v) =
+      match List.find_opt (fun f -> String.equal (name f) k) fields with
+      | None -> Error ("unknown config key " ^ k)
+      | Some field -> (
+          match (v, field) with
+          | Json.Int v, I (_, _, set) -> Ok (set t v)
+          | Json.Bool v, B (_, _, set) -> Ok (set t v)
+          | Json.Str v, S (_, _, set) -> Ok (set t (Some v))
+          | Json.Null, S (_, _, set) -> Ok (set t None)
+          | _, I _ -> Error ("config key " ^ k ^ " wants an integer")
+          | _, B _ -> Error ("config key " ^ k ^ " wants a boolean")
+          | _, S _ -> Error ("config key " ^ k ^ " wants a string or null"))
+    in
     match j with
     | Json.Obj kvs ->
-        let known k =
-          List.exists
-            (function
-              | I (k', _, _) | B (k', _, _) | S (k', _, _) -> String.equal k k')
-            fields
-        in
-        if not (List.for_all (fun (k, _) -> known k) kvs) then None
-        else
-          List.fold_left
-            (fun acc field ->
-               Option.bind acc (fun t ->
-                   let k =
-                     match field with
-                     | I (k, _, _) | B (k, _, _) | S (k, _, _) -> k
-                   in
-                   match (List.assoc_opt k kvs, field) with
-                   | None, _ -> Some t
-                   | Some (Json.Int v), I (_, _, set) -> Some (set t v)
-                   | Some (Json.Bool v), B (_, _, set) -> Some (set t v)
-                   | Some (Json.Str v), S (_, _, set) -> Some (set t (Some v))
-                   | Some Json.Null, S (_, _, set) -> Some (set t None)
-                   | Some _, _ -> None))
-            (Some base) fields
-    | _ -> None
+        List.fold_left (fun acc kv -> Result.bind acc (fun t -> set t kv))
+          (Ok base) kvs
+    | _ -> Error "config override is not an object"
 
-  let of_json ?base (s : string) : t option =
-    Option.bind (Json.parse s) (of_json_value ?base)
+  let of_json ?base (s : string) : (t, string) result =
+    match Json.parse s with
+    | Some j -> of_json_value ?base j
+    | None -> Error "config is not valid JSON"
 
   (* Digest basis for the persistent solver store: every knob that could
      alter the solver query sequence — the whole config minus the cache

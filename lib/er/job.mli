@@ -27,8 +27,6 @@ module Config : sig
     verify : bool;               (** re-execute the generated test case *)
     incremental : bool;          (** resume runs from CoW checkpoints *)
     checkpoint_interval : int;   (** instructions between checkpoints *)
-    portfolio : int;
-        (** CDCL configurations raced on a solver stall; 0 = off *)
     cache_dir : string option;
         (** directory of the persistent solver-knowledge store; [None]
             disables persistence *)
@@ -46,13 +44,14 @@ module Config : sig
   val to_json_value : t -> Json.t
   val to_json : t -> string
 
-  val of_json_value : ?base:t -> Json.t -> t option
+  val of_json_value : ?base:t -> Json.t -> (t, string) result
   (** Decode an object over [base] (default {!default}): present fields
-      override, absent fields keep [base]'s value.  Unknown keys,
-      mistyped values or a non-object reject the whole document.  A full
-      {!to_json_value} image round-trips exactly. *)
+      override, absent fields keep [base]'s value.  An unknown key, a
+      mistyped value or a non-object rejects the whole document; the
+      error names the first offending key.  A full {!to_json_value}
+      image round-trips exactly. *)
 
-  val of_json : ?base:t -> string -> t option
+  val of_json : ?base:t -> string -> (t, string) result
 
   val fingerprint : t -> string
   (** Digest basis for the persistent solver store: the config's JSON

@@ -568,7 +568,9 @@ struct
       emit (Events.Occurrence_started { occurrence = occ });
       let inputs, sched_seed = workload ~occurrence:occ in
       (* --- stage 1: production run under tracing --- *)
-      let t0 = Sys.time () in
+      (* Stage times are wall clock: process CPU time would also count
+         what other domains ran meanwhile. *)
+      let t0 = Unix.gettimeofday () in
       let outcome, resumed =
         M.with_span "trace" (fun () ->
             T.capture ~session ~config ~points:st.st_points
@@ -611,7 +613,7 @@ struct
                  packets = cap.cap_packets; ptwrites = cap.cap_ptwrites;
                  switches = cap.cap_switches; vm_instrs = cap.cap_vm_instrs;
                  overwritten = cap.cap_overwritten;
-                 elapsed = Sys.time () -. t0 });
+                 elapsed = Unix.gettimeofday () -. t0 });
           if cap.cap_vm_instrs > 0 then
             M.set m_bandwidth
               (float_of_int (cap.cap_ptwrites * 9)
@@ -623,13 +625,13 @@ struct
             | None -> Some cap.cap_base_failure
           in
           (* --- stage 2: shepherded symbolic execution --- *)
-          let t1 = Sys.time () in
+          let t1 = Unix.gettimeofday () in
           let sx =
             M.with_span "symex" (fun () ->
                 Sh.analyze ~config:st.st_exec_config ~prog:inst_indexed
                   ~capture:cap)
           in
-          let symex_time = Sys.time () -. t1 in
+          let symex_time = Unix.gettimeofday () -. t1 in
           let finished outcome ~graph_nodes =
             emit
               (Events.Symex_finished
@@ -654,7 +656,7 @@ struct
               (* --- stage 4: verification by concrete re-execution --- *)
               let verified =
                 if config.verify then begin
-                  let t2 = Sys.time () in
+                  let t2 = Unix.gettimeofday () in
                   let v =
                     M.with_span "verify" (fun () ->
                         V.verify ~solution:(Some solution)
@@ -669,7 +671,7 @@ struct
                        { occurrence = occ; ok = v.Verify.ok;
                          same_failure = v.Verify.same_failure;
                          same_control_flow = v.Verify.same_control_flow;
-                         elapsed = Sys.time () -. t2 });
+                         elapsed = Unix.gettimeofday () -. t2 });
                   Some v
                 end
                 else None
@@ -684,12 +686,12 @@ struct
               finished `Stalled
                 ~graph_nodes:(Er_symex.Cgraph.node_count stall.Exec.graph);
               (* --- stage 3: key data value selection --- *)
-              let t2 = Sys.time () in
+              let t2 = Unix.gettimeofday () in
               let sel =
                 M.with_span "select" (fun () ->
                     Sel.select ~stall ~mapper ~existing:st.st_points)
               in
-              let selection_time = Sys.time () -. t2 in
+              let selection_time = Unix.gettimeofday () -. t2 in
               emit
                 (Events.Stall
                    { occurrence = occ; reason = stall.Exec.stall_reason;

@@ -91,14 +91,15 @@ let handle_submit t conn ~by_job ~id ~tenant ~bug ~config_override =
     | Some (source, base_config) -> (
         let config =
           match config_override with
-          | None -> Some base_config
+          | None -> Ok base_config
           | Some j -> Job.Config.of_json_value ~base:base_config j
         in
         match config with
-        | None ->
+        | Error why ->
             send conn
-              (Wire.Error { id = Some id; reason = "bad config override" })
-        | Some config ->
+              (Wire.Error
+                 { id = Some id; reason = "bad config override: " ^ why })
+        | Ok config ->
             (* daemon-wide warm-start default, overridable per submit *)
             let config =
               match (config.Job.Config.cache_dir, t.cfg.cache_dir) with

@@ -119,19 +119,16 @@ let default_pairs : (string * string) list =
    otherwise. *)
 type block_plan = { fp_cost : int array; fp_len : int array }
 
-type t = {
-  f_pairs : (string * string) list;
-  f_blocks : block_plan array array;  (* [fidx].(bidx) *)
-}
+type t = { f_blocks : block_plan array array (* [fidx].(bidx) *) }
 
-let plan_block pairs (b : L.lblock) : block_plan =
+let plan_block (b : L.lblock) : block_plan =
   let n = Array.length b.L.lb_instrs in
   let cost = Array.make (n + 1) 1 in
   let len = Array.make (n + 1) 1 in
   Array.iteri
     (fun ip i -> match i with L.LPtwrite _ -> cost.(ip) <- 0 | _ -> ())
     b.L.lb_instrs;
-  let committed head tail = List.mem (head, tail) pairs in
+  let committed head tail = List.mem (head, tail) default_pairs in
   (* [link ip]: the unit element at [ip] may extend to also cover
      position [ip + 1] (an instruction, or at [n] the terminator). *)
   let link ip =
@@ -165,12 +162,11 @@ let plan_block pairs (b : L.lblock) : block_plan =
   done;
   { fp_cost = cost; fp_len = len }
 
-let analyze ?(pairs = default_pairs) (low : L.t) : t =
+let analyze (low : L.t) : t =
   {
-    f_pairs = pairs;
     f_blocks =
       Array.map
-        (fun (lf : L.lfunc) -> Array.map (plan_block pairs) lf.L.lf_blocks)
+        (fun (lf : L.lfunc) -> Array.map plan_block lf.L.lf_blocks)
         low.L.l_funcs;
   }
 

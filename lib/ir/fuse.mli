@@ -17,11 +17,6 @@
 (** Same-frame, non-blocking instructions that may head a fused pair. *)
 val fusable_head : Lower.linstr -> bool
 
-(** The committed superinstruction set, mined from the Table 1 perf
-    corpus with `bench vm --opcode-mix`; pairs are named by stable
-    per-constructor opcode classes ("bin", "cmp", "cond_br", ...). *)
-val default_pairs : (string * string) list
-
 (** {1 The per-block unit plan} *)
 
 type block_plan = {
@@ -36,12 +31,13 @@ type block_plan = {
           otherwise *)
 }
 
-type t = {
-  f_pairs : (string * string) list;  (** the pair set analyzed against *)
-  f_blocks : block_plan array array;  (** indexed [fidx].(bidx) *)
-}
+type t = { f_blocks : block_plan array array  (** indexed [fidx].(bidx) *) }
 
-val analyze : ?pairs:(string * string) list -> Lower.t -> t
+(** The unit plan of every block, against the committed superinstruction
+    set: the adjacent opcode pairs, named by stable per-constructor
+    opcode classes ("bin", "cmp", "cond_br", ...), that `bench vm
+    --opcode-mix` found hottest over the Table 1 perf corpus. *)
+val analyze : Lower.t -> t
 
 (** {1 Profiling support} *)
 

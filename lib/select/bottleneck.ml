@@ -13,7 +13,7 @@
 
    Selection sends no solver query.  The paper's determinedness step —
    dropping a candidate whose value follows from the values already
-   chosen — is structural and lives in {!Recording.determined_by}. *)
+   chosen — is structural and lives in [Recording.reduce]. *)
 
 module Expr = Er_smt.Expr
 module Symmem = Er_symex.Symmem

@@ -22,8 +22,6 @@ type plan = {
   reduced_cost : int;      (** cost of the final recording set *)
 }
 
-val determined_by : (int, unit) Hashtbl.t -> Er_smt.Expr.t -> bool
-
 val reduce : Er_symex.Cgraph.t -> Er_smt.Expr.t list -> plan
 
 (** The program points to instrument. *)

@@ -50,20 +50,6 @@ let magic = "er-smt-cache"
 
 (* --- journal entries --------------------------------------------------- *)
 
-(* Learned-clause/VSIDS summary of one solved query: what the search
-   spent and which variables it cared about.  Diagnostic payload — it
-   rides along in the store and surfaces in [er_cli report]-style
-   tooling; re-injecting learned clauses themselves would be unsound
-   because a warm session never re-creates the cold run's DIMACS
-   variable numbering. *)
-type summary = {
-  sm_conflicts : int;
-  sm_decisions : int;
-  sm_restarts : int;
-  sm_clauses : int;
-  sm_top : (int * float) list;  (* (SAT var, VSIDS activity), hottest first *)
-}
-
 type answer =
   | Solved_unsat
   | Solved_sat of Model.t
@@ -74,48 +60,12 @@ type entry = {
   en_budget : int;              (* propagation budget of the check *)
   en_cost : int;                (* gates + propagations the cold run paid *)
   en_answer : answer;
-  en_summary : summary option;
 }
 
 (* --- JSON codec -------------------------------------------------------- *)
 
 (* int64 model values can exceed OCaml's 63-bit [int], so they are
-   serialized as decimal strings; VSIDS activities use hex float
-   notation ("%h") for exact round-trips. *)
-
-let summary_to_json s =
-  J.Obj
-    [ ("cf", J.Int s.sm_conflicts); ("dc", J.Int s.sm_decisions);
-      ("rs", J.Int s.sm_restarts); ("cl", J.Int s.sm_clauses);
-      ( "top",
-        J.List
-          (List.map
-             (fun (v, a) ->
-               J.List [ J.Int v; J.Str (Printf.sprintf "%h" a) ])
-             s.sm_top) ) ]
-
-let summary_of_json j =
-  let ( let* ) = Option.bind in
-  let* cf = Option.bind (J.member "cf" j) J.to_int in
-  let* dc = Option.bind (J.member "dc" j) J.to_int in
-  let* rs = Option.bind (J.member "rs" j) J.to_int in
-  let* cl = Option.bind (J.member "cl" j) J.to_int in
-  let* top = Option.bind (J.member "top" j) J.to_list in
-  let* top =
-    List.fold_left
-      (fun acc el ->
-        let* acc = acc in
-        match el with
-        | J.List [ J.Int v; J.Str a ] -> (
-            match float_of_string_opt a with
-            | Some f -> Some ((v, f) :: acc)
-            | None -> None)
-        | _ -> None)
-      (Some []) top
-  in
-  Some
-    { sm_conflicts = cf; sm_decisions = dc; sm_restarts = rs;
-      sm_clauses = cl; sm_top = List.rev top }
+   serialized as decimal strings. *)
 
 let model_to_json (m : Model.t) =
   let values =
@@ -188,23 +138,17 @@ let entry_to_json (e : entry) : J.t =
     [ ("h", J.Str e.en_hash); ("b", J.Int e.en_budget);
       ("c", J.Int e.en_cost) ]
   in
-  let summary =
-    match e.en_summary with
-    | Some s -> [ ("s", summary_to_json s) ]
-    | None -> []
-  in
   match e.en_answer with
-  | Solved_unsat -> J.Obj ((("a", J.Str "unsat") :: base) @ summary)
-  | Solved_sat m -> J.Obj ((("a", J.Str "sat") :: base) @ model_to_json m @ summary)
+  | Solved_unsat -> J.Obj (("a", J.Str "unsat") :: base)
+  | Solved_sat m -> J.Obj ((("a", J.Str "sat") :: base) @ model_to_json m)
   | Stalled reason ->
-      J.Obj ((("a", J.Str "stall") :: base) @ [ ("r", J.Str reason) ] @ summary)
+      J.Obj ((("a", J.Str "stall") :: base) @ [ ("r", J.Str reason) ])
 
 let entry_of_json (j : J.t) : entry option =
   let ( let* ) = Option.bind in
   let* hash = Option.bind (J.member "h" j) J.to_str in
   let* budget = Option.bind (J.member "b" j) J.to_int in
   let* cost = Option.bind (J.member "c" j) J.to_int in
-  let summary = Option.bind (J.member "s" j) summary_of_json in
   let* answer =
     match Option.bind (J.member "a" j) J.to_str with
     | Some "unsat" -> Some Solved_unsat
@@ -216,9 +160,7 @@ let entry_of_json (j : J.t) : entry option =
         Some (Stalled r)
     | _ -> None
   in
-  Some
-    { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer;
-      en_summary = summary }
+  Some { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer }
 
 (* --- file I/O ---------------------------------------------------------- *)
 
@@ -419,11 +361,10 @@ let replay (sl : handle) ~hash ~budget : (answer * int) option =
       None
     end
 
-let record (sl : handle) ~hash ~budget ~cost ?summary answer : unit =
+let record (sl : handle) ~hash ~budget ~cost answer : unit =
   locked sl @@ fun () ->
   sl.sl_fresh <-
-    { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer;
-      en_summary = summary }
+    { en_hash = hash; en_budget = budget; en_cost = cost; en_answer = answer }
     :: sl.sl_fresh
 
 let saved_cost (sl : handle) = locked sl @@ fun () -> sl.sl_saved_cost

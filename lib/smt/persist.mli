@@ -5,15 +5,19 @@
     from zero.  This module persists the *ordered journal* of answers a
     reconstruction's solver established — Sat models, Unsat verdicts,
     and budget stalls alike — so the next run of the same job replays
-    them at zero search cost.
+    them at zero search cost.  An entry holds an answer, the digest and
+    budget it answered and the cost the cold run paid, nothing about the
+    search itself: a warm session's variable numbering need not match
+    the cold one's, so learned clauses and activities would not carry
+    over.
 
     Replay is lock-step: at each in-memory cache miss the solver asks
     for the next journal entry, and it is used only if its structural
     digest and budget match the live query.  Replayed Sat/Unsat answers
     are stored into the in-memory cache exactly where the cold run
     stored them, so subset/superset lookups evolve identically; replayed
-    stalls return their recorded reason verbatim.  This makes a warm run's trajectory byte-identical
-    to the cold run's by construction — only the cost disappears.  Any
+    stalls return their recorded reason verbatim.  This makes a warm
+    run's trajectory byte-identical to the cold run's by construction — only the cost disappears.  Any
     mismatch permanently stops replay for the space (the run continues
     with real solving) and the flush rewrites the journal from the
     divergence point: stale stores self-heal, never poison.
@@ -31,17 +35,6 @@
 
 val format_version : int
 
-(** Learned-clause/VSIDS summary of one solved query (diagnostic
-    payload; learned clauses themselves are never re-injected — a warm
-    session's DIMACS numbering need not match the cold one's). *)
-type summary = {
-  sm_conflicts : int;
-  sm_decisions : int;
-  sm_restarts : int;
-  sm_clauses : int;
-  sm_top : (int * float) list;  (** (SAT var, VSIDS activity), hottest first *)
-}
-
 type answer =
   | Solved_unsat
   | Solved_sat of Model.t
@@ -54,7 +47,6 @@ type entry = {
   en_budget : int;     (** propagation budget of the check *)
   en_cost : int;       (** gates + propagations the cold run paid *)
   en_answer : answer;
-  en_summary : summary option;
 }
 
 (* --- attach / detach (job lifecycle) ---------------------------------- *)
@@ -105,9 +97,7 @@ val replay : handle -> hash:string -> budget:int -> (answer * int) option
 
 (** Append a freshly established answer to the journal (written back at
     {!detach_and_flush}). *)
-val record :
-  handle -> hash:string -> budget:int -> cost:int -> ?summary:summary ->
-  answer -> unit
+val record : handle -> hash:string -> budget:int -> cost:int -> answer -> unit
 
 (** Cold solver cost avoided by replay so far. *)
 val saved_cost : handle -> int

@@ -128,29 +128,18 @@ end
 
 (* --- solver ---------------------------------------------------------- *)
 
-(* Search-heuristic knobs.  [default_config] reproduces the historical
-   hard-coded behavior bit for bit (VSIDS decay 0.95, Luby restarts with
-   base 64, phase saving on, initial phase false) — every default-config
-   trajectory in the committed bench baselines depends on that.  The
-   portfolio attack on stalls races variations of these knobs. *)
-type config = {
-  var_decay : float;      (* activity divisor per conflict, in (0,1] *)
-  restart : [ `Luby of int | `Geometric of int * float ];
-  phase_saving : bool;    (* remember last polarity per variable *)
-  default_phase : bool;   (* polarity before any save (or always, if
-                             phase saving is off) *)
-}
-
-let default_config =
-  { var_decay = 0.95; restart = `Luby 64; phase_saving = true;
-    default_phase = false }
+(* Search heuristics are fixed: VSIDS activity decays by 0.95 per
+   conflict, restarts follow the Luby sequence with base 64, and phase
+   saving starts every variable at polarity false.  Every SAT trajectory
+   the tests and the committed bench baselines pin depends on these. *)
+let var_decay_factor = 0.95
+let luby_base = 64
 
 (* Clause arena layout: a clause is a header word holding its length
    [n >= 2], followed by its [n] literals; a clause reference is the
    offset of its header.  Watch lists and [reason] hold references;
    [reason] is -1 for decisions and level-0 units. *)
 type t = {
-  config : config;
   mutable nvars : int;
   mutable cap : int;                      (* capacity of per-var arrays *)
   mutable arena : int array;              (* all clauses, back to back *)
@@ -182,10 +171,9 @@ type t = {
 
 let initial_cap = 16
 
-let create ?(config = default_config) () =
+let create () =
   let activity = ref (Array.make initial_cap 0.0) in
   {
-    config;
     nvars = 0;
     cap = initial_cap;
     arena = Array.make 256 0;
@@ -196,7 +184,7 @@ let create ?(config = default_config) () =
     assigns = Array.make initial_cap 0;
     level = Array.make initial_cap 0;
     reason = Array.make initial_cap (-1);
-    phase = Array.make initial_cap config.default_phase;
+    phase = Array.make initial_cap false;
     trail = Veci.create ();
     trail_lim = Veci.create ();
     qhead = 0;
@@ -242,7 +230,7 @@ let grow_vars s n =
     s.assigns <- grow_ints s.assigns c 0;
     s.level <- grow_ints s.level c 0;
     s.reason <- grow_ints s.reason c (-1);
-    s.phase <- grow_bools s.phase c s.config.default_phase;
+    s.phase <- grow_bools s.phase c false;
     s.seen_flags <- grow_bools s.seen_flags c false;
     s.watches <- grow_watches s.watches (2 * c);
     s.watch_len <- grow_ints s.watch_len (2 * c) 0;
@@ -265,7 +253,7 @@ let enqueue s l reason =
   s.assigns.(v) <- (if l land 1 = 0 then 1 else -1);
   s.level.(v) <- Veci.len s.trail_lim;
   s.reason.(v) <- reason;
-  if s.config.phase_saving then s.phase.(v) <- l land 1 = 0;
+  s.phase.(v) <- l land 1 = 0;
   Veci.push s.trail l
 
 (* Append clause reference [cr] to literal [l]'s watch list, allocating
@@ -462,7 +450,7 @@ let var_bump s v =
   end;
   Heap.decrease s.heap v
 
-let var_decay s = s.var_inc <- s.var_inc /. s.config.var_decay
+let var_decay s = s.var_inc <- s.var_inc /. var_decay_factor
 
 (* First-UIP conflict analysis.  Leaves the learned clause in [s.learnt]
    with the asserting literal first and returns the backjump level. *)
@@ -623,12 +611,7 @@ let solve ?(budget = max_int) ?(assumptions = []) s =
         result := Some Unknown
       end
       else begin
-        let conflict_budget =
-          match s.config.restart with
-          | `Luby base -> base * luby !restart_n
-          | `Geometric (base, mult) ->
-              int_of_float (float_of_int base *. (mult ** float_of_int !restart_n))
-        in
+        let conflict_budget = luby_base * luby !restart_n in
         incr restart_n;
         let conflicts_here = ref 0 in
         let break = ref false in
@@ -734,7 +717,6 @@ let top_k ~k act n =
   end
 
 (* The k most active variables (external 1-based indices) with their
-   VSIDS activities, highest first, ties by variable index — the
-   deterministic "what the search cared about" summary the persistent
-   store keeps alongside each solved entry. *)
+   VSIDS activities, highest first, ties by variable index: what the
+   search cared about, deterministically. *)
 let top_activity ?(k = 8) s = top_k ~k !(s.activity) s.nvars

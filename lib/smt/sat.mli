@@ -7,20 +7,9 @@ type result = Sat | Unsat | Unknown
 
 type t
 
-(** Search-heuristic knobs; {!default_config} reproduces the historical
-    hard-coded behavior exactly (VSIDS decay 0.95, Luby base-64
-    restarts, phase saving on, initial phase false).  The stall-time
-    portfolio races variations of these. *)
-type config = {
-  var_decay : float;
-  restart : [ `Luby of int | `Geometric of int * float ];
-  phase_saving : bool;
-  default_phase : bool;
-}
-
-val default_config : config
-
-val create : ?config:config -> unit -> t
+(** A fresh solver.  Its heuristics are fixed: VSIDS decay 0.95, Luby
+    restarts with base 64, phase saving from an initial phase of false. *)
+val create : unit -> t
 
 (** Allocate a variable; returns its external (1-based, DIMACS) index. *)
 val new_var : t -> int

@@ -107,14 +107,6 @@ let m_warm_saved_cost =
     ~help:"Solver cost (gates + propagations) avoided by warm replay."
     "er_smt_warm_saved_cost_total"
 
-let m_portfolio_races =
-  M.counter ~help:"Stall-time portfolio races run."
-    "er_smt_portfolio_races_total"
-
-let m_portfolio_wins =
-  M.counter ~help:"Stalls resolved by a portfolio configuration."
-    "er_smt_portfolio_wins_total"
-
 (* Hot-spot attribution: the most expensive queries seen so far, keyed
    by the canonical assertion-set id (cost = gates + propagations, the
    same work measure as solver_cost). *)
@@ -270,10 +262,6 @@ module Session = struct
     f_expr : Expr.t;
     f_sel : int; (* selector DIMACS var; 0 when the assertion is [true] *)
     mutable f_encoded : bool;
-    (* array-eliminated form + congruence axioms, recorded at encode
-       time so a stall-time portfolio can re-assert the frame into a
-       fresh context without re-running elimination *)
-    mutable f_elim : (Expr.t * Expr.t list) option;
   }
 
   type t = {
@@ -282,9 +270,7 @@ module Session = struct
     elim : Arrays.state;
     cache : Cache.shard; (* the shard of the creating space *)
     persist : Persist.handle option; (* journal bound to the space, if any *)
-    portfolio : int; (* configs to race on a propagation stall; 0 = off *)
     budget : int;
-    gate_budget : int;
     mutable stack : frame list; (* newest first *)
     mutable solves : int; (* checks that reached the SAT core *)
     mutable hits : int;
@@ -295,7 +281,7 @@ module Session = struct
   type cache_stats = { cache_hits : int; cache_misses : int }
 
   let create ?(budget = default_budget) ?(gate_budget = default_gate_budget)
-      ?(portfolio = 0) () =
+      () =
     let sat = Sat.create () in
     {
       sat;
@@ -303,9 +289,7 @@ module Session = struct
       elim = Arrays.create_state ();
       cache = Cache.shard_for_current_space ();
       persist = Persist.current ();
-      portfolio;
       budget;
-      gate_budget;
       stack = [];
       solves = 0;
       hits = 0;
@@ -317,8 +301,7 @@ module Session = struct
     Sat.backtrack_root t.sat;
     let sel = if Expr.is_true e then 0 else Sat.new_var t.sat in
     t.stack <-
-      { f_expr = e; f_sel = sel; f_encoded = sel = 0; f_elim = None }
-      :: t.stack
+      { f_expr = e; f_sel = sel; f_encoded = sel = 0 } :: t.stack
 
   let pop t =
     match t.stack with
@@ -369,7 +352,6 @@ module Session = struct
       (fun f ->
         if not f.f_encoded then begin
           let e', axioms = Arrays.eliminate_one t.elim f.f_expr in
-          f.f_elim <- Some (e', axioms);
           (* Congruence axioms are theory-valid, hence asserted
              unguarded: they may outlive the frame that introduced
              them. *)
@@ -490,66 +472,39 @@ module Session = struct
               let g0 = Bitblast.gate_count t.blast in
               let p0, c0, cl0 = Sat.stats t.sat in
               let d0 = Sat.decisions t.sat and r0 = Sat.restarts t.sat in
-              let finish ?(extra_gates = 0) ?(extra_propagations = 0) o =
+              (* Conclude a real solve: report stats and append the
+                 verdict — including stalls, which warm runs must
+                 reproduce — to the journal. *)
+              let conclude o =
                 let st = stats_since t ~g0 ~p0 ~c0 ~d0 ~r0 ~cl0 in
-                (* a portfolio win charges the winning attempt's work on
-                   top of the stalled base search *)
-                let st =
-                  { st with
-                    gates = st.gates + extra_gates;
-                    propagations = st.propagations + extra_propagations }
-                in
                 M.add m_gates st.gates;
                 M.add m_propagations st.propagations;
                 M.add m_conflicts st.conflicts;
                 M.add m_decisions st.decisions;
                 M.add m_restarts st.restarts;
                 M.add m_clauses st.clauses;
-                observe_query key o ~cached:"no" (st.gates + st.propagations);
-                (o, st)
-              in
-              (* Conclude a real solve: report stats and append the
-                 verdict — including stalls, which warm runs must
-                 reproduce — to the journal. *)
-              let conclude ?extra_gates ?extra_propagations ?summary o =
-                let ((o, st) as out) =
-                  finish ?extra_gates ?extra_propagations o
-                in
+                let cost = st.gates + st.propagations in
+                observe_query key o ~cached:"no" cost;
                 (match t.persist with
                 | Some h ->
-                    let answer, summary =
+                    let answer =
                       match o with
-                      | Unsat -> (Persist.Solved_unsat, summary)
-                      | Sat m -> (Persist.Solved_sat m, summary)
-                      | Unknown r -> (Persist.Stalled r, None)
+                      | Unsat -> Persist.Solved_unsat
+                      | Sat m -> Persist.Solved_sat m
+                      | Unknown r -> Persist.Stalled r
                     in
-                    let summary =
-                      match (answer, summary) with
-                      | Persist.Stalled _, _ | _, Some _ -> summary
-                      | _, None ->
-                          Some
-                            {
-                              Persist.sm_conflicts = st.conflicts;
-                              sm_decisions = st.decisions;
-                              sm_restarts = st.restarts;
-                              sm_clauses = st.clauses;
-                              sm_top = Sat.top_activity t.sat;
-                            }
-                    in
-                    Persist.record h ~hash:digest ~budget
-                      ~cost:(st.gates + st.propagations) ?summary answer
+                    Persist.record h ~hash:digest ~budget ~cost answer
                 | None -> ());
-                out
+                (o, st)
               in
-              (match encode_pending t with
+              match encode_pending t with
               | exception Bitblast.Too_large ->
                   conclude (Unknown "gate budget exhausted during bit-blasting")
-              | () ->
+              | () -> (
                   M.add m_vars (Sat.num_vars t.sat);
                   (* oldest frame first, matching assertion order *)
                   let assumptions = List.rev_map (fun f -> f.f_sel) active in
-                  let res = Sat.solve ~budget ~assumptions t.sat in
-                  (match res with
+                  match Sat.solve ~budget ~assumptions t.sat with
                   | Sat.Unsat ->
                       Cache.store t.cache key set Unsat;
                       conclude Unsat
@@ -557,56 +512,9 @@ module Session = struct
                       let m = extract_model t in
                       Cache.store t.cache key set (Sat m);
                       conclude (Sat m)
-                  | Sat.Unknown -> (
-                      let stall =
-                        "propagation budget exhausted during search"
-                      in
-                      if t.portfolio <= 0 then conclude (Unknown stall)
-                      else begin
-                        M.inc m_portfolio_races;
-                        let assertions =
-                          (* oldest first; every active frame was encoded
-                             just above, so its eliminated form is
-                             recorded *)
-                          List.rev_map
-                            (fun f ->
-                              match f.f_elim with
-                              | Some ea -> ea
-                              | None -> (f.f_expr, []))
-                            active
-                        in
-                        let _, winner =
-                          Portfolio.run ~k:t.portfolio ~budget
-                            ~gate_budget:t.gate_budget ~assertions
-                            ~witnesses:(Arrays.witnesses t.elim) ()
-                        in
-                        match winner with
-                        | None -> conclude (Unknown stall)
-                        | Some w ->
-                            M.inc m_portfolio_wins;
-                            let summary =
-                              {
-                                Persist.sm_conflicts = w.Portfolio.at_conflicts;
-                                sm_decisions = w.Portfolio.at_decisions;
-                                sm_restarts = w.Portfolio.at_restarts;
-                                sm_clauses = w.Portfolio.at_clauses;
-                                sm_top = w.Portfolio.at_top;
-                              }
-                            in
-                            let conclude_win o =
-                              conclude ~extra_gates:w.Portfolio.at_gates
-                                ~extra_propagations:w.Portfolio.at_propagations
-                                ~summary o
-                            in
-                            (match w.Portfolio.at_verdict with
-                            | Portfolio.V_sat m ->
-                                Cache.store t.cache key set (Sat m);
-                                conclude_win (Sat m)
-                            | Portfolio.V_unsat ->
-                                Cache.store t.cache key set Unsat;
-                                conclude_win Unsat
-                            | Portfolio.V_unknown -> assert false)
-                      end))))
+                  | Sat.Unknown ->
+                      conclude
+                        (Unknown "propagation budget exhausted during search")))
     end
 
   let check ?budget ?gate_budget t : outcome * stats =

@@ -81,14 +81,10 @@ module Session : sig
       is appended for the next run.  This cannot change a trajectory,
       only its cost.
 
-      [portfolio] (default 0 = off) races that many alternative CDCL
-      configurations ({!Portfolio.default_configs}) whenever a check
-      exhausts its propagation budget, adopting the deterministic
-      winner's verdict and charging its work on top of the stalled
-      search.  Unlike warm replay, a portfolio win *does* change the
-      outcome of a check (a stall becomes Sat/Unsat), so [portfolio] is
-      a configuration knob on par with the budgets. *)
-  val create : ?budget:int -> ?gate_budget:int -> ?portfolio:int -> unit -> t
+      A check that exhausts its propagation budget returns [Unknown]:
+      the stall is answered by the caller (ER records more data on the
+      next failure occurrence), never by searching again here. *)
+  val create : ?budget:int -> ?gate_budget:int -> unit -> t
 
   (** Push one width-1 assertion onto the stack. *)
   val push : t -> Expr.t -> unit

@@ -54,7 +54,6 @@ type config = {
   gate_budget : int;
   max_steps : int;
   progress_every : int;       (* sample period for Fig 5, in steps *)
-  portfolio : int;            (* CDCL configs raced on a stall; 0 = off *)
 }
 
 let default_config =
@@ -63,7 +62,6 @@ let default_config =
     gate_budget = 120_000;
     max_steps = 30_000_000;
     progress_every = 1_000;
-    portfolio = 0;
   }
 
 type stall_info = {
@@ -670,7 +668,7 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
       graph = Cgraph.create ();
       session =
         Solver.Session.create ~budget:config.solver_budget
-          ~gate_budget:config.gate_budget ~portfolio:config.portfolio ();
+          ~gate_budget:config.gate_budget ();
       mem = Symmem.create ();
       globals = Hashtbl.create 16;
       lobjs = [||];
@@ -1215,7 +1213,7 @@ let run ?(config = default_config) (prog : Er_ir.Prog.t)
       graph = Cgraph.create ();
       session =
         Solver.Session.create ~budget:config.solver_budget
-          ~gate_budget:config.gate_budget ~portfolio:config.portfolio ();
+          ~gate_budget:config.gate_budget ();
       mem = Symmem.create ();
       globals = Hashtbl.create 16;
       lobjs = Array.make (Array.length low.L.l_globals) 0;

@@ -17,9 +17,6 @@ type config = {
   gate_budget : int;          (** bit-blasting budget for the whole run *)
   max_steps : int;
   progress_every : int;       (** Fig. 5 sampling period, in steps *)
-  portfolio : int;
-      (** CDCL configurations raced when a query stalls; 0 disables the
-          portfolio (see {!Er_smt.Portfolio}) *)
 }
 
 val default_config : config

@@ -80,8 +80,8 @@ let m_top_blocks =
 
 (* Adjacent opcode pairs weighted by the retirement count of the block
    they appear in: the mining input for the committed superinstruction
-   set (Er_ir.Fuse.default_pairs).  `bench vm --opcode-mix` reports the
-   same counts per corpus program. *)
+   set that [Er_ir.Fuse.analyze] fuses against.  `bench vm --opcode-mix`
+   reports the same counts per corpus program. *)
 let m_top_pairs =
   M.top ~k:12
     ~help:"Hottest adjacent opcode pairs, weighted by block retirements."

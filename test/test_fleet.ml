@@ -316,6 +316,42 @@ let test_job_releases_cache_shard () =
   Alcotest.(check int) "shards after a second pass" before
     (Er_smt.Solver.cache_shards ())
 
+(* --- stage times are the job's own wall clock ------------------------ *)
+
+(* Two jobs at a time, so every stage runs while another domain works:
+   a stage clock that counted the whole process's CPU would charge each
+   job for its neighbour's work, and its stages would outlast the job. *)
+let test_stage_times_within_wall () =
+  let names =
+    [ "php-2012-2386"; "libpng-2004-0597"; "memcached-2019-11596";
+      "python-2018-1000030" ]
+  in
+  let report =
+    Fleet.run ~jobs:2
+      (List.map
+         (fun n ->
+            match Registry.find n with
+            | Some s -> job_of_spec s
+            | None -> Alcotest.failf "corpus bug %s disappeared" n)
+         names)
+  in
+  List.iter
+    (fun (row : Fleet.row) ->
+       match row.Fleet.row_outcome with
+       | Job.Finished r ->
+           let stages =
+             List.fold_left
+               (fun a (it : Pipeline.iteration) ->
+                  a +. it.Pipeline.trace_time +. it.Pipeline.symex_time
+                  +. it.Pipeline.selection_time +. it.Pipeline.verify_time)
+               0. r.Pipeline.iterations
+           in
+           if stages > row.Fleet.row_wall then
+             Alcotest.failf "%s: stages sum to %.4fs, the job took %.4fs"
+               row.Fleet.row_name stages row.Fleet.row_wall
+       | _ -> Alcotest.failf "%s did not finish" row.Fleet.row_name)
+    report.Fleet.rows
+
 let test_concurrent_cache =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:15
@@ -336,5 +372,7 @@ let suites =
           test_cache_events_per_job;
         Alcotest.test_case "a finished job releases its cache shard" `Quick
           test_job_releases_cache_shard;
+        Alcotest.test_case "stage times fit in the job's wall time" `Slow
+          test_stage_times_within_wall;
       ] );
   ]

@@ -49,7 +49,6 @@ let entry_eq (a : P.entry) (b : P.entry) =
   && a.P.en_budget = b.P.en_budget
   && a.P.en_cost = b.P.en_cost
   && answer_eq a.P.en_answer b.P.en_answer
-  && a.P.en_summary = b.P.en_summary
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -88,21 +87,6 @@ let gen_model =
          points;
        m))
 
-(* finite floats only; "%h" round-trips them exactly *)
-let gen_activity = QCheck.Gen.(map (fun i -> float_of_int i /. 7.) int)
-
-let gen_summary =
-  QCheck.Gen.(
-    int_range 0 1000 >>= fun cf ->
-    int_range 0 1000 >>= fun dc ->
-    int_range 0 50 >>= fun rs ->
-    int_range 0 500 >>= fun cl ->
-    list_size (int_range 0 4) (pair (int_range 1 99) gen_activity)
-    >>= fun top ->
-    return
-      { P.sm_conflicts = cf; sm_decisions = dc; sm_restarts = rs;
-        sm_clauses = cl; sm_top = top })
-
 let gen_answer =
   QCheck.Gen.(
     oneof
@@ -116,11 +100,9 @@ let gen_entry =
     int_range 1 100_000 >>= fun budget ->
     int_range 0 100_000 >>= fun cost ->
     gen_answer >>= fun answer ->
-    opt gen_summary >>= fun summary ->
     return
       { P.en_hash = Digest.to_hex (Digest.string hash_seed);
-        en_budget = budget; en_cost = cost; en_answer = answer;
-        en_summary = summary })
+        en_budget = budget; en_cost = cost; en_answer = answer })
 
 (* -- round-trips ----------------------------------------------------- *)
 
@@ -153,10 +135,9 @@ let test_store_roundtrip =
 
 let sample_entries =
   [ { P.en_hash = Digest.to_hex (Digest.string "a"); en_budget = 500;
-      en_cost = 77; en_answer = P.Solved_unsat; en_summary = None };
+      en_cost = 77; en_answer = P.Solved_unsat };
     { P.en_hash = Digest.to_hex (Digest.string "b"); en_budget = 500;
-      en_cost = 12;
-      en_answer = P.Stalled "budget exhausted"; en_summary = None } ]
+      en_cost = 12; en_answer = P.Stalled "budget exhausted" } ]
 
 (* [store] with its header's version replaced by [v]; the current
    version is one digit, so the header prefix is 15 bytes. *)

@@ -108,6 +108,11 @@ let test_wire_malformed () =
 
 (* --- Job.Config: JSON round-trip and partial override --------------- *)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let config_gen : Job.Config.t QCheck.Gen.t =
   let open QCheck.Gen in
   let knob = int_range 1 1_000_000 in
@@ -124,7 +129,6 @@ let config_gen : Job.Config.t QCheck.Gen.t =
   bool >>= fun verify ->
   bool >>= fun incremental ->
   knob >>= fun checkpoint_interval ->
-  int_range 0 8 >>= fun portfolio ->
   opt (string_size ~gen:(char_range 'a' 'z') (int_range 1 12))
   >>= fun cache_dir ->
   return
@@ -142,7 +146,6 @@ let config_gen : Job.Config.t QCheck.Gen.t =
       verify;
       incremental;
       checkpoint_interval;
-      portfolio;
       cache_dir;
     }
 
@@ -152,7 +155,7 @@ let config_arb =
 let test_config_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"Job.Config JSON round-trips exactly"
-       config_arb (fun c -> Job.Config.of_json (Job.Config.to_json c) = Some c))
+       config_arb (fun c -> Job.Config.of_json (Job.Config.to_json c) = Ok c))
 
 let test_config_override () =
   let base = Job.Config.default in
@@ -160,25 +163,34 @@ let test_config_override () =
      Job.Config.of_json_value ~base
        (Json.Obj [ ("solver_budget", Json.Int 777) ])
    with
-   | Some c ->
+   | Ok c ->
        Alcotest.(check int) "overridden field" 777 c.Job.Config.solver_budget;
        Alcotest.(check bool) "other fields keep base" true
          ({ c with Job.Config.solver_budget = base.Job.Config.solver_budget }
           = base)
-   | None -> Alcotest.fail "partial override rejected");
+   | Error e -> Alcotest.failf "partial override rejected: %s" e);
   (* the empty override is the base config *)
   Alcotest.(check bool) "empty object = base" true
-    (Job.Config.of_json_value ~base (Json.Obj []) = Some base);
-  (* strictness: unknown keys and mistyped values reject the document *)
-  Alcotest.(check bool) "unknown key rejects" true
-    (Job.Config.of_json_value ~base (Json.Obj [ ("solver_fuel", Json.Int 1) ])
-     = None);
-  Alcotest.(check bool) "mistyped value rejects" true
-    (Job.Config.of_json_value ~base
-       (Json.Obj [ ("verify", Json.Int 1) ])
-     = None);
-  Alcotest.(check bool) "non-object rejects" true
-    (Job.Config.of_json_value ~base (Json.List []) = None)
+    (Job.Config.of_json_value ~base (Json.Obj []) = Ok base);
+  (* strictness: an unknown key or a mistyped value rejects the whole
+     document, and the reason names the first offending key *)
+  let rejects what j ~naming =
+    match Job.Config.of_json_value ~base j with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error reason ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what reason naming)
+          true (contains ~sub:naming reason)
+  in
+  rejects "unknown key" (Json.Obj [ ("solver_fuel", Json.Int 1) ])
+    ~naming:"solver_fuel";
+  rejects "mistyped value"
+    (Json.Obj [ ("max_steps", Json.Int 9); ("verify", Json.Int 1) ])
+    ~naming:"verify";
+  rejects "first of two bad keys"
+    (Json.Obj [ ("quantum", Json.Bool true); ("solver_fuel", Json.Int 1) ])
+    ~naming:"quantum";
+  rejects "non-object" (Json.List []) ~naming:"object"
 
 (* --- a cheap pipeline result to hand to thunk jobs ------------------ *)
 
@@ -410,6 +422,43 @@ let test_serve_matches_batch () =
              batch served)
     r.Loadgen.lg_results
 
+(* A daemon refuses a submit whose config override it cannot decode,
+   and says which key it refused: a client still sending a knob the
+   config no longer has learns why, and nothing is queued. *)
+let test_serve_names_rejected_key () =
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "er-test-serve-key-%d.sock" (Unix.getpid ()))
+  in
+  let config =
+    { Server.default_config with socket_path = socket; workers = 1 }
+  in
+  let srv = Server.start ~config ~resolver:Registry.resolver () in
+  let reply =
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop srv;
+        Server.wait srv)
+      (fun () ->
+        let c = Server.Client.connect socket in
+        Fun.protect
+          ~finally:(fun () -> Server.Client.close c)
+          (fun () ->
+            Server.Client.send c
+              (Wire.Submit
+                 { id = "old-knob"; tenant = "t"; bug = "pbzip2";
+                   config = Some (Json.Obj [ ("portfolio", Json.Int 4) ]) });
+            Server.Client.recv c))
+  in
+  match reply with
+  | Some (Wire.Error { id = Some "old-knob"; reason }) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the key" reason)
+        true
+        (contains ~sub:"portfolio" reason)
+  | Some f -> Alcotest.failf "expected an error, got %s" (Wire.server_to_line f)
+  | None -> Alcotest.fail "daemon closed the connection"
+
 let suites =
   [
     ( "serve.wire",
@@ -443,5 +492,7 @@ let suites =
         Alcotest.test_case
           "4 tenants over a socket match batch byte-for-byte" `Slow
           test_serve_matches_batch;
+        Alcotest.test_case "a rejected override names its key" `Quick
+          test_serve_names_rejected_key;
       ] );
   ]

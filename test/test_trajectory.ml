@@ -1,6 +1,7 @@
 (* Tests for the bench trajectory checker (bench/trajectory.ml): the
    committed BENCH_10 -> BENCH_11 step passes, a document holding one
-   job's section passes, and for each rule a copy of BENCH_11 broken in
+   job's section passes, a warm section without the retired stall-time
+   trial passes, and for each rule a copy of BENCH_11 broken in
    memory fails, every failure naming the rule's section. *)
 
 module J = Er_json
@@ -51,6 +52,23 @@ let test_one_section () =
   Alcotest.(check int) "a vm-only document passes" 0
     (List.length (failures vm_only))
 
+(* What `bench warm -o FILE` writes now that the stall-time trial is
+   gone: BENCH_11 with that trial's subsection dropped from its warm
+   section, checked against a reference that still has it. *)
+let test_warm_without_stall_trial () =
+  let trial = "portfolio" in
+  let doc =
+    update [ "warm" ]
+      (function
+        | J.Obj fields -> J.Obj (List.remove_assoc trial fields)
+        | j -> j)
+      (bench 11)
+  in
+  Alcotest.(check bool) "the copy lacks the subsection" true
+    (Option.bind (J.member "warm" doc) (J.member trial) = None);
+  Alcotest.(check (list string)) "it passes against BENCH_10" []
+    (List.map (fun v -> v.Trajectory.label) (failures doc))
+
 let broken =
   [ ("solver-cost drift", "totals",
      set [ "totals"; "solver_cost" ] (J.Int 204_037));
@@ -93,4 +111,6 @@ let suites =
         test_committed_step
       :: Alcotest.test_case "one job's section alone passes" `Quick
            test_one_section
-      :: List.map test_broken broken ) ]
+      :: List.map test_broken broken
+      @ [ Alcotest.test_case "a warm section without the stall trial passes"
+            `Quick test_warm_without_stall_trial ] ) ]
