@@ -75,10 +75,12 @@ fleet-determinism:
 
 # Block-fused threaded-dispatch engine vs reference interpreter on the
 # Table 1 perf workloads.  The check compares speedup ratios, not raw
-# instr/sec, so it holds across machines: below 4x, or >10% under the
-# committed trajectory's recorded speedup, fails.  The job also times
-# ER's production run (recording hooks under the plan a reconstruction
-# of each bug selects) and fails above 1.4x the untraced time.
+# instr/sec, so it holds across machines: each is the median of
+# per-sample ratios over interleaved samples, and below 4x, or >10%
+# under the committed trajectory's recorded speedup, fails.  The job
+# also times ER's production run (recording hooks under the plan a
+# reconstruction of each bug selects) and fails above 1.4x the
+# untraced time.
 bench-vm:
 	dune exec bench/main.exe -- vm -o /tmp/er_bench_vm.json
 

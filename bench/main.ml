@@ -129,22 +129,20 @@ let measure_samples (legs : (unit -> unit) array) ~runs : float array array =
            (Sys.time () -. t0) /. float_of_int reps)
         legs)
 
-(* Each leg's fastest sample: interference only ever adds time, so the
-   minimum is the least noisy estimate of one leg's own cost. *)
-let measure_best (legs : (unit -> unit) array) ~runs : float array =
-  let samples = measure_samples legs ~runs in
-  Array.mapi
-    (fun i _ -> Array.fold_left (fun m s -> Float.min m s.(i)) infinity samples)
-    legs
+let median (xs : float array) =
+  Array.sort Float.compare xs;
+  let n = Array.length xs in
+  if n mod 2 = 1 then xs.(n / 2) else (xs.((n / 2) - 1) +. xs.(n / 2)) /. 2.
+
+(* Leg [i]'s time: the median of its samples. *)
+let leg_time (samples : float array array) i =
+  median (Array.map (fun s -> s.(i)) samples)
 
 (* The median over samples of leg [i]'s time over leg [j]'s in the same
    sample.  A slowdown that spans a sample scales both legs, so the
    paired ratio survives it where separately taken minima need not. *)
 let paired_ratio (samples : float array array) i j =
-  let rs = Array.map (fun s -> s.(i) /. s.(j)) samples in
-  Array.sort Float.compare rs;
-  let n = Array.length rs in
-  if n mod 2 = 1 then rs.(n / 2) else (rs.((n / 2) - 1) +. rs.(n / 2)) /. 2.
+  median (Array.map (fun s -> s.(i) /. s.(j)) samples)
 
 (* ER's production run of [s]: its program under the recording plan
    that a reconstruction of the bug selects — this invocation's [table1]
@@ -223,21 +221,23 @@ let run_fig6 () =
 (* bench vm: pre-lowered engine vs reference interpreter               *)
 (* ------------------------------------------------------------------ *)
 
-(* (name, instrs, reference seconds, lowered seconds, traced seconds)
-   per Table 1 performance workload; the engines retire identical
-   instruction streams (the differential suite pins that down), so
-   instr/sec compares directly.  Traced is ER's production run: the
-   compiled engine under ER's recording hooks and the recording plan
-   that a reconstruction of the bug selects. *)
-let vm_results : (string * int * float * float * float) list ref = ref []
+(* (name, instrs, samples) per Table 1 performance workload, the
+   samples timing the reference, lowered and traced legs in that order.
+   The engines retire identical instruction streams (the differential
+   suite pins that down), so instr/sec compares directly.  Traced is
+   ER's production run: the compiled engine under ER's recording hooks
+   and the recording plan that a reconstruction of the bug selects. *)
+let vm_results : (string * int * float array array) list ref = ref []
 
-(* Corpus totals of [vm_results] rows: instructions, then reference,
-   lowered and traced seconds. *)
+(* Corpus totals of [vm_results] rows: the instruction count, and
+   samples whose [k]th sums every program's [k]th, leg by leg, so the
+   corpus ratios are paired per sample too. *)
 let vm_totals rows =
-  List.fold_left
-    (fun (i, r, l, t) (_, i', r', l', t') ->
-       (i + i', r +. r', l +. l', t +. t'))
-    (0, 0., 0., 0.) rows
+  let runs = match rows with (_, _, s) :: _ -> Array.length s | [] -> 0 in
+  ( List.fold_left (fun a (_, i, _) -> a + i) 0 rows,
+    Array.init runs (fun k ->
+        Array.init 3 (fun leg ->
+            List.fold_left (fun a (_, _, s) -> a +. s.(k).(leg)) 0. rows)) )
 
 (* `bench vm --opcode-mix`: instead of timing, report the hottest
    adjacent opcode pairs (block-retirement weighted) per corpus program
@@ -289,6 +289,14 @@ let run_vm_timed () =
     "#Instr" "ref (s)" "lowered (s)" "traced (s)" "ref ips" "lowered ips"
     "speedup" "traced";
   let runs = 5 in
+  let row name instrs samples =
+    let rm = leg_time samples 0 and lm = leg_time samples 1 in
+    let ips t = if t > 0. then float_of_int instrs /. t else 0. in
+    Printf.printf
+      "%-22s %10d %10.4f %11.4f %10.4f %12.0f %12.0f %7.2fx %7.2fx\n%!"
+      name instrs rm lm (leg_time samples 2) (ips rm) (ips lm)
+      (paired_ratio samples 0 1) (paired_ratio samples 2 1)
+  in
   List.iter
     (fun (s : Bug.spec) ->
        (* lowering and the reconstruction that selects the plan run
@@ -297,31 +305,19 @@ let run_vm_timed () =
        let prog, plan = production_run s in
        let inputs = s.Bug.perf_inputs () in
        let instrs = (Er_vm.Interp.run prog inputs).Er_vm.Interp.instr_count in
-       let t =
-         measure_best
+       let samples =
+         measure_samples
            [| (fun () -> ignore (Er_vm.Interp.run_reference prog inputs));
               (fun () -> ignore (Er_vm.Interp.run prog inputs));
               traced_run (Er_trace.Encoder.create ()) prog plan inputs |]
            ~runs
        in
-       let rm = t.(0) and lm = t.(1) and tm = t.(2) in
-       vm_results := (s.Bug.name, instrs, rm, lm, tm) :: !vm_results;
-       let ips t = if t > 0. then float_of_int instrs /. t else 0. in
-       Printf.printf
-         "%-22s %10d %10.4f %11.4f %10.4f %12.0f %12.0f %7.2fx %7.2fx\n%!"
-         s.Bug.name instrs rm lm tm (ips rm) (ips lm)
-         (if lm > 0. then rm /. lm else 1.)
-         (if lm > 0. then tm /. lm else 1.))
+       vm_results := (s.Bug.name, instrs, samples) :: !vm_results;
+       row s.Bug.name instrs samples)
     Registry.table1;
-  let ti, tr, tl, tt = vm_totals !vm_results in
-  let traced_ratio = if tl > 0. then tt /. tl else 1. in
-  Printf.printf
-    "%-22s %10d %10.4f %11.4f %10.4f %12.0f %12.0f %7.2fx %7.2fx\n" "total"
-    ti tr tl tt
-    (if tr > 0. then float_of_int ti /. tr else 0.)
-    (if tl > 0. then float_of_int ti /. tl else 0.)
-    (if tl > 0. then tr /. tl else 1.)
-    traced_ratio;
+  let ti, corpus = vm_totals !vm_results in
+  row "total" ti corpus;
+  let traced_ratio = paired_ratio corpus 2 1 in
   if traced_ratio > Trajectory.max_traced_ratio then begin
     Printf.eprintf
       "bench vm: ER-traced runs take %.2fx the untraced time, over the \
@@ -777,29 +773,30 @@ let bench_json number =
     match List.rev !vm_results with
     | [] -> []
     | rows ->
-        let ti, tr, tl, tt = vm_totals rows in
-        let ratio a b = if b > 0. then a /. b else 1. in
+        let ti, corpus = vm_totals rows in
+        let ips leg =
+          let t = leg_time corpus leg in
+          J.Float (if t > 0. then float_of_int ti /. t else 0.)
+        in
         [ ( "vm",
             J.Obj
               [ ( "bugs",
                   J.List
                     (List.map
-                       (fun (n, i, r, l, t) ->
+                       (fun (n, i, s) ->
                           J.Obj
                             [ ("name", J.Str n); ("instrs", J.Int i);
-                              ("reference_s", J.Float r);
-                              ("lowered_s", J.Float l);
-                              ("traced_s", J.Float t);
-                              ("speedup", J.Float (ratio r l));
-                              ("traced_ratio", J.Float (ratio t l)) ])
+                              ("reference_s", J.Float (leg_time s 0));
+                              ("lowered_s", J.Float (leg_time s 1));
+                              ("traced_s", J.Float (leg_time s 2));
+                              ("speedup", J.Float (paired_ratio s 0 1));
+                              ("traced_ratio", J.Float (paired_ratio s 2 1)) ])
                        rows) );
                 ("total_instrs", J.Int ti);
-                ( "reference_ips",
-                  J.Float (if tr > 0. then float_of_int ti /. tr else 0.) );
-                ( "lowered_ips",
-                  J.Float (if tl > 0. then float_of_int ti /. tl else 0.) );
-                ("speedup", J.Float (ratio tr tl));
-                ("traced_ratio", J.Float (ratio tt tl)) ] ) ]
+                ("reference_ips", ips 0);
+                ("lowered_ips", ips 1);
+                ("speedup", J.Float (paired_ratio corpus 0 1));
+                ("traced_ratio", J.Float (paired_ratio corpus 2 1)) ] ) ]
   in
   let fleet_section =
     match List.rev !fleet_trials with

@@ -3,8 +3,8 @@
    Every stage (tracer, shepherd, selector, verifier) emits typed events
    as it runs; sinks are pluggable — the null sink for silent runs, an
    in-memory buffer (the pipeline derives its per-iteration accounting
-   records from it), a human formatter for the CLI, and a JSONL writer
-   for downstream tooling.  Events round-trip through JSON
+   records from it), and a JSONL writer for downstream tooling and
+   [er_cli report].  Events round-trip through JSON
    ([of_json (to_json e) = Some e]) so a persisted stream can be
    re-analyzed offline. *)
 
@@ -99,12 +99,6 @@ let stage_of = function
   | Reproduced _ | Gave_up _ | Metrics_snapshot _ | Cache_status _
   | Pipeline_finished _ ->
       None
-
-let stage_name = function
-  | Trace -> "trace"
-  | Symex -> "symex"
-  | Select -> "select"
-  | Verify -> "verify"
 
 (* ---------------------------------------------------------------- *)
 (* JSON encoding / decoding                                          *)
@@ -309,77 +303,6 @@ let of_json (line : string) : event option =
   | _ -> None
 
 (* ---------------------------------------------------------------- *)
-(* Human rendering                                                   *)
-(* ---------------------------------------------------------------- *)
-
-let pp ppf (e : event) =
-  let stage =
-    match stage_of e with
-    | Some s -> Printf.sprintf "[%s]" (stage_name s)
-    | None -> "[pipeline]"
-  in
-  match e with
-  | Occurrence_started { occurrence } ->
-      Fmt.pf ppf "%-10s occurrence %d started" stage occurrence
-  | Run_skipped { occurrence; reason } ->
-      Fmt.pf ppf "%-10s occurrence %d skipped (%s)" stage occurrence
-        (match reason with
-         | No_failure -> "tracked failure did not fire"
-         | Different_failure -> "a different bug fired")
-  | Checkpoint_resumed { occurrence; at_clock } ->
-      Fmt.pf ppf
-        "%-10s occurrence %d: resumed from checkpoint at clock %d" stage
-        occurrence at_clock
-  | Trace_captured { occurrence; bytes; packets; ptwrites; switches; vm_instrs; overwritten; elapsed } ->
-      Fmt.pf ppf
-        "%-10s occurrence %d: %d bytes, %d packets, %d ptwrites, %d switches, %d instrs, %d overwritten (%.3fs)"
-        stage occurrence bytes packets ptwrites switches vm_instrs overwritten elapsed
-  | Decode_failed { occurrence; error } ->
-      Fmt.pf ppf "%-10s occurrence %d: decode failed: %s" stage occurrence error
-  | Symex_finished { occurrence; steps; solver_calls; solver_cost; cache_hits; cache_misses; graph_nodes; outcome; elapsed } ->
-      Fmt.pf ppf
-        "%-10s occurrence %d: %s after %d steps, %d solver calls (cost %d, cache %d/%d), graph %d nodes (%.3fs)"
-        stage occurrence
-        (match outcome with
-         | `Complete -> "complete"
-         | `Stalled -> "stalled"
-         | `Diverged -> "diverged")
-        steps solver_calls solver_cost cache_hits
-        (cache_hits + cache_misses) graph_nodes elapsed
-  | Diverged { occurrence; reason } ->
-      Fmt.pf ppf "%-10s occurrence %d: diverged — %s" stage occurrence reason
-  | Stall { occurrence; reason; chain; object_bytes } ->
-      Fmt.pf ppf "%-10s occurrence %d: %s (chain=%d, obj=%dB)" stage occurrence
-        reason chain object_bytes
-  | Points_added { occurrence; added; total; elapsed } ->
-      Fmt.pf ppf "%-10s occurrence %d: +%d recording points (total %d, %.4fs)"
-        stage occurrence added total elapsed
-  | Budget_escalated { occurrence; solver_budget; gate_budget } ->
-      Fmt.pf ppf
-        "%-10s occurrence %d: selection fixpoint — budgets escalated to %d/%d"
-        stage occurrence solver_budget gate_budget
-  | Verified { occurrence; ok; same_failure; same_control_flow; elapsed } ->
-      Fmt.pf ppf
-        "%-10s occurrence %d: ok=%b (same failure %b, same control flow %b, %.3fs)"
-        stage occurrence ok same_failure same_control_flow elapsed
-  | Reproduced { occurrence; testcase_values } ->
-      Fmt.pf ppf "%-10s occurrence %d: test case extracted (%d input values)"
-        stage occurrence testcase_values
-  | Gave_up { occurrence; reason } ->
-      Fmt.pf ppf "%-10s gave up after occurrence %d: %s" stage occurrence reason
-  | Metrics_snapshot { occurrence; snapshot } ->
-      Fmt.pf ppf "%-10s occurrence %d: metrics snapshot (%d samples, %d spans)"
-        stage occurrence
-        (List.length snapshot.Er_metrics.Snapshot.samples)
-        (List.length snapshot.Er_metrics.Snapshot.spans)
-  | Cache_status { label; state; entries; detail } ->
-      Fmt.pf ppf "%-10s solver cache %s: %s (%d entries, %s)" stage label
-        state entries detail
-  | Pipeline_finished { runs; occurrences; reproduced } ->
-      Fmt.pf ppf "%-10s finished: %d runs, %d analyzed occurrences, reproduced=%b"
-        stage runs occurrences reproduced
-
-(* ---------------------------------------------------------------- *)
 (* Sinks                                                             *)
 (* ---------------------------------------------------------------- *)
 
@@ -390,31 +313,19 @@ let null : sink = fun _ -> ()
 let tee (a : sink) (b : sink) : sink = fun e -> a e; b e
 
 (* In-memory buffer: returns the sink and a function reading the events
-   collected so far, in emission order.  Single-domain by construction
-   (each pipeline run owns its buffer); share one across domains only
-   through [serialize]. *)
+   collected so far, in emission order.  Single-domain by construction:
+   each pipeline run owns its buffer. *)
 let buffer () : sink * (unit -> event list) =
   let evs = ref [] in
   ((fun e -> evs := e :: !evs), fun () -> List.rev !evs)
-
-(* Serialize a sink: events from concurrent domains are delivered one at
-   a time.  Fleet mode wraps any sink shared between workers in this, so
-   a JSONL stream (or a human log) never interleaves mid-line. *)
-let serialize (s : sink) : sink =
-  let m = Mutex.create () in
-  fun e ->
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> s e)
-
-let human ppf : sink = fun e -> Fmt.pf ppf "%a@." pp e
 
 (* One [output_string] per event: the line (payload + newline) is built
    in full first, so even an unserialized stderr/O_APPEND stream gets
    whole lines.  Flushed per line: a worker crash mid-reconstruction
    must not lose the buffered tail of the log — the events up to the
    crash are exactly what a post-mortem needs.  Concurrent writers to
-   the same channel must still be wrapped in [serialize] — channel
-   buffers are not domain-safe. *)
+   the same channel must still hold a common lock — channel buffers are
+   not domain-safe. *)
 let jsonl oc : sink =
  fun e ->
   output_string oc (to_json e ^ "\n");

@@ -42,6 +42,5 @@ val deterministic : result -> bool
     repeats of a bug at lower cost, never with a different result. *)
 
 val to_json_value : result -> Json.t
-(** The BENCH serve section / [loadgen --json] rendering: clients,
-    jobs, failed, rejected, wall, throughput_rps, p50/p99 ms,
-    deterministic. *)
+(** The [loadgen --json] rendering: clients, jobs, failed, rejected, errors,
+    wall, throughput_rps, p50/p99 ms, deterministic. *)

@@ -16,8 +16,8 @@
      - when the owning registry is disabled every record operation is
        one load + one branch.
 
-   The registry clock is injectable ([set_clock]) so span timings and
-   histogram observations are deterministic under test.  The process
+   A registry's clock is injectable ([create ~clock]) so span timings
+   and histogram observations are deterministic under test.  The process
    default registry starts *disabled*: an uninstrumented run pays only
    the branch.
 
@@ -45,7 +45,7 @@ type labels = (string * string) list
 
 type registry = {
   mutable r_enabled : bool;
-  mutable r_clock : unit -> float;
+  r_clock : unit -> float;
   (* flight recorder: per-domain ring capacity for timestamped span
      events; 0 = recording off (the default — aggregate cells only) *)
   mutable r_recorder : int;
@@ -144,7 +144,6 @@ let default = create ~enabled:false ()
 
 let enabled r = r.r_enabled
 let set_enabled r b = r.r_enabled <- b
-let set_clock r clock = r.r_clock <- clock
 let now r = r.r_clock ()
 
 let reset r =
@@ -546,11 +545,6 @@ module Snapshot = struct
     | Histogram { name; _ }
     | Top { name; _ } ->
         name
-
-  let sample_labels = function
-    | Counter { labels; _ } | Gauge { labels; _ } | Histogram { labels; _ } ->
-        labels
-    | Top _ -> []
 
   let take registry =
     let samples =

@@ -11,13 +11,25 @@
    failure state.  A budgeted query that returns Unknown is a *stall*
    (the paper's solver timeout), and the executor returns the constraint
    graph so that key data value selection can pick what to record on the
-   next failure occurrence. *)
+   next failure occurrence.
+
+   Two engines run this one algorithm.  The reference engine
+   ([run_reference]) walks the IR with string-keyed register files and is
+   the differential oracle; the lowered engine ([run]) steps the code
+   cache of {!Er_ir.Lower} with slot-array register files.  They share the
+   thread and state records, every instruction's symbolic semantics, the
+   failure constraints, call/return/spawn and the run loop ([shepherd]).
+   Each engine keeps only its frame type, operand evaluation, register
+   write, block and callee resolution, and a thin dispatch over its own
+   instruction type — so both make the same terms in the same order and
+   the same solver queries. *)
 
 open Er_ir.Types
 module Expr = Er_smt.Expr
 module Solver = Er_smt.Solver
 module Failure_ = Er_vm.Failure
 module M = Er_metrics
+module L = Er_ir.Lower
 
 (* Shepherding metrics; recorded once per [run] (not per step), so the
    hot loop is untouched. *)
@@ -97,27 +109,15 @@ type result = {
 
 (* --- executor state ----------------------------------------------------- *)
 
-type frame = {
-  fr_func : func;
-  mutable fr_block : block;
-  mutable fr_ip : int;
-  fr_regs : (string, Sval.t) Hashtbl.t;
-  fr_dst : reg option;
-  mutable fr_stack_objs : int list;
-}
-
-type thread = {
+(* Threads and the executor state are polymorphic in the engine's frame. *)
+type 'fr thread = {
   tid : int;
-  mutable stack : frame list;
+  mutable stack : 'fr list;
   mutable depth : int;          (* cached [List.length stack] *)
   mutable live : bool;
 }
 
-(* Shared executor state, parametric in the thread representation so the
-   reference engine (string-keyed frames) and the lowered engine (slot
-   arrays over {!Er_ir.Lower}) reuse the same solver plumbing — and
-   therefore make byte-identical solver queries. *)
-type 'th st = {
+type 'fr st = {
   prog : Er_ir.Prog.t;
   cfg : config;
   trace : Er_trace.Decoder.split;
@@ -127,8 +127,8 @@ type 'th st = {
   session : Solver.Session.t;   (* one incremental session per run *)
   mem : Symmem.t;
   globals : (string, int) Hashtbl.t;      (* name -> object id *)
-  lobjs : int array;            (* global object ids, lowered-index order *)
-  mutable threads : 'th list;
+  lobjs : int array;            (* global object ids, in program order *)
+  mutable threads : 'fr thread list;
   mutable next_tid : int;
   mutable clock : int;
   mutable branch_i : int;
@@ -198,31 +198,18 @@ let norm_expr ty e =
   else if ew > w then Expr.truncate ~to_:w e
   else Expr.zero_extend ~to_:w e
 
-let eval_value st (fr : frame) v : Sval.t =
-  match v with
-  | Imm (value, ty) -> Sval.Bv (bvc ~width:(width_of_ty ty) value)
-  | Null -> Sval.null
-  | Global g -> (
-      match Hashtbl.find_opt st.globals g with
-      | Some obj -> Sval.Ptr { obj; index = bvc ~width:32 0L }
-      | None -> invalid_arg ("Exec: unknown global " ^ g))
-  | Reg r -> (
-      match Hashtbl.find_opt fr.fr_regs r with
-      | Some sv -> sv
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Exec: read of undefined register %s in %s" r
-               fr.fr_func.fname))
+(* An argument bound to a parameter of type [ty]. *)
+let norm_arg ty (sv : Sval.t) =
+  match sv with
+  | Sval.Bv e -> Sval.Bv (norm_expr ty e)
+  | Sval.Ptr _ -> sv
 
-let point_of (fr : frame) =
-  { p_func = fr.fr_func.fname; p_block = fr.fr_block.label; p_index = fr.fr_ip }
-
-let set_reg st (fr : frame) r (sv : Sval.t) =
-  (* provenance: this register definition is a recordable program point *)
-  (match sv with
-   | Sval.Bv e -> Cgraph.define st.graph (point_of fr) e
-   | Sval.Ptr { index; _ } -> Cgraph.define st.graph (point_of fr) index);
-  Hashtbl.replace fr.fr_regs r sv
+(* Provenance: a register definition at [at] is a recordable program
+   point. *)
+let define st at (sv : Sval.t) =
+  match sv with
+  | Sval.Bv e -> Cgraph.define st.graph at e
+  | Sval.Ptr { index; _ } -> Cgraph.define st.graph at index
 
 let smt_binop : binop -> Expr.binop = function
   | Add -> Expr.Add | Sub -> Expr.Sub | Mul -> Expr.Mul | Udiv -> Expr.Udiv
@@ -278,9 +265,12 @@ let resolve_addr st ~at (sv : Sval.t) : Symmem.sobj * Expr.t =
               push_path st pin;
               obj_of obj, Expr.extract ~hi:31 ~lo:0 e))
 
-(* A non-failing access must be in bounds; with a symbolic index this is
-   where the solver gets invoked and where stalls happen. *)
-let check_bounds st ~at (o : Symmem.sobj) idx =
+(* A non-failing access has the object's element type and is in bounds;
+   with a symbolic index this is where the solver gets invoked and where
+   stalls happen. *)
+let check_access st ~at (o : Symmem.sobj) ty idx =
+  if o.Symmem.s_elt_ty <> ty then
+    raise (Diverge "access type mismatch mid-trace");
   if o.Symmem.s_freed then
     raise (Diverge (Printf.sprintf "access to freed object %d mid-trace" o.Symmem.s_id));
   match Expr.to_const idx with
@@ -295,64 +285,7 @@ let check_bounds st ~at (o : Symmem.sobj) idx =
       let bound = Expr.ult idx (bvc ~width:32 (Int64.of_int o.Symmem.s_size)) in
       assert_feasible st ~at ~what:"memory bounds" [ bound ]
 
-let access_ty_ok (o : Symmem.sobj) ty = o.Symmem.s_elt_ty = ty
-
-(* --- the failing instruction ------------------------------------------------ *)
-
-(* Constraints that make the final instruction fail the way production did. *)
-let failure_constraints st (fr : frame) (i : instr option) : Expr.t list =
-  let ev v = eval_value st fr v in
-  let addr_of = function
-    | Load { addr; _ } | Store { addr; _ } | Free { addr } -> Some (ev addr)
-    | Bin _ | Cmp _ | Select _ | Cast _ | Alloc _ | Gep _ | Call _ | Input _
-    | Output _ | Ptwrite _ | Assert _ | Spawn _ | Join | Lock _ | Unlock _ ->
-        None
-  in
-  match st.failure.Failure_.kind, i with
-  | Failure_.Null_deref, Some instr -> (
-      match addr_of instr with
-      | Some (Sval.Ptr { obj = 0; _ }) -> []
-      | Some (Sval.Ptr _) -> raise (Diverge "expected null pointer, got object")
-      | Some (Sval.Bv e) -> [ Expr.eq e (bvc ~width:64 0L) ]
-      | None -> raise (Diverge "null-deref failure at non-memory instruction"))
-  | Failure_.Out_of_bounds _, Some instr -> (
-      match addr_of instr with
-      | Some sv ->
-          let o, idx = resolve_addr st ~at:st.failure.Failure_.point sv in
-          [ Expr.uge idx (bvc ~width:32 (Int64.of_int o.Symmem.s_size)) ]
-      | None -> raise (Diverge "out-of-bounds failure at non-memory instruction"))
-  | Failure_.Use_after_free _, Some instr -> (
-      match addr_of instr with
-      | Some sv ->
-          let o, _ = resolve_addr st ~at:st.failure.Failure_.point sv in
-          if o.Symmem.s_freed then []
-          else raise (Diverge "expected freed object at failure point")
-      | None -> raise (Diverge "use-after-free at non-memory instruction"))
-  | Failure_.Double_free _, Some (Free { addr }) -> (
-      match resolve_addr st ~at:st.failure.Failure_.point (ev addr) with
-      | o, _ when o.Symmem.s_freed -> []
-      | _ -> raise (Diverge "expected freed object at double free"))
-  | Failure_.Div_by_zero, Some (Bin { ty; b; _ }) ->
-      [ Expr.eq (norm_expr ty (Sval.expect_bv (ev b)))
-          (bvc ~width:(width_of_ty ty) 0L) ]
-  | Failure_.Assert_failed _, Some (Assert { cond; _ }) ->
-      [ Expr.eq (norm_expr I1 (Sval.expect_bv (ev cond))) (bvc ~width:1 0L) ]
-  | Failure_.Input_exhausted _, _ -> []
-  | Failure_.Abort_called _, _ | Failure_.Unreachable_reached, _ -> []
-  | Failure_.Access_type_error _, _ | Failure_.Invalid_pointer, _ -> []
-  | Failure_.Stack_overflow, _ -> []
-  | (Failure_.Deadlock | Failure_.Lock_error _ | Failure_.Hang), _ ->
-      raise (Diverge "failure kind not supported by reconstruction")
-  | _, None -> []
-  | _, Some _ -> raise (Diverge "failure kind does not match failing instruction")
-
-(* --- stepping ---------------------------------------------------------------- *)
-
-type step = Stepped | Stepped_free | Thread_done | Reached_failure
-
-let jump st (fr : frame) label =
-  fr.fr_block <- Er_ir.Prog.block st.prog ~func:fr.fr_func.fname ~label;
-  fr.fr_ip <- 0
+(* --- the trace ------------------------------------------------------------- *)
 
 let next_branch st =
   if st.branch_i >= Array.length st.trace.Er_trace.Decoder.branches then
@@ -383,36 +316,187 @@ let fresh_input st stream ty =
   st.input_log <- (stream, v) :: st.input_log;
   v
 
-let make_frame (f : func) (args : Sval.t list) ~dst =
-  let regs = Hashtbl.create 16 in
-  (try
-     List.iter2
-       (fun (r, ty) sv ->
-          let sv =
-            match sv with
-            | Sval.Bv e -> Sval.Bv (norm_expr ty e)
-            | Sval.Ptr _ -> sv
-          in
-          Hashtbl.replace regs r sv)
-       f.params args
-   with Invalid_argument _ ->
-     invalid_arg (Printf.sprintf "Exec: arity mismatch calling %s" f.fname));
-  match f.blocks with
-  | [] -> assert false
-  | entry :: _ ->
-      { fr_func = f; fr_block = entry; fr_ip = 0; fr_regs = regs; fr_dst = dst;
-        fr_stack_objs = [] }
+(* --- instruction semantics ----------------------------------------------- *)
 
-let do_return st (th : thread) (v : Sval.t option) : step =
+(* What each instruction computes, for both engines.  Operands are read
+   through the engine's evaluator [ev] in a fixed order: term interning
+   follows it, and the solver trajectory follows the interning order.
+   The engine writes the result register and advances its frame. *)
+
+let bv ev ty v = norm_expr ty (Sval.expect_bv (ev v))
+
+let bin st ev op ty a b : Sval.t =
+  let ea = bv ev ty a and eb = bv ev ty b in
+  (match op with
+   | Udiv | Urem ->
+       (* the production run did not crash here: divisor was nonzero *)
+       if not (Expr.is_const eb) then begin
+         let nz = Expr.ne eb (bvc ~width:(width_of_ty ty) 0L) in
+         push_path st nz
+       end
+       else if Int64.equal (Option.get (Expr.to_const eb)) 0L then
+         raise (Diverge "concrete division by zero mid-trace")
+   | _ -> ());
+  (* pointer arithmetic through Bin: keep the object when adding a
+     concrete-object pointer and an integer *)
+  match op, ev a, ev b with
+  | Add, Sval.Ptr { obj; index }, other when ty = Ptr ->
+      Sval.Ptr { obj; index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
+  | Add, other, Sval.Ptr { obj; index } when ty = Ptr ->
+      Sval.Ptr { obj; index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
+  | _ -> Sval.Bv (Expr.binop (smt_binop op) ea eb)
+
+let select ev ty cond if_true if_false : Sval.t =
+  let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
+  let tv = ev if_true and fv = ev if_false in
+  match Expr.to_const c with
+  | Some 1L -> tv
+  | Some _ -> fv
+  | None -> (
+      match tv, fv with
+      | Sval.Ptr { obj = ot; index = it }, Sval.Ptr { obj = of_; index = if_ }
+        when ot = of_ ->
+          Sval.Ptr { obj = ot; index = Expr.ite c it if_ }
+      | _ ->
+          Sval.Bv
+            (Expr.ite c
+               (norm_expr ty (Sval.expect_bv tv))
+               (norm_expr ty (Sval.expect_bv fv))))
+
+let cast ev kind ~from_ty ~to_ty v : Sval.t =
+  let sv = ev v in
+  match kind, sv with
+  | (Ptrtoint | Inttoptr | Zext), Sval.Ptr _ when width_of_ty to_ty = 64 ->
+      sv    (* identity on packed pointers *)
+  | Inttoptr, Sval.Bv e when width_of_ty to_ty = 64 ->
+      Sval.decode_ptr (norm_expr to_ty e)
+  | _ ->
+      let e = norm_expr from_ty (Sval.expect_bv sv) in
+      let out =
+        match kind with
+        | Zext | Ptrtoint | Inttoptr ->
+            if width_of_ty to_ty >= Expr.width e then
+              Expr.zero_extend ~to_:(width_of_ty to_ty) e
+            else Expr.truncate ~to_:(width_of_ty to_ty) e
+        | Trunc -> Expr.truncate ~to_:(width_of_ty to_ty) e
+        | Sext -> Expr.sign_extend_e ~to_:(width_of_ty to_ty) e
+      in
+      Sval.Bv out
+
+let load st ~at ev ty addr : Sval.t =
+  let o, idx = resolve_addr st ~at (ev addr) in
+  check_access st ~at o ty idx;
+  let e = Symmem.read o idx in
+  if ty = Ptr then Sval.decode_ptr e else Sval.Bv e
+
+let store st ~at ev ty v addr =
+  let o, idx = resolve_addr st ~at (ev addr) in
+  check_access st ~at o ty idx;
+  Symmem.write o idx (bv ev ty v)
+
+(* The runtime always traces allocation sizes; bind the symbolic count to
+   the recorded concrete size.  The engine keeps a stack object for
+   freeing on return. *)
+let alloc st ev ~elt_ty ~heap count : Symmem.sobj =
+  let recorded = next_data st in
+  let c = bv ev I32 count in
+  (if not (Expr.is_const c) then
+     push_path st (Expr.eq c (bvc ~width:32 recorded))
+   else if not (Int64.equal (Option.get (Expr.to_const c)) recorded) then
+     raise (Diverge "allocation size contradicts trace"));
+  Symmem.alloc st.mem ~elt_ty ~size:(Int64.to_int recorded) ~heap
+
+let obj_ptr (o : Symmem.sobj) =
+  Sval.Ptr { obj = o.Symmem.s_id; index = bvc ~width:32 0L }
+
+let free st ~at ev addr =
+  let o, _ = resolve_addr st ~at (ev addr) in
+  if o.Symmem.s_freed then raise (Diverge "double free mid-trace");
+  o.Symmem.s_freed <- true
+
+let gep ev base idx : Sval.t =
+  let delta =
+    let e = Sval.expect_bv (ev idx) in
+    if Expr.width e = 32 then e
+    else if Expr.width e > 32 then Expr.truncate ~to_:32 e
+    else Expr.sign_extend_e ~to_:32 e
+  in
+  match ev base with
+  | Sval.Ptr { obj; index } -> Sval.Ptr { obj; index = Expr.add index delta }
+  | Sval.Bv e -> (
+      match Sval.decode_ptr e with
+      | Sval.Ptr { obj; index } -> Sval.Ptr { obj; index = Expr.add index delta }
+      | Sval.Bv e -> Sval.Bv (Expr.add e (Expr.zero_extend ~to_:64 delta)))
+
+(* Consume the recorded value and concretize (section 3.3.3).  A
+   symbolic operand returns the concrete value its register holds from
+   here on; the engine writes it without hooks or provenance. *)
+let ptwrite st ev v : Sval.t option =
+  let recorded = next_data st in
+  match ev v with
+  | Sval.Bv e ->
+      let c = bvc ~width:(Expr.width e) recorded in
+      if Expr.is_const e then None
+      else begin
+        push_path st (Expr.eq e c);
+        Some (Sval.Bv c)
+      end
+  | Sval.Ptr { obj; index } ->
+      let idx_c = Int64.of_int (Er_vm.Memory.ptr_index recorded) in
+      let c = bvc ~width:32 idx_c in
+      if Expr.is_const index then None
+      else begin
+        push_path st (Expr.eq index c);
+        Some (Sval.Ptr { obj; index = c })
+      end
+
+(* mid-trace asserts passed in production *)
+let assert_passed st ev cond =
+  let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
+  if not (Expr.is_true c) then push_path st c
+
+(* A conditional branch follows the next TNT bit; the condition's value
+   [cond] is asserted to take the recorded direction, which is returned.
+   It takes the value rather than an evaluator, as the condition is read
+   first: terminator steps build no evaluator closure. *)
+let branch st (cond : Sval.t) =
+  let c = norm_expr I1 (Sval.expect_bv cond) in
+  let taken = next_branch st in
+  (match Expr.to_const c with
+   | Some v ->
+       if Int64.equal v 1L <> taken then
+         raise (Diverge "concrete branch contradicts trace")
+   | None ->
+       let want = if taken then c else Expr.not_ c in
+       push_path st want);
+  taken
+
+(* --- calls, returns, threads ----------------------------------------------- *)
+
+type step = Stepped | Stepped_free | Thread_done | Reached_failure
+
+let call th callee =
+  th.stack <- callee :: th.stack;
+  th.depth <- th.depth + 1;
+  Stepped
+
+let spawn st frame =
+  let t = { tid = st.next_tid; stack = [ frame ]; depth = 1; live = true } in
+  st.next_tid <- st.next_tid + 1;
+  st.threads <- st.threads @ [ t ]
+
+(* Pop [th]'s top frame, whose stack objects are [objs] and whose result
+   goes to the caller's register [dst] through the engine's [set_reg]. *)
+let do_return st th ~set_reg ~objs ~dst (v : Sval.t option) : step =
   match th.stack with
   | [] -> assert false
-  | fr :: rest ->
+  | _ :: rest ->
       List.iter
         (fun id ->
            match Symmem.find st.mem id with
            | Some o -> o.Symmem.s_freed <- true
            | None -> ())
-        fr.fr_stack_objs;
+        objs;
       th.stack <- rest;
       th.depth <- th.depth - 1;
       (match rest with
@@ -420,244 +504,80 @@ let do_return st (th : thread) (v : Sval.t option) : step =
            th.live <- false;
            Thread_done
        | caller :: _ ->
-           (match fr.fr_dst, v with
+           (match dst, v with
             | Some dst, Some sv -> set_reg st caller dst sv
             | Some dst, None -> set_reg st caller dst (Sval.of_const ~width:64 0L)
             | None, _ -> ());
            Stepped)
 
-let step_instr st (th : thread) (fr : frame) (i : instr) : step =
-  let at = point_of fr in
-  let ev v = eval_value st fr v in
-  let bv ty v = norm_expr ty (Sval.expect_bv (ev v)) in
-  match i with
-  | Bin { dst; op; ty; a; b } ->
-      let ea = bv ty a and eb = bv ty b in
-      (match op with
-       | Udiv | Urem ->
-           (* the production run did not crash here: divisor was nonzero *)
-           if not (Expr.is_const eb) then begin
-             let nz = Expr.ne eb (bvc ~width:(width_of_ty ty) 0L) in
-             push_path st nz
-           end
-           else if Int64.equal (Option.get (Expr.to_const eb)) 0L then
-             raise (Diverge "concrete division by zero mid-trace")
-       | _ -> ());
-      (* pointer arithmetic through Bin: keep the object when adding a
-         concrete-object pointer and an integer *)
-      let result =
-        match op, ev a, ev b with
-        | Add, Sval.Ptr { obj; index }, other when ty = Ptr ->
-            Sval.Ptr { obj; index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
-        | Add, other, Sval.Ptr { obj; index } when ty = Ptr ->
-            Sval.Ptr { obj; index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
-        | _ -> Sval.Bv (Expr.binop (smt_binop op) ea eb)
-      in
-      set_reg st fr dst result;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Cmp { dst; op; ty; a; b } ->
-      set_reg st fr dst (Sval.Bv (sym_cmp op ty (ev a) (ev b)));
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Select { dst; ty; cond; if_true; if_false } ->
-      let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
-      let tv = ev if_true and fv = ev if_false in
-      let result =
-        match Expr.to_const c with
-        | Some 1L -> tv
-        | Some _ -> fv
-        | None -> (
-            match tv, fv with
-            | Sval.Ptr { obj = ot; index = it }, Sval.Ptr { obj = of_; index = if_ }
-              when ot = of_ ->
-                Sval.Ptr { obj = ot; index = Expr.ite c it if_ }
-            | _ ->
-                Sval.Bv
-                  (Expr.ite c
-                     (norm_expr ty (Sval.expect_bv tv))
-                     (norm_expr ty (Sval.expect_bv fv))))
-      in
-      set_reg st fr dst result;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Cast { dst; kind; to_ty; v; from_ty } ->
-      let sv = ev v in
-      let result =
-        match kind, sv with
-        | (Ptrtoint | Inttoptr | Zext), Sval.Ptr _ when width_of_ty to_ty = 64 ->
-            sv    (* identity on packed pointers *)
-        | Inttoptr, Sval.Bv e when width_of_ty to_ty = 64 ->
-            Sval.decode_ptr (norm_expr to_ty e)
-        | _ ->
-            let e = norm_expr from_ty (Sval.expect_bv sv) in
-            let out =
-              match kind with
-              | Zext | Ptrtoint | Inttoptr ->
-                  if width_of_ty to_ty >= Expr.width e then
-                    Expr.zero_extend ~to_:(width_of_ty to_ty) e
-                  else Expr.truncate ~to_:(width_of_ty to_ty) e
-              | Trunc -> Expr.truncate ~to_:(width_of_ty to_ty) e
-              | Sext -> Expr.sign_extend_e ~to_:(width_of_ty to_ty) e
-            in
-            Sval.Bv out
-      in
-      set_reg st fr dst result;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Load { dst; ty; addr } ->
-      let o, idx = resolve_addr st ~at (ev addr) in
-      if not (access_ty_ok o ty) then
-        raise (Diverge "access type mismatch mid-trace");
-      check_bounds st ~at o idx;
-      let e = Symmem.read o idx in
-      let sv = if ty = Ptr then Sval.decode_ptr e else Sval.Bv e in
-      set_reg st fr dst sv;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Store { ty; v; addr } ->
-      let o, idx = resolve_addr st ~at (ev addr) in
-      if not (access_ty_ok o ty) then
-        raise (Diverge "access type mismatch mid-trace");
-      check_bounds st ~at o idx;
-      Symmem.write o idx (bv ty v);
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Alloc { dst; elt_ty; count; heap } ->
-      (* the runtime always traces allocation sizes; bind the symbolic
-         count to the recorded concrete size *)
-      let recorded = next_data st in
-      let c = bv I32 count in
-      (if not (Expr.is_const c) then
-         push_path st (Expr.eq c (bvc ~width:32 recorded))
-       else if not (Int64.equal (Option.get (Expr.to_const c)) recorded) then
-         raise (Diverge "allocation size contradicts trace"));
-      let n = Int64.to_int recorded in
-      let o = Symmem.alloc st.mem ~elt_ty ~size:n ~heap in
-      if not heap then fr.fr_stack_objs <- o.Symmem.s_id :: fr.fr_stack_objs;
-      set_reg st fr dst (Sval.Ptr { obj = o.Symmem.s_id; index = bvc ~width:32 0L });
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Free { addr } ->
-      let o, _ = resolve_addr st ~at (ev addr) in
-      if o.Symmem.s_freed then raise (Diverge "double free mid-trace");
-      o.Symmem.s_freed <- true;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Gep { dst; base; idx } ->
-      let delta =
-        let e = Sval.expect_bv (ev idx) in
-        if Expr.width e = 32 then e
-        else if Expr.width e > 32 then Expr.truncate ~to_:32 e
-        else Expr.sign_extend_e ~to_:32 e
-      in
-      (match ev base with
-       | Sval.Ptr { obj; index } ->
-           set_reg st fr dst (Sval.Ptr { obj; index = Expr.add index delta })
-       | Sval.Bv e ->
-           (match Sval.decode_ptr e with
-            | Sval.Ptr { obj; index } ->
-                set_reg st fr dst (Sval.Ptr { obj; index = Expr.add index delta })
-            | Sval.Bv e ->
-                set_reg st fr dst
-                  (Sval.Bv (Expr.add e (Expr.zero_extend ~to_:64 delta)))));
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Call { dst; func; args } ->
-      let f = Er_ir.Prog.func st.prog func in
-      let vargs = List.map ev args in
-      fr.fr_ip <- fr.fr_ip + 1;
-      th.stack <- make_frame f vargs ~dst :: th.stack;
-      th.depth <- th.depth + 1;
-      Stepped
-  | Input { dst; ty; stream } ->
-      set_reg st fr dst (Sval.Bv (fresh_input st stream ty));
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Output _ ->
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Ptwrite { v } ->
-      (* consume the recorded value and concretize (section 3.3.3) *)
-      let recorded = next_data st in
-      (match ev v with
-       | Sval.Bv e ->
-           let c = bvc ~width:(Expr.width e) recorded in
-           if not (Expr.is_const e) then begin
-             push_path st (Expr.eq e c);
-             (* subsequent uses of the register see the concrete value *)
-             (match v with
-              | Reg r -> Hashtbl.replace fr.fr_regs r (Sval.Bv c)
-              | Imm _ | Global _ | Null -> ())
-           end
-       | Sval.Ptr { obj; index } ->
-           let idx_c = Int64.of_int (Er_vm.Memory.ptr_index recorded) in
-           let c = bvc ~width:32 idx_c in
-           if not (Expr.is_const index) then begin
-             push_path st (Expr.eq index c);
-             match v with
-             | Reg r -> Hashtbl.replace fr.fr_regs r (Sval.Ptr { obj; index = c })
-             | Imm _ | Global _ | Null -> ()
-           end);
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped_free
-  | Assert { cond; _ } ->
-      (* mid-trace asserts passed in production *)
-      let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
-      if not (Expr.is_true c) then push_path st c;
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Spawn { func; args } ->
-      let f = Er_ir.Prog.func st.prog func in
-      let vargs = List.map ev args in
-      let t =
-        { tid = st.next_tid; stack = [ make_frame f vargs ~dst:None ];
-          depth = 1; live = true }
-      in
-      st.next_tid <- st.next_tid + 1;
-      st.threads <- st.threads @ [ t ];
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
-  | Join | Lock _ | Unlock _ ->
-      (* synchronization is replayed via the recorded schedule *)
-      fr.fr_ip <- fr.fr_ip + 1;
-      Stepped
+(* --- the failing instruction ------------------------------------------------ *)
 
-let step_term st (th : thread) (fr : frame) (t : terminator) : step =
-  match t with
-  | Br l ->
-      jump st fr l;
-      Stepped
-  | Cond_br { cond; if_true; if_false } ->
-      let c = norm_expr I1 (Sval.expect_bv (eval_value st fr cond)) in
-      let taken = next_branch st in
-      (match Expr.to_const c with
-       | Some v ->
-           if Int64.equal v 1L <> taken then
-             raise (Diverge "concrete branch contradicts trace")
-       | None ->
-           let want = if taken then c else Expr.not_ c in
-           push_path st want);
-      jump st fr (if taken then if_true else if_false);
-      Stepped
-  | Ret v -> do_return st th (Option.map (eval_value st fr) v)
-  | Abort _ | Unreachable -> Reached_failure
+(* The instruction at the failure clock, as [failure_constraints] sees
+   it; an operand is read only if a constraint needs it. *)
+type failing =
+  | At_terminator
+  | At_access of { addr : unit -> Sval.t; free : bool }  (* load, store, free *)
+  | At_bin of { ty : ty; divisor : unit -> Sval.t }
+  | At_assert of (unit -> Sval.t)
+  | At_other
 
-let step_thread st (th : thread) : step =
-  match th.stack with
-  | [] ->
-      th.live <- false;
-      Thread_done
-  | fr :: _ ->
-      if fr.fr_ip < Array.length fr.fr_block.instrs then
-        step_instr st th fr fr.fr_block.instrs.(fr.fr_ip)
-      else step_term st th fr fr.fr_block.term
+(* Constraints that make the final instruction fail the way production did. *)
+let failure_constraints st (i : failing) : Expr.t list =
+  let at = st.failure.Failure_.point in
+  let addr what =
+    match i with
+    | At_access { addr; _ } -> addr ()
+    | At_terminator | At_bin _ | At_assert _ | At_other ->
+        raise (Diverge (what ^ " at non-memory instruction"))
+  in
+  match st.failure.Failure_.kind, i with
+  | (Failure_.Deadlock | Failure_.Lock_error _ | Failure_.Hang), _ ->
+      raise (Diverge "failure kind not supported by reconstruction")
+  | _, At_terminator -> []
+  | Failure_.Null_deref, _ -> (
+      match addr "null-deref failure" with
+      | Sval.Ptr { obj = 0; _ } -> []
+      | Sval.Ptr _ -> raise (Diverge "expected null pointer, got object")
+      | Sval.Bv e -> [ Expr.eq e (bvc ~width:64 0L) ])
+  | Failure_.Out_of_bounds _, _ ->
+      let o, idx = resolve_addr st ~at (addr "out-of-bounds failure") in
+      [ Expr.uge idx (bvc ~width:32 (Int64.of_int o.Symmem.s_size)) ]
+  | Failure_.Use_after_free _, _ ->
+      let o, _ = resolve_addr st ~at (addr "use-after-free") in
+      if o.Symmem.s_freed then []
+      else raise (Diverge "expected freed object at failure point")
+  | Failure_.Double_free _, At_access { addr; free = true } -> (
+      match resolve_addr st ~at (addr ()) with
+      | o, _ when o.Symmem.s_freed -> []
+      | _ -> raise (Diverge "expected freed object at double free"))
+  | Failure_.Div_by_zero, At_bin { ty; divisor } ->
+      [ Expr.eq (norm_expr ty (Sval.expect_bv (divisor ())))
+          (bvc ~width:(width_of_ty ty) 0L) ]
+  | Failure_.Assert_failed _, At_assert cond ->
+      [ Expr.eq (norm_expr I1 (Sval.expect_bv (cond ()))) (bvc ~width:1 0L) ]
+  | ( ( Failure_.Input_exhausted _ | Failure_.Abort_called _
+      | Failure_.Unreachable_reached | Failure_.Access_type_error _
+      | Failure_.Invalid_pointer | Failure_.Stack_overflow ),
+      _ ) ->
+      []
+  | (Failure_.Double_free _ | Failure_.Div_by_zero | Failure_.Assert_failed _), _
+    ->
+      raise (Diverge "failure kind does not match failing instruction")
 
-(* --- main entry -------------------------------------------------------------- *)
+(* --- the run loop ---------------------------------------------------------- *)
 
-let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
-    ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
-    ~(failure_clock : int) : result =
+(* What [shepherd] needs of an engine. *)
+type 'fr engine = {
+  step_thread : 'fr st -> 'fr thread -> 'fr -> step;
+      (* run the next instruction or terminator of the thread's top frame *)
+  point_of : 'fr -> point;
+  at_ptwrite : 'fr -> bool;   (* the frame's next instruction is a ptwrite *)
+  failing : 'fr st -> 'fr -> failing;
+}
+
+let shepherd eng ~main ~config (prog : Er_ir.Prog.t) ~trace ~failure
+    ~failure_clock : result =
+  let globals = prog.Er_ir.Prog.program.globals in
   let st =
     {
       prog;
@@ -671,7 +591,7 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
           ~gate_budget:config.gate_budget ();
       mem = Symmem.create ();
       globals = Hashtbl.create 16;
-      lobjs = [||];
+      lobjs = Array.make (List.length globals) 0;
       threads = [];
       next_tid = 1;
       clock = 0;
@@ -687,19 +607,17 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
     }
   in
   (* globals allocate in the same order as the concrete runtime *)
-  List.iter
-    (fun (g : global) ->
+  List.iteri
+    (fun gi (g : global) ->
        let o = Symmem.alloc st.mem ~elt_ty:g.g_elt_ty ~size:g.g_size ~heap:true in
        (match g.g_init with
         | None -> ()
         | Some init ->
             Array.iteri (fun i v -> Symmem.init_cell o ~index:i v) init);
-       Hashtbl.replace st.globals g.gname o.Symmem.s_id)
-    prog.program.globals;
-  let main_thread =
-    { tid = 0; stack = [ make_frame (Er_ir.Prog.main prog) [] ~dst:None ];
-      depth = 1; live = true }
-  in
+       Hashtbl.replace st.globals g.gname o.Symmem.s_id;
+       st.lobjs.(gi) <- o.Symmem.s_id)
+    globals;
+  let main_thread = { tid = 0; stack = [ main ]; depth = 1; live = true } in
   st.threads <- [ main_thread ];
   let thread_by_id tid =
     match List.find_opt (fun t -> t.tid = tid) st.threads with
@@ -727,69 +645,55 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
       progress = List.rev st.progress;
     }
   in
-  let result = ref None in
+  (* the failing instruction: make it fail the way production did, then
+     solve for failure-inducing inputs *)
+  let solve fr =
+    let here = eng.point_of fr in
+    if point_compare here st.failure.Failure_.point <> 0 then
+      raise
+        (Diverge
+           (Printf.sprintf "failure point mismatch: at %s, expected %s"
+              (point_to_string here)
+              (point_to_string st.failure.Failure_.point)));
+    let fc = failure_constraints st (eng.failing st fr) in
+    List.iter (push_path st) (List.rev fc);
+    match query st ~at:here [] with
+    | None -> raise (Diverge "final path constraint unsatisfiable")
+    | Some model ->
+        Cgraph.set_assertions st.graph st.path;
+        finish
+          (Complete
+             { model; input_log = List.rev st.input_log;
+               path_constraints = st.path })
+  in
   let cur = ref main_thread in
-  (try
-     while !result = None do
-       (* follow the recorded chunk schedule *)
-       (if st.sched_i < Array.length st.trace.Er_trace.Decoder.schedule then begin
-          let tid, sw_clock = st.trace.Er_trace.Decoder.schedule.(st.sched_i) in
-          if st.clock >= sw_clock then begin
-            st.sched_i <- st.sched_i + 1;
-            cur := thread_by_id tid
-          end
-        end);
-       let th = !cur in
-       if st.clock > st.cfg.max_steps then
-         raise (Diverge "step budget exhausted")
-       else if
-         st.clock = st.failure_clock
-         && (match th.stack with
-             | fr :: _ ->
-                 (* clock-free instrumentation executes before the failing
-                    instruction is identified *)
-                 not
-                   (fr.fr_ip < Array.length fr.fr_block.instrs
-                    && match fr.fr_block.instrs.(fr.fr_ip) with
-                       | Ptwrite _ -> true
-                       | _ -> false)
-             | [] -> true)
-       then begin
-         (* we are at the failing instruction *)
-         match th.stack with
-         | [] -> raise (Diverge "failure clock reached with empty stack")
-         | fr :: _ ->
-             let here = point_of fr in
-             if point_compare here st.failure.Failure_.point <> 0 then
-               raise
-                 (Diverge
-                    (Printf.sprintf "failure point mismatch: at %s, expected %s"
-                       (point_to_string here)
-                       (point_to_string st.failure.Failure_.point)));
-             let failing_instr =
-               if fr.fr_ip < Array.length fr.fr_block.instrs then
-                 Some fr.fr_block.instrs.(fr.fr_ip)
-               else None
-             in
-             let fc = failure_constraints st fr failing_instr in
-             List.iter (push_path st) (List.rev fc);
-             (* final solve: compute failure-inducing inputs *)
-             (match query st ~at:here [] with
-              | None -> raise (Diverge "final path constraint unsatisfiable")
-              | Some model ->
-                  Cgraph.set_assertions st.graph st.path;
-                  result :=
-                    Some
-                      (finish
-                         (Complete
-                            {
-                              model;
-                              input_log = List.rev st.input_log;
-                              path_constraints = st.path;
-                            })))
+  let rec loop () =
+    (* follow the recorded chunk schedule *)
+    (if st.sched_i < Array.length st.trace.Er_trace.Decoder.schedule then begin
+       let tid, sw_clock = st.trace.Er_trace.Decoder.schedule.(st.sched_i) in
+       if st.clock >= sw_clock then begin
+         st.sched_i <- st.sched_i + 1;
+         cur := thread_by_id tid
        end
-       else begin
-         match step_thread st th with
+     end);
+    let th = !cur in
+    if st.clock > st.cfg.max_steps then raise (Diverge "step budget exhausted");
+    match th.stack with
+    | [] when st.clock = st.failure_clock ->
+        raise (Diverge "failure clock reached with empty stack")
+    | fr :: _ when st.clock = st.failure_clock && not (eng.at_ptwrite fr) ->
+        (* clock-free instrumentation executes before the failing
+           instruction is identified *)
+        solve fr
+    | stack ->
+        let step =
+          match stack with
+          | [] ->
+              th.live <- false;
+              Thread_done
+          | fr :: _ -> eng.step_thread st th fr
+        in
+        (match step with
          | Stepped -> st.clock <- st.clock + 1
          | Stepped_free -> ()
          | Thread_done -> (
@@ -801,563 +705,348 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
              raise
                (Diverge
                   (Printf.sprintf "reached terminator failure early at clock %d"
-                     st.clock))
-       end
-     done;
-     match !result with Some r -> r | None -> assert false
-   with
-   | Diverge msg -> finish (Diverged msg)
-   | Stall { at; reason } ->
-       Cgraph.set_assertions st.graph st.path;
-       M.set m_stall_depth (float_of_int (!cur).depth);
-       finish
-         (Stalled
-            { graph = st.graph; memory = st.mem; stalled_at = at;
-              stall_reason = reason }))
+                     st.clock)));
+        loop ()
+  in
+  try loop () with
+  | Diverge msg -> finish (Diverged msg)
+  | Stall { at; reason } ->
+      Cgraph.set_assertions st.graph st.path;
+      M.set m_stall_depth (float_of_int (!cur).depth);
+      finish
+        (Stalled
+           { graph = st.graph; memory = st.mem; stalled_at = at;
+             stall_reason = reason })
 
 (* ======================================================================== *)
-(* Lowered engine                                                           *)
+(* Reference engine: the IR as written                                      *)
 (* ======================================================================== *)
 
-(* Shepherding over the pre-lowered code cache ({!Er_ir.Lower}): register
-   files are dense [Sval.t array]s, control flow and call targets are
-   array indices.  Every [Expr] construction and every solver query is
-   made in exactly the order of the reference engine above, so path
-   constraints, constraint-graph provenance, and the deterministic
-   solver cost are identical — the corpus differential in
-   test/test_lower.ml checks solver_cost equality per bug. *)
+module Reference = struct
+  type frame = {
+    fr_func : func;
+    mutable fr_block : block;
+    mutable fr_ip : int;
+    fr_regs : (string, Sval.t) Hashtbl.t;
+    fr_dst : reg option;
+    mutable fr_stack_objs : int list;
+  }
 
-module L = Er_ir.Lower
+  let eval_value st (fr : frame) v : Sval.t =
+    match v with
+    | Imm (value, ty) -> Sval.Bv (bvc ~width:(width_of_ty ty) value)
+    | Null -> Sval.null
+    | Global g -> (
+        match Hashtbl.find_opt st.globals g with
+        | Some obj -> Sval.Ptr { obj; index = bvc ~width:32 0L }
+        | None -> invalid_arg ("Exec: unknown global " ^ g))
+    | Reg r -> (
+        match Hashtbl.find_opt fr.fr_regs r with
+        | Some sv -> sv
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Exec: read of undefined register %s in %s" r
+                 fr.fr_func.fname))
 
-type lframe = {
-  lfr_func : L.lfunc;
-  mutable lfr_block : L.lblock;
-  mutable lfr_ip : int;
-  lfr_regs : Sval.t array;
-  lfr_defined : Bytes.t;   (* per-slot definedness; length 0 when untracked *)
-  lfr_dst : int option;
-  mutable lfr_stack_objs : int list;
-}
+  let point_of (fr : frame) =
+    { p_func = fr.fr_func.fname; p_block = fr.fr_block.label; p_index = fr.fr_ip }
 
-type lthread = {
-  ltid : int;
-  mutable lstack : lframe list;
-  mutable ldepth : int;    (* cached [List.length lstack] *)
-  mutable llive : bool;
-}
+  let set_reg st (fr : frame) r sv =
+    define st (point_of fr) sv;
+    Hashtbl.replace fr.fr_regs r sv
 
-let lpoint_of (fr : lframe) =
-  { p_func = fr.lfr_func.L.lf_name; p_block = fr.lfr_block.L.lb_label;
-    p_index = fr.lfr_ip }
+  let next (fr : frame) =
+    fr.fr_ip <- fr.fr_ip + 1;
+    Stepped
 
-let lev st (fr : lframe) (o : L.operand) : Sval.t =
-  match o with
-  | L.Oslot s -> Array.unsafe_get fr.lfr_regs s
-  | L.Oimm { v; ity } -> Sval.Bv (bvc ~width:(width_of_ty ity) v)
-  | L.Onull -> Sval.null
-  | L.Oglobal i -> Sval.Ptr { obj = st.lobjs.(i); index = bvc ~width:32 0L }
-  | L.Ocheck { slot; reg } ->
-      if Bytes.get fr.lfr_defined slot = '\001' then fr.lfr_regs.(slot)
-      else
-        invalid_arg
-          (Printf.sprintf "Exec: read of undefined register %s in %s" reg
-             fr.lfr_func.L.lf_name)
+  (* retire an instruction that defines [r] *)
+  let def st fr r sv =
+    set_reg st fr r sv;
+    next fr
 
-let lset_reg st (fr : lframe) slot (sv : Sval.t) =
-  (match sv with
-   | Sval.Bv e -> Cgraph.define st.graph (lpoint_of fr) e
-   | Sval.Ptr { index; _ } -> Cgraph.define st.graph (lpoint_of fr) index);
-  fr.lfr_regs.(slot) <- sv;
-  if Bytes.length fr.lfr_defined <> 0 then Bytes.set fr.lfr_defined slot '\001'
+  let make_frame (f : func) (args : Sval.t list) ~dst =
+    let regs = Hashtbl.create 16 in
+    (try
+       List.iter2
+         (fun (r, ty) sv -> Hashtbl.replace regs r (norm_arg ty sv))
+         f.params args
+     with Invalid_argument _ ->
+       invalid_arg (Printf.sprintf "Exec: arity mismatch calling %s" f.fname));
+    match f.blocks with
+    | [] -> assert false
+    | entry :: _ ->
+        { fr_func = f; fr_block = entry; fr_ip = 0; fr_regs = regs; fr_dst = dst;
+          fr_stack_objs = [] }
 
-let empty_defined = Bytes.create 0
+  let jump st (fr : frame) label =
+    fr.fr_block <- Er_ir.Prog.block st.prog ~func:fr.fr_func.fname ~label;
+    fr.fr_ip <- 0;
+    Stepped
 
-let make_lframe (lf : L.lfunc) (args : Sval.t list) ~dst =
-  let regs = Array.make lf.L.lf_nslots Sval.null in
-  let defined =
-    if lf.L.lf_tracked then Bytes.make lf.L.lf_nslots '\000' else empty_defined
-  in
-  if List.length args <> Array.length lf.L.lf_params then
-    invalid_arg (Printf.sprintf "Exec: arity mismatch calling %s" lf.L.lf_name);
-  List.iteri
-    (fun i sv ->
-       let slot, ty = lf.L.lf_params.(i) in
-       let sv =
-         match sv with
-         | Sval.Bv e -> Sval.Bv (norm_expr ty e)
-         | Sval.Ptr _ -> sv
-       in
-       regs.(slot) <- sv;
-       if lf.L.lf_tracked then Bytes.set defined slot '\001')
-    args;
-  { lfr_func = lf; lfr_block = lf.L.lf_blocks.(0); lfr_ip = 0; lfr_regs = regs;
-    lfr_defined = defined; lfr_dst = dst; lfr_stack_objs = [] }
+  let step_instr st th (fr : frame) (i : instr) : step =
+    let ev v = eval_value st fr v in
+    match i with
+    | Bin { dst; op; ty; a; b } -> def st fr dst (bin st ev op ty a b)
+    | Cmp { dst; op; ty; a; b } ->
+        def st fr dst (Sval.Bv (sym_cmp op ty (ev a) (ev b)))
+    | Select { dst; ty; cond; if_true; if_false } ->
+        def st fr dst (select ev ty cond if_true if_false)
+    | Cast { dst; kind; to_ty; v; from_ty } ->
+        def st fr dst (cast ev kind ~from_ty ~to_ty v)
+    | Load { dst; ty; addr } ->
+        def st fr dst (load st ~at:(point_of fr) ev ty addr)
+    | Store { ty; v; addr } ->
+        store st ~at:(point_of fr) ev ty v addr;
+        next fr
+    | Alloc { dst; elt_ty; count; heap } ->
+        let o = alloc st ev ~elt_ty ~heap count in
+        if not heap then fr.fr_stack_objs <- o.Symmem.s_id :: fr.fr_stack_objs;
+        def st fr dst (obj_ptr o)
+    | Free { addr } ->
+        free st ~at:(point_of fr) ev addr;
+        next fr
+    | Gep { dst; base; idx } -> def st fr dst (gep ev base idx)
+    | Call { dst; func; args } ->
+        let f = Er_ir.Prog.func st.prog func in
+        let vargs = List.map ev args in
+        fr.fr_ip <- fr.fr_ip + 1;
+        call th (make_frame f vargs ~dst)
+    | Input { dst; ty; stream } ->
+        def st fr dst (Sval.Bv (fresh_input st stream ty))
+    | Ptwrite { v } ->
+        (match ptwrite st ev v, v with
+         | Some c, Reg r -> Hashtbl.replace fr.fr_regs r c
+         | _ -> ());
+        fr.fr_ip <- fr.fr_ip + 1;
+        Stepped_free
+    | Assert { cond; _ } ->
+        assert_passed st ev cond;
+        next fr
+    | Spawn { func; args } ->
+        let f = Er_ir.Prog.func st.prog func in
+        let vargs = List.map ev args in
+        spawn st (make_frame f vargs ~dst:None);
+        next fr
+    | Output _ | Join | Lock _ | Unlock _ ->
+        (* output is not symbolic; synchronization is replayed via the
+           recorded schedule *)
+        next fr
 
-let ldo_return st (th : lthread) (v : Sval.t option) : step =
-  match th.lstack with
-  | [] -> assert false
-  | fr :: rest ->
-      List.iter
-        (fun id ->
-           match Symmem.find st.mem id with
-           | Some o -> o.Symmem.s_freed <- true
-           | None -> ())
-        fr.lfr_stack_objs;
-      th.lstack <- rest;
-      th.ldepth <- th.ldepth - 1;
-      (match rest with
-       | [] ->
-           th.llive <- false;
-           Thread_done
-       | caller :: _ ->
-           (match fr.lfr_dst, v with
-            | Some dst, Some sv -> lset_reg st caller dst sv
-            | Some dst, None ->
-                lset_reg st caller dst (Sval.of_const ~width:64 0L)
-            | None, _ -> ());
-           Stepped)
+  let step_term st th (fr : frame) (t : terminator) : step =
+    match t with
+    | Br l -> jump st fr l
+    | Cond_br { cond; if_true; if_false } ->
+        jump st fr (if branch st (eval_value st fr cond) then if_true else if_false)
+    | Ret v ->
+        do_return st th ~set_reg ~objs:fr.fr_stack_objs ~dst:fr.fr_dst
+          (Option.map (eval_value st fr) v)
+    | Abort _ | Unreachable -> Reached_failure
 
-let lfailure_constraints st (fr : lframe) (i : L.linstr option) : Expr.t list =
-  let ev o = lev st fr o in
-  let addr_of = function
-    | L.LLoad { addr; _ } | L.LStore { addr; _ } | L.LFree { addr } ->
-        Some (ev addr)
-    | L.LBin _ | L.LCmp _ | L.LSelect _ | L.LCast _ | L.LAlloc _ | L.LGep _
-    | L.LCall _ | L.LInput _ | L.LOutput _ | L.LPtwrite _ | L.LAssert _
-    | L.LSpawn _ | L.LJoin | L.LLock _ | L.LUnlock _ ->
-        None
-  in
-  match st.failure.Failure_.kind, i with
-  | Failure_.Null_deref, Some instr -> (
-      match addr_of instr with
-      | Some (Sval.Ptr { obj = 0; _ }) -> []
-      | Some (Sval.Ptr _) -> raise (Diverge "expected null pointer, got object")
-      | Some (Sval.Bv e) -> [ Expr.eq e (bvc ~width:64 0L) ]
-      | None -> raise (Diverge "null-deref failure at non-memory instruction"))
-  | Failure_.Out_of_bounds _, Some instr -> (
-      match addr_of instr with
-      | Some sv ->
-          let o, idx = resolve_addr st ~at:st.failure.Failure_.point sv in
-          [ Expr.uge idx (bvc ~width:32 (Int64.of_int o.Symmem.s_size)) ]
-      | None -> raise (Diverge "out-of-bounds failure at non-memory instruction"))
-  | Failure_.Use_after_free _, Some instr -> (
-      match addr_of instr with
-      | Some sv ->
-          let o, _ = resolve_addr st ~at:st.failure.Failure_.point sv in
-          if o.Symmem.s_freed then []
-          else raise (Diverge "expected freed object at failure point")
-      | None -> raise (Diverge "use-after-free at non-memory instruction"))
-  | Failure_.Double_free _, Some (L.LFree { addr }) -> (
-      match resolve_addr st ~at:st.failure.Failure_.point (ev addr) with
-      | o, _ when o.Symmem.s_freed -> []
-      | _ -> raise (Diverge "expected freed object at double free"))
-  | Failure_.Div_by_zero, Some (L.LBin { ty; b; _ }) ->
-      [ Expr.eq (norm_expr ty (Sval.expect_bv (ev b)))
-          (bvc ~width:(width_of_ty ty) 0L) ]
-  | Failure_.Assert_failed _, Some (L.LAssert { cond; _ }) ->
-      [ Expr.eq (norm_expr I1 (Sval.expect_bv (ev cond))) (bvc ~width:1 0L) ]
-  | Failure_.Input_exhausted _, _ -> []
-  | Failure_.Abort_called _, _ | Failure_.Unreachable_reached, _ -> []
-  | Failure_.Access_type_error _, _ | Failure_.Invalid_pointer, _ -> []
-  | Failure_.Stack_overflow, _ -> []
-  | (Failure_.Deadlock | Failure_.Lock_error _ | Failure_.Hang), _ ->
-      raise (Diverge "failure kind not supported by reconstruction")
-  | _, None -> []
-  | _, Some _ -> raise (Diverge "failure kind does not match failing instruction")
+  let failing st (fr : frame) : failing =
+    let ev v () = eval_value st fr v in
+    if fr.fr_ip >= Array.length fr.fr_block.instrs then At_terminator
+    else
+      match fr.fr_block.instrs.(fr.fr_ip) with
+      | Load { addr; _ } | Store { addr; _ } ->
+          At_access { addr = ev addr; free = false }
+      | Free { addr } -> At_access { addr = ev addr; free = true }
+      | Bin { ty; b; _ } -> At_bin { ty; divisor = ev b }
+      | Assert { cond; _ } -> At_assert (ev cond)
+      | Cmp _ | Select _ | Cast _ | Alloc _ | Gep _ | Call _ | Input _ | Output _
+      | Ptwrite _ | Spawn _ | Join | Lock _ | Unlock _ ->
+          At_other
 
-let lstep_instr st (th : lthread) (fr : lframe) (i : L.linstr) : step =
-  let at = lpoint_of fr in
-  let ev o = lev st fr o in
-  let bv ty o = norm_expr ty (Sval.expect_bv (ev o)) in
-  match i with
-  | L.LBin { dst; op; ty; a; b; _ } ->
-      let ea = bv ty a and eb = bv ty b in
-      (match op with
-       | Udiv | Urem ->
-           if not (Expr.is_const eb) then begin
-             let nz = Expr.ne eb (bvc ~width:(width_of_ty ty) 0L) in
-             push_path st nz
-           end
-           else if Int64.equal (Option.get (Expr.to_const eb)) 0L then
-             raise (Diverge "concrete division by zero mid-trace")
-       | _ -> ());
-      let result =
-        match op, ev a, ev b with
-        | Add, Sval.Ptr { obj; index }, other when ty = Ptr ->
-            Sval.Ptr
-              { obj;
-                index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
-        | Add, other, Sval.Ptr { obj; index } when ty = Ptr ->
-            Sval.Ptr
-              { obj;
-                index = Expr.add index (norm_expr I32 (Sval.expect_bv other)) }
-        | _ -> Sval.Bv (Expr.binop (smt_binop op) ea eb)
-      in
-      lset_reg st fr dst result;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCmp { dst; op; ty; a; b; _ } ->
-      lset_reg st fr dst (Sval.Bv (sym_cmp op ty (ev a) (ev b)));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSelect { dst; ty; cond; if_true; if_false; _ } ->
-      let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
-      let tv = ev if_true and fv = ev if_false in
-      let result =
-        match Expr.to_const c with
-        | Some 1L -> tv
-        | Some _ -> fv
-        | None -> (
-            match tv, fv with
-            | Sval.Ptr { obj = ot; index = it }, Sval.Ptr { obj = of_; index = if_ }
-              when ot = of_ ->
-                Sval.Ptr { obj = ot; index = Expr.ite c it if_ }
-            | _ ->
-                Sval.Bv
-                  (Expr.ite c
-                     (norm_expr ty (Sval.expect_bv tv))
-                     (norm_expr ty (Sval.expect_bv fv))))
-      in
-      lset_reg st fr dst result;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCast { dst; kind; to_ty; from_ty; v; _ } ->
-      let sv = ev v in
-      let result =
-        match kind, sv with
-        | (Ptrtoint | Inttoptr | Zext), Sval.Ptr _ when width_of_ty to_ty = 64 ->
-            sv    (* identity on packed pointers *)
-        | Inttoptr, Sval.Bv e when width_of_ty to_ty = 64 ->
-            Sval.decode_ptr (norm_expr to_ty e)
-        | _ ->
-            let e = norm_expr from_ty (Sval.expect_bv sv) in
-            let out =
-              match kind with
-              | Zext | Ptrtoint | Inttoptr ->
-                  if width_of_ty to_ty >= Expr.width e then
-                    Expr.zero_extend ~to_:(width_of_ty to_ty) e
-                  else Expr.truncate ~to_:(width_of_ty to_ty) e
-              | Trunc -> Expr.truncate ~to_:(width_of_ty to_ty) e
-              | Sext -> Expr.sign_extend_e ~to_:(width_of_ty to_ty) e
-            in
-            Sval.Bv out
-      in
-      lset_reg st fr dst result;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LLoad { dst; ty; addr } ->
-      let o, idx = resolve_addr st ~at (ev addr) in
-      if not (access_ty_ok o ty) then
-        raise (Diverge "access type mismatch mid-trace");
-      check_bounds st ~at o idx;
-      let e = Symmem.read o idx in
-      let sv = if ty = Ptr then Sval.decode_ptr e else Sval.Bv e in
-      lset_reg st fr dst sv;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LStore { ty; v; addr; _ } ->
-      let o, idx = resolve_addr st ~at (ev addr) in
-      if not (access_ty_ok o ty) then
-        raise (Diverge "access type mismatch mid-trace");
-      check_bounds st ~at o idx;
-      Symmem.write o idx (bv ty v);
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LAlloc { dst; elt_ty; count; heap } ->
-      let recorded = next_data st in
-      let c = bv I32 count in
-      (if not (Expr.is_const c) then
-         push_path st (Expr.eq c (bvc ~width:32 recorded))
-       else if not (Int64.equal (Option.get (Expr.to_const c)) recorded) then
-         raise (Diverge "allocation size contradicts trace"));
-      let n = Int64.to_int recorded in
-      let o = Symmem.alloc st.mem ~elt_ty ~size:n ~heap in
-      if not heap then fr.lfr_stack_objs <- o.Symmem.s_id :: fr.lfr_stack_objs;
-      lset_reg st fr dst
-        (Sval.Ptr { obj = o.Symmem.s_id; index = bvc ~width:32 0L });
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LFree { addr } ->
-      let o, _ = resolve_addr st ~at (ev addr) in
-      if o.Symmem.s_freed then raise (Diverge "double free mid-trace");
-      o.Symmem.s_freed <- true;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LGep { dst; base; idx } ->
-      let delta =
-        let e = Sval.expect_bv (ev idx) in
-        if Expr.width e = 32 then e
-        else if Expr.width e > 32 then Expr.truncate ~to_:32 e
-        else Expr.sign_extend_e ~to_:32 e
-      in
-      (match ev base with
-       | Sval.Ptr { obj; index } ->
-           lset_reg st fr dst (Sval.Ptr { obj; index = Expr.add index delta })
-       | Sval.Bv e ->
-           (match Sval.decode_ptr e with
-            | Sval.Ptr { obj; index } ->
-                lset_reg st fr dst
-                  (Sval.Ptr { obj; index = Expr.add index delta })
-            | Sval.Bv e ->
-                lset_reg st fr dst
-                  (Sval.Bv (Expr.add e (Expr.zero_extend ~to_:64 delta)))));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCall { dst; fidx; args } ->
-      let low = Er_ir.Prog.lowered st.prog in
-      let lf = low.L.l_funcs.(fidx) in
-      let vargs = Array.to_list (Array.map ev args) in
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      th.lstack <- make_lframe lf vargs ~dst :: th.lstack;
-      th.ldepth <- th.ldepth + 1;
-      Stepped
-  | L.LInput { dst; ty; stream } ->
-      lset_reg st fr dst (Sval.Bv (fresh_input st stream ty));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LOutput _ ->
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LPtwrite { v } ->
-      let recorded = next_data st in
-      (match ev v with
-       | Sval.Bv e ->
-           let c = bvc ~width:(Expr.width e) recorded in
-           if not (Expr.is_const e) then begin
-             push_path st (Expr.eq e c);
-             (* subsequent uses of the register see the concrete value;
-                the write is hook-free and provenance-free, like the raw
-                [Hashtbl.replace] of the reference engine *)
-             (match v with
-              | L.Oslot s -> fr.lfr_regs.(s) <- Sval.Bv c
-              | L.Ocheck { slot; _ } -> fr.lfr_regs.(slot) <- Sval.Bv c
-              | L.Oimm _ | L.Oglobal _ | L.Onull -> ())
-           end
-       | Sval.Ptr { obj; index } ->
-           let idx_c = Int64.of_int (Er_vm.Memory.ptr_index recorded) in
-           let c = bvc ~width:32 idx_c in
-           if not (Expr.is_const index) then begin
-             push_path st (Expr.eq index c);
-             match v with
-             | L.Oslot s -> fr.lfr_regs.(s) <- Sval.Ptr { obj; index = c }
-             | L.Ocheck { slot; _ } ->
-                 fr.lfr_regs.(slot) <- Sval.Ptr { obj; index = c }
-             | L.Oimm _ | L.Oglobal _ | L.Onull -> ()
-           end);
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped_free
-  | L.LAssert { cond; _ } ->
-      let c = norm_expr I1 (Sval.expect_bv (ev cond)) in
-      if not (Expr.is_true c) then push_path st c;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSpawn { fidx; args } ->
-      let low = Er_ir.Prog.lowered st.prog in
-      let lf = low.L.l_funcs.(fidx) in
-      let vargs = Array.to_list (Array.map ev args) in
-      let t =
-        { ltid = st.next_tid; lstack = [ make_lframe lf vargs ~dst:None ];
-          ldepth = 1; llive = true }
-      in
-      st.next_tid <- st.next_tid + 1;
-      st.threads <- st.threads @ [ t ];
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LJoin | L.LLock _ | L.LUnlock _ ->
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
+  let engine =
+    {
+      step_thread =
+        (fun st th fr ->
+           if fr.fr_ip < Array.length fr.fr_block.instrs then
+             step_instr st th fr fr.fr_block.instrs.(fr.fr_ip)
+           else step_term st th fr fr.fr_block.term);
+      point_of;
+      at_ptwrite =
+        (fun fr ->
+           fr.fr_ip < Array.length fr.fr_block.instrs
+           && match fr.fr_block.instrs.(fr.fr_ip) with
+              | Ptwrite _ -> true
+              | _ -> false);
+      failing;
+    }
+end
 
-let lstep_term st (th : lthread) (fr : lframe) (t : L.lterm) : step =
-  match t with
-  | L.LBr i ->
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(i);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LCond_br { cond; if_true; if_false } ->
-      let c = norm_expr I1 (Sval.expect_bv (lev st fr cond)) in
-      let taken = next_branch st in
-      (match Expr.to_const c with
-       | Some v ->
-           if Int64.equal v 1L <> taken then
-             raise (Diverge "concrete branch contradicts trace")
-       | None ->
-           let want = if taken then c else Expr.not_ c in
-           push_path st want);
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(if taken then if_true else if_false);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LRet v -> ldo_return st th (Option.map (lev st fr) v)
-  | L.LAbort _ | L.LUnreachable -> Reached_failure
+(* ======================================================================== *)
+(* Lowered engine: the code cache of {!Er_ir.Lower}                         *)
+(* ======================================================================== *)
 
-let lstep_thread st (th : lthread) : step =
-  match th.lstack with
-  | [] ->
-      th.llive <- false;
-      Thread_done
-  | fr :: _ ->
-      if fr.lfr_ip < Array.length fr.lfr_block.L.lb_instrs then
-        lstep_instr st th fr fr.lfr_block.L.lb_instrs.(fr.lfr_ip)
-      else lstep_term st th fr fr.lfr_block.L.lb_term
+(* Register files are dense [Sval.t array]s; control flow and call
+   targets are array indices. *)
+module Lowered = struct
+  type frame = {
+    fr_func : L.lfunc;
+    mutable fr_block : L.lblock;
+    mutable fr_ip : int;
+    fr_regs : Sval.t array;
+    fr_defined : Bytes.t;   (* per-slot definedness; length 0 when untracked *)
+    fr_dst : int option;
+    mutable fr_stack_objs : int list;
+  }
+
+  let point_of (fr : frame) =
+    { p_func = fr.fr_func.L.lf_name; p_block = fr.fr_block.L.lb_label;
+      p_index = fr.fr_ip }
+
+  let eval st (fr : frame) (o : L.operand) : Sval.t =
+    match o with
+    | L.Oslot s -> Array.unsafe_get fr.fr_regs s
+    | L.Oimm { v; ity } -> Sval.Bv (bvc ~width:(width_of_ty ity) v)
+    | L.Onull -> Sval.null
+    | L.Oglobal i -> Sval.Ptr { obj = st.lobjs.(i); index = bvc ~width:32 0L }
+    | L.Ocheck { slot; reg } ->
+        if Bytes.get fr.fr_defined slot = '\001' then fr.fr_regs.(slot)
+        else
+          invalid_arg
+            (Printf.sprintf "Exec: read of undefined register %s in %s" reg
+               fr.fr_func.L.lf_name)
+
+  let set_reg st (fr : frame) slot sv =
+    define st (point_of fr) sv;
+    fr.fr_regs.(slot) <- sv;
+    if Bytes.length fr.fr_defined <> 0 then Bytes.set fr.fr_defined slot '\001'
+
+  let next (fr : frame) =
+    fr.fr_ip <- fr.fr_ip + 1;
+    Stepped
+
+  (* retire an instruction that defines [slot] *)
+  let def st fr slot sv =
+    set_reg st fr slot sv;
+    next fr
+
+  let empty_defined = Bytes.create 0
+
+  let make_frame (lf : L.lfunc) (args : Sval.t list) ~dst =
+    let regs = Array.make lf.L.lf_nslots Sval.null in
+    let defined =
+      if lf.L.lf_tracked then Bytes.make lf.L.lf_nslots '\000' else empty_defined
+    in
+    if List.length args <> Array.length lf.L.lf_params then
+      invalid_arg (Printf.sprintf "Exec: arity mismatch calling %s" lf.L.lf_name);
+    List.iteri
+      (fun i sv ->
+         let slot, ty = lf.L.lf_params.(i) in
+         regs.(slot) <- norm_arg ty sv;
+         if lf.L.lf_tracked then Bytes.set defined slot '\001')
+      args;
+    { fr_func = lf; fr_block = lf.L.lf_blocks.(0); fr_ip = 0; fr_regs = regs;
+      fr_defined = defined; fr_dst = dst; fr_stack_objs = [] }
+
+  let jump (fr : frame) i =
+    fr.fr_block <- fr.fr_func.L.lf_blocks.(i);
+    fr.fr_ip <- 0;
+    Stepped
+
+  let callee st fidx = (Er_ir.Prog.lowered st.prog).L.l_funcs.(fidx)
+
+  let step_instr st th (fr : frame) (i : L.linstr) : step =
+    let ev o = eval st fr o in
+    match i with
+    | L.LBin { dst; op; ty; a; b; _ } -> def st fr dst (bin st ev op ty a b)
+    | L.LCmp { dst; op; ty; a; b; _ } ->
+        def st fr dst (Sval.Bv (sym_cmp op ty (ev a) (ev b)))
+    | L.LSelect { dst; ty; cond; if_true; if_false; _ } ->
+        def st fr dst (select ev ty cond if_true if_false)
+    | L.LCast { dst; kind; to_ty; from_ty; v; _ } ->
+        def st fr dst (cast ev kind ~from_ty ~to_ty v)
+    | L.LLoad { dst; ty; addr } ->
+        def st fr dst (load st ~at:(point_of fr) ev ty addr)
+    | L.LStore { ty; v; addr; _ } ->
+        store st ~at:(point_of fr) ev ty v addr;
+        next fr
+    | L.LAlloc { dst; elt_ty; count; heap } ->
+        let o = alloc st ev ~elt_ty ~heap count in
+        if not heap then fr.fr_stack_objs <- o.Symmem.s_id :: fr.fr_stack_objs;
+        def st fr dst (obj_ptr o)
+    | L.LFree { addr } ->
+        free st ~at:(point_of fr) ev addr;
+        next fr
+    | L.LGep { dst; base; idx } -> def st fr dst (gep ev base idx)
+    | L.LCall { dst; fidx; args } ->
+        let lf = callee st fidx in
+        let vargs = Array.to_list (Array.map ev args) in
+        fr.fr_ip <- fr.fr_ip + 1;
+        call th (make_frame lf vargs ~dst)
+    | L.LInput { dst; ty; stream } ->
+        def st fr dst (Sval.Bv (fresh_input st stream ty))
+    | L.LPtwrite { v } ->
+        (match ptwrite st ev v, v with
+         | Some c, (L.Oslot s | L.Ocheck { slot = s; _ }) -> fr.fr_regs.(s) <- c
+         | _ -> ());
+        fr.fr_ip <- fr.fr_ip + 1;
+        Stepped_free
+    | L.LAssert { cond; _ } ->
+        assert_passed st ev cond;
+        next fr
+    | L.LSpawn { fidx; args } ->
+        let lf = callee st fidx in
+        let vargs = Array.to_list (Array.map ev args) in
+        spawn st (make_frame lf vargs ~dst:None);
+        next fr
+    | L.LOutput _ | L.LJoin | L.LLock _ | L.LUnlock _ -> next fr
+
+  let step_term st th (fr : frame) (t : L.lterm) : step =
+    match t with
+    | L.LBr i -> jump fr i
+    | L.LCond_br { cond; if_true; if_false } ->
+        jump fr (if branch st (eval st fr cond) then if_true else if_false)
+    | L.LRet v ->
+        do_return st th ~set_reg ~objs:fr.fr_stack_objs ~dst:fr.fr_dst
+          (Option.map (eval st fr) v)
+    | L.LAbort _ | L.LUnreachable -> Reached_failure
+
+  let failing st (fr : frame) : failing =
+    let ev o () = eval st fr o in
+    if fr.fr_ip >= Array.length fr.fr_block.L.lb_instrs then At_terminator
+    else
+      match fr.fr_block.L.lb_instrs.(fr.fr_ip) with
+      | L.LLoad { addr; _ } | L.LStore { addr; _ } ->
+          At_access { addr = ev addr; free = false }
+      | L.LFree { addr } -> At_access { addr = ev addr; free = true }
+      | L.LBin { ty; b; _ } -> At_bin { ty; divisor = ev b }
+      | L.LAssert { cond; _ } -> At_assert (ev cond)
+      | L.LCmp _ | L.LSelect _ | L.LCast _ | L.LAlloc _ | L.LGep _ | L.LCall _
+      | L.LInput _ | L.LOutput _ | L.LPtwrite _ | L.LSpawn _ | L.LJoin
+      | L.LLock _ | L.LUnlock _ ->
+          At_other
+
+  let engine =
+    {
+      step_thread =
+        (fun st th fr ->
+           if fr.fr_ip < Array.length fr.fr_block.L.lb_instrs then
+             step_instr st th fr fr.fr_block.L.lb_instrs.(fr.fr_ip)
+           else step_term st th fr fr.fr_block.L.lb_term);
+      point_of;
+      at_ptwrite =
+        (fun fr ->
+           fr.fr_ip < Array.length fr.fr_block.L.lb_instrs
+           && match fr.fr_block.L.lb_instrs.(fr.fr_ip) with
+              | L.LPtwrite _ -> true
+              | _ -> false);
+      failing;
+    }
+end
+
+(* --- entry points ---------------------------------------------------------- *)
+
+let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
+    ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
+    ~(failure_clock : int) : result =
+  let main = Reference.make_frame (Er_ir.Prog.main prog) [] ~dst:None in
+  shepherd Reference.engine ~main ~config prog ~trace ~failure ~failure_clock
 
 let run ?(config = default_config) (prog : Er_ir.Prog.t)
     ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
     ~(failure_clock : int) : result =
   let low = Er_ir.Prog.lowered prog in
-  let st =
-    {
-      prog;
-      cfg = config;
-      trace;
-      failure;
-      failure_clock;
-      graph = Cgraph.create ();
-      session =
-        Solver.Session.create ~budget:config.solver_budget
-          ~gate_budget:config.gate_budget ();
-      mem = Symmem.create ();
-      globals = Hashtbl.create 16;
-      lobjs = Array.make (Array.length low.L.l_globals) 0;
-      threads = [];
-      next_tid = 1;
-      clock = 0;
-      branch_i = 0;
-      data_i = 0;
-      sched_i = 0;
-      path = [];
-      input_log = [];
-      input_counters = Hashtbl.create 8;
-      solver_calls = 0;
-      solver_cost = 0;
-      progress = [];
-    }
-  in
-  (* globals allocate in the same order as the concrete runtime *)
-  Array.iteri
-    (fun gi (g : global) ->
-       let o = Symmem.alloc st.mem ~elt_ty:g.g_elt_ty ~size:g.g_size ~heap:true in
-       (match g.g_init with
-        | None -> ()
-        | Some init ->
-            Array.iteri (fun i v -> Symmem.init_cell o ~index:i v) init);
-       Hashtbl.replace st.globals g.gname o.Symmem.s_id;
-       st.lobjs.(gi) <- o.Symmem.s_id)
-    low.L.l_globals;
-  let main_thread =
-    { ltid = 0;
-      lstack = [ make_lframe low.L.l_funcs.(low.L.l_main) [] ~dst:None ];
-      ldepth = 1; llive = true }
-  in
-  st.threads <- [ main_thread ];
-  let thread_by_id tid =
-    match List.find_opt (fun t -> t.ltid = tid) st.threads with
-    | Some t -> t
-    | None -> raise (Diverge (Printf.sprintf "schedule names unknown thread %d" tid))
-  in
-  let finish outcome =
-    if M.enabled M.default then begin
-      M.add m_steps st.clock;
-      M.add m_forks_avoided st.branch_i;
-      M.set m_path_constraints (float_of_int (List.length st.path));
-      match outcome with
-      | Complete _ -> M.inc m_completions
-      | Stalled _ -> M.inc m_stalls
-      | Diverged _ -> M.inc m_divergences
-    end;
-    let cs = Solver.Session.cache_stats st.session in
-    {
-      outcome;
-      steps = st.clock;
-      solver_calls = st.solver_calls;
-      solver_cost = st.solver_cost;
-      cache_hits = cs.Solver.Session.cache_hits;
-      cache_misses = cs.Solver.Session.cache_misses;
-      progress = List.rev st.progress;
-    }
-  in
-  let result = ref None in
-  let cur = ref main_thread in
-  (try
-     while !result = None do
-       (* follow the recorded chunk schedule *)
-       (if st.sched_i < Array.length st.trace.Er_trace.Decoder.schedule then begin
-          let tid, sw_clock = st.trace.Er_trace.Decoder.schedule.(st.sched_i) in
-          if st.clock >= sw_clock then begin
-            st.sched_i <- st.sched_i + 1;
-            cur := thread_by_id tid
-          end
-        end);
-       let th = !cur in
-       if st.clock > st.cfg.max_steps then
-         raise (Diverge "step budget exhausted")
-       else if
-         st.clock = st.failure_clock
-         && (match th.lstack with
-             | fr :: _ ->
-                 (* clock-free instrumentation executes before the failing
-                    instruction is identified *)
-                 not
-                   (fr.lfr_ip < Array.length fr.lfr_block.L.lb_instrs
-                    && match fr.lfr_block.L.lb_instrs.(fr.lfr_ip) with
-                       | L.LPtwrite _ -> true
-                       | _ -> false)
-             | [] -> true)
-       then begin
-         (* we are at the failing instruction *)
-         match th.lstack with
-         | [] -> raise (Diverge "failure clock reached with empty stack")
-         | fr :: _ ->
-             let here = lpoint_of fr in
-             if point_compare here st.failure.Failure_.point <> 0 then
-               raise
-                 (Diverge
-                    (Printf.sprintf "failure point mismatch: at %s, expected %s"
-                       (point_to_string here)
-                       (point_to_string st.failure.Failure_.point)));
-             let failing_instr =
-               if fr.lfr_ip < Array.length fr.lfr_block.L.lb_instrs then
-                 Some fr.lfr_block.L.lb_instrs.(fr.lfr_ip)
-               else None
-             in
-             let fc = lfailure_constraints st fr failing_instr in
-             List.iter (push_path st) (List.rev fc);
-             (* final solve: compute failure-inducing inputs *)
-             (match query st ~at:here [] with
-              | None -> raise (Diverge "final path constraint unsatisfiable")
-              | Some model ->
-                  Cgraph.set_assertions st.graph st.path;
-                  result :=
-                    Some
-                      (finish
-                         (Complete
-                            {
-                              model;
-                              input_log = List.rev st.input_log;
-                              path_constraints = st.path;
-                            })))
-       end
-       else begin
-         match lstep_thread st th with
-         | Stepped -> st.clock <- st.clock + 1
-         | Stepped_free -> ()
-         | Thread_done -> (
-             (* pick any live thread; the schedule will correct us *)
-             match List.find_opt (fun t -> t.llive) st.threads with
-             | Some t -> cur := t
-             | None -> raise (Diverge "all threads done before failure point"))
-         | Reached_failure ->
-             raise
-               (Diverge
-                  (Printf.sprintf "reached terminator failure early at clock %d"
-                     st.clock))
-       end
-     done;
-     match !result with Some r -> r | None -> assert false
-   with
-   | Diverge msg -> finish (Diverged msg)
-   | Stall { at; reason } ->
-       Cgraph.set_assertions st.graph st.path;
-       M.set m_stall_depth (float_of_int (!cur).ldepth);
-       finish
-         (Stalled
-            { graph = st.graph; memory = st.mem; stalled_at = at;
-              stall_reason = reason }))
+  let main = Lowered.make_frame low.L.l_funcs.(low.L.l_main) [] ~dst:None in
+  shepherd Lowered.engine ~main ~config prog ~trace ~failure ~failure_clock

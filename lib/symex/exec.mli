@@ -62,9 +62,14 @@ type result = {
 
     [run] dispatches over the pre-lowered code cache
     ({!Er_ir.Lower}); {!run_reference} interprets the raw IR with
-    string-keyed register files.  Both produce identical outcomes,
-    path constraints, and (deterministic) solver costs — the
-    differential suite pins this down. *)
+    string-keyed register files.  The two engines share one run loop
+    (state, schedule, failure clock, final solve, metrics), every
+    instruction's symbolic semantics, the failure constraints and
+    call/return/spawn; they differ only in their frames, operand
+    evaluation, register writes, and block and callee resolution.  Both
+    produce identical outcomes, path constraints, and (deterministic)
+    solver costs — the differential suite pins this down on the corpus
+    and on generated programs. *)
 val run :
   ?config:config ->
   Er_ir.Prog.t ->
@@ -73,8 +78,8 @@ val run :
   failure_clock:int ->
   result
 
-(** The retained reference engine, used by the differential tests and
-    the [bench vm] reference timing. *)
+(** The retained reference engine: the oracle of the differential
+    tests. *)
 val run_reference :
   ?config:config ->
   Er_ir.Prog.t ->

@@ -328,31 +328,47 @@ let trace_failure prog (s : Bug.spec) =
   in
   go 1
 
-let exec_outcome_str = function
-  | Exec.Complete sol ->
-      Printf.sprintf "complete pcs=%d inputs=%s"
-        (List.length sol.Exec.path_constraints)
-        (String.concat "," (List.map fst sol.Exec.input_log))
-  | Exec.Stalled st ->
-      Printf.sprintf "stalled at %s: %s"
-        (point_to_string st.Exec.stalled_at)
-        st.Exec.stall_reason
-  | Exec.Diverged why -> "diverged: " ^ why
+(* Everything a shepherded run reports that the two engines must agree
+   on: the outcome with its printed path constraints, the stall point
+   and reason, and the deterministic counters. *)
+let exec_obs (r : Exec.result) =
+  let outcome =
+    match r.Exec.outcome with
+    | Exec.Complete sol ->
+        Printf.sprintf "complete inputs=%s pcs=[%s]"
+          (String.concat "," (List.map fst sol.Exec.input_log))
+          (String.concat "; "
+             (List.map Er_smt.Expr.to_string sol.Exec.path_constraints))
+    | Exec.Stalled st ->
+        Printf.sprintf "stalled at %s: %s"
+          (point_to_string st.Exec.stalled_at)
+          st.Exec.stall_reason
+    | Exec.Diverged why -> "diverged: " ^ why
+  in
+  Printf.sprintf
+    "%s steps=%d solver_calls=%d solver_cost=%d cache_hits=%d cache_misses=%d"
+    outcome r.Exec.steps r.Exec.solver_calls r.Exec.solver_cost
+    r.Exec.cache_hits r.Exec.cache_misses
 
-let check_same_exec name (a : Exec.result) (b : Exec.result) =
-  Alcotest.(check string)
-    (name ^ ": outcome")
-    (exec_outcome_str a.Exec.outcome)
-    (exec_outcome_str b.Exec.outcome);
-  Alcotest.(check int) (name ^ ": steps") a.Exec.steps b.Exec.steps;
-  Alcotest.(check int) (name ^ ": solver_calls") a.Exec.solver_calls
-    b.Exec.solver_calls;
-  Alcotest.(check int) (name ^ ": solver_cost") a.Exec.solver_cost
-    b.Exec.solver_cost;
-  Alcotest.(check int) (name ^ ": cache_hits") a.Exec.cache_hits
-    b.Exec.cache_hits;
-  Alcotest.(check int) (name ^ ": cache_misses") a.Exec.cache_misses
-    b.Exec.cache_misses
+(* Shepherd one trace with the reference engine, then the lowered one.
+   Each runs in a fresh interning space: the same term order, an
+   isolated solver-cache shard, and therefore a bit-identical
+   deterministic solver trajectory. *)
+let shepherd_both ?config prog split failure clock =
+  let run_one
+      (run :
+         ?config:Exec.config ->
+         Prog.t ->
+         trace:Er_trace.Decoder.split ->
+         failure:Er_vm.Failure.t ->
+         failure_clock:int ->
+         Exec.result)
+      =
+    Er_smt.Expr.in_fresh_space (fun () ->
+        exec_obs (run ?config prog ~trace:split ~failure ~failure_clock:clock))
+  in
+  let reference = run_one Exec.run_reference in
+  (reference, run_one Exec.run)
 
 let test_corpus_symex_differential () =
   List.iter
@@ -362,24 +378,10 @@ let test_corpus_symex_differential () =
        | None -> Alcotest.fail (s.Bug.name ^ ": no failing trace captured")
        | Some (split, failure, clock) ->
            let config = s.Bug.config.Er_core.Pipeline.exec_config in
-           (* each engine runs in a fresh interning space: identical
-              Expr ids, an isolated solver-cache shard, and therefore a
-              bit-identical deterministic solver trajectory *)
-           let run_one
-               (run :
-                  ?config:Exec.config ->
-                  Prog.t ->
-                  trace:Er_trace.Decoder.split ->
-                  failure:Er_vm.Failure.t ->
-                  failure_clock:int ->
-                  Exec.result)
-               =
-             Er_smt.Expr.in_fresh_space (fun () ->
-                 run ~config prog ~trace:split ~failure ~failure_clock:clock)
+           let reference, lowered =
+             shepherd_both ~config prog split failure clock
            in
-           let a = run_one Exec.run_reference in
-           let b = run_one Exec.run in
-           check_same_exec s.Bug.name a b)
+           Alcotest.(check string) s.Bug.name reference lowered)
     Er_corpus.Registry.table1
 
 (* --- randomized differential: VM ---------------------------------------- *)
@@ -843,6 +845,53 @@ let qcheck_plan_recording_differential =
        && Bytes.equal
             (Er_trace.Encoder.finish enc)
             (Er_trace.Encoder.finish enc_ref))
+
+(* The symex engines on the same generated cases: [Instrument.apply]'s
+   program (ptwrites included) runs under the recording hooks, and when
+   it fails both engines shepherd the decoded trace.  The counters let
+   the companion case below check that enough cases got that far. *)
+let symex_cases = ref 0
+let symex_compared = ref 0
+
+let qcheck_symex_differential =
+  QCheck2.Test.make
+    ~name:"symex engines agree on generated failing runs" ~count:300
+    gen_plan_case
+    (fun (program, input_vals, seed, points, _, _) ->
+       incr symex_cases;
+       let inst, _ = Er_select.Instrument.apply program points in
+       let prog = Prog.of_program inst in
+       let enc = Er_trace.Encoder.create () in
+       Er_trace.Encoder.start enc;
+       let config =
+         { Interp.default_config with
+           quantum = 10; quantum_jitter = 4; sched_seed = seed;
+           hooks = Vs.recording_hooks enc }
+       in
+       let r = Interp.run ~config prog (Er_vm.Inputs.make [ ("s", input_vals) ]) in
+       match
+         r.Interp.outcome, Er_trace.Decoder.decode (Er_trace.Encoder.finish enc)
+       with
+       | Interp.Failed failure, Ok events ->
+           incr symex_compared;
+           let reference, lowered =
+             shepherd_both prog (Er_trace.Decoder.split events) failure
+               r.Interp.instr_count
+           in
+           reference = lowered
+           || QCheck2.Test.fail_reportf "reference: %s@\nlowered:   %s"
+                reference lowered
+       | _ -> true)
+
+(* A generator drifting to programs that never fail would leave the
+   differential above comparing nothing. *)
+let test_symex_differential_coverage () =
+  if !symex_cases = 0 then Alcotest.skip ();
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d generated cases reached the comparison"
+       !symex_compared !symex_cases)
+    true
+    (3 * !symex_compared >= !symex_cases)
 
 (* A self-looping block whose static shape exercises every unit kind at
    once: a committed load+bin+store triple, the hand-fused cmp+cond_br
@@ -1317,6 +1366,9 @@ let suites =
         Alcotest.test_case "metrics parity" `Quick test_metrics_parity;
         QCheck_alcotest.to_alcotest qcheck_vm_differential;
         QCheck_alcotest.to_alcotest qcheck_plan_recording_differential;
+        QCheck_alcotest.to_alcotest qcheck_symex_differential;
+        Alcotest.test_case "symex differential reaches a third of its cases"
+          `Quick test_symex_differential_coverage;
       ] );
     ( "lower fused fast path",
       [
