@@ -38,7 +38,6 @@ module Config = struct
     solver_budget : int;         (* SAT work budget per query *)
     gate_budget : int;           (* bit-blasting budget for the run *)
     max_steps : int;             (* symex step bound *)
-    progress_every : int;        (* Fig. 5 sampling period, in steps *)
     max_instrs : int;            (* concrete VM instruction bound *)
     max_call_depth : int;
     quantum : int;               (* scheduler quantum *)
@@ -56,7 +55,6 @@ module Config = struct
       solver_budget = c.Pipeline.exec_config.Er_symex.Exec.solver_budget;
       gate_budget = c.Pipeline.exec_config.Er_symex.Exec.gate_budget;
       max_steps = c.Pipeline.exec_config.Er_symex.Exec.max_steps;
-      progress_every = c.Pipeline.exec_config.Er_symex.Exec.progress_every;
       max_instrs = c.Pipeline.vm_config.Er_vm.Interp.max_instrs;
       max_call_depth = c.Pipeline.vm_config.Er_vm.Interp.max_call_depth;
       quantum = c.Pipeline.vm_config.Er_vm.Interp.quantum;
@@ -76,7 +74,6 @@ module Config = struct
           Er_symex.Exec.solver_budget = t.solver_budget;
           gate_budget = t.gate_budget;
           max_steps = t.max_steps;
-          progress_every = t.progress_every;
         };
       vm_config =
         {
@@ -112,8 +109,6 @@ module Config = struct
          fun t v -> { t with gate_budget = v });
       I ("max_steps", (fun t -> t.max_steps),
          fun t v -> { t with max_steps = v });
-      I ("progress_every", (fun t -> t.progress_every),
-         fun t v -> { t with progress_every = v });
       I ("max_instrs", (fun t -> t.max_instrs),
          fun t v -> { t with max_instrs = v });
       I ("max_call_depth", (fun t -> t.max_call_depth),
@@ -325,6 +320,39 @@ let wall t = locked t (fun () -> t.wall)
 (* Execution                                                         *)
 (* ---------------------------------------------------------------- *)
 
+module M = Er_metrics
+
+let m_minor_words =
+  M.counter ~help:"Words jobs allocated on the minor heap of their domain."
+    "er_job_minor_words_total"
+
+let m_promoted_words =
+  M.counter
+    ~help:"Minor-heap words promoted to the major heap while jobs ran."
+    "er_job_promoted_words_total"
+
+let m_major_words =
+  M.counter
+    ~help:"Words allocated on or promoted to the major heap while jobs ran."
+    "er_job_major_words_total"
+
+(* Charge [f]'s allocation to the job counters: deltas of the executing
+   domain's GC counters, so jobs on other workers do not leak in.  The
+   minor count comes from [Gc.minor_words]: the minor count of
+   [Gc.counters] undercounts the unflushed part of the minor heap
+   (OCaml 5.1 divides it by the word size twice), and a collection
+   inside the job then adds it back in full. *)
+let charging_allocation f =
+  if not (M.enabled M.default) then f ()
+  else begin
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    Fun.protect f ~finally:(fun () ->
+        let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
+        M.add m_minor_words (int_of_float (minor -. minor0));
+        M.add m_promoted_words (int_of_float (promoted -. promoted0));
+        M.add m_major_words (int_of_float (major -. major0)))
+  end
+
 (* Run one job to completion on the calling domain, with per-job crash
    isolation (an exception becomes a [Crashed] outcome, not an executor
    abort) and a fresh interning space for the determinism contract.
@@ -399,10 +427,11 @@ let execute ?(worker = 0) (t : t) : unit =
        solver's result cache: a served or benchmarked process runs jobs
        without end. *)
     let run () =
-      Er_metrics.with_span ("bug:" ^ name t) (fun () ->
-          Er_smt.Expr.in_fresh_space (fun () ->
-              Fun.protect body_with_store
-                ~finally:Er_smt.Solver.release_cache))
+      M.with_span ("bug:" ^ name t) (fun () ->
+          charging_allocation (fun () ->
+              Er_smt.Expr.in_fresh_space (fun () ->
+                  Fun.protect body_with_store
+                    ~finally:Er_smt.Solver.release_cache)))
     in
     let outcome =
       match run () with

@@ -18,7 +18,6 @@ module Config : sig
     solver_budget : int;         (** SAT work budget per query *)
     gate_budget : int;           (** bit-blasting budget for the run *)
     max_steps : int;             (** symex step bound *)
-    progress_every : int;        (** Fig. 5 sampling period, in steps *)
     max_instrs : int;            (** concrete VM instruction bound *)
     max_call_depth : int;
     quantum : int;               (** scheduler quantum *)

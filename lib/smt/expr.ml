@@ -146,7 +146,10 @@ let next_stamp = Atomic.make 0
    dereferences a term only on a hash match — one or two cache misses
    per lookup, where a chained table pays for the bucket, the chain cell
    and the term.  A slot's key is the term's [hkey]; -1 marks an empty
-   slot. *)
+   slot.  A space starts small and doubles when half full: a job interns
+   hundreds to a few thousand terms, and a term's id comes from the
+   global counter, not from its slot, so the table's size never shows in
+   the interning order. *)
 type space = {
   sp_stamp : int;
   sp_mutex : Mutex.t;
@@ -155,7 +158,7 @@ type space = {
   mutable sp_count : int;          (* terms interned *)
 }
 
-let initial_slots = 32_768
+let initial_slots = 1_024
 let empty_slot = { node = Const_array 0L; ty = Ty.bool; id = -1; hkey = -1 }
 
 let create_space () =

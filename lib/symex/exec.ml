@@ -65,7 +65,6 @@ type config = {
   solver_budget : int;
   gate_budget : int;
   max_steps : int;
-  progress_every : int;       (* sample period for Fig 5, in steps *)
 }
 
 let default_config =
@@ -73,7 +72,6 @@ let default_config =
     solver_budget = 600_000;
     gate_budget = 120_000;
     max_steps = 30_000_000;
-    progress_every = 1_000;
   }
 
 type stall_info = {

@@ -16,7 +16,6 @@ type config = {
   solver_budget : int;        (** SAT work budget per query *)
   gate_budget : int;          (** bit-blasting budget for the whole run *)
   max_steps : int;
-  progress_every : int;       (** Fig. 5 sampling period, in steps *)
 }
 
 val default_config : config

@@ -5,7 +5,7 @@
    of this module is the online monitoring overhead that Fig. 6 measures.
    Every packet is written straight into the ring as raw bytes — the
    layout of [Packet.append_bytes], which stays the test oracle — so no
-   path allocates. *)
+   path allocates, except when the ring's storage doubles. *)
 
 module M = Er_metrics
 
@@ -199,7 +199,8 @@ let revert t ck =
   if ok then M.inc m_ck_reverted else M.inc m_ck_refused;
   ok
 
-(* Full reset: a from-scratch capture reusing the same buffer. *)
+(* Full reset: a from-scratch capture reusing the same buffer, grown
+   storage included. *)
 let reset t =
   Ring.clear t.ring;
   t.pending_bits <- 0;

@@ -3,8 +3,8 @@
     the per-instruction work whose cost is the online monitoring overhead
     of Fig. 6.  Every packet path — branch, ptwrite, thread switch,
     sync — writes its bytes straight into the ring and allocates
-    nothing; the byte stream is exactly [Packet.append_bytes] of the
-    packet sequence. *)
+    nothing but the ring's storage doublings; the byte stream is exactly
+    [Packet.append_bytes] of the packet sequence. *)
 
 type stats = {
   mutable branches : int;
@@ -16,8 +16,12 @@ type stats = {
 
 type t
 
-(** [create ~ring_bytes ()] sizes the trace ring buffer; ER provisions it
-    for the largest expected failing execution (the paper uses 64 MB). *)
+(** [create ~ring_bytes ()] fixes the trace ring's capacity; ER
+    provisions it for the largest expected failing execution (the paper
+    uses 64 MB).  The capacity is fixed, the storage is not: it starts
+    at a few KB and doubles, up to the capacity, as the capture first
+    needs it, with the bytes, loss accounting and checkpoints of a ring
+    allocated whole. *)
 val create : ?ring_bytes:int -> unit -> t
 
 (** Emit the PSB sync packet; must precede all events. *)
@@ -50,7 +54,8 @@ val checkpoint : t -> checkpoint
 val can_revert : t -> checkpoint -> bool
 val revert : t -> checkpoint -> bool
 
-(** Full reset for a from-scratch capture reusing the same buffer. *)
+(** Full reset for a from-scratch capture reusing the same buffer; the
+    storage grown so far stays allocated. *)
 val reset : t -> unit
 
 val overflowed : t -> bool

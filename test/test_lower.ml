@@ -848,10 +848,17 @@ let qcheck_plan_recording_differential =
 
 (* The symex engines on the same generated cases: [Instrument.apply]'s
    program (ptwrites included) runs under the recording hooks, and when
-   it fails both engines shepherd the decoded trace.  The counters let
-   the companion case below check that enough cases got that far. *)
+   it fails both engines shepherd the decoded trace — once under the
+   default budgets, where nearly every case completes, and once under a
+   one-gate bit-blasting budget, where the first query that needs a
+   gate stalls, so the stall exit and its point and reason are compared
+   too.  The counters let the companion case below check that enough
+   cases got that far. *)
 let symex_cases = ref 0
 let symex_compared = ref 0
+let symex_stalled = ref 0
+
+let starved = { Exec.default_config with Exec.gate_budget = 1 }
 
 let qcheck_symex_differential =
   QCheck2.Test.make
@@ -874,24 +881,37 @@ let qcheck_symex_differential =
        with
        | Interp.Failed failure, Ok events ->
            incr symex_compared;
-           let reference, lowered =
-             shepherd_both prog (Er_trace.Decoder.split events) failure
-               r.Interp.instr_count
+           let split = Er_trace.Decoder.split events in
+           let shepherd ?config () =
+             shepherd_both ?config prog split failure r.Interp.instr_count
            in
-           reference = lowered
-           || QCheck2.Test.fail_reportf "reference: %s@\nlowered:   %s"
-                reference lowered
+           let agree budgets (reference, lowered) =
+             reference = lowered
+             || QCheck2.Test.fail_reportf
+                  "%s budgets@\nreference: %s@\nlowered:   %s" budgets
+                  reference lowered
+           in
+           let starved_obs = shepherd ~config:starved () in
+           if String.starts_with ~prefix:"stalled" (fst starved_obs) then
+             incr symex_stalled;
+           agree "default" (shepherd ()) && agree "one-gate" starved_obs
        | _ -> true)
 
 (* A generator drifting to programs that never fail would leave the
-   differential above comparing nothing. *)
+   differential above comparing nothing, and one whose failing runs
+   never reach the solver would leave the stall exit unchecked. *)
 let test_symex_differential_coverage () =
   if !symex_cases = 0 then Alcotest.skip ();
   Alcotest.(check bool)
     (Printf.sprintf "%d of %d generated cases reached the comparison"
        !symex_compared !symex_cases)
     true
-    (3 * !symex_compared >= !symex_cases)
+    (3 * !symex_compared >= !symex_cases);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d compared cases stalled on one gate"
+       !symex_stalled !symex_compared)
+    true
+    (4 * !symex_stalled >= !symex_compared)
 
 (* A self-looping block whose static shape exercises every unit kind at
    once: a committed load+bin+store triple, the hand-fused cmp+cond_br
@@ -1367,7 +1387,8 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_vm_differential;
         QCheck_alcotest.to_alcotest qcheck_plan_recording_differential;
         QCheck_alcotest.to_alcotest qcheck_symex_differential;
-        Alcotest.test_case "symex differential reaches a third of its cases"
+        Alcotest.test_case
+          "symex differential reaches a third of its cases, a quarter stalled"
           `Quick test_symex_differential_coverage;
       ] );
     ( "lower fused fast path",

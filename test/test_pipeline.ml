@@ -272,15 +272,17 @@ module Counted =
   P.Make (P.Default_tracer) (P.Default_shepherd) (Counting_selector)
     (P.Default_verifier)
 
-let test_selection_sends_no_query () =
+let with_metrics on f =
   let reg = Er_metrics.default in
   let was = Er_metrics.enabled reg in
-  Er_metrics.set_enabled reg true;
+  Er_metrics.set_enabled reg on;
+  Fun.protect ~finally:(fun () -> Er_metrics.set_enabled reg was) f
+
+let test_selection_sends_no_query () =
   select_queries := 0;
   select_calls := 0;
   let total_queries = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Er_metrics.set_enabled reg was)
+  with_metrics true
     (fun () ->
        List.iter
          (fun (s : Bug.spec) ->
@@ -303,6 +305,55 @@ let test_selection_sends_no_query () =
     (!total_queries > 0);
   Alcotest.(check int) "SMT queries sent during selection" 0 !select_queries
 
+(* --- what a job allocates ------------------------------------------------ *)
+
+let bash () =
+  match Registry.find "bash-108885" with
+  | Some s -> s
+  | None -> Alcotest.fail "corpus bug bash-108885 disappeared"
+
+(* A fresh interning space starts small and doubles when half full: a
+   job that interns a few hundred terms never pays for 32K slots. *)
+let test_space_allocation () =
+  let sp, words = Test_trace.allocated_words Er_smt.Expr.create_space in
+  ignore (Sys.opaque_identity sp);
+  Test_trace.check_at_most "Expr.create_space () bytes" 65_536
+    (words * (Sys.word_size / 8))
+
+(* Table 1's smallest job pays for what it uses: its trace ring and its
+   term table grow from a few KB, so a cold bash-108885 reconstruction
+   allocates about 29K words where a preallocated 4 MiB ring and a
+   32K-slot table alone cost 590K. *)
+let test_job_allocation () =
+  with_metrics false (fun () ->
+      let job = Er_core.Job.create (Bug.request (bash ())) in
+      let (), words =
+        Test_trace.allocated_words (fun () -> Er_core.Job.execute job)
+      in
+      (match Er_core.Job.poll job with
+       | Some (Er_core.Job.Finished { P.status = P.Reproduced _; _ }) -> ()
+       | _ -> Alcotest.fail "bash-108885 did not reproduce");
+      Test_trace.check_at_most "cold bash-108885 job words" 65_536 words)
+
+(* With metrics on, a job charges its domain's allocation to the
+   er_job_* counters. *)
+let test_job_allocation_counters () =
+  with_metrics true (fun () ->
+      let total name =
+        Er_metrics.Snapshot.counter_total (Er_metrics.snapshot ()) name
+      in
+      let minor = "er_job_minor_words_total"
+      and promoted = "er_job_promoted_words_total"
+      and major = "er_job_major_words_total" in
+      let before n = (n, total n) in
+      let b = List.map before [ minor; promoted; major ] in
+      Er_core.Job.execute (Er_core.Job.create (Bug.request (bash ())));
+      let moved n = total n - List.assoc n b in
+      Alcotest.(check bool) "minor words moved" true (moved minor > 0);
+      Alcotest.(check bool) "major words moved" true (moved major > 0);
+      Alcotest.(check bool) "promoted words are part of the major words" true
+        (moved promoted >= 0 && moved promoted <= moved major))
+
 let suites =
   [
     ( "pipeline",
@@ -320,5 +371,11 @@ let suites =
           test_jsonl_round_trip;
         Alcotest.test_case "selection sends no SMT query (Table 1)" `Slow
           test_selection_sends_no_query;
+        Alcotest.test_case "a fresh interning space is small" `Quick
+          test_space_allocation;
+        Alcotest.test_case "a cold bash-108885 job allocates what it uses"
+          `Quick test_job_allocation;
+        Alcotest.test_case "job allocation counters move" `Quick
+          test_job_allocation_counters;
       ] );
   ]

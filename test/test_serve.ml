@@ -120,7 +120,6 @@ let config_gen : Job.Config.t QCheck.Gen.t =
   knob >>= fun solver_budget ->
   knob >>= fun gate_budget ->
   knob >>= fun max_steps ->
-  knob >>= fun progress_every ->
   knob >>= fun max_instrs ->
   knob >>= fun max_call_depth ->
   knob >>= fun quantum ->
@@ -137,7 +136,6 @@ let config_gen : Job.Config.t QCheck.Gen.t =
       solver_budget;
       gate_budget;
       max_steps;
-      progress_every;
       max_instrs;
       max_call_depth;
       quantum;
@@ -434,7 +432,9 @@ let test_serve_names_rejected_key () =
     { Server.default_config with socket_path = socket; workers = 1 }
   in
   let srv = Server.start ~config ~resolver:Registry.resolver () in
-  let reply =
+  (* one submit per retired knob, on one connection *)
+  let knobs = [ "portfolio"; "progress_every" ] in
+  let replies =
     Fun.protect
       ~finally:(fun () ->
         Server.stop srv;
@@ -444,20 +444,28 @@ let test_serve_names_rejected_key () =
         Fun.protect
           ~finally:(fun () -> Server.Client.close c)
           (fun () ->
-            Server.Client.send c
-              (Wire.Submit
-                 { id = "old-knob"; tenant = "t"; bug = "pbzip2";
-                   config = Some (Json.Obj [ ("portfolio", Json.Int 4) ]) });
-            Server.Client.recv c))
+            List.map
+              (fun knob ->
+                 Server.Client.send c
+                   (Wire.Submit
+                      { id = knob; tenant = "t"; bug = "pbzip2";
+                        config = Some (Json.Obj [ (knob, Json.Int 4) ]) });
+                 (knob, Server.Client.recv c))
+              knobs))
   in
-  match reply with
-  | Some (Wire.Error { id = Some "old-knob"; reason }) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S names the key" reason)
-        true
-        (contains ~sub:"portfolio" reason)
-  | Some f -> Alcotest.failf "expected an error, got %s" (Wire.server_to_line f)
-  | None -> Alcotest.fail "daemon closed the connection"
+  List.iter
+    (fun (knob, reply) ->
+       match reply with
+       | Some (Wire.Error { id = Some id; reason }) when id = knob ->
+           Alcotest.(check string)
+             (Printf.sprintf "%s: the reason names the key" knob)
+             ("bad config override: unknown config key " ^ knob)
+             reason
+       | Some f ->
+           Alcotest.failf "%s: expected an error, got %s" knob
+             (Wire.server_to_line f)
+       | None -> Alcotest.fail "daemon closed the connection")
+    replies
 
 let suites =
   [
