@@ -56,11 +56,7 @@ let reconstruct_spec (s : Bug.spec) =
    [cache_dir] binds each to its persistent solver store. *)
 let table1_jobs ?cache_dir () =
   List.map
-    (fun s ->
-       Er_core.Job.create
-         (Bug.request
-            ~configure:(fun c -> { c with Er_core.Job.Config.cache_dir })
-            s))
+    (fun s -> Er_core.Job.create (Bug.request ?cache_dir s))
     Registry.table1
 
 let table1_results : (string * Er_core.Pipeline.result) list ref = ref []
@@ -340,8 +336,7 @@ let run_fig5 () =
   | None -> ()
   | Some s ->
       let budgetless =
-        { Er_symex.Exec.default_config with solver_budget = max_int / 2;
-          gate_budget = max_int / 2 }
+        { Er_symex.Exec.solver_budget = max_int / 2; gate_budget = max_int / 2 }
       in
       let series k =
         (* recording set after k pipeline iterations: rerun the pipeline

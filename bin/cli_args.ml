@@ -88,20 +88,12 @@ let tagged_jsonl_sink mutex oc job_name : Er_core.Events.sink =
 
 (* -- job invocation ------------------------------------------------- *)
 
-(* The config overrides [reproduce] and [fleet] share: --no-incremental
-   and --cache-dir. *)
-let configure ~incremental ~cache_dir (c : Er_core.Job.Config.t) =
-  { c with
-    Er_core.Job.Config.incremental =
-      c.Er_core.Job.Config.incremental && incremental;
-    cache_dir }
-
 (* [reproduce] runs its bug as a job on the calling domain: a fresh
    interning space, the persistent solver store bound when the config
    names a cache directory, and the job's [bug:<name>] metrics span. *)
-let run_job ~configure (spec : Er_corpus.Bug.spec) events =
+let run_job ?cache_dir (spec : Er_corpus.Bug.spec) events =
   let h =
-    Er_core.Job.create ~events (Er_corpus.Bug.request ~configure spec)
+    Er_core.Job.create ~events (Er_corpus.Bug.request ?cache_dir spec)
   in
   Er_core.Job.execute h;
   match Er_core.Job.await h with
@@ -112,19 +104,6 @@ let run_job ~configure (spec : Er_corpus.Bug.spec) events =
   | Er_core.Job.Cancelled None -> assert false
 
 (* -- shared flags -------------------------------------------------- *)
-
-(* Escape hatch shared by [reproduce] and [fleet]: trace every production
-   run from scratch instead of resuming from checkpoints.  Both modes
-   produce identical occurrence streams, solver costs and iteration
-   trajectories; the flag exists for differential benchmarking and as a
-   belt-and-braces fallback. *)
-let no_incremental_flag =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:"Disable checkpoint/resume: trace every production run from \
-              scratch.  The reconstruction result is identical either way; \
-              only tracing wall clock differs.")
 
 let metrics_fmt : [ `Table | `Json | `Prometheus ] Arg.conv =
   Arg.enum [ ("table", `Table); ("json", `Json); ("prometheus", `Prometheus) ]

@@ -9,8 +9,8 @@
      er_cli report --events FILE    join a persisted event log (and an
                                     optional metrics snapshot) into a
                                     per-bug explainability report
-     er_cli inspect <bug>           time-travel one production run: revert
-                                    to a checkpoint, dump registers/memory
+     er_cli inspect <bug>           time-travel one production run: stop
+                                    at a clock, dump registers/memory
      er_cli show <bug>              print a bug's EIR program
      er_cli parse <file.eir>        parse and validate a textual EIR file
      er_cli run <file.eir> k=v,...  run a textual EIR program concretely
@@ -41,20 +41,15 @@ let list_cmd =
     Term.(const run $ const ())
 
 let reproduce_cmd =
-  let run spec verbose events_file json metrics trace_out no_incremental
-      cache_dir =
+  let run spec verbose events_file json metrics trace_out cache_dir =
     let recorder = Option.is_some trace_out in
-    let incremental = not no_incremental in
     let r =
       Cli_args.with_metrics ~recorder
         (Option.is_some metrics || recorder)
         (fun () ->
            let r =
              Cli_args.with_events_sink events_file
-               (Cli_args.run_job
-                  ~configure:
-                    (Cli_args.configure ~incremental ~cache_dir)
-                  spec)
+               (Cli_args.run_job ?cache_dir spec)
            in
            Option.iter Cli_args.write_trace_out trace_out;
            r)
@@ -123,8 +118,7 @@ let reproduce_cmd =
   Cmd.v (Cmd.info "reproduce" ~doc:"Reconstruct one corpus failure")
     Term.(
       const run $ spec_arg $ verbose $ events_file $ json $ metrics
-      $ Cli_args.trace_out_flag $ Cli_args.no_incremental_flag
-      $ Cli_args.cache_dir_flag)
+      $ Cli_args.trace_out_flag $ Cli_args.cache_dir_flag)
 
 (* Fleet mode: the whole Table 1 corpus through the staged pipeline on a
    Domain pool ([-j N], default = recommended domain count), with an
@@ -226,8 +220,7 @@ let fleet_cmd =
       report.Er_core.Fleet.jobs report.Er_core.Fleet.wall
       report.Er_core.Fleet.cpu
   in
-  let run jobs json normalize events_file metrics_out trace_out no_incremental
-      cache_dir =
+  let run jobs json normalize events_file metrics_out trace_out cache_dir =
     Cli_args.with_events_channel events_file (fun chan ->
         let sink_mutex = Mutex.create () in
         let sink_for name =
@@ -235,14 +228,11 @@ let fleet_cmd =
           | None -> Er_core.Events.null
           | Some oc -> Cli_args.tagged_jsonl_sink sink_mutex oc name
         in
-        let configure =
-          Cli_args.configure ~incremental:(not no_incremental) ~cache_dir
-        in
         let handles =
           List.map
             (fun (s : Er_corpus.Bug.spec) ->
                Er_core.Job.create ~events:(sink_for s.Er_corpus.Bug.name)
-                 (Er_corpus.Bug.request ~configure s))
+                 (Er_corpus.Bug.request ?cache_dir s))
             Er_corpus.Registry.table1
         in
         let report = Er_core.Fleet.run ?jobs handles in
@@ -266,14 +256,12 @@ let fleet_cmd =
           ~finally:(fun () -> close_out oc)
           (fun () -> Cli_args.render_metrics `Json oc)
   in
-  let run jobs json normalize events_file metrics_out trace_out no_incremental
-      cache_dir =
+  let run jobs json normalize events_file metrics_out trace_out cache_dir =
     let recorder = Option.is_some trace_out in
     Cli_args.with_metrics ~recorder
       (Option.is_some metrics_out || recorder)
       (fun () ->
-         run jobs json normalize events_file metrics_out trace_out
-           no_incremental cache_dir)
+         run jobs json normalize events_file metrics_out trace_out cache_dir)
   in
   let jobs =
     Arg.(
@@ -327,8 +315,7 @@ let fleet_cmd =
              domain pool")
     Term.(
       const run $ jobs $ json $ normalize $ events_file $ metrics_out
-      $ Cli_args.trace_out_flag $ Cli_args.no_incremental_flag
-      $ Cli_args.cache_dir_flag)
+      $ Cli_args.trace_out_flag $ Cli_args.cache_dir_flag)
 
 (* Post-hoc explainability: join a persisted JSONL event log (from
    [reproduce --events] or [fleet --events]) with an optional metrics
@@ -701,102 +688,62 @@ let report_cmd =
              snapshot into a per-bug, per-stage report")
     Term.(const run $ events_file $ metrics_file $ json)
 
-(* Time travel over one production run of a corpus bug: drive the
-   resumable engine with periodic snapshots, revert to the deepest
-   checkpoint at or before --clock, and dump the paused machine —
-   per-thread call stacks with registers, plus a memory window.  The
-   same checkpoints the incremental pipeline resumes from, exposed
-   interactively. *)
+(* Time travel over one production run of a corpus bug: run the
+   resumable engine to the first quantum boundary at or after --clock
+   (or to the end) and dump the paused machine — per-thread call stacks
+   with registers, plus a memory window. *)
 let inspect_cmd =
   let module Vs = Er_vm.Vm_state in
-  let run (spec : Er_corpus.Bug.spec) occurrence interval clock_opt mem_opt =
+  let run (spec : Er_corpus.Bug.spec) occurrence clock_opt mem_opt =
     let inputs, sched_seed =
       spec.Er_corpus.Bug.failing_workload ~occurrence
     in
     let prog = Er_ir.Prog.of_program spec.Er_corpus.Bug.program in
-    let config =
-      { spec.Er_corpus.Bug.config.Er_core.Pipeline.vm_config with
-        Er_vm.Interp.sched_seed }
-    in
     let vm =
-      Vs.create ~config
-        ~plan:(Vs.empty_plan (Er_ir.Prog.lowered prog))
-        prog inputs
+      Vs.create ~config:{ Er_vm.Interp.default_config with sched_seed } prog
+        inputs
     in
-    (* checkpoint sweep: clock 0, then every --interval instructions *)
-    let cks = ref [ Vs.snapshot vm ] in
-    let rec drive at =
-      match Vs.run ~pause_at:at vm with
-      | Some r -> r
-      | None ->
-          cks := Vs.snapshot vm :: !cks;
-          drive (Vs.clock vm + interval)
-    in
-    let r = drive interval in
-    let final_clock = Vs.clock vm in
-    (* the state at the failure (or exit) is itself inspectable *)
-    cks := Vs.snapshot vm :: !cks;
-    Printf.printf "run: %s after %d instructions; %d checkpoint(s) every \
-                   %d instrs\n"
-      (match r.Vs.outcome with
-       | Vs.Finished _ -> "finished"
-       | Vs.Failed f -> "FAILED — " ^ Er_vm.Failure.to_string f)
-      r.Vs.instr_count (List.length !cks) interval;
-    let target =
-      match clock_opt with Some c -> c | None -> final_clock
-    in
-    (* [cks] is deepest-first, so this picks the deepest valid one *)
-    match
-      List.find_opt
-        (fun ck -> Vs.clock_of_checkpoint ck <= target)
-        !cks
-    with
+    (match Vs.run ?pause_at:clock_opt vm with
+     | None -> Printf.printf "paused at clock %d\n" (Vs.clock vm)
+     | Some r ->
+         Printf.printf "run: %s after %d instructions\n"
+           (match r.Vs.outcome with
+            | Vs.Finished _ -> "finished"
+            | Vs.Failed f -> "FAILED — " ^ Er_vm.Failure.to_string f)
+           r.Vs.instr_count);
+    List.iter
+      (fun (tv : Vs.thread_view) ->
+         Printf.printf "thread %d: %s\n" tv.Vs.tv_tid
+           (match tv.Vs.tv_status with
+            | Vs.Runnable -> "runnable"
+            | Vs.Blocked_lock l -> Printf.sprintf "blocked on lock %Ld" l
+            | Vs.Waiting_join -> "waiting on join"
+            | Vs.Done_t -> "done");
+         List.iteri
+           (fun i (fv : Vs.frame_view) ->
+              Printf.printf "  #%d %s @ %s[%d]\n" i fv.Vs.fv_func
+                fv.Vs.fv_block fv.Vs.fv_ip;
+              List.iter
+                (fun (reg, v) -> Printf.printf "      %-12s = %Ld\n" reg v)
+                fv.Vs.fv_regs)
+           tv.Vs.tv_frames)
+      (Vs.threads vm);
+    let mem = Vs.memory vm in
+    match mem_opt with
     | None ->
-        Printf.printf "no checkpoint at or before clock %d\n" target
-    | Some ck ->
-        Vs.revert vm ck;
-        Printf.printf "reverted to checkpoint at clock %d (run ends at %d)\n"
-          (Vs.clock vm) final_clock;
+        Printf.printf "memory: %d object(s)\n" (Er_vm.Memory.object_count mem);
         List.iter
-          (fun (tv : Vs.thread_view) ->
-             Printf.printf "thread %d: %s\n" tv.Vs.tv_tid
-               (match tv.Vs.tv_status with
-                | Vs.Runnable -> "runnable"
-                | Vs.Blocked_lock l ->
-                    Printf.sprintf "blocked on lock %Ld" l
-                | Vs.Waiting_join -> "waiting on join"
-                | Vs.Done_t -> "done");
-             List.iteri
-               (fun i (fv : Vs.frame_view) ->
-                  Printf.printf "  #%d %s @ %s[%d]%s\n" i fv.Vs.fv_func
-                    fv.Vs.fv_block fv.Vs.fv_ip
-                    (match fv.Vs.fv_pending with
-                     | Some reg -> " (pending ptwrite: " ^ reg ^ ")"
-                     | None -> "");
-                  List.iter
-                    (fun (reg, v) ->
-                       Printf.printf "      %-12s = %Ld\n" reg v)
-                    fv.Vs.fv_regs)
-               tv.Vs.tv_frames)
-          (Vs.threads vm);
-        let mem = Vs.memory vm in
-        (match mem_opt with
-         | None ->
-             Printf.printf "memory: %d object(s)\n"
-               (Er_vm.Memory.object_count mem);
-             List.iter
-               (fun (id, size, ty, freed) ->
-                  Printf.printf "  obj %d: %d x %s%s\n" id size
-                    (Er_ir.Types.ty_name ty)
-                    (if freed then " (freed)" else ""))
-               (Er_vm.Memory.objects mem)
-         | Some (obj, index, len) ->
-             for i = index to index + len - 1 do
-               match Er_vm.Memory.peek mem ~obj ~index:i with
-               | Some v -> Printf.printf "  obj %d[%d] = %Ld\n" obj i v
-               | None ->
-                   Printf.printf "  obj %d[%d] = <out of bounds>\n" obj i
-             done)
+          (fun (id, size, ty, freed) ->
+             Printf.printf "  obj %d: %d x %s%s\n" id size
+               (Er_ir.Types.ty_name ty)
+               (if freed then " (freed)" else ""))
+          (Er_vm.Memory.objects mem)
+    | Some (obj, index, len) ->
+        for i = index to index + len - 1 do
+          match Er_vm.Memory.peek mem ~obj ~index:i with
+          | Some v -> Printf.printf "  obj %d[%d] = %Ld\n" obj i v
+          | None -> Printf.printf "  obj %d[%d] = <out of bounds>\n" obj i
+        done
   in
   let occurrence =
     Arg.(
@@ -805,21 +752,13 @@ let inspect_cmd =
           ~doc:"Inspect the run of the $(docv)-th failure occurrence's \
                 workload (default 1).")
   in
-  let interval =
-    Arg.(
-      value & opt int 1000
-      & info [ "interval" ] ~docv:"N"
-          ~doc:"Snapshot every $(docv) instructions (default 1000), \
-                matching the pipeline's checkpoint interval.")
-  in
   let clock =
     Arg.(
       value
       & opt (some int) None
       & info [ "clock" ] ~docv:"C"
-          ~doc:"Revert to the deepest checkpoint at or before clock \
-                $(docv) (default: the final state, at the failure or \
-                exit).")
+          ~doc:"Stop at the first quantum boundary at or after clock \
+                $(docv) (default: run to the end, the failure or exit).")
   in
   let mem_conv =
     Arg.conv
@@ -838,14 +777,14 @@ let inspect_cmd =
       value
       & opt (some mem_conv) None
       & info [ "mem" ] ~docv:"OBJ[:INDEX[:LEN]]"
-          ~doc:"Dump $(docv) cells of one memory object at the reverted \
+          ~doc:"Dump $(docv) cells of one memory object at the stopped \
                 state (default: list all objects).")
   in
   Cmd.v
     (Cmd.info "inspect"
-       ~doc:"Time-travel one production run: revert to a checkpoint and \
-             dump registers and memory")
-    Term.(const run $ spec_arg $ occurrence $ interval $ clock $ mem)
+       ~doc:"Time-travel one production run: stop it at a clock and dump \
+             registers and memory")
+    Term.(const run $ spec_arg $ occurrence $ clock $ mem)
 
 let show_cmd =
   let run spec =

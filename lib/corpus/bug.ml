@@ -19,12 +19,10 @@ type spec = {
    constraints are. *)
 let config_with ?(max_occurrences = 24) ?(solver_budget = 600_000)
     ?(gate_budget = 120_000) () =
-  let open Er_core.Pipeline in
   {
-    default_config with
+    Er_core.Pipeline.default_config with
     max_occurrences;
-    exec_config =
-      { Er_symex.Exec.default_config with solver_budget; gate_budget };
+    exec_config = { Er_symex.Exec.solver_budget; gate_budget };
   }
 
 (* What a job reconstructs for [s]: its program under its failing
@@ -36,14 +34,14 @@ let source (s : spec) : Er_core.Job.source =
     src_workload = s.failing_workload;
   }
 
-(* The job request that reconstructs [s], under its budgets adjusted by
-   [configure] (a cache directory, no checkpoints, ...).  The CLI, the
-   fleet and the bench all run corpus bugs through one of these.  One
-   tenant serves them all: fair queueing matters only on a scheduler
-   that clients share, and a corpus batch gets a scheduler of its own. *)
-let request ?(configure = Fun.id) (s : spec) : Er_core.Job.request =
+(* The job request that reconstructs [s] under its budgets, with the
+   solver store under [cache_dir] when given.  The CLI, the fleet and
+   the bench all run corpus bugs through one of these.  One tenant
+   serves them all: fair queueing matters only on a scheduler that
+   clients share, and a corpus batch gets a scheduler of its own. *)
+let request ?cache_dir (s : spec) : Er_core.Job.request =
   {
     Er_core.Job.tenant = "corpus";
     work = Er_core.Job.Reconstruct (source s);
-    config = configure (Er_core.Job.Config.of_pipeline s.config);
+    config = { (Er_core.Job.Config.of_pipeline s.config) with cache_dir };
   }

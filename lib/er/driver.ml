@@ -5,9 +5,6 @@
 type config = Pipeline.config = {
   max_occurrences : int;
   exec_config : Er_symex.Exec.config;
-  vm_config : Er_vm.Interp.config;
   ring_bytes : int;
-  verify : bool;
   incremental : bool;
-  checkpoint_interval : int;
 }

@@ -26,26 +26,15 @@
 (* ---------------------------------------------------------------- *)
 
 module Config = struct
-  (* Every serializable knob of a reconstruction, flattened into one
-     record: the pipeline bounds, the symbolic executor budgets
-     ({!Er_symex.Exec.config}) and the scalar VM limits
-     ({!Er_vm.Interp.config}).  Deliberately excluded: [sched_seed]
-     (the workload provides it per occurrence) and [hooks] (the tracer
-     owns them) — the two fields that made the old per-call-site tuples
-     unserializable. *)
+  (* The serializable knobs of a reconstruction, flattened into one
+     record: the occurrence bound, the symbolic executor's budgets
+     ({!Er_symex.Exec.config}) and the solver store.  No VM limit is a
+     knob: the traced run and its verifying replay must share one VM
+     configuration, [Er_vm.Interp.default_config]. *)
   type t = {
     max_occurrences : int;       (* bound on production runs consumed *)
     solver_budget : int;         (* SAT work budget per query *)
     gate_budget : int;           (* bit-blasting budget for the run *)
-    max_steps : int;             (* symex step bound *)
-    max_instrs : int;            (* concrete VM instruction bound *)
-    max_call_depth : int;
-    quantum : int;               (* scheduler quantum *)
-    quantum_jitter : int;
-    ring_bytes : int;            (* trace ring buffer size *)
-    verify : bool;               (* re-execute the generated test case *)
-    incremental : bool;          (* resume runs from CoW checkpoints *)
-    checkpoint_interval : int;   (* instructions between checkpoints *)
     cache_dir : string option;   (* persistent solver-knowledge store *)
   }
 
@@ -54,39 +43,18 @@ module Config = struct
       max_occurrences = c.Pipeline.max_occurrences;
       solver_budget = c.Pipeline.exec_config.Er_symex.Exec.solver_budget;
       gate_budget = c.Pipeline.exec_config.Er_symex.Exec.gate_budget;
-      max_steps = c.Pipeline.exec_config.Er_symex.Exec.max_steps;
-      max_instrs = c.Pipeline.vm_config.Er_vm.Interp.max_instrs;
-      max_call_depth = c.Pipeline.vm_config.Er_vm.Interp.max_call_depth;
-      quantum = c.Pipeline.vm_config.Er_vm.Interp.quantum;
-      quantum_jitter = c.Pipeline.vm_config.Er_vm.Interp.quantum_jitter;
-      ring_bytes = c.Pipeline.ring_bytes;
-      verify = c.Pipeline.verify;
-      incremental = c.Pipeline.incremental;
-      checkpoint_interval = c.Pipeline.checkpoint_interval;
       cache_dir = None;
     }
 
   let to_pipeline (t : t) : Pipeline.config =
     {
-      Pipeline.max_occurrences = t.max_occurrences;
+      Pipeline.default_config with
+      max_occurrences = t.max_occurrences;
       exec_config =
         {
           Er_symex.Exec.solver_budget = t.solver_budget;
           gate_budget = t.gate_budget;
-          max_steps = t.max_steps;
         };
-      vm_config =
-        {
-          Er_vm.Interp.default_config with
-          Er_vm.Interp.max_instrs = t.max_instrs;
-          max_call_depth = t.max_call_depth;
-          quantum = t.quantum;
-          quantum_jitter = t.quantum_jitter;
-        };
-      ring_bytes = t.ring_bytes;
-      verify = t.verify;
-      incremental = t.incremental;
-      checkpoint_interval = t.checkpoint_interval;
     }
 
   let default = of_pipeline Pipeline.default_config
@@ -96,7 +64,6 @@ module Config = struct
      field here is the whole change. *)
   type field =
     | I of string * (t -> int) * (t -> int -> t)
-    | B of string * (t -> bool) * (t -> bool -> t)
     | S of string * (t -> string option) * (t -> string option -> t)
 
   let fields =
@@ -107,22 +74,6 @@ module Config = struct
          fun t v -> { t with solver_budget = v });
       I ("gate_budget", (fun t -> t.gate_budget),
          fun t v -> { t with gate_budget = v });
-      I ("max_steps", (fun t -> t.max_steps),
-         fun t v -> { t with max_steps = v });
-      I ("max_instrs", (fun t -> t.max_instrs),
-         fun t v -> { t with max_instrs = v });
-      I ("max_call_depth", (fun t -> t.max_call_depth),
-         fun t v -> { t with max_call_depth = v });
-      I ("quantum", (fun t -> t.quantum), fun t v -> { t with quantum = v });
-      I ("quantum_jitter", (fun t -> t.quantum_jitter),
-         fun t v -> { t with quantum_jitter = v });
-      I ("ring_bytes", (fun t -> t.ring_bytes),
-         fun t v -> { t with ring_bytes = v });
-      B ("verify", (fun t -> t.verify), fun t v -> { t with verify = v });
-      B ("incremental", (fun t -> t.incremental),
-         fun t v -> { t with incremental = v });
-      I ("checkpoint_interval", (fun t -> t.checkpoint_interval),
-         fun t v -> { t with checkpoint_interval = v });
       S ("cache_dir", (fun t -> t.cache_dir),
          fun t v -> { t with cache_dir = v });
     ]
@@ -132,7 +83,6 @@ module Config = struct
       (List.map
          (function
            | I (k, get, _) -> (k, Json.Int (get t))
-           | B (k, get, _) -> (k, Json.Bool (get t))
            | S (k, get, _) ->
                (k, match get t with Some s -> Json.Str s | None -> Json.Null))
          fields)
@@ -146,18 +96,16 @@ module Config = struct
      is the submit-frame override decoder; a full object round-trips
      exactly ([of_json_value (to_json_value t) = Ok t]). *)
   let of_json_value ?(base = default) (j : Json.t) : (t, string) result =
-    let name = function I (k, _, _) | B (k, _, _) | S (k, _, _) -> k in
+    let name = function I (k, _, _) | S (k, _, _) -> k in
     let set t (k, v) =
       match List.find_opt (fun f -> String.equal (name f) k) fields with
       | None -> Error ("unknown config key " ^ k)
       | Some field -> (
           match (v, field) with
           | Json.Int v, I (_, _, set) -> Ok (set t v)
-          | Json.Bool v, B (_, _, set) -> Ok (set t v)
           | Json.Str v, S (_, _, set) -> Ok (set t (Some v))
           | Json.Null, S (_, _, set) -> Ok (set t None)
           | _, I _ -> Error ("config key " ^ k ^ " wants an integer")
-          | _, B _ -> Error ("config key " ^ k ^ " wants a boolean")
           | _, S _ -> Error ("config key " ^ k ^ " wants a string or null"))
     in
     match j with

@@ -9,23 +9,14 @@
     reconstruction in a process that runs nothing else. *)
 
 module Config : sig
-  (** Every serializable reconstruction knob, flattened into one record:
-      pipeline bounds, symbolic-execution budgets and scalar VM limits.
-      Excluded by design: scheduler seed (owned by the workload) and VM
-      hooks (owned by the tracer). *)
+  (** The serializable reconstruction knobs, flattened into one record:
+      the occurrence bound, the symbolic executor's budgets and the
+      solver store.  No VM limit is a knob: the traced run and its
+      verifying replay share [Er_vm.Interp.default_config]. *)
   type t = {
     max_occurrences : int;       (** bound on production runs consumed *)
     solver_budget : int;         (** SAT work budget per query *)
     gate_budget : int;           (** bit-blasting budget for the run *)
-    max_steps : int;             (** symex step bound *)
-    max_instrs : int;            (** concrete VM instruction bound *)
-    max_call_depth : int;
-    quantum : int;               (** scheduler quantum *)
-    quantum_jitter : int;
-    ring_bytes : int;            (** trace ring buffer size *)
-    verify : bool;               (** re-execute the generated test case *)
-    incremental : bool;          (** resume runs from CoW checkpoints *)
-    checkpoint_interval : int;   (** instructions between checkpoints *)
     cache_dir : string option;
         (** directory of the persistent solver-knowledge store; [None]
             disables persistence *)
@@ -37,8 +28,8 @@ module Config : sig
   val of_pipeline : Pipeline.config -> t
 
   val to_pipeline : t -> Pipeline.config
-  (** Right inverse of {!of_pipeline} on the serializable fields; the VM
-      hooks and scheduler seed come from {!Pipeline.default_config}. *)
+  (** Right inverse of {!of_pipeline} on the serializable fields; the
+      rest comes from {!Pipeline.default_config}. *)
 
   val to_json_value : t -> Json.t
   val to_json : t -> string

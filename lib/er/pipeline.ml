@@ -41,22 +41,16 @@ let m_top_ckpt_savings =
 type config = {
   max_occurrences : int;           (* bound on production runs consumed *)
   exec_config : Exec.config;
-  vm_config : Interp.config;
   ring_bytes : int;                (* trace ring buffer size *)
-  verify : bool;                   (* re-execute the generated test case *)
   incremental : bool;              (* resume runs from CoW checkpoints *)
-  checkpoint_interval : int;       (* instructions between checkpoints *)
 }
 
 let default_config =
   {
     max_occurrences = 24;
     exec_config = Exec.default_config;
-    vm_config = Interp.default_config;
     ring_bytes = 1 lsl 22;
-    verify = true;
     incremental = true;
-    checkpoint_interval = 1000;
   }
 
 (* A workload produces the inputs (and scheduler seed) of the k-th
@@ -220,6 +214,9 @@ module Default_tracer : TRACER = struct
       s_seed = 0; s_points = []; s_cks = []; s_taken = 0; s_resumes = 0;
       s_saved = 0; s_executed = 0 }
 
+  (* Instructions between checkpoints of a production run. *)
+  let checkpoint_interval = 1000
+
   (* Deepest checkpoint of the previous run still valid for a run with
      [points]/[inputs]/[sched_seed], per the conditions above. *)
   let resume_candidate s ~points ~inputs ~sched_seed =
@@ -276,8 +273,9 @@ module Default_tracer : TRACER = struct
     | None ->
         Enc.reset s.s_enc;
         Enc.start s.s_enc;
+        (* the VM configuration [Verify] replays the test case under *)
         let vm_config =
-          { config.vm_config with Interp.sched_seed; hooks = s.s_hooks }
+          { Interp.default_config with sched_seed; hooks = s.s_hooks }
         in
         let vm = Vs.create ~config:vm_config ~plan:(plan ()) s.s_prog inputs in
         s.s_vm <- Some vm;
@@ -293,16 +291,15 @@ module Default_tracer : TRACER = struct
   let run_traced s ~config vm =
     if not config.incremental then Vs.run_to_end vm
     else begin
-      let interval = max 1 config.checkpoint_interval in
       let rec drive target =
         match Vs.run ~pause_at:target vm with
         | Some r -> r
         | None ->
             s.s_cks <- (Vs.snapshot vm, Enc.checkpoint s.s_enc) :: s.s_cks;
             s.s_taken <- s.s_taken + 1;
-            drive (Vs.clock vm + interval)
+            drive (Vs.clock vm + checkpoint_interval)
       in
-      drive (Vs.clock vm + interval)
+      drive (Vs.clock vm + checkpoint_interval)
     end
 
   let capture ~session:s ~config ~points ~forward ~tracked ~inputs ~sched_seed =
@@ -654,34 +651,27 @@ struct
               finished `Complete ~graph_nodes;
               let testcase = Testcase.of_solution solution in
               (* --- stage 4: verification by concrete re-execution --- *)
-              let verified =
-                if config.verify then begin
-                  let t2 = Unix.gettimeofday () in
-                  let v =
-                    M.with_span "verify" (fun () ->
-                        V.verify ~solution:(Some solution)
-                          ~base_prog:base_indexed ~testcase
-                          ~expected_failure:cap.cap_base_failure
-                          ~expected_branches:
-                            cap.cap_split.Er_trace.Decoder.branches
-                          ~sched_seed)
-                  in
-                  emit
-                    (Events.Verified
-                       { occurrence = occ; ok = v.Verify.ok;
-                         same_failure = v.Verify.same_failure;
-                         same_control_flow = v.Verify.same_control_flow;
-                         elapsed = Unix.gettimeofday () -. t2 });
-                  Some v
-                end
-                else None
+              let t2 = Unix.gettimeofday () in
+              let v =
+                M.with_span "verify" (fun () ->
+                    V.verify ~solution:(Some solution) ~base_prog:base_indexed
+                      ~testcase ~expected_failure:cap.cap_base_failure
+                      ~expected_branches:cap.cap_split.Er_trace.Decoder.branches
+                      ~sched_seed)
               in
+              emit
+                (Events.Verified
+                   { occurrence = occ; ok = v.Verify.ok;
+                     same_failure = v.Verify.same_failure;
+                     same_control_flow = v.Verify.same_control_flow;
+                     elapsed = Unix.gettimeofday () -. t2 });
               emit
                 (Events.Reproduced
                    { occurrence = occ;
                      testcase_values = Testcase.total_values testcase });
               { st with st_run = occ; st_tracked = tracked;
-                st_final = Some (Reproduced { testcase; verified; solution }) }
+                st_final =
+                  Some (Reproduced { testcase; verified = Some v; solution }) }
           | Exec.Stalled stall ->
               finished `Stalled
                 ~graph_nodes:(Er_symex.Cgraph.node_count stall.Exec.graph);
@@ -708,8 +698,7 @@ struct
                      solver a longer deterministic timeout, as ER does for
                      infrequent failures *)
                   let ec =
-                    { st.st_exec_config with
-                      Exec.solver_budget =
+                    { Exec.solver_budget =
                         4 * st.st_exec_config.Exec.solver_budget;
                       gate_budget = 4 * st.st_exec_config.Exec.gate_budget }
                   in

@@ -19,12 +19,12 @@ open Er_ir.Types
 type config = {
   max_occurrences : int;       (** bound on production runs consumed *)
   exec_config : Er_symex.Exec.config;
-  vm_config : Er_vm.Interp.config;
   ring_bytes : int;            (** trace ring buffer size *)
-  verify : bool;               (** re-execute the generated test case *)
   incremental : bool;          (** resume runs from CoW checkpoints *)
-  checkpoint_interval : int;   (** instructions between checkpoints *)
 }
+(** Every production run, traced or replayed by the verifier, runs under
+    [Er_vm.Interp.default_config] with the occurrence's scheduler seed,
+    and every reproduced test case is verified. *)
 
 val default_config : config
 

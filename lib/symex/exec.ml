@@ -64,15 +64,12 @@ let m_stall_depth =
 type config = {
   solver_budget : int;
   gate_budget : int;
-  max_steps : int;
 }
 
-let default_config =
-  {
-    solver_budget = 600_000;
-    gate_budget = 120_000;
-    max_steps = 30_000_000;
-  }
+let default_config = { solver_budget = 600_000; gate_budget = 120_000 }
+
+(* Step bound of one run, in traced instructions. *)
+let max_steps = 30_000_000
 
 type stall_info = {
   graph : Cgraph.t;
@@ -675,7 +672,7 @@ let shepherd eng ~main ~config (prog : Er_ir.Prog.t) ~trace ~failure
        end
      end);
     let th = !cur in
-    if st.clock > st.cfg.max_steps then raise (Diverge "step budget exhausted");
+    if st.clock > max_steps then raise (Diverge "step budget exhausted");
     match th.stack with
     | [] when st.clock = st.failure_clock ->
         raise (Diverge "failure clock reached with empty stack")

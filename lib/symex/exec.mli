@@ -15,7 +15,6 @@
 type config = {
   solver_budget : int;        (** SAT work budget per query *)
   gate_budget : int;          (** bit-blasting budget for the whole run *)
-  max_steps : int;
 }
 
 val default_config : config

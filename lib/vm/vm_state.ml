@@ -2601,7 +2601,6 @@ type frame_view = {
   fv_block : string;
   fv_ip : int;
   fv_regs : (string * int64) list;   (* defined registers, slot order *)
-  fv_pending : string option;        (* register with a pending ptwrite *)
 }
 
 type thread_view = {
@@ -2623,7 +2622,6 @@ let view_frame (fr : lframe) : frame_view =
     fv_block = fr.lfr_block.L.lb_label;
     fv_ip = fr.lfr_ip;
     fv_regs = !regs;
-    fv_pending = Option.map (fun s -> names.(s)) fr.lfr_pending;
   }
 
 let threads (t : t) : thread_view list =

@@ -233,7 +233,6 @@ type frame_view = {
   fv_block : string;
   fv_ip : int;
   fv_regs : (string * int64) list;   (** defined registers, slot order *)
-  fv_pending : string option;        (** register with a pending ptwrite *)
 }
 
 type thread_view = {

@@ -24,8 +24,8 @@ let subset () =
        | None -> Alcotest.failf "corpus bug %s disappeared" n)
     subset_names
 
-let job_of_spec ?events ?configure (s : Bug.spec) =
-  Job.create ?events (Bug.request ?configure s)
+let job_of_spec ?events ?cache_dir (s : Bug.spec) =
+  Job.create ?events (Bug.request ?cache_dir s)
 
 (* --- determinism: -j 1 and -j 4 agree byte for byte ----------------- *)
 
@@ -181,14 +181,13 @@ let test_cache_events_per_job () =
       (subset ())
   in
   let dir = Test_persist.fresh_dir () in
-  let configure c = { c with Job.Config.cache_dir = Some dir } in
   let pass () =
     let streams = List.map (fun s -> (s, ref [])) specs in
     let report =
       Fleet.run ~jobs:2
         (List.map
            (fun (s, log) ->
-              job_of_spec ~configure ~events:(fun e -> log := e :: !log) s)
+              job_of_spec ~cache_dir:dir ~events:(fun e -> log := e :: !log) s)
            streams)
     in
     List.iter

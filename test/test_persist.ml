@@ -387,9 +387,7 @@ let run_job ~dir name =
   let h =
     Job.create
       ~events:(fun e -> events := e :: !events)
-      (Er_corpus.Bug.request
-         ~configure:(fun c -> { c with Job.Config.cache_dir = Some dir })
-         s)
+      (Er_corpus.Bug.request ~cache_dir:dir s)
   in
   Job.execute h;
   match Job.poll h with

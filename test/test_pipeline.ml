@@ -94,9 +94,7 @@ let test_budget_escalates_at_fixpoint () =
   Er_smt.Solver.reset_cache ();
   let config =
     { spec.Bug.config with
-      P.exec_config =
-        { spec.Bug.config.P.exec_config with
-          Er_symex.Exec.solver_budget = 200; gate_budget = 200 } }
+      P.exec_config = { Er_symex.Exec.solver_budget = 200; gate_budget = 200 } }
   in
   let r =
     P.run ~config ~base_prog:spec.Bug.program

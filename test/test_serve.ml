@@ -119,33 +119,9 @@ let config_gen : Job.Config.t QCheck.Gen.t =
   knob >>= fun max_occurrences ->
   knob >>= fun solver_budget ->
   knob >>= fun gate_budget ->
-  knob >>= fun max_steps ->
-  knob >>= fun max_instrs ->
-  knob >>= fun max_call_depth ->
-  knob >>= fun quantum ->
-  int_range 0 1_000 >>= fun quantum_jitter ->
-  knob >>= fun ring_bytes ->
-  bool >>= fun verify ->
-  bool >>= fun incremental ->
-  knob >>= fun checkpoint_interval ->
   opt (string_size ~gen:(char_range 'a' 'z') (int_range 1 12))
   >>= fun cache_dir ->
-  return
-    {
-      Job.Config.max_occurrences;
-      solver_budget;
-      gate_budget;
-      max_steps;
-      max_instrs;
-      max_call_depth;
-      quantum;
-      quantum_jitter;
-      ring_bytes;
-      verify;
-      incremental;
-      checkpoint_interval;
-      cache_dir;
-    }
+  return { Job.Config.max_occurrences; solver_budget; gate_budget; cache_dir }
 
 let config_arb =
   QCheck.make ~print:(fun c -> Job.Config.to_json c) config_gen
@@ -170,6 +146,12 @@ let test_config_override () =
   (* the empty override is the base config *)
   Alcotest.(check bool) "empty object = base" true
     (Job.Config.of_json_value ~base (Json.Obj []) = Ok base);
+  (match Job.Config.to_json_value base with
+   | Json.Obj kvs ->
+       Alcotest.(check (list string)) "the config's keys"
+         [ "max_occurrences"; "solver_budget"; "gate_budget"; "cache_dir" ]
+         (List.map fst kvs)
+   | _ -> Alcotest.fail "config JSON is not an object");
   (* strictness: an unknown key or a mistyped value rejects the whole
      document, and the reason names the first offending key *)
   let rejects what j ~naming =
@@ -183,11 +165,11 @@ let test_config_override () =
   rejects "unknown key" (Json.Obj [ ("solver_fuel", Json.Int 1) ])
     ~naming:"solver_fuel";
   rejects "mistyped value"
-    (Json.Obj [ ("max_steps", Json.Int 9); ("verify", Json.Int 1) ])
-    ~naming:"verify";
+    (Json.Obj [ ("max_occurrences", Json.Int 9); ("cache_dir", Json.Int 1) ])
+    ~naming:"cache_dir";
   rejects "first of two bad keys"
-    (Json.Obj [ ("quantum", Json.Bool true); ("solver_fuel", Json.Int 1) ])
-    ~naming:"quantum";
+    (Json.Obj [ ("gate_budget", Json.Bool true); ("solver_fuel", Json.Int 1) ])
+    ~naming:"gate_budget";
   rejects "non-object" (Json.List []) ~naming:"object"
 
 (* --- a cheap pipeline result to hand to thunk jobs ------------------ *)
@@ -433,7 +415,11 @@ let test_serve_names_rejected_key () =
   in
   let srv = Server.start ~config ~resolver:Registry.resolver () in
   (* one submit per retired knob, on one connection *)
-  let knobs = [ "portfolio"; "progress_every" ] in
+  let knobs =
+    [ "portfolio"; "progress_every"; "max_steps"; "max_instrs";
+      "max_call_depth"; "quantum"; "quantum_jitter"; "ring_bytes"; "verify";
+      "incremental"; "checkpoint_interval" ]
+  in
   let replies =
     Fun.protect
       ~finally:(fun () ->
