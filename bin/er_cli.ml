@@ -15,8 +15,9 @@
      er_cli parse <file.eir>        parse and validate a textual EIR file
      er_cli run <file.eir> k=v,...  run a textual EIR program concretely
      er_cli serve                   multi-tenant reconstruction daemon over
-                                    a Unix-domain socket (JSONL protocol,
-                                    optional Prometheus scrape endpoint)
+                                    a Unix-domain socket (JSONL protocol;
+                                    a metrics frame returns the live
+                                    registry in Prometheus text)
      er_cli loadgen                 replay the corpus as N concurrent
                                     clients against a running daemon and
                                     report throughput + latency
@@ -853,9 +854,10 @@ let run_cmd =
    across a worker-domain pool with per-tenant fair queueing and
    bounded-queue backpressure.  The metrics registry is always on while
    serving — queue depth, job outcomes and latency histograms are the
-   daemon's operational surface, scrapable live via --prometheus. *)
+   daemon's operational surface, which a client reads live with a
+   metrics frame. *)
 let serve_cmd =
-  let run socket workers queue_limit prometheus_port cache_dir =
+  let run socket workers queue_limit cache_dir =
     let workers =
       match workers with
       | Some n -> n
@@ -867,14 +869,11 @@ let serve_cmd =
       Er_core.Server.start
         ~config:
           { Er_core.Server.socket_path = socket; workers; queue_limit;
-            prometheus_port; cache_dir }
+            cache_dir }
         ~resolver:Er_corpus.Registry.resolver ()
     in
-    Printf.printf "er-serve: listening on %s (%d worker(s), queue %d%s%s)\n%!"
+    Printf.printf "er-serve: listening on %s (%d worker(s), queue %d%s)\n%!"
       socket workers queue_limit
-      (match prometheus_port with
-       | Some p -> Printf.sprintf ", metrics on 127.0.0.1:%d" p
-       | None -> "")
       (match cache_dir with
        | Some d -> Printf.sprintf ", solver cache in %s" d
        | None -> "");
@@ -893,13 +892,6 @@ let serve_cmd =
           ~doc:"Reject submits (a 429-style frame) once $(docv) jobs are \
                 queued across all tenants.")
   in
-  let prometheus =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "prometheus" ] ~docv:"PORT"
-          ~doc:"Also serve live Prometheus scrapes on 127.0.0.1:$(docv).")
-  in
   let socket =
     Cli_args.socket_flag
       ~doc:"Listen on Unix-domain socket $(docv) (default er-serve.sock)."
@@ -909,8 +901,7 @@ let serve_cmd =
        ~doc:"Run the multi-tenant reconstruction daemon (JSONL over a \
              Unix-domain socket; submit/status/cancel/result frames)")
     Term.(
-      const run $ socket $ workers $ queue_limit $ prometheus
-      $ Cli_args.cache_dir_flag)
+      const run $ socket $ workers $ queue_limit $ Cli_args.cache_dir_flag)
 
 (* Load generation against a running daemon: the 13-bug corpus replayed
    as N concurrent clients, measuring reconstructions/sec and latency

@@ -9,9 +9,9 @@
        mutex-protected queue plus one byte down a self-pipe, and the
        loop — the only writer to any fd — wakes and pushes the result
        frame to whichever connection submitted the job;
-     - an optional TCP listener on localhost answers Prometheus scrapes
-       with the live {!Er_metrics} registry, so a dashboard can watch
-       queue depth and job outcomes while reconstructions run.
+     - a [Metrics] frame answers with the live {!Er_metrics} registry in
+       Prometheus text, so a client can watch queue depth and job
+       outcomes while reconstructions run.
 
    The bug-name resolver is injected: [er_core] sits below the corpus
    in the library graph, so the daemon maps submit frames to programs
@@ -31,7 +31,6 @@ type config = {
   socket_path : string;
   workers : int;
   queue_limit : int;
-  prometheus_port : int option;  (* TCP scrape endpoint on 127.0.0.1 *)
   cache_dir : string option;
       (* daemon-wide persistent solver store; a job keeps its own
          cache_dir if its submit frame set one *)
@@ -39,7 +38,7 @@ type config = {
 
 let default_config =
   { socket_path = "er-serve.sock"; workers = 2; queue_limit = 64;
-    prometheus_port = None; cache_dir = None }
+    cache_dir = None }
 
 (* -- per-connection state ------------------------------------------ *)
 
@@ -55,7 +54,6 @@ type t = {
   resolver : resolver;
   sched : Scheduler.t;
   listener : Unix.file_descr;
-  prom_listener : Unix.file_descr option;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   done_mutex : Mutex.t;
@@ -192,26 +190,6 @@ let drain_completions t ~by_job =
 
 let outstanding ~by_job = Hashtbl.length by_job
 
-(* -- Prometheus scrape --------------------------------------------- *)
-
-(* One-shot HTTP: accept, read whatever request arrived, answer with the
-   whole registry, close.  A scrape is a page-sized text dump every few
-   seconds — not worth a persistent-connection server. *)
-let handle_scrape fd =
-  let buf = Bytes.create 4096 in
-  (try ignore (Unix.read fd buf 0 4096) with Unix.Unix_error _ -> ());
-  let body = Er_metrics.Snapshot.to_prometheus (Er_metrics.snapshot ()) in
-  let resp =
-    Printf.sprintf
-      "HTTP/1.1 200 OK\r\n\
-       Content-Type: text/plain; version=0.0.4\r\n\
-       Content-Length: %d\r\n\
-       Connection: close\r\n\r\n%s"
-      (String.length body) body
-  in
-  write_all fd resp;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
-
 (* -- the loop ------------------------------------------------------ *)
 
 let close_conn conns conn =
@@ -227,9 +205,7 @@ let loop t =
   let running = ref true in
   while !running do
     let fds =
-      (t.listener :: t.pipe_r
-       :: (match t.prom_listener with Some fd -> [ fd ] | None -> []))
-      @ Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
+      t.listener :: t.pipe_r :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
     in
     let readable, _, _ =
       try Unix.select fds [] [] (-1.0)
@@ -249,10 +225,6 @@ let loop t =
            (try ignore (Unix.read t.pipe_r buf 0 64)
             with Unix.Unix_error _ -> ());
            drain_completions t ~by_job)
-         else if Some fd = t.prom_listener then (
-           match Unix.accept fd with
-           | cfd, _ -> handle_scrape cfd
-           | exception Unix.Unix_error _ -> ())
          else
            match Hashtbl.find_opt conns fd with
            | None -> ()
@@ -294,17 +266,6 @@ let start ?(config = default_config) ~resolver () : t =
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   Unix.bind listener (Unix.ADDR_UNIX config.socket_path);
   Unix.listen listener 64;
-  let prom_listener =
-    Option.map
-      (fun port ->
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-         Unix.bind fd
-           (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
-         Unix.listen fd 16;
-         fd)
-      config.prometheus_port
-  in
   let pipe_r, pipe_w = Unix.pipe () in
   let rec t =
     lazy
@@ -316,7 +277,6 @@ let start ?(config = default_config) ~resolver () : t =
             ~on_done:(fun job -> on_done (Lazy.force t) job)
             ~workers:config.workers ();
         listener;
-        prom_listener;
         pipe_r;
         pipe_w;
         done_mutex = Mutex.create ();
@@ -339,8 +299,7 @@ let wait t =
   Scheduler.shutdown t.sched;
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    ([ t.listener; t.pipe_r; t.pipe_w ]
-     @ match t.prom_listener with Some fd -> [ fd ] | None -> []);
+    [ t.listener; t.pipe_r; t.pipe_w ];
   try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ()
 
 (* -- client -------------------------------------------------------- *)

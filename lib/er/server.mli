@@ -18,8 +18,6 @@ type config = {
   socket_path : string;
   workers : int;
   queue_limit : int;
-  prometheus_port : int option;
-      (** serve Prometheus scrapes on 127.0.0.1:port *)
   cache_dir : string option;
       (** daemon-wide persistent solver-knowledge store: applied to
           every job whose submit frame did not set its own [cache_dir],

@@ -21,19 +21,21 @@
    Semantics note: lowering resolves names eagerly, so a program that
    references an unknown function / block / global fails here (at
    [compile] time) instead of lazily at first execution of the bad
-   instruction.  Validated programs (everything the builder or parser
-   produces) are unaffected.  Reads of dynamically-undefined registers
-   keep their exact reference semantics: a use that the must-defined
-   dataflow analysis cannot prove initialized is lowered to a checked
-   operand carrying the register name, and functions containing such
-   uses track definedness bits per frame; every other use is an
-   unchecked slot read. *)
+   instruction.  Once a function's names resolve, [compile] applies the
+   validator's use rules to it under its own slot numbering
+   ([Validate.function_fault], and [Validate.main_fault] for the entry
+   point), for programs that skip validation (test-built programs,
+   instrumented rewrites): a register read not defined on every path
+   from entry, or a call, spawn or [main] with the wrong number of
+   arguments, raises [Invalid_argument] here too.  Every register
+   operand of the result is therefore a plain slot read of a written
+   slot, and every call site matches its callee's parameter count.
+   Programs the builder or parser produced are unaffected. *)
 
 open Types
 
 type operand =
-  | Oslot of int                          (* proven-defined register slot *)
-  | Ocheck of { slot : int; reg : reg }   (* slot + dynamic definedness check *)
+  | Oslot of int                          (* register slot, defined on every path *)
   | Oimm of { v : int64; ity : ty }       (* raw immediate; [ity] is its own type *)
   | Oglobal of int                        (* index into the global array *)
   | Onull
@@ -107,7 +109,6 @@ type lfunc = {
   lf_reg_of_slot : reg array;         (* slot -> register name, for hooks *)
   lf_slot_of_reg : (reg, int) Hashtbl.t;
   lf_blocks : lblock array;           (* index 0 is the entry block *)
-  lf_tracked : bool;                  (* frames keep definedness bits *)
   lf_ret_ty : ty option;
   lf_ret_w : int;                     (* return-value normalization width *)
 }
@@ -155,121 +156,6 @@ let delta_of_block (b : block) : delta =
   | Abort _ | Unreachable -> { c with d_other = c.d_other + 1 }
 
 (* ------------------------------------------------------------------ *)
-(* Slot assignment                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Deterministic slot numbering: parameters in declaration order, then
-   every other register in first-occurrence order (uses before the def
-   of each instruction, then terminator operands). *)
-let assign_slots (f : func) =
-  let slot_of = Hashtbl.create 16 in
-  let rev_names = ref [] in
-  let next = ref 0 in
-  let intern r =
-    match Hashtbl.find_opt slot_of r with
-    | Some s -> s
-    | None ->
-        let s = !next in
-        incr next;
-        Hashtbl.add slot_of r s;
-        rev_names := r :: !rev_names;
-        s
-  in
-  List.iter (fun (r, _) -> ignore (intern r)) f.params;
-  let intern_value = function
-    | Reg r -> ignore (intern r)
-    | Imm _ | Global _ | Null -> ()
-  in
-  List.iter
-    (fun (b : block) ->
-       Array.iter
-         (fun i ->
-            List.iter intern_value (values_of_instr i);
-            match def_of_instr i with
-            | Some r -> ignore (intern r)
-            | None -> ())
-         b.instrs;
-       match b.term with
-       | Cond_br { cond; _ } -> intern_value cond
-       | Ret (Some v) -> intern_value v
-       | Br _ | Ret None | Abort _ | Unreachable -> ())
-    f.blocks;
-  let names = Array.of_list (List.rev !rev_names) in
-  (slot_of, names, !next)
-
-(* ------------------------------------------------------------------ *)
-(* Must-defined dataflow                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Forward must-defined analysis over the CFG: a register use is lowered
-   to an unchecked slot read only when every path from entry defines it
-   first.  Sets are bytes (one per slot); meet is byte-wise AND. *)
-let must_defined (f : func) ~slot_of ~nslots ~block_index =
-  let blocks = Array.of_list f.blocks in
-  let n = Array.length blocks in
-  let top () = Bytes.make nslots '\001' in
-  let entry_in = Bytes.make nslots '\000' in
-  List.iter
-    (fun (r, _) -> Bytes.set entry_in (Hashtbl.find slot_of r) '\001')
-    f.params;
-  let ins = Array.init n (fun i -> if i = 0 then entry_in else top ()) in
-  let outs = Array.init n (fun _ -> top ()) in
-  let defs_of b =
-    let d = Bytes.make nslots '\000' in
-    Array.iter
-      (fun i ->
-         match def_of_instr i with
-         | Some r -> Bytes.set d (Hashtbl.find slot_of r) '\001'
-         | None -> ())
-      b.instrs;
-    d
-  in
-  let defs = Array.map defs_of blocks in
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun i (b : block) ->
-       succs.(i) <-
-         (match b.term with
-          | Br l -> [ Hashtbl.find block_index l ]
-          | Cond_br { if_true; if_false; _ } ->
-              [ Hashtbl.find block_index if_true;
-                Hashtbl.find block_index if_false ]
-          | Ret _ | Abort _ | Unreachable -> []))
-    blocks;
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun i ss -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) ss)
-    succs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      (if i > 0 then
-         match preds.(i) with
-         | [] -> ()   (* statically unreachable: keep top *)
-         | ps ->
-             let acc = top () in
-             List.iter
-               (fun p ->
-                  for s = 0 to nslots - 1 do
-                    if Bytes.get outs.(p) s = '\000' then
-                      Bytes.set acc s '\000'
-                  done)
-               ps;
-             ins.(i) <- acc);
-      let out = Bytes.copy ins.(i) in
-      for s = 0 to nslots - 1 do
-        if Bytes.get defs.(i) s = '\001' then Bytes.set out s '\001'
-      done;
-      if not (Bytes.equal out outs.(i)) then begin
-        outs.(i) <- out;
-        changed := true
-      end
-    done
-  done;
-  ins
-
-(* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -284,6 +170,10 @@ let compile (p : program) : t =
   Array.iteri
     (fun i (f : func) -> Hashtbl.replace l_func_index f.fname i)
     funcs;
+  let params name =
+    List.length funcs.(Hashtbl.find l_func_index name).params
+  in
+  let use_fault = Option.iter (fun msg -> invalid_arg ("Lower: " ^ msg)) in
   let func_idx ~in_ name =
     match Hashtbl.find_opt l_func_index name with
     | Some i -> i
@@ -293,7 +183,7 @@ let compile (p : program) : t =
              in_)
   in
   let lower_func lf_idx (f : func) : lfunc =
-    let slot_of, reg_of_slot, nslots = assign_slots f in
+    let slot_of, reg_of_slot, nslots = number_registers f in
     let block_index = Hashtbl.create 16 in
     List.iteri (fun i (b : block) -> Hashtbl.replace block_index b.label i)
       f.blocks;
@@ -304,11 +194,7 @@ let compile (p : program) : t =
           invalid_arg
             (Printf.sprintf "Lower: unknown block %s in %s" label f.fname)
     in
-    let ins = must_defined f ~slot_of ~nslots ~block_index in
-    let tracked = ref false in
     let lower_block bi (b : block) : lblock =
-      (* running must-defined set while walking the block *)
-      let defined = Bytes.copy ins.(bi) in
       let operand = function
         | Imm (v, ity) -> Oimm { v; ity }
         | Null -> Onull
@@ -318,19 +204,9 @@ let compile (p : program) : t =
             | None ->
                 invalid_arg
                   (Printf.sprintf "Lower: unknown global %s in %s" g f.fname))
-        | Reg r ->
-            let slot = Hashtbl.find slot_of r in
-            if Bytes.get defined slot = '\001' then Oslot slot
-            else begin
-              tracked := true;
-              Ocheck { slot; reg = r }
-            end
+        | Reg r -> Oslot (Hashtbl.find slot_of r)
       in
-      let def r =
-        let slot = Hashtbl.find slot_of r in
-        Bytes.set defined slot '\001';
-        slot
-      in
+      let def r = Hashtbl.find slot_of r in
       let lower_instr (i : instr) : linstr =
         match i with
         | Bin { dst; op; ty; a; b } ->
@@ -396,6 +272,9 @@ let compile (p : program) : t =
     let lf_blocks = Array.of_list (List.mapi lower_block f.blocks) in
     if Array.length lf_blocks = 0 then
       invalid_arg (Printf.sprintf "Lower: function %s has no blocks" f.fname);
+    use_fault
+      (Validate.function_fault f ~params ~slot:(Hashtbl.find slot_of)
+         ~nregs:nslots ~block:block_idx);
     let lf_params =
       Array.of_list
         (List.map (fun (r, ty) -> (Hashtbl.find slot_of r, ty)) f.params)
@@ -409,7 +288,6 @@ let compile (p : program) : t =
       lf_reg_of_slot = reg_of_slot;
       lf_slot_of_reg = slot_of;
       lf_blocks;
-      lf_tracked = !tracked;
       lf_ret_ty = f.ret_ty;
       lf_ret_w = width_of_ty (match f.ret_ty with Some t -> t | None -> I64);
     }
@@ -420,6 +298,7 @@ let compile (p : program) : t =
     | Some i -> i
     | None -> invalid_arg (Printf.sprintf "Lower: main function %s not found" p.main)
   in
+  use_fault (Validate.main_fault p ~params);
   { l_src = p; l_funcs; l_func_index; l_globals; l_global_index; l_main }
 
 let func_by_name t name =

@@ -12,15 +12,20 @@
     Lowering is semantics-preserving for every program the validator
     accepts; name resolution happens eagerly, so unknown
     function/block/global references raise [Invalid_argument] at compile
-    time instead of at first execution. *)
+    time instead of at first execution.  So do the faults of the
+    validator's use rules ({!Validate.function_fault},
+    {!Validate.main_fault}), which [compile] applies under its own slot
+    numbering once names resolve, for programs that skip validation: a
+    register read not defined on every path from entry, and a call,
+    spawn or [main] whose argument count differs from the callee's
+    parameters.
+    The engines therefore read register slots and bind parameters
+    without run-time checks. *)
 
 open Types
 
 type operand =
-  | Oslot of int  (** register slot proven defined on every path *)
-  | Ocheck of { slot : int; reg : reg }
-      (** slot whose definedness must be checked at runtime; [reg] is
-          the source register name for the error message *)
+  | Oslot of int  (** register slot, defined on every path from entry *)
   | Oimm of { v : int64; ity : ty }
       (** raw (un-normalized) immediate and the type it was written at *)
   | Oglobal of int  (** index into {!t.l_globals} *)
@@ -102,9 +107,6 @@ type lfunc = {
   lf_reg_of_slot : reg array;
   lf_slot_of_reg : (reg, int) Hashtbl.t;
   lf_blocks : lblock array;  (** index 0 is the entry block *)
-  lf_tracked : bool;
-      (** true when any operand is [Ocheck]: frames of this function
-          carry a per-slot definedness bitmap *)
   lf_ret_ty : ty option;
   lf_ret_w : int;
 }

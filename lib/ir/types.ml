@@ -130,3 +130,35 @@ let values_of_instr = function
   | Output { v } | Ptwrite { v } -> [ v ]
   | Assert { cond; _ } -> [ cond ]
   | Lock { addr } | Unlock { addr } -> [ addr ]
+
+let values_of_term = function
+  | Cond_br { cond; _ } -> [ cond ]
+  | Ret (Some v) -> [ v ]
+  | Br _ | Ret None | Abort _ | Unreachable -> []
+
+(* Deterministic dense numbering of a function's registers: parameters
+   in declaration order, then every other register in first-occurrence
+   order (uses before the def of each instruction, then terminator
+   operands).  Returns the number of each register, the registers by
+   number, and their count; the lowered register slots. *)
+let number_registers (f : func) =
+  let slot_of = Hashtbl.create 16 in
+  let rev_names = ref [] in
+  let intern r =
+    if not (Hashtbl.mem slot_of r) then begin
+      Hashtbl.add slot_of r (Hashtbl.length slot_of);
+      rev_names := r :: !rev_names
+    end
+  in
+  let intern_value = function Reg r -> intern r | Imm _ | Global _ | Null -> () in
+  List.iter (fun (r, _) -> intern r) f.params;
+  List.iter
+    (fun (b : block) ->
+       Array.iter
+         (fun i ->
+            List.iter intern_value (values_of_instr i);
+            Option.iter intern (def_of_instr i))
+         b.instrs;
+       List.iter intern_value (values_of_term b.term))
+    f.blocks;
+  (slot_of, Array.of_list (List.rev !rev_names), Hashtbl.length slot_of)

@@ -22,7 +22,9 @@
    Each engine keeps only its frame type, operand evaluation, register
    write, block and callee resolution, and a thin dispatch over its own
    instruction type — so both make the same terms in the same order and
-   the same solver queries. *)
+   the same solver queries.  Only the reference engine checks register
+   definedness and call arity at run time; the lowered one relies on
+   the validation [Lower.compile] runs. *)
 
 open Er_ir.Types
 module Expr = Er_smt.Expr
@@ -881,7 +883,6 @@ module Lowered = struct
     mutable fr_block : L.lblock;
     mutable fr_ip : int;
     fr_regs : Sval.t array;
-    fr_defined : Bytes.t;   (* per-slot definedness; length 0 when untracked *)
     fr_dst : int option;
     mutable fr_stack_objs : int list;
   }
@@ -896,17 +897,10 @@ module Lowered = struct
     | L.Oimm { v; ity } -> Sval.Bv (bvc ~width:(width_of_ty ity) v)
     | L.Onull -> Sval.null
     | L.Oglobal i -> Sval.Ptr { obj = st.lobjs.(i); index = bvc ~width:32 0L }
-    | L.Ocheck { slot; reg } ->
-        if Bytes.get fr.fr_defined slot = '\001' then fr.fr_regs.(slot)
-        else
-          invalid_arg
-            (Printf.sprintf "Exec: read of undefined register %s in %s" reg
-               fr.fr_func.L.lf_name)
 
   let set_reg st (fr : frame) slot sv =
     define st (point_of fr) sv;
-    fr.fr_regs.(slot) <- sv;
-    if Bytes.length fr.fr_defined <> 0 then Bytes.set fr.fr_defined slot '\001'
+    fr.fr_regs.(slot) <- sv
 
   let next (fr : frame) =
     fr.fr_ip <- fr.fr_ip + 1;
@@ -917,23 +911,15 @@ module Lowered = struct
     set_reg st fr slot sv;
     next fr
 
-  let empty_defined = Bytes.create 0
-
   let make_frame (lf : L.lfunc) (args : Sval.t list) ~dst =
     let regs = Array.make lf.L.lf_nslots Sval.null in
-    let defined =
-      if lf.L.lf_tracked then Bytes.make lf.L.lf_nslots '\000' else empty_defined
-    in
-    if List.length args <> Array.length lf.L.lf_params then
-      invalid_arg (Printf.sprintf "Exec: arity mismatch calling %s" lf.L.lf_name);
     List.iteri
       (fun i sv ->
          let slot, ty = lf.L.lf_params.(i) in
-         regs.(slot) <- norm_arg ty sv;
-         if lf.L.lf_tracked then Bytes.set defined slot '\001')
+         regs.(slot) <- norm_arg ty sv)
       args;
     { fr_func = lf; fr_block = lf.L.lf_blocks.(0); fr_ip = 0; fr_regs = regs;
-      fr_defined = defined; fr_dst = dst; fr_stack_objs = [] }
+      fr_dst = dst; fr_stack_objs = [] }
 
   let jump (fr : frame) i =
     fr.fr_block <- fr.fr_func.L.lf_blocks.(i);
@@ -974,7 +960,7 @@ module Lowered = struct
         def st fr dst (Sval.Bv (fresh_input st stream ty))
     | L.LPtwrite { v } ->
         (match ptwrite st ev v, v with
-         | Some c, (L.Oslot s | L.Ocheck { slot = s; _ }) -> fr.fr_regs.(s) <- c
+         | Some c, L.Oslot s -> fr.fr_regs.(s) <- c
          | _ -> ());
         fr.fr_ip <- fr.fr_ip + 1;
         Stepped_free

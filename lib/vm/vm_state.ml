@@ -32,7 +32,12 @@
    (test/test_vm_state.ml, test/test_lower.ml).  The untimed offline
    analyses' callbacks (register definitions, function entries and
    returns) are not hooks of this engine: only the reference engine
-   fires them ([Interp.run_observed]). *)
+   fires them ([Interp.run_observed]).
+
+   Frames carry registers only: [Lower.compile] validates the program,
+   so every register read is of a slot written on every path to it and
+   every call binds exactly its callee's parameters.  The reference
+   engine keeps the run-time undefined-read and arity checks. *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
@@ -323,7 +328,6 @@ type lframe = {
      float array pays a C call per access.  Access only through
      [rget]/[rset]. *)
   lfr_regs : Bytes.t;
-  lfr_defined : Bytes.t;   (* per-slot definedness; length 0 when untracked *)
   lfr_dst : int option;    (* caller slot for the return value *)
   mutable lfr_stack_objs : int list;
   (* slot whose value a deferred virtual ptwrite must trace before this
@@ -480,30 +484,18 @@ let lpoint_of (fr : lframe) =
 
 let lstack_of (th : lthread) = List.map lpoint_of th.lstack
 
-(* Slot write for parameter binding and return values: marks the slot
-   defined when the frame tracks definedness. *)
-let lset_slot (fr : lframe) slot v =
-  rset fr slot v;
-  if Bytes.length fr.lfr_defined <> 0 then Bytes.set fr.lfr_defined slot '\001'
-
-let empty_defined = Bytes.create 0
-
+(* A fresh frame with [args] bound to the parameters ([Lower.compile]
+   guarantees the count matches). *)
 let make_lframe (lf : L.lfunc) (args : int64 list) ~dst =
-  let regs = Bytes.make (lf.L.lf_nslots lsl 3) '\000' in
-  let defined =
-    if lf.L.lf_tracked then Bytes.make lf.L.lf_nslots '\000' else empty_defined
-  in
   let fr =
     { lfr_func = lf; lfr_block = lf.L.lf_blocks.(0); lfr_ip = 0;
-      lfr_regs = regs; lfr_defined = defined; lfr_dst = dst;
+      lfr_regs = Bytes.make (lf.L.lf_nslots lsl 3) '\000'; lfr_dst = dst;
       lfr_stack_objs = []; lfr_pending = None }
   in
-  if List.length args <> Array.length lf.L.lf_params then
-    invalid_arg (Printf.sprintf "Interp: arity mismatch calling %s" lf.L.lf_name);
   List.iteri
     (fun i v ->
        let slot, ty = lf.L.lf_params.(i) in
-       lset_slot fr slot (norm ty v))
+       rset fr slot (norm ty v))
     args;
   fr
 
@@ -616,89 +608,24 @@ let[@inline] call_branch st c =
 (* Compile-time operand getter.  [Oglobal] stays an [st] access because
    compiled code is shared across states; everything else resolves to a
    constant or a slot read.  Slot indices come from the lowering's own
-   numbering, always in bounds, so the reads are unchecked. *)
-let xget (lf : L.lfunc) (o : L.operand) : t -> lframe -> int64 =
+   numbering, always in bounds, so the reads are unchecked; the
+   validator's definite-assignment rule makes them defined. *)
+let xget (o : L.operand) : t -> lframe -> int64 =
   match o with
   | L.Oslot s -> fun _ fr -> rget fr s
   | L.Oimm { v; _ } -> fun _ _ -> v
   | L.Onull -> fun _ _ -> Memory.null
   | L.Oglobal i -> fun st _ -> Array.unsafe_get st.lglobal_ptrs i
-  | L.Ocheck { slot; reg } ->
-      let msg =
-        Printf.sprintf "Interp: read of undefined register %s in %s" reg
-          lf.L.lf_name
-      in
-      fun _ fr ->
-        if Bytes.unsafe_get fr.lfr_defined slot = '\001' then rget fr slot
-        else invalid_arg msg
-
-(* Slot write specialised on whether the function tracks definedness,
-   so untracked (fully-defined) functions skip the byte-set and both
-   skip the per-write length test of [lset_slot]. *)
-let xsetter (lf : L.lfunc) : lframe -> int -> int64 -> unit =
-  if lf.L.lf_tracked then fun fr dst v ->
-    rset fr dst v;
-    Bytes.unsafe_set fr.lfr_defined dst '\001'
-  else fun fr dst v -> rset fr dst v
-
-(* Definedness mark of the specialised arms: [tracked] is a captured
-   immediate, so untracked functions pay one predicted branch. *)
-let[@inline] xmark tracked (fr : lframe) dst =
-  if tracked then Bytes.unsafe_set fr.lfr_defined dst '\001'
-
-(* Definedness pre-guards.  An [Ocheck] operand compiled through a
-   getter closure boxes its int64 return on every read — the dominant
-   allocation of tracked functions on the fast path.  Instead, the
-   checks of one instruction run up front as a unit-returning guard
-   (nothing boxes), and the specialised arms below then treat the
-   operands as plain slot reads.  Guards run in the reference's operand
-   evaluation order for that opcode, so a multi-undefined instruction
-   reports the same register. *)
-let xcheck1 (lf : L.lfunc) (o : L.operand) : (lframe -> unit) option =
-  match o with
-  | L.Ocheck { slot; reg } ->
-      let msg =
-        Printf.sprintf "Interp: read of undefined register %s in %s" reg
-          lf.L.lf_name
-      in
-      Some
-        (fun fr ->
-          if Bytes.unsafe_get fr.lfr_defined slot <> '\001' then
-            invalid_arg msg)
-  | _ -> None
-
-let xguard (lf : L.lfunc) (os : L.operand list) : (lframe -> unit) option =
-  match List.filter_map (xcheck1 lf) os with
-  | [] -> None
-  | [ g ] -> Some g
-  | [ g1; g2 ] ->
-      Some
-        (fun fr ->
-          g1 fr;
-          g2 fr)
-  | gs -> Some (fun fr -> List.iter (fun g -> g fr) gs)
-
-let strip_check : L.operand -> L.operand = function
-  | L.Ocheck { slot; _ } -> L.Oslot slot
-  | o -> o
-
-let xguarded (g : (lframe -> unit) option) (core : xunit) : xunit =
-  match g with
-  | None -> core
-  | Some g ->
-      fun st th fr ->
-        g fr;
-        core st th fr
 
 (* Getter followed by truncation to [w], with the mask precomputed (and
    immediates truncated outright at compile time). *)
-let xget_w (lf : L.lfunc) w (o : L.operand) : t -> lframe -> int64 =
+let xget_w w (o : L.operand) : t -> lframe -> int64 =
   match o with
   | L.Oimm { v; _ } ->
       let tv = Ty.truncate w v in
       fun _ _ -> tv
   | _ ->
-      let g = xget lf o in
+      let g = xget o in
       let m = Ty.mask w in
       fun st fr -> Int64.logand (g st fr) m
 
@@ -748,9 +675,8 @@ let xcmpop (op : cmpop) w : int64 -> int64 -> bool =
    [sub min_int] bias (the definition of [Int64.unsigned_compare]) and
    signed order sign-extends by shift pairs, both on raw reads — the
    input masks fold into the shifts/bias algebraically.  Operand shapes
-   outside slot/imm (global, null, undefined-checked) fall back to the
-   getter chain. *)
-let xcond (lf : L.lfunc) ~(op : cmpop) ~w (a : L.operand) (b : L.operand) :
+   outside slot/imm (global, null) fall back to the getter chain. *)
+let xcond ~(op : cmpop) ~w (a : L.operand) (b : L.operand) :
     t -> lframe -> bool =
   let m = Ty.mask w in
   let sh = 64 - w in
@@ -835,7 +761,7 @@ let xcond (lf : L.lfunc) ~(op : cmpop) ~w (a : L.operand) (b : L.operand) :
           fun _ fr ->
             sk >= Int64.shift_right (Int64.shift_left (rget fr sb) sh) sh)
   | _ ->
-      let ga = xget_w lf w a and gb = xget_w lf w b in
+      let ga = xget_w w a and gb = xget_w w b in
       let ev = xcmpop op w in
       fun st fr -> ev (ga st fr) (gb st fr)
 
@@ -847,20 +773,18 @@ let xcond (lf : L.lfunc) ~(op : cmpop) ~w (a : L.operand) (b : L.operand) :
    exactly the reference's value.  Udiv/Urem keep the input masks (high
    bits change quotients) and the masked-divisor zero check; the shifts
    keep their width subtleties in [Sem.eval_binop], now a direct call. *)
-let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
-    (b : L.operand) : xunit =
-  let tracked = lf.L.lf_tracked in
+let xbin_unit ~ip1 ~dst ~(op : binop) ~w (a : L.operand) (b : L.operand) :
+    xunit =
   let m = Ty.mask w in
   let generic () =
-    let xset = xsetter lf in
-    let ga = xget_w lf w a and gb = xget_w lf w b in
+    let ga = xget_w w a and gb = xget_w w b in
     match op with
     | Udiv | Urem ->
         let ev = xbinop op w in
         fun st _ fr ->
           let va = ga st fr and vb = gb st fr in
           if Int64.equal vb 0L then raise (Crash Failure.Div_by_zero);
-          xset fr dst (ev va vb);
+          rset fr dst (ev va vb);
           fr.lfr_ip <- ip1;
           st.lclock <- st.lclock + 1;
           Stepped
@@ -868,7 +792,7 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
         let ev = xbinop op w in
         fun st _ fr ->
           let va = ga st fr and vb = gb st fr in
-          xset fr dst (ev va vb);
+          rset fr dst (ev va vb);
           fr.lfr_ip <- ip1;
           st.lclock <- st.lclock + 1;
           Stepped
@@ -879,42 +803,36 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
       | Add ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.add (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Sub ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.sub (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Mul ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.mul (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | And ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logand (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Or ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logor (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Xor ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logxor (rget fr sa) (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -926,7 +844,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
               (Int64.logand
                  (Int64.unsigned_div (Int64.logand (rget fr sa) m) vb)
                  m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -938,7 +855,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
               (Int64.logand
                  (Int64.unsigned_rem (Int64.logand (rget fr sa) m) vb)
                  m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -953,7 +869,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             rset fr dst
               (if s >= w then 0L
                else Int64.logand (Int64.shift_left (rget fr sa) s) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -964,7 +879,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
               (if s >= w then 0L
                else
                  Int64.shift_right_logical (Int64.logand (rget fr sa) m) s);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -979,7 +893,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
               (Int64.logand
                  (Int64.shift_right sa_ (if s >= 63 then 63 else s))
                  m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
@@ -989,42 +902,36 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
       | Add ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.add (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Sub ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.sub (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Mul ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.mul (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | And ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logand (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Or ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logor (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Xor ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logxor (rget fr sa) k) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1036,7 +943,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
                 (Int64.logand
                    (Int64.unsigned_div (Int64.logand (rget fr sa) m) k)
                    m);
-              xmark tracked fr dst;
               fr.lfr_ip <- ip1;
               st.lclock <- st.lclock + 1;
               Stepped
@@ -1048,7 +954,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
                 (Int64.logand
                    (Int64.unsigned_rem (Int64.logand (rget fr sa) m) k)
                    m);
-              xmark tracked fr dst;
               fr.lfr_ip <- ip1;
               st.lclock <- st.lclock + 1;
               Stepped
@@ -1058,14 +963,12 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
           let s = Int64.to_int k in
           if s >= w then fun st _ fr ->
             rset fr dst 0L;
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
           else
             fun st _ fr ->
               rset fr dst (Int64.logand (Int64.shift_left (rget fr sa) s) m);
-              xmark tracked fr dst;
               fr.lfr_ip <- ip1;
               st.lclock <- st.lclock + 1;
               Stepped
@@ -1073,7 +976,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
           let s = Int64.to_int k in
           if s >= w then fun st _ fr ->
             rset fr dst 0L;
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1081,7 +983,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             fun st _ fr ->
               rset fr dst
                 (Int64.shift_right_logical (Int64.logand (rget fr sa) m) s);
-              xmark tracked fr dst;
               fr.lfr_ip <- ip1;
               st.lclock <- st.lclock + 1;
               Stepped
@@ -1096,7 +997,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
                     (Int64.shift_right (Int64.shift_left (rget fr sa) sh) sh)
                     s)
                  m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
@@ -1106,42 +1006,36 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
       | Add ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.add k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Sub ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.sub k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Mul ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.mul k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | And ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logand k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Or ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logor k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Xor ->
           fun st _ fr ->
             rset fr dst (Int64.logand (Int64.logxor k (rget fr sb)) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1150,7 +1044,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             let vb = Int64.logand (rget fr sb) m in
             if vb = 0L then raise (Crash Failure.Div_by_zero);
             rset fr dst (Int64.logand (Int64.unsigned_div k vb) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1159,7 +1052,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             let vb = Int64.logand (rget fr sb) m in
             if vb = 0L then raise (Crash Failure.Div_by_zero);
             rset fr dst (Int64.logand (Int64.unsigned_rem k vb) m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1168,7 +1060,6 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
           fun st _ fr ->
             rset fr dst
               (Sem.eval_binop sop w k (Int64.logand (rget fr sb) m));
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
@@ -1198,7 +1089,7 @@ let xreturn st (th : lthread) ~some (value : int64) : step =
       | caller :: _ ->
           (match fr.lfr_dst with
            | Some dst ->
-               lset_slot caller dst
+               rset caller dst
                  (if some then Ty.truncate fr.lfr_func.L.lf_ret_w value
                   else 0L)
            | None -> ());
@@ -1208,71 +1099,44 @@ let xreturn st (th : lthread) ~some (value : int64) : step =
 (* Hand-specialised call: one writer closure per argument copies
    caller-frame slots into the callee frame as raw 64-bit moves — no
    boxed getter returns, no argument list, no List.iteri binding.
-   Writers run last-argument-first, the reference's fold_right
-   evaluation order (observable only through Ocheck raises).  The
-   callee frame is allocated before the arguments evaluate; that
-   reordering is unobservable (a frame allocation journals nothing).
-   Arity mismatches fall back to the generic path so the invalid_arg
-   fires after operand evaluation, exactly like [make_lframe]. *)
-let xcall_unit (low : L.t) (lf : L.lfunc) ~ip1 ~dst ~fidx
-    (args : L.operand array) : xunit option =
+   [Lower.compile] guarantees one argument per parameter, and no
+   argument read can fail, so the callee frame is allocated before the
+   arguments evaluate and their order is unobservable. *)
+let xcall_unit (low : L.t) ~ip1 ~dst ~fidx (args : L.operand array) : xunit =
   let callee = low.L.l_funcs.(fidx) in
-  let params = callee.L.lf_params in
-  if Array.length args <> Array.length params then None
-  else begin
-    let tracked = callee.L.lf_tracked in
-    let writer i : t -> lframe -> lframe -> unit =
-      let slot, ty = params.(i) in
-      let m = Ty.mask (width_of_ty ty) in
-      let[@inline] put (nfr : lframe) v =
-        rset nfr slot v;
-        if tracked then Bytes.unsafe_set nfr.lfr_defined slot '\001'
-      in
-      match args.(i) with
-      | L.Oslot s -> fun _ fr nfr -> put nfr (Int64.logand (rget fr s) m)
-      | L.Oimm { v; _ } ->
-          let k = Int64.logand v m in
-          fun _ _ nfr -> put nfr k
-      | L.Onull -> fun _ _ nfr -> put nfr 0L
-      | L.Oglobal gi ->
-          fun st _ nfr ->
-            put nfr (Int64.logand (Array.unsafe_get st.lglobal_ptrs gi) m)
-      | L.Ocheck { slot = s; reg } ->
-          let msg =
-            Printf.sprintf "Interp: read of undefined register %s in %s" reg
-              lf.L.lf_name
-          in
-          fun _ fr nfr ->
-            if Bytes.unsafe_get fr.lfr_defined s <> '\001' then
-              invalid_arg msg;
-            put nfr (Int64.logand (rget fr s) m)
+  let writer i : t -> lframe -> lframe -> unit =
+    let slot, ty = callee.L.lf_params.(i) in
+    let m = Ty.mask (width_of_ty ty) in
+    match args.(i) with
+    | L.Oslot s -> fun _ fr nfr -> rset nfr slot (Int64.logand (rget fr s) m)
+    | L.Oimm { v; _ } ->
+        let k = Int64.logand v m in
+        fun _ _ nfr -> rset nfr slot k
+    | L.Onull -> fun _ _ nfr -> rset nfr slot 0L
+    | L.Oglobal gi ->
+        fun st _ nfr ->
+          rset nfr slot (Int64.logand (Array.unsafe_get st.lglobal_ptrs gi) m)
+  in
+  let writers = Array.init (Array.length args) writer in
+  let nbytes = callee.L.lf_nslots lsl 3 in
+  let entry = callee.L.lf_blocks.(0) in
+  fun st th fr ->
+    if th.ldepth >= st.lcfg.max_call_depth then
+      raise (Crash Failure.Stack_overflow);
+    let nfr =
+      { lfr_func = callee; lfr_block = entry; lfr_ip = 0;
+        lfr_regs = Bytes.make nbytes '\000';
+        lfr_dst = dst; lfr_stack_objs = []; lfr_pending = None }
     in
-    let writers = Array.init (Array.length params) writer in
-    let nparams = Array.length params in
-    let nbytes = callee.L.lf_nslots lsl 3 in
-    let ndef = callee.L.lf_nslots in
-    let entry = callee.L.lf_blocks.(0) in
-    Some
-      (fun st th fr ->
-        if th.ldepth >= st.lcfg.max_call_depth then
-          raise (Crash Failure.Stack_overflow);
-        let nfr =
-          { lfr_func = callee; lfr_block = entry; lfr_ip = 0;
-            lfr_regs = Bytes.make nbytes '\000';
-            lfr_defined =
-              (if tracked then Bytes.make ndef '\000' else empty_defined);
-            lfr_dst = dst; lfr_stack_objs = []; lfr_pending = None }
-        in
-        for i = nparams - 1 downto 0 do
-          (Array.unsafe_get writers i) st fr nfr
-        done;
-        fr.lfr_ip <- ip1;
-        record_entry st callee 0;
-        th.lstack <- nfr :: th.lstack;
-        th.ldepth <- th.ldepth + 1;
-        st.lclock <- st.lclock + 1;
-        Stepped)
-  end
+    for i = 0 to Array.length writers - 1 do
+      (Array.unsafe_get writers i) st fr nfr
+    done;
+    fr.lfr_ip <- ip1;
+    record_entry st callee 0;
+    th.lstack <- nfr :: th.lstack;
+    th.ldepth <- th.ldepth + 1;
+    st.lclock <- st.lclock + 1;
+    Stepped
 
 (* The block's retirement accounting, run by its terminator unit: one
    batched add per counter class plus the per-block retirement count,
@@ -1290,54 +1154,36 @@ let[@inline] xflush st uid (b : L.lblock) =
    set [hs].  Mirrors the reference's [step_instr] case by case — same
    evaluation order, same crash points, same writes, same hook calls —
    plus the ip/clock update of its run loop. *)
-let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
-    xunit =
+let xinstr (low : L.t) (b : L.lblock) ip ~(hs : hook_set) : xunit =
   let ip1 = ip + 1 in
-  let xset = xsetter lf in
-  let tracked = lf.L.lf_tracked in
   match b.L.lb_instrs.(ip) with
-  | L.LBin { dst; op; w; a; b; _ } ->
-      (* reference order: a then b (let-and binds left to right) *)
-      xguarded
-        (xguard lf [ a; b ])
-        (xbin_unit lf ~ip1 ~dst ~op ~w (strip_check a) (strip_check b))
+  | L.LBin { dst; op; w; a; b; _ } -> xbin_unit ~ip1 ~dst ~op ~w a b
   | L.LCmp { dst; op; w; a; b; _ } ->
-      (* reference order: b then a (application arguments evaluate
-         right to left) *)
-      let g = xguard lf [ b; a ] in
-      let cond = xcond lf ~op ~w (strip_check a) (strip_check b) in
-      xguarded g (fun st _ fr ->
-          rset fr dst (if cond st fr then 1L else 0L);
-          xmark tracked fr dst;
-          fr.lfr_ip <- ip1;
-          st.lclock <- st.lclock + 1;
-          Stepped)
+      let cond = xcond ~op ~w a b in
+      fun st _ fr ->
+        rset fr dst (if cond st fr then 1L else 0L);
+        fr.lfr_ip <- ip1;
+        st.lclock <- st.lclock + 1;
+        Stepped
   | L.LSelect { dst; w; cond; if_true; if_false; _ } ->
-      let gc = xget lf cond
-      and gt = xget lf if_true
-      and gf = xget lf if_false in
+      let gc = xget cond and gt = xget if_true and gf = xget if_false in
       let m = Ty.mask w in
       fun st _ fr ->
         let c = gc st fr in
         let v =
           if Int64.equal (Int64.logand c 1L) 1L then gt st fr else gf st fr
         in
-        xset fr dst (Int64.logand v m);
+        rset fr dst (Int64.logand v m);
         fr.lfr_ip <- ip1;
         st.lclock <- st.lclock + 1;
         Stepped
-  | L.LCast { dst; kind; to_w; from_w; v = v0; _ } -> (
-      let gv = xguard lf [ v0 ] in
-      let v = strip_check v0 in
-      xguarded gv
-      @@
+  | L.LCast { dst; kind; to_w; from_w; v; _ } -> (
       match (kind, v) with
       (* single mask: (x & m_from) & m_to, folded at compile time *)
       | (Zext | Ptrtoint | Inttoptr | Trunc), L.Oslot s ->
           let mm = Int64.logand (Ty.mask from_w) (Ty.mask to_w) in
           fun st _ fr ->
             rset fr dst (Int64.logand (rget fr s) mm);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1349,31 +1195,26 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
               (Int64.logand
                  (Int64.shift_right (Int64.shift_left (rget fr s) sh) sh)
                  m);
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | (Zext | Ptrtoint | Inttoptr | Trunc), _ ->
-          let g = xget_w lf from_w v in
+          let g = xget_w from_w v in
           let m = Ty.mask to_w in
           fun st _ fr ->
-            xset fr dst (Int64.logand (g st fr) m);
+            rset fr dst (Int64.logand (g st fr) m);
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | Sext, _ ->
-          let g = xget_w lf from_w v in
+          let g = xget_w from_w v in
           let sx = xsext from_w and m = Ty.mask to_w in
           fun st _ fr ->
-            xset fr dst (Int64.logand (sx (g st fr)) m);
+            rset fr dst (Int64.logand (sx (g st fr)) m);
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LLoad { dst; ty; addr = addr0 } -> (
-      let ga = xguard lf [ addr0 ] in
-      let addr = strip_check addr0 in
-      xguarded ga
-      @@
+  | L.LLoad { dst; ty; addr } -> (
       match addr with
       | L.Oslot sa ->
           fun st _ fr ->
@@ -1383,7 +1224,6 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
               | exception Memory.Fault k -> raise (Crash k)
             in
             rset fr dst v;
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1399,33 +1239,27 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
               | exception Memory.Fault k -> raise (Crash k)
             in
             rset fr dst v;
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | _ ->
-          let ga = xget lf addr in
+          let ga = xget addr in
           fun st _ fr ->
             let v =
               match Memory.load_exn st.lmem (ga st fr) ~ty with
               | v -> v
               | exception Memory.Fault k -> raise (Crash k)
             in
-            xset fr dst v;
+            rset fr dst v;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LStore { ty; w; v = v0; addr = addr0 } -> (
-      (* reference order: value then address *)
-      let gs = xguard lf [ v0; addr0 ] in
-      let v = strip_check v0 and addr = strip_check addr0 in
+  | L.LStore { ty; w; v; addr } -> (
       let m = Ty.mask w in
-      xguarded gs
-      @@
       match (v, addr) with
       | _ when hs.hs_store -> (
           (* on_store wants the cell and its old value: the result API *)
-          let gv = xget_w lf w v and ga = xget lf addr in
+          let gv = xget_w w v and ga = xget addr in
           fun st _ fr ->
             let value = gv st fr in
             match Memory.store st.lmem (ga st fr) ~ty value with
@@ -1482,7 +1316,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped
       | _ ->
-          let gv = xget_w lf w v and ga = xget lf addr in
+          let gv = xget_w w v and ga = xget addr in
           fun st _ fr ->
             let value = gv st fr in
             (match Memory.store_exn st.lmem (ga st fr) ~ty value with
@@ -1492,7 +1326,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LAlloc { dst; elt_ty; count; heap } -> (
-      let gc = xget lf count in
+      let gc = xget count in
       let ha = hs.hs_alloc in
       fun st _ fr ->
         let n = Int64.to_int (gc st fr) in
@@ -1506,12 +1340,12 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
         | Some p ->
             if not heap then
               fr.lfr_stack_objs <- Memory.ptr_obj p :: fr.lfr_stack_objs;
-            xset fr dst p;
+            rset fr dst p;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LFree { addr } -> (
-      let ga = xget lf addr in
+      let ga = xget addr in
       fun st _ fr ->
         match Memory.free st.lmem (ga st fr) with
         | Error k -> raise (Crash k)
@@ -1519,13 +1353,8 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LGep { dst; base = base0; idx = idx0 } -> (
-      (* reference order: base then index *)
-      let gg = xguard lf [ base0; idx0 ] in
-      let base = strip_check base0 and idx = strip_check idx0 in
+  | L.LGep { dst; base; idx } -> (
       (* sign_extend 64 is the identity, so the index read is plain *)
-      xguarded gg
-      @@
       match (base, idx) with
       | L.Oslot sb_, L.Oslot si ->
           fun st _ fr ->
@@ -1534,7 +1363,6 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             rset fr dst
               (Memory.ptr ~obj:(Memory.ptr_obj p)
                  ~index:(Memory.ptr_index p + i));
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1545,7 +1373,6 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             rset fr dst
               (Memory.ptr ~obj:(Memory.ptr_obj p)
                  ~index:(Memory.ptr_index p + ki));
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1556,7 +1383,6 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             rset fr dst
               (Memory.ptr ~obj:(Memory.ptr_obj p)
                  ~index:(Memory.ptr_index p + i));
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
@@ -1567,41 +1393,21 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             rset fr dst
               (Memory.ptr ~obj:(Memory.ptr_obj p)
                  ~index:(Memory.ptr_index p + ki));
-            xmark tracked fr dst;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped
       | _ ->
-          let gb = xget lf base and gi = xget lf idx in
+          let gb = xget base and gi = xget idx in
           fun st _ fr ->
             let p = gb st fr in
             let i = Int64.to_int (gi st fr) in
-            xset fr dst
+            rset fr dst
               (Memory.ptr ~obj:(Memory.ptr_obj p)
                  ~index:(Memory.ptr_index p + i));
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LCall { dst; fidx; args } -> (
-      match xcall_unit low lf ~ip1 ~dst ~fidx args with
-      | Some x -> x
-      | None ->
-          (* an arity mismatch must raise its invalid_arg after operand
-             evaluation, like the reference: the generic path *)
-          let gargs = Array.map (xget lf) args in
-          fun st th fr ->
-            if th.ldepth >= st.lcfg.max_call_depth then
-              raise (Crash Failure.Stack_overflow);
-            let callee = st.llow.L.l_funcs.(fidx) in
-            let vargs =
-              Array.fold_right (fun g acc -> g st fr :: acc) gargs []
-            in
-            fr.lfr_ip <- ip1;
-            record_entry st callee 0;
-            th.lstack <- make_lframe callee vargs ~dst :: th.lstack;
-            th.ldepth <- th.ldepth + 1;
-            st.lclock <- st.lclock + 1;
-            Stepped)
+  | L.LCall { dst; fidx; args } -> xcall_unit low ~ip1 ~dst ~fidx args
   | L.LInput { dst; ty; stream } -> (
       let m = Ty.mask (width_of_ty ty) in
       let hi = hs.hs_input in
@@ -1614,15 +1420,11 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
               (match st.lcfg.hooks.on_input with
                | Some f -> f ~stream ~value:v
                | None -> ());
-            xset fr dst v;
+            rset fr dst v;
             fr.lfr_ip <- ip1;
             st.lclock <- st.lclock + 1;
             Stepped)
-  | L.LOutput { v = v0 } -> (
-      let gv = xguard lf [ v0 ] in
-      let v = strip_check v0 in
-      xguarded gv
-      @@
+  | L.LOutput { v } -> (
       match v with
       | L.Oslot s ->
           fun st _ fr ->
@@ -1631,7 +1433,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped
       | _ ->
-          let gv = xget lf v in
+          let gv = xget v in
           fun st _ fr ->
             st.loutputs <- gv st fr :: st.loutputs;
             fr.lfr_ip <- ip1;
@@ -1641,7 +1443,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
       (* clock-free; with no hook the traced operand is not even
          evaluated, exactly like the [None] arm of the reference *)
       if hs.hs_ptwrite then
-        let gv = xget lf v in
+        let gv = xget v in
         fun st _ fr ->
           (match st.lcfg.hooks.on_ptwrite with
            | Some f -> f (gv st fr)
@@ -1651,11 +1453,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
       else fun _ _ fr ->
         fr.lfr_ip <- ip1;
         Stepped_free
-  | L.LAssert { cond = cond0; msg } -> (
-      let gc = xguard lf [ cond0 ] in
-      let cond = strip_check cond0 in
-      xguarded gc
-      @@
+  | L.LAssert { cond; msg } -> (
       match cond with
       | L.Oslot s ->
           fun st _ fr ->
@@ -1665,7 +1463,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped
       | _ ->
-          let gc = xget lf cond in
+          let gc = xget cond in
           fun st _ fr ->
             if Int64.equal (Int64.logand (gc st fr) 1L) 0L then
               raise (Crash (Failure.Assert_failed msg));
@@ -1673,7 +1471,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LSpawn { fidx; args } ->
-      let gargs = Array.map (xget lf) args in
+      let gargs = Array.map xget args in
       fun st _ fr ->
         let callee = st.llow.L.l_funcs.(fidx) in
         let vargs = Array.fold_right (fun g acc -> g st fr :: acc) gargs [] in
@@ -1707,7 +1505,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
           Blocked
         end
   | L.LLock { addr } -> (
-      let ga = xget lf addr and src_i = b.L.lb_src.instrs.(ip) in
+      let ga = xget addr and src_i = b.L.lb_src.instrs.(ip) in
       fun st th fr ->
         let a = ga st fr in
         match Hashtbl.find_opt st.lmutexes a with
@@ -1723,7 +1521,7 @@ let xinstr (low : L.t) (lf : L.lfunc) (b : L.lblock) ip ~(hs : hook_set) :
             st.lclock <- st.lclock + 1;
             Stepped)
   | L.LUnlock { addr } -> (
-      let ga = xget lf addr in
+      let ga = xget addr in
       fun st th fr ->
         let a = ga st fr in
         match Hashtbl.find_opt st.lmutexes a with
@@ -1771,27 +1569,8 @@ let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
             fr.lfr_ip <- 0;
             st.lclock <- st.lclock + 1;
             Stepped
-      | L.Ocheck { slot = s; reg } ->
-          (* inline definedness check after the flush, exactly where the
-             generic getter would run — no boxed getter return *)
-          let msg =
-            Printf.sprintf "Interp: read of undefined register %s in %s" reg
-              lf.L.lf_name
-          in
-          fun st _ fr ->
-            xflush st uid b;
-            if Bytes.unsafe_get fr.lfr_defined s <> '\001' then
-              invalid_arg msg;
-            let c = Int64.logand (rget fr s) 1L = 1L in
-            st.lbranches <- st.lbranches + 1;
-            if hb then call_branch st c;
-            record_entry st lf (if c then if_true else if_false);
-            fr.lfr_block <- (if c then bt else bf);
-            fr.lfr_ip <- 0;
-            st.lclock <- st.lclock + 1;
-            Stepped
       | _ ->
-          let gc = xget lf cond in
+          let gc = xget cond in
           fun st _ fr ->
             xflush st uid b;
             let c = Int64.equal (Int64.logand (gc st fr) 1L) 1L in
@@ -1810,19 +1589,8 @@ let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
       fun st th fr ->
         xflush st uid b;
         xreturn st th ~some:true (rget fr s)
-  | L.LRet (Some (L.Ocheck { slot = s; reg })) ->
-      (* check after the metric flush, matching the generic arm's
-         operand-evaluation point *)
-      let msg =
-        Printf.sprintf "Interp: read of undefined register %s in %s" reg
-          lf.L.lf_name
-      in
-      fun st th fr ->
-        xflush st uid b;
-        if Bytes.unsafe_get fr.lfr_defined s <> '\001' then invalid_arg msg;
-        xreturn st th ~some:true (rget fr s)
   | L.LRet (Some o) ->
-      let g = xget lf o in
+      let g = xget o in
       fun st th fr ->
         xflush st uid b;
         xreturn st th ~some:true (g st fr)
@@ -1849,18 +1617,16 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
     xunit option =
   match b.L.lb_instrs.(ip), b.L.lb_term with
   | ( L.LCmp { dst; op; w; a; b = ob; _ },
-      L.LCond_br { cond = L.Oslot cs | L.Ocheck { slot = cs; _ }; if_true; if_false } )
+      L.LCond_br { cond = L.Oslot cs; if_true; if_false } )
     when cs = dst ->
-      let g = xguard lf [ ob; a ] in
-      let cond = xcond lf ~op ~w (strip_check a) (strip_check ob) in
-      let tracked = lf.L.lf_tracked and hb = hs.hs_branch in
+      let cond = xcond ~op ~w a ob in
+      let hb = hs.hs_branch in
       let n = Array.length b.L.lb_instrs in
       let bt = lf.L.lf_blocks.(if_true) and bf = lf.L.lf_blocks.(if_false) in
       Some
-        (xguarded g (fun st _ fr ->
+        (fun st _ fr ->
           let c = cond st fr in
           rset fr dst (if c then 1L else 0L);
-          xmark tracked fr dst;
           fr.lfr_ip <- n;
           st.lclock <- st.lclock + 1;
           xflush st uid b;
@@ -1870,7 +1636,7 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
           fr.lfr_block <- (if c then bt else bf);
           fr.lfr_ip <- 0;
           st.lclock <- st.lclock + 1;
-          Stepped))
+          Stepped)
   | _ -> None
 
 (* A plan-marked singleton: the unit [u] of the instruction at [ip]
@@ -1916,7 +1682,7 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
     Array.init (n + 1) (fun ip ->
         if ip = n then xterm lf b ~uid ~hs
         else
-          let u = xinstr low lf b ip ~hs in
+          let u = xinstr low b ip ~hs in
           if marked ip then xplanned b ip marks.(ip) u else u)
   in
   (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
@@ -1951,8 +1717,8 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
      stream cursor, ptwrite retires clock-free ([Stepped_free] would cut
      the chain), the sync ops may block — all of those keep per-unit
      dispatch.  Each sub-unit still updates ip and the clock itself, so
-     crashes, failure reports, hook calls and Ocheck traps inside the
-     chain keep exact instruction granularity; the budget gate in the
+     crashes, failure reports and hook calls inside the chain keep
+     exact instruction granularity; the budget gate in the
      dispatcher guarantees the chain never starts unless the whole block
      fits the remaining quantum, so every plan mark inside it fires
      inline.  Cost is [n + 1]: one tick per instruction plus the
@@ -2430,7 +2196,6 @@ type saved_frame = {
   sf_block : L.lblock;
   sf_ip : int;
   sf_regs : Bytes.t;               (* raw 64-bit cells like [lfr_regs] *)
-  sf_defined : Bytes.t;
   sf_dst : int option;
   sf_stack_objs : int list;
   sf_pending : int option;
@@ -2467,9 +2232,6 @@ let save_frame (fr : lframe) : saved_frame =
     sf_block = fr.lfr_block;
     sf_ip = fr.lfr_ip;
     sf_regs = Bytes.copy fr.lfr_regs;
-    sf_defined =
-      (if Bytes.length fr.lfr_defined = 0 then empty_defined
-       else Bytes.copy fr.lfr_defined);
     sf_dst = fr.lfr_dst;
     sf_stack_objs = fr.lfr_stack_objs;
     sf_pending = fr.lfr_pending;
@@ -2481,9 +2243,6 @@ let restore_frame (sf : saved_frame) : lframe =
     lfr_block = sf.sf_block;
     lfr_ip = sf.sf_ip;
     lfr_regs = Bytes.copy sf.sf_regs;
-    lfr_defined =
-      (if Bytes.length sf.sf_defined = 0 then empty_defined
-       else Bytes.copy sf.sf_defined);
     lfr_dst = sf.sf_dst;
     lfr_stack_objs = sf.sf_stack_objs;
     lfr_pending = sf.sf_pending;
@@ -2600,7 +2359,7 @@ type frame_view = {
   fv_func : string;
   fv_block : string;
   fv_ip : int;
-  fv_regs : (string * int64) list;   (* defined registers, slot order *)
+  fv_regs : (string * int64) list;   (* every register, slot order *)
 }
 
 type thread_view = {
@@ -2610,18 +2369,14 @@ type thread_view = {
 }
 
 let view_frame (fr : lframe) : frame_view =
-  let names = fr.lfr_func.L.lf_reg_of_slot in
-  let tracked = Bytes.length fr.lfr_defined <> 0 in
-  let regs = ref [] in
-  for s = (Bytes.length fr.lfr_regs lsr 3) - 1 downto 0 do
-    let defined = (not tracked) || Bytes.get fr.lfr_defined s = '\001' in
-    if defined then regs := (names.(s), rget fr s) :: !regs
-  done;
   {
     fv_func = fr.lfr_func.L.lf_name;
     fv_block = fr.lfr_block.L.lb_label;
     fv_ip = fr.lfr_ip;
-    fv_regs = !regs;
+    fv_regs =
+      List.mapi
+        (fun s name -> (name, rget fr s))
+        (Array.to_list fr.lfr_func.L.lf_reg_of_slot);
   }
 
 let threads (t : t) : thread_view list =

@@ -232,7 +232,9 @@ type frame_view = {
   fv_func : string;
   fv_block : string;
   fv_ip : int;
-  fv_regs : (string * int64) list;   (** defined registers, slot order *)
+  fv_regs : (string * int64) list;
+      (** every register of the function in slot order (parameters
+          first); one not yet written reads 0 *)
 }
 
 type thread_view = {

@@ -24,7 +24,7 @@ let mk_prog ?(globals = []) funcs main = { globals; funcs; main }
 
 let test_slot_assignment () =
   let f =
-    mk_func "main" [ ("%p", I64); ("%q", I32) ] (Some I64)
+    mk_func "f" [ ("%p", I64); ("%q", I32) ] (Some I64)
       [
         mk_block "entry"
           [
@@ -34,8 +34,9 @@ let test_slot_assignment () =
           (Ret (Some (Reg "%b")));
       ]
   in
-  let low = Lower.compile (mk_prog [ f ] "main") in
-  let lf = Lower.func_by_name low "main" in
+  let main = mk_func "main" [] None [ mk_block "entry" [] (Ret None) ] in
+  let low = Lower.compile (mk_prog [ f; main ] "main") in
+  let lf = Lower.func_by_name low "f" in
   Alcotest.(check int) "nslots" 4 lf.Lower.lf_nslots;
   Alcotest.(check (array string))
     "slots are params then first occurrence"
@@ -46,47 +47,10 @@ let test_slot_assignment () =
        Alcotest.(check int) ("slot_of_reg " ^ r) i
          (Hashtbl.find lf.Lower.lf_slot_of_reg r))
     lf.Lower.lf_reg_of_slot;
-  Alcotest.(check bool) "always-defined function is untracked" false
-    lf.Lower.lf_tracked;
   Alcotest.(check int) "entry is block 0" 0 lf.Lower.lf_blocks.(0).Lower.lb_index;
   let d = lf.Lower.lf_blocks.(0).Lower.lb_delta in
   Alcotest.(check int) "two alu instrs" 2 d.Lower.d_alu;
   Alcotest.(check int) "ret retires in the call class" 1 d.Lower.d_call
-
-let test_maybe_undefined_is_tracked () =
-  (* %x is defined only on the true path but read after the join: the
-     must-defined analysis demotes its use to a checked slot *)
-  let p =
-    mk_prog
-      [
-        mk_func "main" [] None
-          [
-            mk_block "entry"
-              [ Cmp { dst = "%c"; op = Eq; ty = I64; a = Imm (0L, I64); b = Imm (0L, I64) } ]
-              (Cond_br { cond = Reg "%c"; if_true = "def"; if_false = "skip" });
-            mk_block "def"
-              [ Bin { dst = "%x"; op = Add; ty = I64; a = Imm (1L, I64); b = Imm (2L, I64) } ]
-              (Br "use");
-            mk_block "skip" [] (Br "use");
-            mk_block "use" [ Output { v = Reg "%x" } ] (Ret None);
-          ];
-      ]
-      "main"
-  in
-  let lf = Lower.func_by_name (Lower.compile p) "main" in
-  Alcotest.(check bool) "tracked" true lf.Lower.lf_tracked;
-  let use_block =
-    Array.to_list lf.Lower.lf_blocks
-    |> List.find (fun b -> String.equal b.Lower.lb_label "use")
-  in
-  (match use_block.Lower.lb_instrs.(0) with
-   | Lower.LOutput { v = Lower.Ocheck { reg; _ } } ->
-       Alcotest.(check string) "checked reg name" "%x" reg
-   | _ -> Alcotest.fail "expected a checked operand");
-  (* the cond in entry is defined in its own block: a plain slot *)
-  match lf.Lower.lf_blocks.(0).Lower.lb_term with
-  | Lower.LCond_br { cond = Lower.Oslot _; _ } -> ()
-  | _ -> Alcotest.fail "expected a plain slot for the entry cond"
 
 let test_unknown_callee_rejected () =
   let p =
@@ -100,6 +64,22 @@ let test_unknown_callee_rejected () =
   match Lower.compile p with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown callee must be rejected at compile time"
+
+(* Programs that skip validation are validated at lowering: the
+   lowered engines read slots and bind parameters without run-time
+   checks. *)
+let test_use_faults_rejected_at_lowering () =
+  let check p =
+    match Lower.compile p with
+    | l -> Ok l
+    | exception Invalid_argument e -> Error e
+  in
+  Test_ir.check_rejected ~check "maybe-undefined read"
+    Test_ir.maybe_undefined_prog [ "main"; "use"; "%x" ];
+  Test_ir.check_rejected ~check "wrong-arity call"
+    (Test_ir.wrong_arity_prog ~spawn:false) [ "main"; "two" ];
+  Test_ir.check_rejected ~check "wrong-arity spawn"
+    (Test_ir.wrong_arity_prog ~spawn:true) [ "main"; "two" ]
 
 let test_cache_physical_equality () =
   let s = List.hd Er_corpus.Registry.table1 in
@@ -538,60 +518,6 @@ let qcheck_vm_differential =
 
 (* --- handwritten parity cases ------------------------------------------- *)
 
-let undef_read_prog take_def_path =
-  mk_prog
-    [
-      mk_func "main" [] None
-        [
-          mk_block "entry"
-            [
-              Cmp
-                {
-                  dst = "%c";
-                  op = Eq;
-                  ty = I64;
-                  a = Imm (0L, I64);
-                  b = Imm ((if take_def_path then 0L else 1L), I64);
-                };
-            ]
-            (Cond_br { cond = Reg "%c"; if_true = "def"; if_false = "skip" });
-          mk_block "def"
-            [ Bin { dst = "%x"; op = Add; ty = I64; a = Imm (1L, I64); b = Imm (2L, I64) } ]
-            (Br "use");
-          mk_block "skip" [] (Br "use");
-          mk_block "use" [ Output { v = Reg "%x" } ] (Ret None);
-        ];
-    ]
-    "main"
-
-let test_undefined_read_parity () =
-  (* defined path: both engines agree on outputs *)
-  let p = Prog.of_program (undef_read_prog true) in
-  let a =
-    observe Interp.run_reference p (Er_vm.Inputs.make []) ~seed:0
-      ~config:Interp.default_config
-  in
-  let b =
-    observe Interp.run p (Er_vm.Inputs.make []) ~seed:0
-      ~config:Interp.default_config
-  in
-  check_same_obs "undef/defined path" a b;
-  (* undefined path: both engines raise the same Invalid_argument *)
-  let p = Prog.of_program (undef_read_prog false) in
-  let catch
-      (run :
-         ?config:Interp.config -> Prog.t -> Er_vm.Inputs.t -> Interp.run_result)
-      =
-    try
-      ignore (run ~config:Interp.default_config p (Er_vm.Inputs.make []));
-      "no exception"
-    with Invalid_argument m -> m
-  in
-  let ma = catch Interp.run_reference and mb = catch Interp.run in
-  Alcotest.(check string) "undefined-read message parity" ma mb;
-  Alcotest.(check bool) "reference raised" true
-    (ma <> "no exception")
-
 let test_stack_overflow_parity () =
   let p =
     Prog.of_program
@@ -913,6 +839,45 @@ let test_symex_differential_coverage () =
     true
     (4 * !symex_stalled >= !symex_compared)
 
+(* The inputs the engines meet in this repository, pinned rather than
+   guessed: the corpus, each Table 1 program as instrumented at the
+   points its reconstruction records, and the generators behind the
+   differentials above.  All of them satisfy the validator, so no run
+   needs a definedness or arity check. *)
+let test_engine_programs_validate () =
+  let valid what p =
+    match Er_ir.Validate.check p with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" what e)
+  in
+  List.iter (fun (s : Bug.spec) -> valid s.Bug.name s.Bug.program)
+    Er_corpus.Registry.all;
+  let recorded =
+    List.map
+      (fun (s : Bug.spec) ->
+         let r =
+           Er_core.Pipeline.run ~config:s.Bug.config ~base_prog:s.Bug.program
+             ~workload:s.Bug.failing_workload ()
+         in
+         let points = r.Er_core.Pipeline.recording_points in
+         valid (s.Bug.name ^ " instrumented")
+           (fst (Er_select.Instrument.apply s.Bug.program points));
+         List.length points)
+      Er_corpus.Registry.table1
+  in
+  Alcotest.(check bool) "some reconstruction records points" true
+    (List.exists (fun n -> n > 0) recorded);
+  let rand = Random.State.make [| 28 |] in
+  List.iter
+    (fun (program, _, _) -> valid "generated program" program)
+    (QCheck2.Gen.generate ~rand ~n:300 gen_prog_and_inputs);
+  List.iter
+    (fun (program, _, _, points, _, _) ->
+       valid "generated plan case" program;
+       valid "generated plan case instrumented"
+         (fst (Er_select.Instrument.apply program points)))
+    (QCheck2.Gen.generate ~rand ~n:300 gen_plan_case)
+
 (* A self-looping block whose static shape exercises every unit kind at
    once: a committed load+bin+store triple, the hand-fused cmp+cond_br
    terminator pair — and, every instruction being fusable, the
@@ -1168,63 +1133,6 @@ let test_fused_unit_crash_parity () =
     (fun () -> Er_vm.Inputs.make [])
     0
 
-(* Undefined-register reads inside a fused unit go through the
-   pre-validated Ocheck guards of the fast path; the trap and its
-   message must match the reference exactly. *)
-let undef_in_fused_prog take_def_path =
-  mk_prog
-    ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
-    [
-      mk_func "main" [] None
-        [
-          mk_block "entry"
-            [
-              Cmp
-                {
-                  dst = "%c";
-                  op = Eq;
-                  ty = I64;
-                  a = Imm (0L, I64);
-                  b = Imm ((if take_def_path then 0L else 1L), I64);
-                };
-            ]
-            (Cond_br { cond = Reg "%c"; if_true = "def"; if_false = "skip" });
-          mk_block "def"
-            [ Bin { dst = "%x"; op = Add; ty = I64; a = Imm (1L, I64); b = Imm (2L, I64) } ]
-            (Br "use");
-          mk_block "skip" [] (Br "use");
-          (* the checked %x read heads a committed bin+store pair *)
-          mk_block "use"
-            [
-              Bin { dst = "%y"; op = Add; ty = I64; a = Reg "%x"; b = Imm (1L, I64) };
-              Store { ty = I64; v = Reg "%y"; addr = Global "cell" };
-            ]
-            (Ret None);
-        ];
-    ]
-    "main"
-
-let test_fast_undefined_read_in_fused_unit () =
-  (* defined path: observationally identical *)
-  check_fast_pair "Ocheck in fused unit, defined path"
-    (Prog.of_program (undef_in_fused_prog true))
-    (fun () -> Er_vm.Inputs.make [])
-    0;
-  (* undefined path: both engines raise the identical Invalid_argument *)
-  let p = Prog.of_program (undef_in_fused_prog false) in
-  let catch
-      (run :
-         ?config:Interp.config -> Prog.t -> Er_vm.Inputs.t -> Interp.run_result)
-      =
-    try
-      ignore (run ~config:Interp.default_config p (Er_vm.Inputs.make []));
-      "no exception"
-    with Invalid_argument m -> m
-  in
-  let ma = catch Interp.run_reference and mb = catch Interp.run in
-  Alcotest.(check string) "Ocheck trap message inside fused unit" ma mb;
-  Alcotest.(check bool) "reference raised" true (ma <> "no exception")
-
 (* Width and signedness edges through the specialised ALU units: shift
    counts at and beyond the word width, and signed/unsigned compares
    across the sign boundary. *)
@@ -1371,14 +1279,14 @@ let suites =
     ( "lower",
       [
         Alcotest.test_case "slot assignment" `Quick test_slot_assignment;
-        Alcotest.test_case "maybe-undefined regs are tracked" `Quick
-          test_maybe_undefined_is_tracked;
         Alcotest.test_case "unknown callee rejected" `Quick
           test_unknown_callee_rejected;
+        Alcotest.test_case "use faults rejected at lowering" `Quick
+          test_use_faults_rejected_at_lowering;
+        Alcotest.test_case "every program the engines run validates" `Quick
+          test_engine_programs_validate;
         Alcotest.test_case "lowering cached per program" `Quick
           test_cache_physical_equality;
-        Alcotest.test_case "undefined-read parity" `Quick
-          test_undefined_read_parity;
         Alcotest.test_case "stack-overflow parity" `Quick
           test_stack_overflow_parity;
         Alcotest.test_case "multithreaded lock parity" `Quick
@@ -1399,8 +1307,6 @@ let suites =
           test_plan_marks_land_exactly;
         Alcotest.test_case "crashes inside fused units" `Quick
           test_fused_unit_crash_parity;
-        Alcotest.test_case "undefined read inside a fused unit" `Quick
-          test_fast_undefined_read_in_fused_unit;
         Alcotest.test_case "shift and compare edges" `Quick
           test_fast_shift_cmp_edges;
         Alcotest.test_case "no-hooks corpus differential" `Slow

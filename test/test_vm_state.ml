@@ -145,6 +145,75 @@ let qcheck_snapshot_revert =
                     same_full first second && same_core straight first)
              [ 1; 4; 15 ]))
 
+(* --- the frame view: what `er_cli inspect` prints ------------------------ *)
+
+(* main stores 42 in %base and calls bump(%base); bump copies its
+   parameter into %a and then adds 1 to %a 199 times, so a pause inside
+   bump at clock c has bump at ip c - 2 with %a = 42 + (c - 3) once
+   written. *)
+let bump_prog =
+  let open Er_ir.Types in
+  let i64 v = Imm (v, I64) in
+  let block label instrs term = { label; instrs = Array.of_list instrs; term } in
+  {
+    globals = [];
+    main = "main";
+    funcs =
+      [
+        { fname = "main"; params = []; ret_ty = None;
+          blocks =
+            [ block "entry"
+                [ Bin { dst = "%base"; op = Add; ty = I64; a = i64 40L; b = i64 2L };
+                  Call { dst = Some "%r"; func = "bump"; args = [ Reg "%base" ] };
+                  Output { v = Reg "%r" } ]
+                (Ret None) ] };
+        { fname = "bump"; params = [ ("%p", I64) ]; ret_ty = Some I64;
+          blocks =
+            [ block "entry"
+                (Bin { dst = "%a"; op = Add; ty = I64; a = Reg "%p"; b = i64 0L }
+                 :: List.init 199 (fun _ ->
+                        Bin { dst = "%a"; op = Add; ty = I64; a = Reg "%a"; b = i64 1L }))
+                (Ret (Some (Reg "%a"))) ] };
+      ];
+  }
+
+let test_threads_view () =
+  let vm = Vs.create (Prog.of_program bump_prog) (Er_vm.Inputs.make []) in
+  let pause_inside_bump at =
+    Alcotest.(check bool) "paused" true (Vs.run ~pause_at:at vm = None);
+    let c = Vs.clock vm in
+    Alcotest.(check bool) (Printf.sprintf "clock %d inside bump" c) true
+      (c > 2 && c < 202);
+    match Vs.threads vm with
+    | [ { Vs.tv_tid = 0; tv_status = Vs.Runnable; tv_frames = [ bump; main ] } ] ->
+        (* the frame as `er_cli inspect` prints it, on one line *)
+        let show func block ip regs =
+          Printf.sprintf "%s @ %s[%d]%s" func block ip
+            (String.concat ""
+               (List.map (fun (r, v) -> Printf.sprintf " %s=%Ld" r v) regs))
+        in
+        let frame (fv : Vs.frame_view) =
+          show fv.Vs.fv_func fv.Vs.fv_block fv.Vs.fv_ip fv.Vs.fv_regs
+        in
+        let ip = c - 2 in
+        Alcotest.(check string) "bump, innermost"
+          (show "bump" "entry" ip
+             [ ("%p", 42L); ("%a", if ip = 0 then 0L else Int64.of_int (41 + ip)) ])
+          (frame bump);
+        (* main's call has retired; %r is not yet written *)
+        Alcotest.(check string) "main, the caller"
+          (show "main" "entry" 2 [ ("%base", 42L); ("%r", 0L) ])
+          (frame main);
+        c
+    | _ -> Alcotest.fail "expected one runnable thread with two frames"
+  in
+  let c1 = pause_inside_bump 1 in
+  let c2 = pause_inside_bump (c1 + 1) in
+  Alcotest.(check bool) "the second pause is later" true (c2 > c1);
+  match Vs.run vm with
+  | Some r -> Alcotest.(check (list int64)) "outputs" [ 241L ] r.Vs.outputs
+  | None -> Alcotest.fail "run to the end paused"
+
 let suites =
   [
     ( "vm-state",
@@ -152,5 +221,7 @@ let suites =
         Alcotest.test_case "fig3 snapshot/revert replay identical" `Quick
           test_fig3_revert_identical;
         QCheck_alcotest.to_alcotest qcheck_snapshot_revert;
+        Alcotest.test_case "threads: frames and registers at a pause" `Quick
+          test_threads_view;
       ] );
   ]
