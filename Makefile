@@ -1,13 +1,14 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
 # full test suite, the four examples, the format check, the vm,
 # long-trace and warm-start bench gates, the section 5.3
-# offline-overhead gate, the Fig. 6 ER-below-rr gate, the section 5.4
-# case-study gate, the fleet-determinism gate and the trajectory check
-# of the newest committed BENCH_N.json against the one before it.
+# offline-overhead gate, the Fig. 5 falling-solver-work gate, the
+# Fig. 6 ER-below-rr gate, the section 5.4 case-study gate, the
+# fleet-determinism gate and the trajectory check of the newest
+# committed BENCH_N.json against the one before it.
 
 .PHONY: all build test examples fmt ci fleet fleet-determinism bench-vm \
-	bench-fleet bench-long-trace bench-warm bench-offline bench-fig6 \
-	bench-casestudy bench-diff
+	bench-fleet bench-long-trace bench-warm bench-offline bench-fig5 \
+	bench-fig6 bench-casestudy bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -51,6 +52,7 @@ ci:
 	$(MAKE) bench-long-trace
 	$(MAKE) bench-warm
 	$(MAKE) bench-offline
+	$(MAKE) bench-fig5
 	$(MAKE) bench-fig6
 	$(MAKE) bench-casestudy
 	$(MAKE) fleet-determinism
@@ -106,6 +108,15 @@ bench-warm:
 # at 100 minor words per bit-blast gate.
 bench-offline:
 	dune exec bench/main.exe -- offline
+
+# Fig. 5's claim as a gate: php-74194 shepherded with the budgets off,
+# first with no recorded data, then with the data values the 1st and
+# 2nd pipeline rounds select.  Every round must reach the failure, the
+# later two on at least one recorded point each, and the total solver
+# work must fall strictly from round to round (the job exits 1 naming
+# the round that breaks it).
+bench-fig5:
+	dune exec bench/main.exe -- fig5
 
 # Fig. 6's claim as a gate: ER's production run, under the recording
 # plan a reconstruction of each bug selects, must cost less than rr's

@@ -3,7 +3,9 @@
 
      table1     Table 1  — 13 bugs: #instr, #occur, symex time
      fig1       Fig. 1   — efficiency/effectiveness/accuracy spectra
-     fig5       Fig. 5   — symex progress with 0/1st/2nd iteration data
+     fig5       Fig. 5   — symex progress with 0/1st/2nd iteration data;
+                fails unless every round reaches the failure, the later
+                rounds record data and solver work falls round to round
      fig6       Fig. 6   — runtime overhead: ER vs rr per application,
                 ER under the recording plan its reconstruction selects;
                 fails unless ER is cheaper than rr on every program
@@ -332,70 +334,91 @@ let run_fig5 () =
   section
     "Fig 5: shepherded symex progress on php-74194 with 0/1st/2nd-iteration \
      data values (timeout disabled)";
-  match Registry.find "php-74194" with
-  | None -> ()
-  | Some s ->
-      let budgetless =
-        { Er_symex.Exec.solver_budget = max_int / 2; gate_budget = max_int / 2 }
-      in
-      let series k =
-        (* recording set after k pipeline iterations: rerun the pipeline
-           with a run budget of k failure occurrences and harvest its
-           points *)
-        let points =
-          if k = 0 then []
-          else begin
-            let config =
-              { s.Bug.config with Er_core.Pipeline.max_occurrences = k }
-            in
-            let rk =
-              Er_core.Pipeline.run ~config ~base_prog:s.Bug.program
-                ~workload:s.Bug.failing_workload ()
-            in
-            rk.Er_core.Pipeline.recording_points
-          end
+  let s = Option.get (Registry.find "php-74194") in
+  let budgetless =
+    { Er_symex.Exec.solver_budget = max_int / 2; gate_budget = max_int / 2 }
+  in
+  (* [(recorded points, reached the failure, progress samples)] *)
+  let series k =
+    (* recording set after k pipeline iterations: rerun the pipeline
+       with a run budget of k failure occurrences and harvest its
+       points *)
+    let points =
+      if k = 0 then []
+      else begin
+        let config =
+          { s.Bug.config with Er_core.Pipeline.max_occurrences = k }
         in
-        let inst_prog, _ = Er_select.Instrument.apply s.Bug.program points in
-        let inst_indexed = Er_ir.Prog.of_program inst_prog in
-        let inputs, sched_seed = s.Bug.failing_workload ~occurrence:(k + 100) in
-        let enc = Er_trace.Encoder.create () in
-        Er_trace.Encoder.start enc;
-        let vm_config =
-          { Er_vm.Interp.default_config with
-            sched_seed; hooks = Er_vm.Vm_state.recording_hooks enc }
+        let rk =
+          Er_core.Pipeline.run ~config ~base_prog:s.Bug.program
+            ~workload:s.Bug.failing_workload ()
         in
-        let vm = Er_vm.Interp.run ~config:vm_config inst_indexed inputs in
-        match vm.Er_vm.Interp.outcome with
-        | Er_vm.Interp.Finished _ -> (List.length points, [])
-        | Er_vm.Interp.Failed failure -> (
-            match Er_trace.Decoder.decode (Er_trace.Encoder.finish enc) with
-            | Error _ -> (List.length points, [])
-            | Ok events ->
-                let split = Er_trace.Decoder.split events in
-                let sx =
-                  Er_symex.Exec.run ~config:budgetless inst_indexed
-                    ~trace:split ~failure
-                    ~failure_clock:vm.Er_vm.Interp.instr_count
-                in
-                ( List.length points,
-                  List.map
-                    (fun p ->
-                       (p.Er_symex.Exec.ps_steps, p.Er_symex.Exec.ps_solver_cost))
-                    sx.Er_symex.Exec.progress ))
-      in
-      List.iter
-        (fun k ->
-           let npoints, samples = series k in
-           Printf.printf
-             "\niteration-%d data values (%d recorded points): instr vs \
-              cumulative solver work\n"
-             k npoints;
-           List.iter
-             (fun (steps, cost) -> Printf.printf "  %8d %12d\n" steps cost)
-             samples;
-           let total = match List.rev samples with (_, c) :: _ -> c | [] -> 0 in
-           Printf.printf "  total solver work to reach the failure: %d\n%!" total)
-        [ 0; 1; 2 ]
+        rk.Er_core.Pipeline.recording_points
+      end
+    in
+    let inst_prog, _ = Er_select.Instrument.apply s.Bug.program points in
+    let inst_indexed = Er_ir.Prog.of_program inst_prog in
+    let inputs, sched_seed = s.Bug.failing_workload ~occurrence:(k + 100) in
+    let enc = Er_trace.Encoder.create () in
+    Er_trace.Encoder.start enc;
+    let vm_config =
+      { Er_vm.Interp.default_config with
+        sched_seed; hooks = Er_vm.Vm_state.recording_hooks enc }
+    in
+    let vm = Er_vm.Interp.run ~config:vm_config inst_indexed inputs in
+    match vm.Er_vm.Interp.outcome with
+    | Er_vm.Interp.Finished _ -> (List.length points, false, [])
+    | Er_vm.Interp.Failed failure -> (
+        match Er_trace.Decoder.decode (Er_trace.Encoder.finish enc) with
+        | Error _ -> (List.length points, false, [])
+        | Ok events ->
+            let split = Er_trace.Decoder.split events in
+            let sx =
+              Er_symex.Exec.run ~config:budgetless inst_indexed ~trace:split
+                ~failure ~failure_clock:vm.Er_vm.Interp.instr_count
+            in
+            ( List.length points,
+              (match sx.Er_symex.Exec.outcome with
+               | Er_symex.Exec.Complete _ -> true
+               | Er_symex.Exec.Stalled _ | Er_symex.Exec.Diverged _ -> false),
+              List.map
+                (fun p ->
+                   (p.Er_symex.Exec.ps_steps, p.Er_symex.Exec.ps_solver_cost))
+                sx.Er_symex.Exec.progress ))
+  in
+  (* The figure's claim as a gate: every round reaches the failure, the
+     later rounds record data, and each round's data cuts the solver
+     work of the one before. *)
+  let faults = ref [] in
+  let fault fmt = Printf.ksprintf (fun m -> faults := m :: !faults) fmt in
+  ignore
+    (List.fold_left
+       (fun prev k ->
+          let npoints, reached, samples = series k in
+          Printf.printf
+            "\niteration-%d data values (%d recorded points): instr vs \
+             cumulative solver work\n"
+            k npoints;
+          List.iter
+            (fun (steps, cost) -> Printf.printf "  %8d %12d\n" steps cost)
+            samples;
+          let total =
+            match List.rev samples with (_, c) :: _ -> c | [] -> 0
+          in
+          Printf.printf "  total solver work to reach the failure: %d\n%!"
+            total;
+          if not reached then fault "iteration-%d does not reach the failure" k;
+          if k > 0 && npoints = 0 then
+            fault "iteration-%d records no data values" k;
+          if total >= prev then
+            fault "iteration-%d solver work %d is not below iteration-%d's %d"
+              k total (k - 1) prev;
+          total)
+       max_int [ 0; 1; 2 ]);
+  if !faults <> [] then begin
+    Printf.eprintf "bench fig5: %s\n" (String.concat "; " (List.rev !faults));
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: ER selection vs random recording (sec. 5.2)               *)
@@ -927,10 +950,8 @@ let run_longtrace () =
     "bench longtrace: incremental checkpoint/resume vs from-scratch tracing";
   let s = Registry.long_trace in
   let run ~incremental =
-    (* both modes start from a cold solver cache and a collected heap
-       (neither pays for the other's garbage), so the comparison is
-       fair *)
-    Er_smt.Solver.reset_cache ();
+    (* both modes start from a collected heap (neither pays for the
+       other's garbage), so the comparison is fair *)
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r =

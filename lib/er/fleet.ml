@@ -18,9 +18,9 @@
        {!Job.execute}), so the interning order each bug observes — and
        the id-order-dependent solver trajectory downstream — is
        independent of what other domains intern concurrently;
-     - the solver result cache is sharded by interning space
-       ({!Er_smt.Solver}), so a bug's cache hits depend only on its own
-       query sequence, never on which bugs happened to run before it;
+     - each solver session owns its result cache ({!Er_smt.Solver}), so
+       a bug's cache hits depend only on its own query sequence, never
+       on which bugs happened to run before it;
      - handle completion is published by the job's own mutex/condvar
        (a happens-before edge on [await]), and rows are reported in
        submission order regardless of completion order.

@@ -330,11 +330,11 @@ let execute ?(worker = 0) (t : t) : unit =
             ~base_prog:s.src_prog ~workload:s.src_workload ()
       | Thunk { run; _ } -> run ()
     in
-    (* Persistent solver knowledge: bind the job's store to its fresh
-       interning space before any solving, flush on the way out (also on
-       crash — everything recorded up to that point is valid knowledge).
-       Warm replay cannot change the trajectory, so this wrapper is
-       invisible to the determinism contract. *)
+    (* Persistent solver knowledge: attach the job's store on this
+       domain before any solving, flush on the way out (also on crash —
+       everything recorded up to that point is valid knowledge).  Warm
+       replay cannot change the trajectory, so this wrapper is invisible
+       to the determinism contract. *)
     let body_with_store () =
       match t.request.config.Config.cache_dir with
       | None -> body ()
@@ -371,15 +371,10 @@ let execute ?(worker = 0) (t : t) : unit =
                          fl.Er_smt.Persist.fl_replayed
                          fl.Er_smt.Persist.fl_saved_cost))
     in
-    (* The fresh space ends with the job, and so does its shard of the
-       solver's result cache: a served or benchmarked process runs jobs
-       without end. *)
     let run () =
       M.with_span ("bug:" ^ name t) (fun () ->
           charging_allocation (fun () ->
-              Er_smt.Expr.in_fresh_space (fun () ->
-                  Fun.protect body_with_store
-                    ~finally:Er_smt.Solver.release_cache)))
+              Er_smt.Expr.in_fresh_space body_with_store))
     in
     let outcome =
       match run () with

@@ -16,9 +16,13 @@ type ctx = {
   var_bits : (Expr.t * int array) list ref;(* for model extraction *)
   true_lit : int;
   mutable gates : int;
-  mutable gate_limit : int;                (* raise Too_large past this *)
+  gate_limit : int;                        (* raise Too_large past this *)
 }
 
+(* The limit is on the context's *total* encoding size, which is
+   exactly what one-shot re-blasting of the whole assertion set
+   enforced, since hash-consed blasting builds the same unique-gate set
+   either way. *)
 let create ?(gate_budget = max_int) sat =
   let t = Sat.new_var sat in
   Sat.add_clause sat [ t ];
@@ -32,12 +36,6 @@ let create ?(gate_budget = max_int) sat =
   }
 
 let gate_count ctx = ctx.gates
-
-(* Reset the absolute gate limit.  The gate counter itself carries over:
-   a session's budget is on the *total* encoding size, which is exactly
-   what one-shot re-blasting of the whole assertion set enforced, since
-   hash-consed blasting builds the same unique-gate set either way. *)
-let arm ctx ~gate_limit = ctx.gate_limit <- gate_limit
 
 let fresh ctx =
   ctx.gates <- ctx.gates + 1;

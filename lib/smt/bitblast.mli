@@ -10,7 +10,7 @@
     write chain expanded to ite towers), blasting raises {!Too_large},
     which the solver reports as [Unknown] — a stall, in the paper's
     terminology.  The memo table keeps whatever was built before the
-    abort, so a retry under a fresh budget resumes rather than restarts. *)
+    abort, so a later call reuses it rather than restarting. *)
 
 exception Too_large
 
@@ -24,18 +24,15 @@ exception Unsupported of string
 type ctx
 
 (** [create ?gate_budget sat] allocates the constant-true variable on
-    [sat] and starts with an absolute gate limit of [gate_budget]
-    (default: unlimited). *)
+    [sat] with an absolute gate limit of [gate_budget] (default:
+    unlimited).  The limit is on {!gate_count}, which carries over
+    across encoding runs: budgeting the *total* encoding size is what
+    makes an incremental session stall on exactly the assertion set a
+    one-shot re-blast of the whole prefix would have stalled on. *)
 val create : ?gate_budget:int -> Sat.t -> ctx
 
 (** Total gates built so far (monotone; survives {!Too_large}). *)
 val gate_count : ctx -> int
-
-(** Reset the absolute gate limit.  {!gate_count} itself carries over
-    across encoding runs: budgeting the *total* encoding size is what
-    makes an incremental session stall on exactly the assertion set a
-    one-shot re-blast of the whole prefix would have stalled on. *)
-val arm : ctx -> gate_limit:int -> unit
 
 (** Blast a width-1 expression to its single SAT literal (DIMACS) without
     asserting it.  Raises {!Too_large} on budget exhaustion and

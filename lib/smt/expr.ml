@@ -135,10 +135,6 @@ let node_equal na nb =
 (* Ids are unique across every space for the lifetime of the process. *)
 let next_id = Atomic.make 0
 
-(* Space stamps distinguish interning spaces (the solver shards its
-   result cache by stamp, so cache entries never cross spaces). *)
-let next_stamp = Atomic.make 0
-
 (* A space's hash-cons table is open-addressed: a key array and a term
    array, probed linearly and kept at most half full.  Interning on a
    large table is bound by memory latency (symex interns a term or two
@@ -151,7 +147,6 @@ let next_stamp = Atomic.make 0
    global counter, not from its slot, so the table's size never shows in
    the interning order. *)
 type space = {
-  sp_stamp : int;
   sp_mutex : Mutex.t;
   mutable sp_keys : int array;
   mutable sp_terms : t array;
@@ -163,7 +158,6 @@ let empty_slot = { node = Const_array 0L; ty = Ty.bool; id = -1; hkey = -1 }
 
 let create_space () =
   {
-    sp_stamp = Atomic.fetch_and_add next_stamp 1;
     sp_mutex = Mutex.create ();
     sp_keys = Array.make initial_slots (-1);
     sp_terms = Array.make initial_slots empty_slot;
@@ -195,8 +189,6 @@ let grow sp =
    per task via [with_space] / [in_fresh_space]. *)
 let default_space = create_space ()
 let current : space Domain.DLS.key = Domain.DLS.new_key (fun () -> default_space)
-
-let space_stamp () = (Domain.DLS.get current).sp_stamp
 
 let with_space sp f =
   let prev = Domain.DLS.get current in

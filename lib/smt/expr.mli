@@ -77,11 +77,6 @@ val with_space : space -> (unit -> 'a) -> 'a
     in the process.  Fleet workers wrap each bug reconstruction in this. *)
 val in_fresh_space : (unit -> 'a) -> 'a
 
-(** Stamp of the current domain's space (distinct per space); the solver
-    shards its result cache by this, so cached outcomes never leak
-    between spaces. *)
-val space_stamp : unit -> int
-
 (** Bit width of a bitvector-typed term ([Invalid_argument] on arrays). *)
 val width : t -> int
 

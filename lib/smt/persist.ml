@@ -1,24 +1,24 @@
-(* Persistent solver knowledge: an on-disk answer journal per interning
-   space.
+(* Persistent solver knowledge: an on-disk answer journal per job.
 
-   The in-memory result cache ({!Solver.Cache}) dies with the process,
-   so every fleet run, daemon restart and CI job re-pays the full solver
-   cost from zero.  This module persists what a reconstruction's solver
-   actually established — in the order it established it — so the next
-   run of the same job *replays* those answers instead of re-searching.
+   A solver session's result cache ({!Solver.Session}) dies with the
+   session, so every fleet run, daemon restart and CI job re-pays the
+   full solver cost from zero.  This module persists what a
+   reconstruction's solver actually established — in the order it
+   established it — so the next run of the same job *replays* those
+   answers instead of re-searching.
 
    Why a journal and not a bag of entries: warm-vs-cold trajectory
-   identity.  The in-memory cache has temporal semantics (a query asked
+   identity.  The result cache has temporal semantics (a query asked
    at time t can only hit entries stored before t, and [Unknown] is a
    property of the solver state at t, not of the formula).  Replaying
-   the journal at each in-memory cache *miss* — and storing each
-   replayed Sat/Unsat into the in-memory cache exactly where the
-   original solve stored it — rebuilds the cold run's cache evolution
-   step by step, so every later lookup (exact, subset, superset) answers
-   identically.  Stalls are replayed too: the journal records "this
-   query, at this budget, stalled with this reason", which is exactly
-   what the warm run must answer to keep the ER iteration trajectory
-   byte-identical while paying none of the cost.
+   the journal at each result-cache *miss* — and storing each replayed
+   Sat/Unsat into the result cache exactly where the original solve
+   stored it — rebuilds the cold run's cache evolution step by step, so
+   every later lookup answers identically.  Stalls are replayed too: the
+   journal records "this query, at this budget, stalled with this
+   reason", which is exactly what the warm run must answer to keep the
+   ER iteration trajectory byte-identical while paying none of the
+   cost.
 
    An entry is matched by its position in the journal, its budget and a
    structural digest of the active formulas (their sorted printed
@@ -27,7 +27,7 @@
    far, and a warm run that skips an encode interns fewer, so the same
    formulas can carry different ids.  A mismatch during replay (the
    program, the corpus or a budget changed under an unchanged label)
-   permanently stops replay for the space — the run continues with real
+   permanently stops replay for the journal — the run continues with real
    solving and the flush rewrites the journal from the divergence point,
    so a stale store self-heals instead of poisoning trajectories.
 
@@ -250,7 +250,7 @@ let write_atomically path contents =
     (fun () -> output_string oc contents);
   Sys.rename tmp path
 
-(* --- per-space slots --------------------------------------------------- *)
+(* --- the attached journal ---------------------------------------------- *)
 
 type slot = {
   sl_mutex : Mutex.t;
@@ -265,18 +265,14 @@ type slot = {
   mutable sl_warnings : string list;
 }
 
-(* space stamp -> slot, same discipline as {!Solver.Cache.shards} *)
-let slots : (int, slot) Hashtbl.t = Hashtbl.create 16
-let slots_mutex = Mutex.create ()
-
 type handle = slot
 
-let current () : handle option =
-  let stamp = Expr.space_stamp () in
-  Mutex.lock slots_mutex;
-  let s = Hashtbl.find_opt slots stamp in
-  Mutex.unlock slots_mutex;
-  s
+(* The journal attached on this domain: a job attaches, solves and
+   detaches on one domain, so concurrent jobs never share a journal. *)
+let attached : slot option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let current () : handle option = Domain.DLS.get attached
 
 type status =
   | Loaded of { entries : int; replayable_cost : int }
@@ -323,10 +319,7 @@ let attach ~dir ~label ~fingerprint : status =
         | _ -> []);
     }
   in
-  let stamp = Expr.space_stamp () in
-  Mutex.lock slots_mutex;
-  Hashtbl.replace slots stamp slot;
-  Mutex.unlock slots_mutex;
+  Domain.DLS.set attached (Some slot);
   status
 
 (* --- solver-side hooks ------------------------------------------------- *)
@@ -337,8 +330,8 @@ let locked sl f =
 
 (* The next journal answer, iff the run is still in lock-step with the
    recorded one: same structural digest and same budget, at the same
-   position.  A mismatch permanently disables replay for the space (the
-   journal tail is rewritten from here at flush). *)
+   position.  A mismatch permanently disables replay (the journal tail
+   is rewritten from here at flush). *)
 let replay (sl : handle) ~hash ~budget : (answer * int) option =
   locked sl @@ fun () ->
   if sl.sl_diverged || sl.sl_cursor >= Array.length sl.sl_replay then None
@@ -382,18 +375,15 @@ type flush_result = {
   fl_warnings : string list;
 }
 
-(* Detach the current space's slot and write the journal back if it
-   changed.  Final contents: the consumed (still-valid) prefix of the
+(* Detach this domain's slot and write the journal back if it changed.
+   Final contents: the consumed (still-valid) prefix of the
    loaded journal, then everything recorded fresh this run.  A run that
    replayed a prefix and recorded nothing keeps the store untouched —
    including its unconsumed tail, so an interrupted warm run cannot
    erase knowledge it did not get to use. *)
 let detach_and_flush () : flush_result option =
-  let stamp = Expr.space_stamp () in
-  Mutex.lock slots_mutex;
-  let slot = Hashtbl.find_opt slots stamp in
-  Hashtbl.remove slots stamp;
-  Mutex.unlock slots_mutex;
+  let slot = Domain.DLS.get attached in
+  Domain.DLS.set attached None;
   match slot with
   | None -> None
   | Some sl ->

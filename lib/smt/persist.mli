@@ -1,6 +1,6 @@
 (** Persistent solver knowledge: an on-disk, per-job answer journal.
 
-    The solver's in-memory result cache dies with the process, so every
+    A solver session's result cache dies with the session, so every
     fleet run, daemon restart and CI job re-pays the full solver cost
     from zero.  This module persists the *ordered journal* of answers a
     reconstruction's solver established — Sat models, Unsat verdicts,
@@ -11,16 +11,17 @@
     the cold one's, so learned clauses and activities would not carry
     over.
 
-    Replay is lock-step: at each in-memory cache miss the solver asks
-    for the next journal entry, and it is used only if its structural
-    digest and budget match the live query.  Replayed Sat/Unsat answers
-    are stored into the in-memory cache exactly where the cold run
-    stored them, so subset/superset lookups evolve identically; replayed
-    stalls return their recorded reason verbatim.  This makes a warm
-    run's trajectory byte-identical to the cold run's by construction — only the cost disappears.  Any
-    mismatch permanently stops replay for the space (the run continues
-    with real solving) and the flush rewrites the journal from the
-    divergence point: stale stores self-heal, never poison.
+    Replay is lock-step: at each result-cache miss the solver asks for
+    the next journal entry, and it is used only if its structural digest
+    and budget match the live query.  Replayed Sat/Unsat answers are
+    stored into the session's result cache exactly where the cold run
+    stored them, so later lookups hit identically; replayed stalls
+    return their recorded reason verbatim.  This makes a warm run's
+    trajectory byte-identical to the cold run's by construction — only
+    the cost disappears.  Any mismatch permanently stops replay for the
+    journal (the run continues with real solving) and the flush
+    rewrites the journal from the divergence point: stale stores
+    self-heal, never poison.
 
     Stores are versioned, fingerprinted (a digest of every knob that
     could change the query sequence) and checksummed; any mismatch or
@@ -28,10 +29,10 @@
     [Sys.rename], so concurrent writers to one cache directory are
     last-writer-wins and readers never observe torn files.
 
-    One store file per job label lives under the cache directory; state
-    is sharded by the current interning space (same discipline as the
-    solver result cache), so concurrent fleet jobs never share a
-    journal. *)
+    One store file per job label lives under the cache directory; an
+    attached journal is bound to the domain that attached it, and a job
+    attaches, solves and detaches on one domain, so concurrent fleet
+    jobs never share a journal. *)
 
 val format_version : int
 
@@ -58,10 +59,11 @@ type status =
           rejected (version/fingerprint/checksum/parse) — the run
           proceeds cold and overwrites it at flush. *)
 
-(** Bind a store to the {e current} interning space.  Call inside the
-    job's fresh space, before any solving.  [label] names the store file
-    ([<dir>/<sanitized-label>.ercache]); [fingerprint] must digest every
-    configuration knob that could alter the query sequence. *)
+(** Bind a store to the calling domain, replacing any store attached
+    there.  Call before any solving and detach on the same domain.
+    [label] names the store file ([<dir>/<sanitized-label>.ercache]);
+    [fingerprint] must digest every configuration knob that could alter
+    the query sequence. *)
 val attach : dir:string -> label:string -> fingerprint:string -> status
 
 type flush_result = {
@@ -74,7 +76,7 @@ type flush_result = {
   fl_warnings : string list;
 }
 
-(** Unbind the current space's store and write the journal back if it
+(** Unbind the calling domain's store and write the journal back if it
     changed (divergence or fresh records); [None] if nothing was
     attached.  A pure replay run leaves the file untouched — including
     its unconsumed tail, so an interrupted warm run cannot erase
@@ -85,14 +87,14 @@ val detach_and_flush : unit -> flush_result option
 
 type handle
 
-(** The store bound to the current space, if any.  Captured once per
+(** The store attached on the calling domain, if any.  Captured once per
     {!Solver.Session}. *)
 val current : unit -> handle option
 
 (** The next journal answer together with its recorded cold cost, iff
     the run is still in lock-step with the journal (same structural
     digest, same budget, same position).  A mismatch permanently
-    disables replay for this space. *)
+    disables replay for this journal. *)
 val replay : handle -> hash:string -> budget:int -> (answer * int) option
 
 (** Append a freshly established answer to the journal (written back at

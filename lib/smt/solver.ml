@@ -76,15 +76,9 @@ let m_query_seconds =
     ~buckets:[ 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10. ]
     "er_smt_query_seconds"
 
-let cache_hit_counter kind =
-  M.counter
-    ~labels:[ ("kind", kind) ]
-    ~help:"Session result-cache hits, by fast path."
+let m_cache_hits =
+  M.counter ~help:"Session result-cache hits."
     "er_smt_session_cache_hits_total"
-
-let m_cache_exact = cache_hit_counter "exact"
-and m_cache_subset = cache_hit_counter "subset_sat"
-and m_cache_superset = cache_hit_counter "superset_unsat"
 
 let m_cache_miss =
   M.counter ~help:"Session result-cache misses."
@@ -143,120 +137,15 @@ let observe_query key o ~cached cost =
 let default_budget = 4_000_000
 let default_gate_budget = 400_000
 
-(* --- normalized-constraint-set result cache --------------------------- *)
-
-(* Keyed by the canonical form of the assertion set: the sorted,
-   deduplicated hash-consed ids of its (non-trivial) members.  Sat/Unsat
-   are pure properties of the formula, independent of which session (or
-   which budget) established them, so entries stay valid across
-   sessions, across pops, and across occurrences of the same failure.
-
-   The cache is sharded by interning space ({!Expr.space_stamp}): ids
-   are only comparable within one space, and sharding by space is also
-   what keeps fleet mode deterministic — a bug running in its own fresh
-   space can only ever hit entries produced by its own (deterministic)
-   query sequence, never entries another domain happened to store first.
-   Each shard is guarded by a mutex so that sessions on different
-   domains may share one space (and hence one shard) safely; hit/miss
-   accounting lives in the session, whose counters are only touched by
-   the domain running it, so the tallies stay exact under concurrency.
-
-   [Unknown] is never cached — it is a budget artifact, not a property
-   of the formula.  Two fast paths fall out of keeping the sets around:
-   a cached UNSAT core refutes any superset, and a cached model of a
-   superset satisfies any subset. *)
-module Cache = struct
-  module ISet = Set.Make (Int)
-
-  type kind = Exact | Subset_sat | Superset_unsat
-
-  type shard = {
-    sh_mutex : Mutex.t;
-    sh_exact : (int array, outcome) Hashtbl.t;
-    mutable sh_sats : (ISet.t * Model.t) list;
-    mutable sh_unsats : ISet.t list;
-  }
-
-  (* space stamp -> shard; the table itself is touched only under
-     [shards_mutex] (shard creation is rare — once per space). *)
-  let shards : (int, shard) Hashtbl.t = Hashtbl.create 16
-  let shards_mutex = Mutex.create ()
-
-  let shard_for_current_space () =
-    let stamp = Expr.space_stamp () in
-    Mutex.lock shards_mutex;
-    let sh =
-      match Hashtbl.find_opt shards stamp with
-      | Some sh -> sh
-      | None ->
-          let sh =
-            { sh_mutex = Mutex.create ();
-              sh_exact = Hashtbl.create 256;
-              sh_sats = [];
-              sh_unsats = [] }
-          in
-          Hashtbl.add shards stamp sh;
-          sh
-    in
-    Mutex.unlock shards_mutex;
-    sh
-
-  let clear () =
-    Mutex.lock shards_mutex;
-    Hashtbl.reset shards;
-    Mutex.unlock shards_mutex
-
-  let release () =
-    let stamp = Expr.space_stamp () in
-    Mutex.lock shards_mutex;
-    Hashtbl.remove shards stamp;
-    Mutex.unlock shards_mutex
-
-  let count () =
-    Mutex.lock shards_mutex;
-    let n = Hashtbl.length shards in
-    Mutex.unlock shards_mutex;
-    n
-
-  let locked sh f =
-    Mutex.lock sh.sh_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mutex) f
-
-  let lookup sh key set =
-    locked sh @@ fun () ->
-    match Hashtbl.find_opt sh.sh_exact key with
-    | Some o -> Some (o, Exact)
-    | None -> (
-        match
-          List.find_opt (fun core -> ISet.subset core set) sh.sh_unsats
-        with
-        | Some _ -> Some (Unsat, Superset_unsat)
-        | None -> (
-            match
-              List.find_opt (fun (ids, _) -> ISet.subset set ids) sh.sh_sats
-            with
-            | Some (_, m) -> Some (Sat m, Subset_sat)
-            | None -> None))
-
-  let store sh key set o =
-    locked sh @@ fun () ->
-    if not (Hashtbl.mem sh.sh_exact key) then
-      match o with
-      | Sat m ->
-          Hashtbl.replace sh.sh_exact key o;
-          sh.sh_sats <- (set, m) :: sh.sh_sats
-      | Unsat ->
-          Hashtbl.replace sh.sh_exact key o;
-          sh.sh_unsats <- set :: sh.sh_unsats
-      | Unknown _ -> ()
-end
-
-let reset_cache = Cache.clear
-let release_cache = Cache.release
-let cache_shards = Cache.count
-
 (* --- incremental sessions --------------------------------------------- *)
 
+(* Each session memoizes its own verdicts, keyed by the canonical form of
+   the active assertion set: the sorted, deduplicated hash-consed ids of
+   its (non-trivial) members.  A shepherded run asks some sets more than
+   once; nothing outside the session reads or fills the table, so it
+   needs no lock and no answer crosses from one run to another.
+   [Unknown] is never stored — it is a budget artifact, not a property
+   of the formula. *)
 module Session = struct
   type frame = {
     f_expr : Expr.t;
@@ -268,8 +157,8 @@ module Session = struct
     sat : Sat.t;
     blast : Bitblast.ctx;
     elim : Arrays.state;
-    cache : Cache.shard; (* the shard of the creating space *)
-    persist : Persist.handle option; (* journal bound to the space, if any *)
+    cache : (int array, outcome) Hashtbl.t; (* active-set key -> Sat/Unsat *)
+    persist : Persist.handle option; (* journal attached on this domain *)
     budget : int;
     mutable stack : frame list; (* newest first *)
     mutable solves : int; (* checks that reached the SAT core *)
@@ -287,7 +176,7 @@ module Session = struct
       sat;
       blast = Bitblast.create ~gate_budget sat;
       elim = Arrays.create_state ();
-      cache = Cache.shard_for_current_space ();
+      cache = Hashtbl.create 16;
       persist = Persist.current ();
       budget;
       stack = [];
@@ -316,7 +205,6 @@ module Session = struct
         if f.f_encoded && f.f_sel <> 0 then Sat.add_clause t.sat [ -f.f_sel ]
 
   let depth t = List.length t.stack
-  let assertions t = List.rev_map (fun f -> f.f_expr) t.stack
   let cache_stats t = { cache_hits = t.hits; cache_misses = t.misses }
   let replays t = t.replays
 
@@ -381,14 +269,14 @@ module Session = struct
       (Arrays.witnesses t.elim);
     m
 
-  let check_core ?budget ?gate_budget t : outcome * stats =
-    let budget = Option.value budget ~default:t.budget in
-    (* The propagation budget is a per-check allowance (relative to the
-       session's counters at entry); the gate budget is cumulative over
-       the session — see {!Bitblast.arm}. *)
-    (match gate_budget with
-    | Some g -> Bitblast.arm t.blast ~gate_limit:g
-    | None -> ());
+  let remember t key = function
+    | (Sat _ | Unsat) as o -> Hashtbl.replace t.cache key o
+    | Unknown _ -> ()
+
+  (* The propagation budget is a per-check allowance (relative to the
+     session's counters at entry); the gate budget is cumulative over
+     the session — see {!Bitblast.create}. *)
+  let check_core t : outcome * stats =
     let active = List.filter (fun f -> f.f_sel <> 0) t.stack in
     if List.exists (fun f -> Expr.is_false f.f_expr) active then
       (Unsat, zero_stats t)
@@ -398,32 +286,20 @@ module Session = struct
         let ids = List.map (fun f -> Expr.id f.f_expr) active in
         Array.of_list (List.sort_uniq compare ids)
       in
-      let set = Cache.ISet.of_list (Array.to_list key) in
-      match Cache.lookup t.cache key set with
-      | Some (o, kind) ->
+      match Hashtbl.find_opt t.cache key with
+      | Some o ->
           t.hits <- t.hits + 1;
-          let kind_label =
-            match kind with
-            | Cache.Exact ->
-                M.inc m_cache_exact;
-                "exact"
-            | Cache.Subset_sat ->
-                M.inc m_cache_subset;
-                "subset_sat"
-            | Cache.Superset_unsat ->
-                M.inc m_cache_superset;
-                "superset_unsat"
-          in
+          M.inc m_cache_hits;
           (* zero-cost row: a hit never displaces the original solve's
              cost for the same key, but records that the set was asked
              again and answered from cache *)
-          observe_query key o ~cached:kind_label 0;
+          observe_query key o ~cached:"exact" 0;
           (o, zero_stats t)
       | None -> (
           (* The journal's machine-stable name for the active set: a
              digest of its sorted printed formulas, which name no term
-             ids.  Computed only on in-memory-cache misses, and only
-             with a store attached. *)
+             ids.  Computed only on result-cache misses, and only with a
+             store attached. *)
           let digest () =
             Digest.to_hex
               (Digest.string
@@ -436,30 +312,27 @@ module Session = struct
           in
           let replayed =
             match t.persist with
-            | Some h -> Persist.replay h ~hash:digest ~budget
+            | Some h -> Persist.replay h ~hash:digest ~budget:t.budget
             | None -> None
           in
           match replayed with
           | Some (answer, saved) ->
               (* Warm replay: adopt the journaled answer at zero cost.
-                 Solved answers are stored into the in-memory cache
-                 exactly where the cold run stored them, so later
-                 subset/superset lookups evolve identically; stalls are
-                 returned verbatim and (as in a cold run) not cached. *)
+                 Solved answers are remembered exactly where the cold run
+                 remembered them, so later hits fall on the same checks;
+                 stalls are returned verbatim and (as in a cold run) not
+                 remembered. *)
               t.hits <- t.hits + 1;
               t.replays <- t.replays + 1;
               M.inc m_warm_replays;
               M.add m_warm_saved_cost saved;
               let o =
                 match answer with
-                | Persist.Solved_unsat ->
-                    Cache.store t.cache key set Unsat;
-                    Unsat
-                | Persist.Solved_sat m ->
-                    Cache.store t.cache key set (Sat m);
-                    Sat m
+                | Persist.Solved_unsat -> Unsat
+                | Persist.Solved_sat m -> Sat m
                 | Persist.Stalled reason -> Unknown reason
               in
+              remember t key o;
               observe_query key o ~cached:"warm" 0;
               (o, zero_stats t)
           | None ->
@@ -472,10 +345,11 @@ module Session = struct
               let g0 = Bitblast.gate_count t.blast in
               let p0, c0, cl0 = Sat.stats t.sat in
               let d0 = Sat.decisions t.sat and r0 = Sat.restarts t.sat in
-              (* Conclude a real solve: report stats and append the
-                 verdict — including stalls, which warm runs must
-                 reproduce — to the journal. *)
+              (* Conclude a real solve: remember a verdict, report stats
+                 and append the answer — including stalls, which warm
+                 runs must reproduce — to the journal. *)
               let conclude o =
+                remember t key o;
                 let st = stats_since t ~g0 ~p0 ~c0 ~d0 ~r0 ~cl0 in
                 M.add m_gates st.gates;
                 M.add m_propagations st.propagations;
@@ -493,7 +367,7 @@ module Session = struct
                       | Sat m -> Persist.Solved_sat m
                       | Unknown r -> Persist.Stalled r
                     in
-                    Persist.record h ~hash:digest ~budget ~cost answer
+                    Persist.record h ~hash:digest ~budget:t.budget ~cost answer
                 | None -> ());
                 (o, st)
               in
@@ -504,25 +378,20 @@ module Session = struct
                   M.add m_vars (Sat.num_vars t.sat);
                   (* oldest frame first, matching assertion order *)
                   let assumptions = List.rev_map (fun f -> f.f_sel) active in
-                  match Sat.solve ~budget ~assumptions t.sat with
-                  | Sat.Unsat ->
-                      Cache.store t.cache key set Unsat;
-                      conclude Unsat
-                  | Sat.Sat ->
-                      let m = extract_model t in
-                      Cache.store t.cache key set (Sat m);
-                      conclude (Sat m)
+                  match Sat.solve ~budget:t.budget ~assumptions t.sat with
+                  | Sat.Unsat -> conclude Unsat
+                  | Sat.Sat -> conclude (Sat (extract_model t))
                   | Sat.Unknown ->
                       conclude
                         (Unknown "propagation budget exhausted during search")))
     end
 
-  let check ?budget ?gate_budget t : outcome * stats =
-    if not (M.enabled M.default) then check_core ?budget ?gate_budget t
+  let check t : outcome * stats =
+    if not (M.enabled M.default) then check_core t
     else begin
       let w0 = Gc.minor_words () in
       let t0 = M.now M.default in
-      let ((res, _) as out) = check_core ?budget ?gate_budget t in
+      let ((res, _) as out) = check_core t in
       M.observe m_query_seconds (M.now M.default -. t0);
       M.add m_minor_words (int_of_float (Gc.minor_words () -. w0));
       (match res with
@@ -533,25 +402,9 @@ module Session = struct
     end
 end
 
-(* --- one-shot conveniences -------------------------------------------- *)
-
-(* [check assertions] decides a conjunction with a throwaway session.
-   The returned stats are the work this call performed; on a result-cache
-   hit they are all zero. *)
+(* [check assertions] decides a conjunction with a throwaway session and
+   returns the work it performed. *)
 let check ?budget ?gate_budget (assertions : Expr.t list) : outcome * stats =
   let s = Session.create ?budget ?gate_budget () in
   List.iter (Session.push s) assertions;
   Session.check s
-
-let is_satisfiable ?budget ?gate_budget assertions =
-  match fst (check ?budget ?gate_budget assertions) with
-  | Sat _ -> Ok true
-  | Unsat -> Ok false
-  | Unknown why -> Error why
-
-(* Is [e] forced true under [assumptions]?  (valid iff ¬e unsat) *)
-let must_be_true ?budget ?gate_budget assumptions e =
-  match fst (check ?budget ?gate_budget (Expr.not_ e :: assumptions)) with
-  | Unsat -> Ok true
-  | Sat _ -> Ok false
-  | Unknown why -> Error why

@@ -44,17 +44,13 @@ type stats = {
     solver assumptions, so [pop] retires the newest assertion without
     discarding its encoding or anything learned from it.
 
-    Results are memoized in a result cache keyed by the canonical
-    (sorted, deduplicated) hash-consed ids of the asserted set.  The
-    cache is sharded by interning space ({!Expr.space_stamp}): sessions
-    created in the same space share a mutex-protected shard, sessions in
-    different spaces never see each other's entries (ids from different
-    spaces denote different terms, so a cross-space hit would be
-    unsound).  Each session tallies its own hits and misses exactly,
-    even under concurrent domains.  Besides exact hits, a cached UNSAT
-    core refutes any superset and a cached model of a superset satisfies
-    any subset; [Unknown] results are budget artifacts and are never
-    cached.
+    Each session memoizes its own Sat/Unsat verdicts, keyed by the
+    canonical (sorted, deduplicated) hash-consed ids of the asserted
+    set, and answers a check from that table only when the same set is
+    asked again.  The table belongs to the session alone: no other
+    session, run or domain reads it, so one run's answers never reach
+    another.  [Unknown] results are budget artifacts and are never
+    memoized.
 
     Budgets stay deterministic because the work counters carry over
     across incremental calls.  The propagation budget is a per-check
@@ -71,15 +67,14 @@ module Session : sig
   type cache_stats = { cache_hits : int; cache_misses : int }
 
   (** [create ~budget ~gate_budget ()] — the budgets (generous ones by
-      default) apply to every [check] unless overridden per call.
+      default) apply to every [check].
 
-      If a persistent answer journal is attached to the current
-      interning space ({!Persist.attach}), the session replays it: at
-      each in-memory-cache miss the next journaled answer — Sat model,
-      Unsat verdict, or stall — is adopted at zero cost, provided the
-      run is still in lock-step with the recorded one; every real solve
-      is appended for the next run.  This cannot change a trajectory,
-      only its cost.
+      If a persistent answer journal is attached on the calling domain
+      ({!Persist.attach}), the session replays it: at each result-cache
+      miss the next journaled answer — Sat model, Unsat verdict, or
+      stall — is adopted at zero cost, provided the run is still in
+      lock-step with the recorded one; every real solve is appended for
+      the next run.  This cannot change a trajectory, only its cost.
 
       A check that exhausts its propagation budget returns [Unknown]:
       the stall is answered by the caller (ER records more data on the
@@ -96,14 +91,11 @@ module Session : sig
   (** Current stack depth. *)
   val depth : t -> int
 
-  (** The asserted stack, oldest first. *)
-  val assertions : t -> Expr.t list
-
   (** Decide the conjunction of the current stack.  Newly pushed
       assertions are encoded first (charging the gate budget); a
       gate-budget abort leaves them pending, and a later [check] resumes
       from the blasting memo rather than restarting. *)
-  val check : ?budget:int -> ?gate_budget:int -> t -> outcome * stats
+  val check : t -> outcome * stats
 
   val cache_stats : t -> cache_stats
 
@@ -116,26 +108,3 @@ end
     width-1 [assertions] with a throwaway session.  [gate_budget] caps
     bit-blasting work, [budget] caps SAT propagation work. *)
 val check : ?budget:int -> ?gate_budget:int -> Expr.t list -> outcome * stats
-
-(** [Ok sat?] when decided within budget; [Error reason] carries the
-    stall reason ([Unknown]) instead of silently dropping it. *)
-val is_satisfiable :
-  ?budget:int -> ?gate_budget:int -> Expr.t list -> (bool, string) result
-
-(** Is [e] entailed by [assumptions]?  ([Ok true] iff [not e] is unsat;
-    [Error reason] on a stall.) *)
-val must_be_true :
-  ?budget:int -> ?gate_budget:int -> Expr.t list -> Expr.t -> (bool, string) result
-
-(** Drop every shard of the result cache (test isolation). *)
-val reset_cache : unit -> unit
-
-(** Drop the current interning space's shard of the result cache.  A
-    job calls this as its fresh space ends: nothing can intern into that
-    space again, so its shard would otherwise stay reachable for the
-    life of the process.  Sessions still holding the shard keep working. *)
-val release_cache : unit -> unit
-
-(** Number of result-cache shards alive (one per space that created a
-    session and has not released it). *)
-val cache_shards : unit -> int

@@ -115,11 +115,10 @@ let same_status a b =
   | P.Gave_up g1, P.Gave_up g2 -> g1 = g2
   | _ -> false
 
-(* run both modes from a cold solver cache, check observational identity,
-   return the incremental result *)
+(* run both modes, check observational identity, return the incremental
+   result *)
 let differential (s : Bug.spec) =
   let run ~incremental =
-    Er_smt.Solver.reset_cache ();
     P.run
       ~config:{ s.Bug.config with P.incremental }
       ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()

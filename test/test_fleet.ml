@@ -218,14 +218,13 @@ let test_cache_events_per_job () =
   check "first" [ "cold"; "flushed" ] (pass ());
   check "second" [ "warm"; "replayed" ] (pass ())
 
-(* --- concurrent access to one shared solver cache ------------------- *)
+(* --- concurrent sessions in one shared interning space -------------- *)
 
-(* Four domains share one interning space (hence one result-cache
-   shard) and fire sessions at it concurrently.  Exact accounting must
-   survive: every nontrivial check is exactly one cache hit or one
-   cache miss, both per session and in the atomic registry counters. *)
+(* Four domains share one interning space (hence its intern mutex) and
+   fire sessions at it concurrently.  Exact accounting must survive:
+   every nontrivial check is exactly one cache hit or one cache miss,
+   both per session and in the atomic registry counters. *)
 let concurrent_cache_prop picks =
-  Er_smt.Solver.reset_cache ();
   let sp = Er_smt.Expr.create_space () in
   let pool =
     Er_smt.Expr.with_space sp (fun () ->
@@ -291,30 +290,6 @@ let concurrent_cache_prop picks =
   session_exact && hits + misses = queries
   && m_hits = hits && m_misses = misses
 
-(* --- a finished job leaves no result-cache shard behind ------------- *)
-
-(* Every job runs in a fresh interning space, and the solver shards its
-   result cache by space; a job that kept its shard after finishing
-   would grow a long-running daemon by one shard per job. *)
-let test_job_releases_cache_shard () =
-  let run () =
-    List.iter
-      (fun s ->
-         let h = job_of_spec s in
-         Job.execute h;
-         match Job.await h with
-         | Job.Finished _ -> ()
-         | _ -> Alcotest.failf "%s did not finish" s.Bug.name)
-      (subset ())
-  in
-  let before = Er_smt.Solver.cache_shards () in
-  run ();
-  Alcotest.(check int) "shards after one pass" before
-    (Er_smt.Solver.cache_shards ());
-  run ();
-  Alcotest.(check int) "shards after a second pass" before
-    (Er_smt.Solver.cache_shards ())
-
 (* --- stage times are the job's own wall clock ------------------------ *)
 
 (* Two jobs at a time, so every stage runs while another domain works:
@@ -354,7 +329,7 @@ let test_stage_times_within_wall () =
 let test_concurrent_cache =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:15
-       ~name:"4 domains, one shared cache: hits+misses = queries"
+       ~name:"4 domains, one shared space: hits+misses = queries"
        QCheck.(list_of_size Gen.(int_range 4 40) (int_range 0 7))
        concurrent_cache_prop)
 
@@ -369,8 +344,6 @@ let suites =
         test_concurrent_cache;
         Alcotest.test_case "each job's stream logs its store events" `Slow
           test_cache_events_per_job;
-        Alcotest.test_case "a finished job releases its cache shard" `Quick
-          test_job_releases_cache_shard;
         Alcotest.test_case "stage times fit in the job's wall time" `Slow
           test_stage_times_within_wall;
       ] );

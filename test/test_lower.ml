@@ -331,9 +331,8 @@ let exec_obs (r : Exec.result) =
     r.Exec.cache_hits r.Exec.cache_misses
 
 (* Shepherd one trace with the reference engine, then the lowered one.
-   Each runs in a fresh interning space: the same term order, an
-   isolated solver-cache shard, and therefore a bit-identical
-   deterministic solver trajectory. *)
+   Each runs in a fresh interning space: the same term order, and
+   therefore a bit-identical deterministic solver trajectory. *)
 let shepherd_both ?config prog split failure clock =
   let run_one
       (run :

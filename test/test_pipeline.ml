@@ -87,11 +87,7 @@ let escalation_matches_fixpoints (evs : E.event list) =
 
 let test_budget_escalates_at_fixpoint () =
   (* tiny budgets: selection runs dry while symex still stalls, forcing
-     the deterministic analogue of the paper's longer solver timeout.
-     The solver result cache is process-wide, and earlier tests solved
-     this same bug under default budgets — drop it so the tiny budgets
-     actually bite. *)
-  Er_smt.Solver.reset_cache ();
+     the deterministic analogue of the paper's longer solver timeout. *)
   let config =
     { spec.Bug.config with
       P.exec_config = { Er_symex.Exec.solver_budget = 200; gate_budget = 200 } }

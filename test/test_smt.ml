@@ -395,10 +395,11 @@ let test_solver_ackermann () =
   let get n = Option.get (Model.value m n) in
   Alcotest.(check bool) "i <> j" true (not (Int64.equal (get "i") (get "j")))
 
+let rec tower n acc = if n = 0 then acc else tower (n - 1) (Expr.mul acc acc)
+
 let test_solver_gate_budget () =
   (* a 64-bit multiplication tower should exceed a tiny gate budget *)
   let x = Expr.bv_var "gx" ~width:64 in
-  let rec tower n acc = if n = 0 then acc else tower (n - 1) (Expr.mul acc acc) in
   let e = Expr.eq (tower 4 x) (Expr.const ~width:64 17L) in
   match Solver.check ~gate_budget:500 [ e ] with
   | Solver.Unknown _, _ -> ()
@@ -460,7 +461,6 @@ let zero_work (st : Solver.stats) = st.Solver.gates = 0 && st.Solver.propagation
 (* Repeating an unchanged query must be answered from the result cache
    with zero solver work. *)
 let test_session_cache_repeat () =
-  Solver.reset_cache ();
   let s = Solver.Session.create () in
   Solver.Session.push s (Expr.ult x32 (i32 5));
   Solver.Session.push s (Expr.ult (i32 1) x32);
@@ -474,43 +474,35 @@ let test_session_cache_repeat () =
   Alcotest.(check int) "one hit" 1 cs.Solver.Session.cache_hits;
   Alcotest.(check int) "one miss" 1 cs.Solver.Session.cache_misses
 
-(* A cached UNSAT core refutes any superset without touching the SAT
-   solver. *)
-let test_session_unsat_superset () =
-  Solver.reset_cache ();
-  let core = [ Expr.ult x32 (i32 5); Expr.ult (i32 10) x32 ] in
-  (match Solver.check core with
-   | Solver.Unsat, _ -> ()
-   | _ -> Alcotest.fail "core should be unsat");
-  let s = Solver.Session.create () in
-  List.iter (Solver.Session.push s) (core @ [ Expr.ult y32 (i32 3) ]);
-  (match Solver.Session.check s with
-   | Solver.Unsat, st ->
-       Alcotest.(check bool) "superset refuted for free" true (zero_work st)
-   | _ -> Alcotest.fail "superset of an unsat core must be unsat");
-  let cs = Solver.Session.cache_stats s in
-  Alcotest.(check int) "superset hit" 1 cs.Solver.Session.cache_hits
-
-(* A cached model of a superset satisfies any subset. *)
-let test_session_subset_sat () =
-  Solver.reset_cache ();
-  let a = Expr.ult x32 (i32 5) and b = Expr.eq y32 (Expr.add x32 (i32 1)) in
-  (match Solver.check [ a; b ] with
-   | Solver.Sat _, _ -> ()
+(* A session's verdicts are its own: a formula another session decided
+   under generous budgets must still stall in a session whose gate
+   budget is too small to encode it. *)
+let test_session_owns_cache () =
+  let x = Expr.bv_var "ox" ~width:16 in
+  let e =
+    Expr.eq
+      (Expr.mul x (Expr.add x (Expr.const ~width:16 3L)))
+      (Expr.const ~width:16 40L)
+  in
+  let first = Solver.Session.create () in
+  Solver.Session.push first e;
+  (match Solver.Session.check first with
+   | Solver.Sat m, st ->
+       Alcotest.(check bool) "model satisfies the formula" true (Model.holds m e);
+       Alcotest.(check bool) "first session does real work" false (zero_work st)
    | _ -> Alcotest.fail "expected sat");
-  let s = Solver.Session.create () in
-  Solver.Session.push s a;
-  match Solver.Session.check s with
-  | Solver.Sat m, st ->
-      Alcotest.(check bool) "subset answered for free" true (zero_work st);
-      Alcotest.(check bool) "cached model satisfies the subset" true
-        (Model.holds m a)
-  | _ -> Alcotest.fail "subset of a sat set must be sat"
+  let starved = Solver.Session.create ~gate_budget:500 () in
+  Solver.Session.push starved e;
+  (match Solver.Session.check starved with
+   | Solver.Unknown _, _ -> ()
+   | _ -> Alcotest.fail "another session's verdict answered this one");
+  let cs = Solver.Session.cache_stats starved in
+  Alcotest.(check int) "no hit" 0 cs.Solver.Session.cache_hits;
+  Alcotest.(check int) "one miss" 1 cs.Solver.Session.cache_misses
 
 (* Popping the contradicting frame must drop the cached UNSAT verdict:
    the remaining stack is satisfiable. *)
 let test_session_pop_invalidation () =
-  Solver.reset_cache ();
   let a = Expr.ult x32 (i32 5) and b = Expr.ult (i32 10) x32 in
   let s = Solver.Session.create () in
   Solver.Session.push s a;
@@ -525,40 +517,42 @@ let test_session_pop_invalidation () =
       Alcotest.(check bool) "model satisfies the survivor" true (Model.holds m a)
   | _ -> Alcotest.fail "after pop the stack must be sat"
 
-(* Unknown is a budget artifact and must never be served from the cache. *)
+(* Unknown is a budget artifact and must never be served from the cache:
+   re-checking a stalled stack is another miss, not a hit. *)
 let test_session_unknown_not_cached () =
-  Solver.reset_cache ();
   let x = Expr.bv_var "ux" ~width:64 in
-  let rec tower n acc = if n = 0 then acc else tower (n - 1) (Expr.mul acc acc) in
+  let e = Expr.eq (tower 4 x) (Expr.const ~width:64 17L) in
+  let s = Solver.Session.create ~gate_budget:500 () in
+  Solver.Session.push s e;
+  for _ = 1 to 2 do
+    match Solver.Session.check s with
+    | Solver.Unknown _, _ -> ()
+    | _ -> Alcotest.fail "expected gate-budget stall"
+  done;
+  let cs = Solver.Session.cache_stats s in
+  Alcotest.(check int) "no hit" 0 cs.Solver.Session.cache_hits;
+  Alcotest.(check int) "two misses" 2 cs.Solver.Session.cache_misses
+
+(* A stall reaches the caller with the reason naming the budget that ran
+   out. *)
+let test_unknown_reason_surfaced () =
+  let x = Expr.bv_var "rx" ~width:64 in
   let e = Expr.eq (tower 4 x) (Expr.const ~width:64 17L) in
   (match Solver.check ~gate_budget:500 [ e ] with
-   | Solver.Unknown _, _ -> ()
-   | _ -> Alcotest.fail "expected gate-budget stall");
-  match Solver.check [ e ] with
-  | Solver.Unknown _, _ -> Alcotest.fail "stall verdict must not be memoized"
-  | _ -> ()
-
-(* is_satisfiable / must_be_true surface the stall reason instead of
-   silently collapsing it into a boolean. *)
-let test_unknown_reason_surfaced () =
-  Solver.reset_cache ();
-  let x = Expr.bv_var "rx" ~width:64 in
-  let rec tower n acc = if n = 0 then acc else tower (n - 1) (Expr.mul acc acc) in
-  let e = Expr.eq (tower 4 x) (Expr.const ~width:64 17L) in
-  (match Solver.is_satisfiable ~gate_budget:500 [ e ] with
-   | Error reason ->
-       Alcotest.(check bool) "reason mentions the gate budget" true
-         (String.length reason > 0)
-   | Ok _ -> Alcotest.fail "expected a stall");
-  (match Solver.must_be_true ~gate_budget:500 [] e with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "expected a stall");
-  (match Solver.must_be_true [ Expr.ult x32 (i32 5) ] (Expr.ult x32 (i32 10)) with
-   | Ok true -> ()
-   | _ -> Alcotest.fail "x<5 entails x<10");
-  match Solver.must_be_true [] (Expr.ult x32 (i32 10)) with
-  | Ok false -> ()
-  | _ -> Alcotest.fail "x<10 is not valid"
+   | Solver.Unknown reason, _ ->
+       Alcotest.(check string) "gate-budget stall"
+         "gate budget exhausted during bit-blasting" reason
+   | _ -> Alcotest.fail "expected a gate-budget stall");
+  let y = Expr.bv_var "ry" ~width:16 in
+  match
+    Solver.check ~budget:1
+      [ Expr.eq (Expr.mul y (Expr.add y (Expr.const ~width:16 3L)))
+          (Expr.const ~width:16 40L) ]
+  with
+  | Solver.Unknown reason, _ ->
+      Alcotest.(check string) "propagation-budget stall"
+        "propagation budget exhausted during search" reason
+  | _ -> Alcotest.fail "expected a propagation-budget stall"
 
 (* Property: after an arbitrary push/pop interleaving, [Session.check]
    agrees with a one-shot [Solver.check] of the flattened stack — same
@@ -580,7 +574,6 @@ let qcheck_session_vs_oneshot =
     ~count:50
     QCheck2.Gen.(list_size (int_range 1 24) (int_bound (n + n / 2)))
     (fun ops ->
-       Solver.reset_cache ();
        let s = Solver.Session.create () in
        let mirror = ref [] in
        List.iter
@@ -596,7 +589,6 @@ let qcheck_session_vs_oneshot =
          ops;
        let flat = List.rev !mirror in
        let sv, _ = Solver.Session.check s in
-       Solver.reset_cache ();
        let ov, _ = Solver.check flat in
        match (sv, ov) with
        | Solver.Sat m, Solver.Sat _ -> List.for_all (Model.holds m) flat
@@ -642,9 +634,8 @@ let suites =
       [
         Alcotest.test_case "cache hit on repeat query" `Quick
           test_session_cache_repeat;
-        Alcotest.test_case "unsat-core superset fast path" `Quick
-          test_session_unsat_superset;
-        Alcotest.test_case "sat subset fast path" `Quick test_session_subset_sat;
+        Alcotest.test_case "sessions share no answers" `Quick
+          test_session_owns_cache;
         Alcotest.test_case "pop invalidates cached unsat" `Quick
           test_session_pop_invalidation;
         Alcotest.test_case "unknown is never cached" `Quick
