@@ -237,51 +237,7 @@ let vm_totals rows =
         Array.init 3 (fun leg ->
             List.fold_left (fun a (_, _, s) -> a +. s.(k).(leg)) 0. rows)) )
 
-(* `bench vm --opcode-mix`: instead of timing, report the hottest
-   adjacent opcode pairs (block-retirement weighted) per corpus program
-   plus the corpus aggregate — the mining pass behind the committed
-   superinstruction set that [Er_ir.Fuse.analyze] fuses against.  The
-   same counts feed the [er_vm_top_opcode_pair] attribution table at run
-   end. *)
-let opcode_mix = ref false
-
-let run_opcode_mix () =
-  section
-    "bench vm --opcode-mix: hottest adjacent opcode pairs, weighted by \
-     block retirements";
-  let reg = Er_metrics.default in
-  let was = Er_metrics.enabled reg in
-  Er_metrics.set_enabled reg true;
-  let agg : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Bug.spec) ->
-       let prog = Er_ir.Prog.of_program s.Bug.program in
-       let inputs = s.Bug.perf_inputs () in
-       let st = Er_vm.Vm_state.create prog inputs in
-       ignore (Er_vm.Vm_state.run_to_end st);
-       let prof = Er_vm.Vm_state.opcode_pair_profile st in
-       List.iter
-         (fun (k, n) ->
-            Hashtbl.replace agg k
-              ((match Hashtbl.find_opt agg k with Some c -> c | None -> 0) + n))
-         prof;
-       Printf.printf "%-22s %s\n%!" s.Bug.name
-         (String.concat "  "
-            (List.filteri (fun i _ -> i < 5) prof
-            |> List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n))))
-    Registry.table1;
-  Er_metrics.set_enabled reg was;
-  let sorted =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg []
-    |> List.sort (fun (ka, ca) (kb, cb) ->
-           if ca <> cb then compare cb ca else String.compare ka kb)
-  in
-  Printf.printf "\n%-22s %12s\n" "aggregate pair" "weight";
-  List.iteri
-    (fun i (k, n) -> if i < 16 then Printf.printf "%-22s %12d\n" k n)
-    sorted
-
-let run_vm_timed () =
+let run_vm () =
   section "bench vm: compiled engine vs reference interpreter, and ER-traced";
   Printf.printf "%-22s %10s %10s %11s %10s %12s %12s %8s %8s\n" "Application"
     "#Instr" "ref (s)" "lowered (s)" "traced (s)" "ref ips" "lowered ips"
@@ -323,8 +279,6 @@ let run_vm_timed () =
       traced_ratio Trajectory.max_traced_ratio;
     exit 1
   end
-
-let run_vm () = if !opcode_mix then run_opcode_mix () else run_vm_timed ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 5: benefits of data value recording on symex progress           *)
@@ -1150,12 +1104,22 @@ let () =
   let rec parse names out = function
     | [] -> (List.rev names, out)
     | "-o" :: f :: rest -> parse names (Some f) rest
-    | "--opcode-mix" :: rest ->
-        opcode_mix := true;
-        parse names out rest
     | n :: rest -> parse (n :: names) out rest
   in
   let names, out = parse [] None args in
+  (* every name resolves before any job runs: a typo at the end of a
+     long invocation fails at once, not after the jobs before it *)
+  let runs =
+    List.map
+      (fun n ->
+         match List.assoc_opt n jobs with
+         | Some f -> f
+         | None ->
+             Printf.eprintf "bench: unknown job %s (have: %s)\n" n
+               (String.concat ", " (List.map fst jobs));
+             exit 1)
+      (if names = [] then List.map fst jobs else names)
+  in
   (* the reference is read before any job runs: a missing one fails
      fast, and an output that overwrites it is checked against its old
      contents *)
@@ -1171,15 +1135,7 @@ let () =
              exit 1)
       out
   in
-  List.iter
-    (fun n ->
-       match List.assoc_opt n jobs with
-       | Some f -> f ()
-       | None ->
-           Printf.printf "unknown job %s (have: %s)\n" n
-             (String.concat ", " (List.map fst jobs));
-           exit 1)
-    (if names = [] then List.map fst jobs else names);
+  List.iter (fun f -> f ()) runs;
   Option.iter
     (fun (path, number, reference) ->
        let oc = open_out path in

@@ -105,8 +105,28 @@ let run_job ?cache_dir (spec : Er_corpus.Bug.spec) events =
 
 (* -- shared flags -------------------------------------------------- *)
 
+let metrics_formats =
+  [ ("table", `Table); ("json", `Json); ("prometheus", `Prometheus) ]
+
 let metrics_fmt : [ `Table | `Json | `Prometheus ] Arg.conv =
-  Arg.enum [ ("table", `Table); ("json", `Json); ("prometheus", `Prometheus) ]
+  Arg.enum metrics_formats
+
+(* The file of [fleet --metrics-out FILE].  cmdliner completes an
+   unambiguous option prefix, so [fleet --metrics prometheus] (the
+   [reproduce] spelling) arrives here: a format name is refused rather
+   than taken for a file to write the JSON snapshot into. *)
+let metrics_file : string Arg.conv =
+  Arg.conv
+    ( (fun s ->
+        if List.mem_assoc s metrics_formats then
+          Error
+            (`Msg
+               (Printf.sprintf
+                  "%s names a metrics format, not a file: --metrics-out FILE \
+                   writes the JSON snapshot to FILE (- means stdout)"
+                  s))
+        else Ok s),
+      Fmt.string )
 
 (* Flight recorder plumbing shared by [reproduce --trace-out] and
    [fleet --trace-out]: the recorder keeps timestamped begin/end span

@@ -304,11 +304,12 @@ let fleet_cmd =
   let metrics_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some Cli_args.metrics_file) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:"Enable the cross-layer metrics registry for the whole fleet \
                 run and write the final snapshot as JSON to $(docv) (use - \
-                for stdout).")
+                for stdout).  A format name (table, json, prometheus) is \
+                refused: it is not a file.")
   in
   Cmd.v
     (Cmd.info "fleet"

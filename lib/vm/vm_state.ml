@@ -15,16 +15,17 @@
    of the compiled code: each marked instruction's unit is followed by a
    virtual ptwrite (a clock-free step, exactly like an instrumented
    [Ptwrite]) that fires inline while the thread's budget lasts, inside
-   fused units and whole-block chains alike.  Only a mark that ends a
-   budget, or sits on a call, waits on its frame and fires before the
-   frame's next step.  Because the executed program is constant across
-   iterations, checkpoints never need frame remapping when the point set
-   changes.
+   fused runs too.  Only a mark that ends a budget, or sits on a call,
+   waits on its frame and fires before the frame's next step.  Because
+   the executed program is constant across iterations, checkpoints
+   never need frame remapping when the point set changes.
 
    Every run — plain, recorded, plan-marked — dispatches through one
    engine: per-block closure units compiled once per program and set of
    installed hooks (and, for a plan's marked blocks, once per plan),
-   which call those hooks themselves.  Hook invocations
+   which call those hooks themselves.  A dispatch unit is the maximal
+   run of fusable instructions starting at an ip (see
+   [xcompile_block]); no opcode table decides it.  Hook invocations
    and their order, failure reports, outputs and metric totals match
    [Interp.run_reference] bit for bit on instrumented programs (the
    differential suite in test/test_lower.ml pins this down), and
@@ -44,7 +45,6 @@ module Sem = Er_smt.Expr     (* shared concrete semantics *)
 module Ty = Er_smt.Ty
 module M = Er_metrics
 module L = Er_ir.Lower
-module Fuse = Er_ir.Fuse
 
 (* --- retirement metrics --------------------------------------------------- *)
 
@@ -82,15 +82,6 @@ let m_top_blocks =
   M.top ~k:8
     ~help:"Hottest lowered blocks by retirement count (func/label)."
     "er_vm_top_block_retired"
-
-(* Adjacent opcode pairs weighted by the retirement count of the block
-   they appear in: the mining input for the committed superinstruction
-   set that [Er_ir.Fuse.analyze] fuses against.  `bench vm --opcode-mix`
-   reports the same counts per corpus program. *)
-let m_top_pairs =
-  M.top ~k:12
-    ~help:"Hottest adjacent opcode pairs, weighted by block retirements."
-    "er_vm_top_opcode_pair"
 
 let vm_counters =
   [ m_i_alu; m_i_load; m_i_store; m_i_mem; m_i_call; m_i_io; m_i_sync;
@@ -346,34 +337,24 @@ and lthread = {
 (* The threaded code of one basic block: pre-compiled execution units
    the dispatcher runs one closure call at a time, indexed by
    instruction ip with index [n] (the instruction count) standing for
-   the terminator.  [xb_one] holds singleton units; [xb_big] the fused
-   unit starting at each ip where Fuse committed a pair, and the
-   singleton elsewhere (pair tails keep their singleton entry so a
-   resume can land on any instruction boundary).  Units call the hooks
-   of the hook set they were compiled for, and no others.  Every unit
-   updates [lfr_ip] and [lclock] itself, per retired sub-instruction,
-   so a crash mid-unit reports the exact instruction and the exact
-   clock. *)
+   the terminator.  [xb_one] holds singleton units; [xb_big] the unit
+   starting at each ip: the fused run from there (a singleton where the
+   run has length one).  Every ip keeps both entries, so a resume or a
+   budget end can land on any instruction boundary.  Units call the
+   hooks of the hook set they were compiled for, and no others.  Every
+   unit updates [lfr_ip] and [lclock] itself, per retired
+   sub-instruction, so a crash mid-unit reports the exact instruction
+   and the exact clock. *)
 and xunit = t -> lthread -> lframe -> step
 
 and xblock = {
-  xb_cost : int array;        (* clock ticks of xb_big.(ip): 0..3 *)
+  xb_cost : int array;   (* clock ticks of xb_big.(ip): 0 for ptwrite *)
   xb_one : xunit array;
   xb_big : xunit array;
   (* true where the unit may change the current frame or block
-     (terminator, call, or a fused unit ending in the terminator):
+     (terminator, call, or a run ending in the terminator):
      straight-line units skip the post-step transfer checks *)
   xb_ctl : bool array;
-  (* whole-block chain: every fused/singleton unit of the block composed
-     into one closure, terminator included — the dispatcher runs it
-     when the block starts at ip 0 and its full cost fits the
-     remaining quantum ([xb_wcost] <= budget left), so a hot self-loop
-     costs one indirect call per iteration.  [xb_wcost] is [max_int]
-     when the block is ineligible (any non-fusable instruction), which
-     makes eligibility and budget one integer compare. *)
-  xb_whole : xunit;
-  xb_wcost : int;
-  xb_pairs : string list;     (* adjacent pair keys, for the profiler *)
 }
 
 and t = {
@@ -588,11 +569,11 @@ let fire_pending st (fr : lframe) slot =
    immediate truncations, block targets, error strings and the hooks to
    call are all resolved at compile time, so a unit executes no
    per-step decode, no width branches and no test for a hook outside
-   its set.  Fused units (committed opcode pairs from [Fuse.analyze])
-   retire two sub-instructions per dispatch; every sub-instruction still
-   updates ip and the clock itself, so a crash, a blocked sync op, a
-   hook call or a metric flush in the tail observes exactly the state a
-   singleton schedule would have produced.
+   its set.  A fused unit retires a whole run of sub-instructions per
+   dispatch; every sub-instruction still updates ip and the clock
+   itself, so a crash, a hook call or a metric flush inside the run
+   observes exactly the state a singleton schedule would have
+   produced.
 
    The symex engine deliberately keeps dispatching the unfused lowered
    form: its per-instruction cost is dominated by term construction and
@@ -1603,14 +1584,14 @@ let xterm (lf : L.lfunc) (b : L.lblock) ~uid ~(hs : hook_set) : xunit =
         xflush st uid b;
         raise (Crash Failure.Unreachable_reached)
 
-(* Superinstruction composition: the tail runs iff the head retired.
-   Each side updates ip and clock itself, so the pair is observationally
-   the two singleton dispatches back to back. *)
+(* Run composition: the tail runs iff the head retired.  Each side
+   updates ip and clock itself, so the composed unit is observationally
+   the singleton dispatches back to back. *)
 let xpair (head : xunit) (tail : xunit) : xunit =
  fun st th fr -> match head st th fr with Stepped -> tail st th fr | s -> s
 
-(* The hottest committed pair gets a hand-fused unit: cmp feeding the
-   block's own cond_br on the compared flag, sparing the flag re-read
+(* A run that ends in a cmp feeding the block's own cond_br on the
+   compared flag ends in a hand-fused unit, sparing the flag re-read
    and re-test.  The flag register is still written (it stays
    observable), and both sub-steps keep their own clock tick. *)
 let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip ~(hs : hook_set) :
@@ -1668,14 +1649,38 @@ let xplanned (b : L.lblock) ip slot (u : xunit) : xunit =
             Stepped
         | s -> s)
 
+(* Same-frame instructions that either retire ([Stepped]) or crash: a
+   crash mid-run is safe because every sub-instruction updates ip and
+   the clock itself, so the failure report and the partial metric flush
+   see the exact instruction.  Excluded: alloc/free, call/spawn (frame
+   or thread-set changes end a dispatch step), input (the stream cursor
+   keeps its own step), ptwrite (clock-free: [Stepped_free] would cut
+   the run) and the sync ops (may block). *)
+let fusable_instr : L.linstr -> bool = function
+  | L.LBin _ | L.LCmp _ | L.LSelect _ | L.LCast _ | L.LLoad _ | L.LStore _
+  | L.LGep _ | L.LAssert _ | L.LOutput _ -> true
+  | L.LAlloc _ | L.LFree _ | L.LCall _ | L.LInput _ | L.LPtwrite _
+  | L.LSpawn _ | L.LJoin | L.LLock _ | L.LUnlock _ -> false
+
+(* A run extends into its block's jump or return.  Abort and unreachable
+   always crash, so there is nothing to win. *)
+let fusable_term : L.lterm -> bool = function
+  | L.LBr _ | L.LCond_br _ | L.LRet _ -> true
+  | L.LAbort _ | L.LUnreachable -> false
+
 (* One block's threaded code under hook set [hs] and plan row [marks]
-   ([||] when the block is unmarked): singletons, fused units, the
-   control-transfer map and the whole-block chain.  Marked singletons
-   compose into the fused units and the chain like any other; only the
-   hand-fused cmp+cond_br needs an unmarked cmp, since it has no point
-   between its two steps to fire at. *)
+   ([||] when the block is unmarked).  Every ip gets its singleton and
+   one fused unit: the maximal run of fusable instructions starting
+   there, reaching into the terminator when the run gets that far.  A
+   run ending in an unmarked cmp that feeds the block's cond_br ends in
+   the hand-fused cmp+cond_br (a marked cmp has its ptwrite to fire
+   between the two steps).  Marked singletons compose into runs like
+   any other.  A run that covers the whole block is the block's unit at
+   ip 0, so a hot self-loop costs one dispatch per iteration.  Built
+   back to front, each run is its head's singleton composed with the
+   run at the next ip, so a block compiles to O(n) closures. *)
 let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    ~(hs : hook_set) ~(marks : int array) (fp : Fuse.block_plan) : xblock =
+    ~(hs : hook_set) ~(marks : int array) : xblock =
   let n = Array.length b.L.lb_instrs in
   let marked ip = Array.length marks <> 0 && marks.(ip) >= 0 in
   let one =
@@ -1685,65 +1690,37 @@ let xcompile_block (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
           let u = xinstr low b ip ~hs in
           if marked ip then xplanned b ip marks.(ip) u else u)
   in
-  (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
-     terminator, where the hand-fused cmp+cond_br is tried first) *)
-  let pair_at ip =
-    if ip + 1 < n then xpair one.(ip) one.(ip + 1)
-    else
-      match
-        if marked ip then None else xcmp_br_fused lf b ~uid ~ip ~hs
-      with
-      | Some u -> u
-      | None -> xpair one.(ip) one.(n)
-  in
-  let big =
-    Array.init (n + 1) (fun ip ->
-        match fp.Fuse.fp_len.(ip) with
-        | 3 -> xpair one.(ip) (pair_at (ip + 1))
-        | 2 -> pair_at ip
-        | _ -> one.(ip))
-  in
-  (* a unit may transfer control iff it is the terminator, a call (frame
-     push; spawn only adds a thread, the current frame continues), or a
-     fused unit ending in the terminator *)
-  let ctl =
-    Array.init (n + 1) (fun ip ->
-        ip = n
-        || (match b.L.lb_instrs.(ip) with L.LCall _ -> true | _ -> false)
-        || (fp.Fuse.fp_len.(ip) > 1 && ip + fp.Fuse.fp_len.(ip) - 1 = n))
-  in
-  (* Whole-block chain over the fused units.  Only blocks whose every
-     instruction is fusable qualify: calls push frames, inputs touch the
-     stream cursor, ptwrite retires clock-free ([Stepped_free] would cut
-     the chain), the sync ops may block — all of those keep per-unit
-     dispatch.  Each sub-unit still updates ip and the clock itself, so
-     crashes, failure reports and hook calls inside the chain keep
-     exact instruction granularity; the budget gate in the
-     dispatcher guarantees the chain never starts unless the whole block
-     fits the remaining quantum, so every plan mark inside it fires
-     inline.  Cost is [n + 1]: one tick per instruction plus the
-     terminator (no ptwrite instruction here by construction; virtual
-     ones are clock-free). *)
-  let wcost, whole =
-    if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
-      let rec chain ip =
-        let l = fp.Fuse.fp_len.(ip) in
-        if ip + l > n then big.(ip)
-        else xpair big.(ip) (chain (ip + l))
-      in
-      (n + 1, chain 0)
+  let big = Array.copy one in
+  let cost = Array.make (n + 1) 1 in
+  let ctl = Array.init (n + 1) (fun ip -> ip = n) in
+  for ip = n - 1 downto 0 do
+    let i = b.L.lb_instrs.(ip) in
+    let joins =
+      fusable_instr i
+      && (if ip + 1 < n then fusable_instr b.L.lb_instrs.(ip + 1)
+          else fusable_term b.L.lb_term)
+    in
+    if joins then begin
+      cost.(ip) <- 1 + cost.(ip + 1);
+      ctl.(ip) <- ctl.(ip + 1);
+      big.(ip) <-
+        (match
+           if ip + 1 = n && not (marked ip) then
+             xcmp_br_fused lf b ~uid ~ip ~hs
+           else None
+         with
+         | Some u -> u
+         | None -> xpair one.(ip) big.(ip + 1))
     end
-    else (max_int, big.(n))
-  in
-  {
-    xb_cost = fp.Fuse.fp_cost;
-    xb_one = one;
-    xb_big = big;
-    xb_ctl = ctl;
-    xb_whole = whole;
-    xb_wcost = wcost;
-    xb_pairs = Fuse.block_pair_keys b;
-  }
+    else
+      (* a call pushes a frame; a spawn only adds a thread, and the
+         current frame continues *)
+      match i with
+      | L.LPtwrite _ -> cost.(ip) <- 0
+      | L.LCall _ -> ctl.(ip) <- true
+      | _ -> ()
+  done;
+  { xb_cost = cost; xb_one = one; xb_big = big; xb_ctl = ctl }
 
 (* Program-wide block uids: [base.(fidx) + bidx]. *)
 let block_base (low : L.t) : int array =
@@ -1754,29 +1731,25 @@ let block_base (low : L.t) : int array =
   done;
   base
 
-let xcompile (low : L.t) (fuse : Fuse.t) (hs : hook_set) : xblock array array =
+let xcompile (low : L.t) (hs : hook_set) : xblock array array =
   let base = block_base low in
   Array.mapi
     (fun fi (lf : L.lfunc) ->
        Array.mapi
          (fun bi b ->
-            xcompile_block low lf b ~uid:(base.(fi) + bi) ~hs ~marks:[||]
-              fuse.Fuse.f_blocks.(fi).(bi))
+            xcompile_block low lf b ~uid:(base.(fi) + bi) ~hs ~marks:[||])
          lf.L.lf_blocks)
     low.L.l_funcs
 
 (* Bounded compile cache keyed by the *physical* identity of the lowered
    program ([Prog.lowered] memoizes, so every state of one program sees
-   the same [L.t]).  Each entry holds the program's fusion analysis and
-   one compilation per hook set the program has run under — a handful
-   at most (plain, ER recording, Verify, rr), so a program's entry stops
-   growing once each kind of run has happened.  Compiled code is
+   the same [L.t]).  Each entry holds one compilation per hook set the
+   program has run under — a handful at most (plain, ER recording,
+   Verify, rr), so a program's entry stops growing once each kind of
+   run has happened.  Compiled code is
    immutable, so sharing it across states — and across fleet domains —
    is safe; the mutex guards the cache lists and the plans' memos. *)
-type prog_code = {
-  pc_fuse : Fuse.t;
-  mutable pc_codes : (hook_set * xblock array array) list;
-}
+type prog_code = { mutable pc_codes : (hook_set * xblock array array) list }
 
 let xcache : (L.t * prog_code) list ref = ref []
 let xcache_mutex = Mutex.create ()
@@ -1795,7 +1768,7 @@ let prog_code (low : L.t) : prog_code =
         xcache := entry :: List.filter (fun (k, _) -> not (k == low)) !xcache;
       pc
   | None ->
-      let pc = { pc_fuse = Fuse.analyze low; pc_codes = [] } in
+      let pc = { pc_codes = [] } in
       let kept =
         if List.length !xcache >= xcache_cap then
           List.filteri (fun i _ -> i < xcache_cap - 1) !xcache
@@ -1808,7 +1781,7 @@ let code_in (low : L.t) (pc : prog_code) (hs : hook_set) =
   match List.assoc_opt hs pc.pc_codes with
   | Some code -> code
   | None ->
-      let code = xcompile low pc.pc_fuse hs in
+      let code = xcompile low hs in
       pc.pc_codes <- (hs, code) :: pc.pc_codes;
       code
 
@@ -1816,17 +1789,15 @@ let xcode_of (low : L.t) (hs : hook_set) : xblock array array =
   with_xcache (fun () -> code_in low (prog_code low) hs)
 
 (* The threaded code of a run under plan [p] and hook set [hs], memoized
-   in the plan.  Marked blocks compile with their marks against the
-   program's fusion analysis; unmarked blocks are the plain code's own
-   [xblock]s. *)
+   in the plan.  Marked blocks compile afresh with their marks;
+   unmarked blocks are the plain code's own [xblock]s. *)
 let plan_code (p : plan) (hs : hook_set) : xblock array array =
   with_xcache (fun () ->
       match List.assoc_opt hs p.pl_code with
       | Some code -> code
       | None ->
           let low = p.pl_low in
-          let pc = prog_code low in
-          let plain = code_in low pc hs in
+          let plain = code_in low (prog_code low) hs in
           let base = block_base low in
           let code =
             Array.mapi
@@ -1838,8 +1809,7 @@ let plan_code (p : plan) (hs : hook_set) : xblock array array =
                       | [||] -> xb
                       | marks ->
                           xcompile_block low lf lf.L.lf_blocks.(bi)
-                            ~uid:(base.(fi) + bi) ~hs ~marks
-                            pc.pc_fuse.Fuse.f_blocks.(fi).(bi))
+                            ~uid:(base.(fi) + bi) ~hs ~marks)
                    row)
               plain
           in
@@ -1856,9 +1826,10 @@ let plan_code (p : plan) (hs : hook_set) : xblock array array =
    (see [xplanned]), which fire their virtual ptwrites inline below
    [ldeadline]; the only marks left for the dispatcher are the deferred
    ones, which fire from [lfr_pending] before the frame's next step.
-   Fused units never start unless their full cost fits the remaining
-   budget, so quantum boundaries and the hang check land on exactly the
-   instruction they would in singleton dispatch. *)
+   A fused run never starts unless its full cost fits the remaining
+   budget (the singleton runs instead), so quantum boundaries and the
+   hang check land on exactly the instruction they would in singleton
+   dispatch, and a mark inside a run always fires inline. *)
 let exec_threaded (st : t) (th : lthread) ~budget : step =
   let deadline = st.lclock + budget in
   st.ldeadline <- deadline;
@@ -1884,7 +1855,6 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
         in
         let one = xb.xb_one and big = xb.xb_big in
         let cost = xb.xb_cost and ctl = xb.xb_ctl in
-        let wcost = xb.xb_wcost and whole = xb.xb_whole in
         (* tight loop: stay while this frame keeps running this block
            (self-loops included); any frame or block change falls out
            to re-resolve the closure arrays and the deferred mark *)
@@ -1896,44 +1866,26 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
           end
           else begin
             let ip = fr.lfr_ip in
-            if ip = 0 && wcost <= deadline - st.lclock then
-              (* whole-block chain: ends in the terminator, so only a
-                 self-loop back to this block stays in the tight loop *)
-              match whole st th fr with
-              | Stepped ->
-                  if
-                    not
-                      (fr.lfr_block == b0
-                      && (match th.lstack with
-                         | top :: _ -> top == fr
-                         | [] -> false))
-                  then inblock := false
-              | Stepped_free -> ()
-              | (Blocked | Thread_done | Program_done _) as s ->
-                  result := s;
-                  inblock := false;
-                  running := false
-            else
-              let f =
-                if Array.unsafe_get cost ip <= deadline - st.lclock then
-                  Array.unsafe_get big ip
-                else Array.unsafe_get one ip
-              in
-              match f st th fr with
-              | Stepped ->
-                  if
-                    Array.unsafe_get ctl ip
-                    && not
-                         (fr.lfr_block == b0
-                         && (match th.lstack with
-                            | top :: _ -> top == fr
-                            | [] -> false))
-                  then inblock := false
-              | Stepped_free -> ()
-              | (Blocked | Thread_done | Program_done _) as s ->
-                  result := s;
-                  inblock := false;
-                  running := false
+            let f =
+              if Array.unsafe_get cost ip <= deadline - st.lclock then
+                Array.unsafe_get big ip
+              else Array.unsafe_get one ip
+            in
+            match f st th fr with
+            | Stepped ->
+                if
+                  Array.unsafe_get ctl ip
+                  && not
+                       (fr.lfr_block == b0
+                       && (match th.lstack with
+                          | top :: _ -> top == fr
+                          | [] -> false))
+                then inblock := false
+            | Stepped_free -> ()
+            | (Blocked | Thread_done | Program_done _) as s ->
+                result := s;
+                inblock := false;
+                running := false
           end
         done
   done;
@@ -2005,44 +1957,11 @@ let set_plan (t : t) (p : plan) =
     invalid_arg "Vm_state.set_plan: plan built for another program";
   t.lxcode <- plan_code p (hook_set_of t.lcfg.hooks)
 
-(* This state's adjacent-pair retirement counts: every pair of a block
-   (terminator included) weighted by the block's retirement count.  The
-   mining input for the committed superinstruction set; only as fresh as
-   [lblk_counts], which is metrics-gated. *)
-let pair_counts t : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun (lf : L.lfunc) ->
-       let base = t.lblock_base.(lf.L.lf_idx) in
-       Array.iteri
-         (fun bidx _ ->
-            let n = t.lblk_counts.(base + bidx) in
-            if n > 0 then
-              List.iter
-                (fun key ->
-                   Hashtbl.replace tbl key
-                     ((match Hashtbl.find_opt tbl key with
-                       | Some c -> c
-                       | None -> 0)
-                     + n))
-                t.lxcode.(lf.L.lf_idx).(bidx).xb_pairs)
-         lf.L.lf_blocks)
-    t.llow.L.l_funcs;
-  tbl
-
-(* Pair counts sorted hottest first (count desc, then key asc for
-   deterministic output); what `bench vm --opcode-mix` prints. *)
-let opcode_pair_profile t : (string * int) list =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (pair_counts t) []
-  |> List.sort (fun (ka, ca) (kb, cb) ->
-         if ca <> cb then compare cb ca else String.compare ka kb)
-
 (* Publish this state's per-block retirement counts into the bounded
-   hottest-blocks table, and the derived pair counts into the pair
-   table (max per key, so repeated runs of one state just refresh their
-   rows). *)
+   hottest-blocks table (max per key, so repeated runs of one state
+   just refresh their rows). *)
 let publish_block_profile t =
-  if M.enabled M.default then begin
+  if M.enabled M.default then
     Array.iter
       (fun (lf : L.lfunc) ->
          let base = t.lblock_base.(lf.L.lf_idx) in
@@ -2054,11 +1973,7 @@ let publish_block_profile t =
                   ~key:(lf.L.lf_name ^ "/" ^ blk.L.lb_label)
                   n)
            lf.L.lf_blocks)
-      t.llow.L.l_funcs;
-    Hashtbl.iter
-      (fun key n -> M.top_observe m_top_pairs ~key n)
-      (pair_counts t)
-  end
+      t.llow.L.l_funcs
 
 let finish t ?crashed outcome =
   flush_partial t ~crashed;
@@ -2220,8 +2135,6 @@ type checkpoint = {
   vck_mem : Memory.checkpoint;
   vck_inputs : Inputs.checkpoint;
   vck_fexec : int array;
-  (* process-registry VM counter values, for the opt-in metric restore *)
-  vck_counters : (M.counter * int) list;
 }
 
 let clock_of_checkpoint ck = ck.vck_clock
@@ -2272,14 +2185,12 @@ let snapshot (t : t) : checkpoint =
     vck_mem = Memory.snapshot t.lmem;
     vck_inputs = Inputs.checkpoint t.linputs;
     vck_fexec = Array.copy t.lfexec;
-    vck_counters = List.map (fun c -> (c, M.counter_value c)) vm_counters;
   }
 
 (* Restore the full run state.  Metrics are process-global and shared
-   with whatever else ran since the snapshot, so winding the counters
-   back is opt-in ([~restore_metrics:true] — used by the bit-identity
-   property test); the ER pipeline leaves them monotone. *)
-let revert ?(restore_metrics = false) (t : t) (ck : checkpoint) : unit =
+   with whatever else ran since the snapshot, so they stay monotone: a
+   replayed suffix adds its counts again. *)
+let revert (t : t) (ck : checkpoint) : unit =
   Memory.revert t.lmem ck.vck_mem;
   Inputs.restore t.linputs ck.vck_inputs;
   t.lclock <- ck.vck_clock;
@@ -2299,11 +2210,7 @@ let revert ?(restore_metrics = false) (t : t) (ck : checkpoint) : unit =
       ck.vck_threads;
   t.lcur <- List.find (fun th -> th.ltid = ck.vck_cur) t.lthreads;
   t.lfexec <- Array.copy ck.vck_fexec;
-  t.lresult <- None;
-  if restore_metrics then
-    List.iter
-      (fun (c, v) -> M.add c (v - M.counter_value c))
-      ck.vck_counters
+  t.lresult <- None
 
 (* Swap in the next occurrence's stream contents while keeping the
    restored cursors: how a resumed prefix continues under new inputs.

@@ -9,10 +9,11 @@
     next iteration's recording-point set.
 
     One compiled engine runs every configuration.  Each block compiles
-    to closure units — singletons, fused superinstructions, whole-block
-    chains — once per lowered program and per set of installed hooks,
-    and the units call those hooks themselves, at the reference
-    engine's points and in its order.  Plain, recorded (ER, rr) and
+    to closure units — one singleton per instruction, and per ip the
+    maximal run of fusable instructions starting there — once per
+    lowered program and per set of installed hooks, and the units call
+    those hooks themselves, at the reference engine's points and in its
+    order.  Plain, recorded (ER, rr) and
     replayed ([Verify]) runs therefore share one dispatch path;
     [Interp.run_reference] is the oracle it is tested against.  The
     untimed offline analyses (REPT's definition log, the Daikon case
@@ -23,10 +24,10 @@
     rather than by rewriting it with ptwrite instructions.  The plan is
     a compile-time input of the threaded code: its marked blocks compile
     with a virtual ptwrite (clock-free, like an instrumented [Ptwrite])
-    after each marked instruction, inside the fused units and whole-block
-    chains, and its unmarked blocks share the plain code.  A mark fires
-    inline unless the instruction ends the thread's budget or is a call;
-    then it waits on the frame and fires before the frame's next step.
+    after each marked instruction, inside the fused runs too, and its
+    unmarked blocks share the plain code.  A mark fires inline unless
+    the instruction ends the thread's budget or is a call; then it
+    waits on the frame and fires before the frame's next step.
     The executed program is therefore constant across iterations and
     checkpoints never need remapping when the point set changes. *)
 
@@ -185,10 +186,9 @@ val clock_of_checkpoint : checkpoint -> int
 val snapshot : t -> checkpoint
 
 (** Restore the state captured by {!snapshot}.  Process-registry metric
-    counters are shared with everything else that ran since, so winding
-    them back is opt-in ([~restore_metrics:true]); the ER pipeline
-    leaves them monotone. *)
-val revert : ?restore_metrics:bool -> t -> checkpoint -> unit
+    counters are shared with everything else that ran since, so they
+    stay monotone: a replayed suffix adds its counts again. *)
+val revert : t -> checkpoint -> unit
 
 (** Swap in another workload's stream contents while keeping the current
     cursors: how a resumed prefix continues under the next occurrence's
@@ -220,13 +220,6 @@ val result : t -> run_result option
 val memory : t -> Memory.t
 val inputs : t -> Inputs.t
 val lowered : t -> Er_ir.Lower.t
-
-(** This state's adjacent opcode-pair retirement counts (every adjacent
-    pair of a block, terminator included, weighted by the block's
-    retirement count), hottest first; ties broken by key for
-    deterministic output.  Counts accumulate only while metrics are
-    enabled, like the block profile they derive from. *)
-val opcode_pair_profile : t -> (string * int) list
 
 type frame_view = {
   fv_func : string;

@@ -877,10 +877,9 @@ let test_engine_programs_validate () =
          (fst (Er_select.Instrument.apply program points)))
     (QCheck2.Gen.generate ~rand ~n:300 gen_plan_case)
 
-(* A self-looping block whose static shape exercises every unit kind at
-   once: a committed load+bin+store triple, the hand-fused cmp+cond_br
-   terminator pair — and, every instruction being fusable, the
-   whole-block chain. *)
+(* A self-looping block of fusable instructions only: its run from ip 0
+   covers the whole block and ends in the hand-fused cmp+cond_br, and
+   the run from every later ip is a suffix of it. *)
 let fused_loop_prog ?(bound = 50L) () =
   mk_prog
     ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -901,6 +900,49 @@ let fused_loop_prog ?(bound = 50L) () =
     ]
     "main"
 
+(* A looping block whose fusable instructions form two runs split by a
+   call: ips 0-5 (load, bin, gep, bin, store, bin) and ips 7-10 (store,
+   bin, output, cmp), the second ending in the cmp that feeds the
+   cond_br.  The units starting at ips 0-2 and 7-8 are longer than
+   three.  An iteration retires 14 instructions (12 in main, 2 in
+   [bump]).
+   With [size] below [bound], the store at ip 4, fifth of the six-long
+   run, writes out of bounds once [%i] reaches [size]. *)
+let long_run_prog ?(size = 16) ?(bound = 12L) () =
+  mk_prog
+    ~globals:
+      [ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None };
+        { gname = "buf"; g_elt_ty = I64; g_size = size; g_init = None } ]
+    [
+      mk_func "main" [] (Some I64)
+        [
+          mk_block "entry" [] (Br "loop");
+          mk_block "loop"
+            [
+              Load { dst = "%i"; ty = I64; addr = Global "cell" };
+              Bin { dst = "%j"; op = Add; ty = I64; a = Reg "%i"; b = Imm (1L, I64) };
+              Gep { dst = "%p"; base = Global "buf"; idx = Reg "%i" };
+              Bin { dst = "%k"; op = Mul; ty = I64; a = Reg "%j"; b = Imm (3L, I64) };
+              Store { ty = I64; v = Reg "%k"; addr = Reg "%p" };
+              Bin { dst = "%w"; op = Xor; ty = I64; a = Reg "%k"; b = Reg "%i" };
+              Call { dst = Some "%m"; func = "bump"; args = [ Reg "%k" ] };
+              Store { ty = I64; v = Reg "%j"; addr = Global "cell" };
+              Bin { dst = "%s"; op = Sub; ty = I64; a = Reg "%m"; b = Reg "%w" };
+              Output { v = Reg "%s" };
+              Cmp { dst = "%c"; op = Ult; ty = I64; a = Reg "%j"; b = Imm (bound, I64) };
+            ]
+            (Cond_br { cond = Reg "%c"; if_true = "loop"; if_false = "done" });
+          mk_block "done" [ Output { v = Reg "%j" } ] (Ret (Some (Reg "%j")));
+        ];
+      mk_func "bump" [ ("%x", I64) ] (Some I64)
+        [
+          mk_block "entry"
+            [ Bin { dst = "%y"; op = Add; ty = I64; a = Reg "%x"; b = Imm (1L, I64) } ]
+            (Ret (Some (Reg "%y")));
+        ];
+    ]
+    "main"
+
 let resume_obs (r : Vs.run_result) =
   ( (match r.Vs.outcome with
      | Vs.Finished None -> "finished"
@@ -915,43 +957,59 @@ let resume_obs_t = Alcotest.(triple string int (list int64))
    land anywhere relative to the fused units — the budget guard must
    split them back to singletons so the checkpoint sits at exact
    instruction granularity, and the resumed suffix must be bit-identical
-   whether the pause fell on a fused-block boundary or inside one. *)
+   whether the pause fell between two runs or inside one. *)
 let test_fast_checkpoint_resume () =
+  (* 9-tick quanta, so the [pause_at] boundaries fall at clocks 9, 18,
+     ...: under the default 60 +/- 24 quanta every k below the first
+     boundary pauses at the same clock, and the running example
+     finishes before it *)
+  let config = { Interp.default_config with quantum = 9; quantum_jitter = 0 } in
   let check_prog name program mk_inputs ks =
     let straight =
       resume_obs
-        (Vs.run_program ~config:Interp.default_config (Prog.of_program program)
-           (mk_inputs ()))
+        (Vs.run_program ~config (Prog.of_program program) (mk_inputs ()))
     in
-    List.iter
-      (fun k ->
-         let prog = Prog.of_program program in
-         let vm =
-           Vs.create ~config:Interp.default_config
-             ~plan:(Vs.empty_plan (Prog.lowered prog))
-             prog (mk_inputs ())
-         in
-         match Vs.run ~pause_at:k vm with
-         | Some _ -> () (* finished before ever pausing *)
-         | None ->
-             let ck = Vs.snapshot vm in
-             let first = resume_obs (Vs.run_to_end vm) in
-             Vs.revert vm ck;
-             let second = resume_obs (Vs.run_to_end vm) in
-             Alcotest.check resume_obs_t
-               (Printf.sprintf "%s k=%d: replay" name k)
-               first second;
-             Alcotest.check resume_obs_t
-               (Printf.sprintf "%s k=%d: vs straight" name k)
-               straight first)
-      ks
+    let paused =
+      List.filter
+        (fun k ->
+           let prog = Prog.of_program program in
+           let vm =
+             Vs.create ~config
+               ~plan:(Vs.empty_plan (Prog.lowered prog))
+               prog (mk_inputs ())
+           in
+           match Vs.run ~pause_at:k vm with
+           | Some _ -> false (* finished before ever pausing *)
+           | None ->
+               let ck = Vs.snapshot vm in
+               let first = resume_obs (Vs.run_to_end vm) in
+               Vs.revert vm ck;
+               let second = resume_obs (Vs.run_to_end vm) in
+               Alcotest.check resume_obs_t
+                 (Printf.sprintf "%s k=%d: replay" name k)
+                 first second;
+               Alcotest.check resume_obs_t
+                 (Printf.sprintf "%s k=%d: vs straight" name k)
+                 straight first;
+               true)
+        ks
+    in
+    Alcotest.(check bool) (name ^ ": some k pauses") true (paused <> [])
   in
-  (* k = 1..30 sweeps every boundary and interior position of the fused
-     loop's units across several iterations *)
+  (* against the 5-tick iteration, k = 1..45 puts a boundary on every
+     position of the loop's runs *)
   check_prog "fused loop"
     (fused_loop_prog ())
     (fun () -> Er_vm.Inputs.make [])
-    (List.init 30 (fun i -> i + 1));
+    (List.init 45 (fun i -> i + 1));
+  (* against the 14-tick iteration, the boundaries fall on every
+     position of both runs (and of the call between them) within nine
+     iterations, most of them inside a run, whose remaining suffix then
+     runs as one unit on resume *)
+  check_prog "two long runs"
+    (long_run_prog ())
+    (fun () -> Er_vm.Inputs.make [])
+    (List.init 170 (fun i -> i + 1));
   let spec = Er_corpus.Registry.running_example in
   check_prog "running example" spec.Bug.program
     (fun () -> fst (spec.Bug.failing_workload ~occurrence:1))
@@ -1027,16 +1085,18 @@ let with_spinner (p : program) =
 (* Plan marks are compiled into the fused units, so each must fire its
    virtual ptwrite exactly where the instruction [Instrument.apply]
    inserts would run.  In [fused_loop_prog]'s loop, p_index 0-3 are the
-   head, middle and tail of the load+bin+store triple and the cmp of the
-   hand-fused cmp+cond_br pair, all inside the whole-block chain; each
-   is marked alone and then all together.  A 10 +/- 4 quantum over ten
-   scheduler seeds ends budgets on every position of the 5-tick loop,
-   so marks both fire inline and defer across the budget end, and each
-   program also runs [with_spinner], where a deferred mark must follow
-   the thread switch.  The call program marks a call, whose ptwrite
-   must trace the bound return value.  Outcome, instruction count and
-   the packet bytes must equal the reference engine's on the
-   instrumented program. *)
+   first three instructions of the run that covers the whole block and
+   the cmp that would otherwise end it in the hand-fused cmp+cond_br;
+   in [long_run_prog]'s loop, p_index 0-5 are the six instructions of
+   its first run (the store at 4 defines nothing, so its mark is
+   dropped on both sides).  Each is marked alone and then all
+   together.  A 10 +/- 4 quantum over ten scheduler seeds ends budgets
+   on every position of both loops, so marks both fire inline and
+   defer across the budget end, and each program also runs
+   [with_spinner], where a deferred mark must follow the thread switch.
+   The call program marks a call, whose ptwrite must trace the bound
+   return value.  Outcome, instruction count and the packet bytes must
+   equal the reference engine's on the instrumented program. *)
 let test_plan_marks_land_exactly () =
   let check_marks name program indices =
     let points =
@@ -1079,13 +1139,20 @@ let test_plan_marks_land_exactly () =
          (fun i -> check_marks (Printf.sprintf "%s, mark %d" name i) loop [ i ])
          [ 0; 1; 2; 3 ];
        check_marks (name ^ ", marks 0-3") loop [ 0; 1; 2; 3 ];
+       let long = variant (long_run_prog ()) in
+       let run1 = [ 0; 1; 2; 3; 4; 5 ] in
+       List.iter
+         (fun i ->
+            check_marks (Printf.sprintf "%s, long run mark %d" name i) long [ i ])
+         run1;
+       check_marks (name ^ ", long run marks 0-5") long run1;
        check_marks (name ^ ", marked call") (variant (call_loop_prog ())) [ 0; 1; 3 ])
     [ ("one thread", false); ("with spinner", true) ]
 
 (* Crashes inside fused units: the failure must name the exact
    sub-instruction, with the preceding elements of the unit retired. *)
 let test_fused_unit_crash_parity () =
-  (* head faults: udiv-by-zero heading a committed bin+store pair *)
+  (* head faults: udiv-by-zero heading a bin+store run *)
   let div_prog =
     mk_prog
       ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -1103,12 +1170,12 @@ let test_fused_unit_crash_parity () =
       ]
       "main"
   in
-  check_fast_pair "udiv-by-zero at fused-pair head"
+  check_fast_pair "udiv-by-zero heading a run"
     (Prog.of_program div_prog)
     (fun () -> Er_vm.Inputs.make [])
     0;
-  (* tail faults: out-of-bounds store ending a bin+gep+store triple,
-     after the two head elements retired *)
+  (* late faults: out-of-bounds store third in a bin+gep+store+ret run,
+     after the two elements before it retired *)
   let oob_prog =
     mk_prog
       ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -1127,10 +1194,20 @@ let test_fused_unit_crash_parity () =
       ]
       "main"
   in
-  check_fast_pair "out-of-bounds store at fused-triple tail"
+  check_fast_pair "out-of-bounds store third in a run"
     (Prog.of_program oob_prog)
     (fun () -> Er_vm.Inputs.make [])
-    0
+    0;
+  (* mid-run faults: the store fifth in [long_run_prog]'s six-long run
+     writes past a 3-cell buffer in the fourth iteration; ten seeds move
+     the budget ends, so the run crashes both as one unit and split *)
+  for seed = 0 to 9 do
+    check_fast_pair
+      (Printf.sprintf "out-of-bounds store fifth in a run, seed %d" seed)
+      (Prog.of_program (long_run_prog ~size:3 ()))
+      (fun () -> Er_vm.Inputs.make [])
+      seed
+  done
 
 (* Width and signedness edges through the specialised ALU units: shift
    counts at and beyond the word width, and signed/unsigned compares
