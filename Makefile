@@ -1,14 +1,14 @@
 # Tier-1 verification in one command: `make ci` chains the build, the
-# full test suite, the four examples, the format check, the vm,
-# long-trace and warm-start bench gates, the section 5.3
-# offline-overhead gate, the Fig. 5 falling-solver-work gate, the
-# Fig. 6 ER-below-rr gate, the section 5.4 case-study gate, the
-# fleet-determinism gate and the trajectory check of the newest
-# committed BENCH_N.json against the one before it.
+# full test suite, the four examples, the format check, Table 1's
+# per-bug trajectory rows, the vm, long-trace and warm-start bench
+# gates, the section 5.3 offline-overhead gate, the Fig. 5
+# falling-solver-work gate, the Fig. 6 ER-below-rr gate, the section
+# 5.4 case-study gate, the fleet-determinism gate and the trajectory
+# check of the newest committed BENCH_N.json against the one before it.
 
 .PHONY: all build test examples fmt ci fleet fleet-determinism bench-vm \
-	bench-fleet bench-long-trace bench-warm bench-offline bench-fig5 \
-	bench-fig6 bench-casestudy bench-diff
+	bench-fleet bench-table1 bench-long-trace bench-warm bench-offline \
+	bench-fig5 bench-fig6 bench-casestudy bench-diff
 
 # Where the warm-start trial persists its solver stores; CI points this
 # at a workspace path so the journals upload as artifacts.
@@ -48,6 +48,7 @@ ci:
 	dune runtest
 	$(MAKE) examples
 	$(MAKE) fmt
+	$(MAKE) bench-table1
 	$(MAKE) bench-vm
 	$(MAKE) bench-long-trace
 	$(MAKE) bench-warm
@@ -74,6 +75,13 @@ fleet-determinism:
 # Every `-o FILE` below writes the job's section of a trajectory and
 # checks it against the newest committed BENCH_N.json (the rows of
 # bench/trajectory.ml), failing on a regression that names its section.
+
+# Table 1 reconstructed bug by bug: each bug's exact rows (occurrences,
+# runs, solver cost and the other deterministic counters) must equal
+# the committed trajectory's.  A change that moves solver cost between
+# bugs, or one bug's occurrences, fails here even when the totals hold.
+bench-table1:
+	dune exec bench/main.exe -- table1 -o /tmp/er_bench_table1.json
 
 # Block-fused threaded-dispatch engine vs reference interpreter on the
 # Table 1 perf workloads.  The check compares speedup ratios, not raw

@@ -19,7 +19,9 @@
                 ER-traced (under each bug's recording plan) vs untraced
                 time; gates the traced/untraced ratio at 1.4
      fleet      Table 1 corpus on a domain pool, -j 1 vs -j 4
-     longtrace  long-trace family: checkpoint/resume vs from-scratch
+     longtrace  long-trace family: checkpoint/resume vs from-scratch;
+                gates the speedup at 1.5x and the shepherd's steps run
+                on the compiled VM at 99%
      warm       cold fleet pass, then a warm pass replaying the persisted
                 solver store; gates warm total solver_cost strictly below
                 cold with byte-identical per-bug trajectories
@@ -899,6 +901,10 @@ let run_fleet () =
 (* Long-trace family: incremental checkpoint/resume vs from-scratch    *)
 (* ------------------------------------------------------------------ *)
 
+(* Share of long-trace's shepherded steps that must run on the compiled
+   VM: all but the few after its failing runs' first input. *)
+let longtrace_min_fast_forward = 0.99
+
 let run_longtrace () =
   section
     "bench longtrace: incremental checkpoint/resume vs from-scratch tracing";
@@ -915,9 +921,23 @@ let run_longtrace () =
     in
     (Unix.gettimeofday () -. t0, r)
   in
-  (* warm the code cache once, then keep the best of three walls per
-     mode, the modes alternating so a drift in machine speed hits both *)
+  (* warm the code cache once, with metrics on to count what the
+     shepherd replayed on the compiled VM, then keep the best of three
+     walls per mode, the modes alternating so a drift in machine speed
+     hits both *)
+  let reg = Er_metrics.default in
+  let was_enabled = Er_metrics.enabled reg in
+  let counted () =
+    let snap = Er_metrics.snapshot () in
+    ( Er_metrics.Snapshot.counter_total snap "er_symex_fast_forwarded_total",
+      Er_metrics.Snapshot.counter_total snap "er_symex_steps_total" )
+  in
+  let ff0, steps0 = counted () in
+  Er_metrics.set_enabled reg true;
   ignore (run ~incremental:true);
+  Er_metrics.set_enabled reg was_enabled;
+  let ff1, steps1 = counted () in
+  let ff = ff1 - ff0 and steps = steps1 - steps0 in
   let keep (bw, br) (w, r) = if w < bw then (w, Some r) else (bw, br) in
   let rec trials n (bi, bs) =
     if n = 0 then (bi, bs)
@@ -932,15 +952,27 @@ let run_longtrace () =
       (fun a it -> a + it.Er_core.Pipeline.solver_cost)
       0 r.Er_core.Pipeline.iterations
   in
+  let stage sel (r : Er_core.Pipeline.result) =
+    List.fold_left (fun a it -> a +. sel it) 0. r.Er_core.Pipeline.iterations
+  in
+  let tracer = stage (fun it -> it.Er_core.Pipeline.trace_time)
+  and shepherd = stage (fun it -> it.Er_core.Pipeline.symex_time) in
   let ck = ri.Er_core.Pipeline.ckpt in
   let speedup = if wi > 0. then ws /. wi else 1. in
   Printf.printf
-    "  incremental : wall %.3fs  (%d checkpoints, %d resumes, %d instrs \
-     saved, %d executed)\n"
-    wi ck.Er_core.Pipeline.ck_taken ck.Er_core.Pipeline.ck_resumes
-    ck.Er_core.Pipeline.ck_saved_instrs ck.Er_core.Pipeline.ck_executed_instrs;
-  Printf.printf "  from-scratch: wall %.3fs\n" ws;
-  Printf.printf "  end-to-end speedup: %.2fx (gate: >= 1.5x)\n%!" speedup;
+    "  incremental : wall %.3fs  failing-run tracer %.3fs  shepherd %.3fs  \
+     (%d checkpoints, %d resumes, %d instrs saved, %d executed)\n"
+    wi (tracer ri) (shepherd ri) ck.Er_core.Pipeline.ck_taken
+    ck.Er_core.Pipeline.ck_resumes ck.Er_core.Pipeline.ck_saved_instrs
+    ck.Er_core.Pipeline.ck_executed_instrs;
+  Printf.printf
+    "  from-scratch: wall %.3fs  failing-run tracer %.3fs  shepherd %.3fs\n" ws
+    (tracer rs) (shepherd rs);
+  Printf.printf "  end-to-end speedup: %.2fx (gate: >= 1.5x)\n" speedup;
+  Printf.printf
+    "  shepherd fast-forwarded %d of %d steps on the compiled VM (gate: >= \
+     %.0f%%)\n%!"
+    ff steps (100. *. longtrace_min_fast_forward);
   (* identical reconstruction is a hard invariant, not a perf number *)
   if cost ri <> cost rs then begin
     Printf.eprintf "longtrace: solver cost diverges between modes (%d vs %d)\n"
@@ -954,6 +986,12 @@ let run_longtrace () =
   if speedup < 1.5 then begin
     Printf.eprintf
       "longtrace: %.2fx is below the 1.5x incremental-tracing gate\n" speedup;
+    exit 1
+  end;
+  if float_of_int ff < longtrace_min_fast_forward *. float_of_int steps then begin
+    Printf.eprintf
+      "longtrace: the shepherd fast-forwarded %d of %d steps, below %.0f%%\n"
+      ff steps (100. *. longtrace_min_fast_forward);
     exit 1
   end;
   longtrace_stats := Some (wi, ws, ck)

@@ -120,6 +120,7 @@ type t = {
   l_globals : global array;           (* program order = allocation order *)
   l_global_index : (string, int) Hashtbl.t;
   l_main : int;
+  l_has_spawn : bool;                 (* some instruction spawns a thread *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -299,7 +300,17 @@ let compile (p : program) : t =
     | None -> invalid_arg (Printf.sprintf "Lower: main function %s not found" p.main)
   in
   use_fault (Validate.main_fault p ~params);
-  { l_src = p; l_funcs; l_func_index; l_globals; l_global_index; l_main }
+  let l_has_spawn =
+    List.exists
+      (fun (f : func) ->
+         List.exists
+           (fun (b : block) ->
+              Array.exists (function Spawn _ -> true | _ -> false) b.instrs)
+           f.blocks)
+      p.funcs
+  in
+  { l_src = p; l_funcs; l_func_index; l_globals; l_global_index; l_main;
+    l_has_spawn }
 
 let func_by_name t name =
   match Hashtbl.find_opt t.l_func_index name with

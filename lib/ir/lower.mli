@@ -118,6 +118,9 @@ type t = {
   l_globals : global array;  (** program order — the allocation order *)
   l_global_index : (string, int) Hashtbl.t;
   l_main : int;
+  l_has_spawn : bool;
+      (** some instruction spawns a thread; a program without one runs a
+          single thread whatever the scheduler seed *)
 }
 
 val compile : program -> t

@@ -24,7 +24,9 @@
    instruction type — so both make the same terms in the same order and
    the same solver queries.  Only the reference engine checks register
    definedness and call arity at run time; the lowered one relies on
-   the validation [Lower.compile] runs. *)
+   the validation [Lower.compile] runs.  The lowered engine first
+   replays a long input-free prefix on the compiled VM and shepherds
+   from its state (see "Fast-forward" below). *)
 
 open Er_ir.Types
 module Expr = Er_smt.Expr
@@ -394,14 +396,14 @@ let store st ~at ev ty v addr =
 (* The runtime always traces allocation sizes; bind the symbolic count to
    the recorded concrete size.  The engine keeps a stack object for
    freeing on return. *)
-let alloc st ev ~elt_ty ~heap count : Symmem.sobj =
+let alloc st ev ~elt_ty count : Symmem.sobj =
   let recorded = next_data st in
   let c = bv ev I32 count in
   (if not (Expr.is_const c) then
      push_path st (Expr.eq c (bvc ~width:32 recorded))
    else if not (Int64.equal (Option.get (Expr.to_const c)) recorded) then
      raise (Diverge "allocation size contradicts trace"));
-  Symmem.alloc st.mem ~elt_ty ~size:(Int64.to_int recorded) ~heap
+  Symmem.alloc st.mem ~elt_ty ~size:(Int64.to_int recorded)
 
 let obj_ptr (o : Symmem.sobj) =
   Sval.Ptr { obj = o.Symmem.s_id; index = bvc ~width:32 0L }
@@ -572,50 +574,54 @@ type 'fr engine = {
   failing : 'fr st -> 'fr -> failing;
 }
 
-let shepherd eng ~main ~config (prog : Er_ir.Prog.t) ~trace ~failure
-    ~failure_clock : result =
-  let globals = prog.Er_ir.Prog.program.globals in
-  let st =
-    {
-      prog;
-      cfg = config;
-      trace;
-      failure;
-      failure_clock;
-      graph = Cgraph.create ();
-      session =
-        Solver.Session.create ~budget:config.solver_budget
-          ~gate_budget:config.gate_budget ();
-      mem = Symmem.create ();
-      globals = Hashtbl.create 16;
-      lobjs = Array.make (List.length globals) 0;
-      threads = [];
-      next_tid = 1;
-      clock = 0;
-      branch_i = 0;
-      data_i = 0;
-      sched_i = 0;
-      path = [];
-      input_log = [];
-      input_counters = Hashtbl.create 8;
-      solver_calls = 0;
-      solver_cost = 0;
-      progress = [];
-    }
-  in
-  (* globals allocate in the same order as the concrete runtime *)
+(* A run's state before its first step: nothing allocated, at clock 0
+   of the trace. *)
+let new_state ~config (prog : Er_ir.Prog.t) ~trace ~failure ~failure_clock =
+  {
+    prog;
+    cfg = config;
+    trace;
+    failure;
+    failure_clock;
+    graph = Cgraph.create ();
+    session =
+      Solver.Session.create ~budget:config.solver_budget
+        ~gate_budget:config.gate_budget ();
+    mem = Symmem.create ();
+    globals = Hashtbl.create 16;
+    lobjs = Array.make (List.length prog.Er_ir.Prog.program.globals) 0;
+    threads = [];
+    next_tid = 1;
+    clock = 0;
+    branch_i = 0;
+    data_i = 0;
+    sched_i = 0;
+    path = [];
+    input_log = [];
+    input_counters = Hashtbl.create 8;
+    solver_calls = 0;
+    solver_cost = 0;
+    progress = [];
+  }
+
+(* Start [st] at clock 0: the globals allocated in the same order as the
+   concrete runtime, and [main] the main thread's only frame. *)
+let start_at_zero st main =
   List.iteri
     (fun gi (g : global) ->
-       let o = Symmem.alloc st.mem ~elt_ty:g.g_elt_ty ~size:g.g_size ~heap:true in
+       let o = Symmem.alloc st.mem ~elt_ty:g.g_elt_ty ~size:g.g_size in
        (match g.g_init with
         | None -> ()
         | Some init ->
             Array.iteri (fun i v -> Symmem.init_cell o ~index:i v) init);
        Hashtbl.replace st.globals g.gname o.Symmem.s_id;
        st.lobjs.(gi) <- o.Symmem.s_id)
-    globals;
-  let main_thread = { tid = 0; stack = [ main ]; depth = 1; live = true } in
-  st.threads <- [ main_thread ];
+    st.prog.Er_ir.Prog.program.globals;
+  st.threads <- [ { tid = 0; stack = [ main ]; depth = 1; live = true } ]
+
+(* Shepherd [st] from its clock to the failure: the main thread runs
+   first, and the trace cursors continue from where [st] holds them. *)
+let shepherd eng st : result =
   let thread_by_id tid =
     match List.find_opt (fun t -> t.tid = tid) st.threads with
     | Some t -> t
@@ -663,7 +669,7 @@ let shepherd eng ~main ~config (prog : Er_ir.Prog.t) ~trace ~failure
              { model; input_log = List.rev st.input_log;
                path_constraints = st.path })
   in
-  let cur = ref main_thread in
+  let cur = ref (List.hd st.threads) in
   let rec loop () =
     (* follow the recorded chunk schedule *)
     (if st.sched_i < Array.length st.trace.Er_trace.Decoder.schedule then begin
@@ -796,7 +802,7 @@ module Reference = struct
         store st ~at:(point_of fr) ev ty v addr;
         next fr
     | Alloc { dst; elt_ty; count; heap } ->
-        let o = alloc st ev ~elt_ty ~heap count in
+        let o = alloc st ev ~elt_ty count in
         if not heap then fr.fr_stack_objs <- o.Symmem.s_id :: fr.fr_stack_objs;
         def st fr dst (obj_ptr o)
     | Free { addr } ->
@@ -944,7 +950,7 @@ module Lowered = struct
         store st ~at:(point_of fr) ev ty v addr;
         next fr
     | L.LAlloc { dst; elt_ty; count; heap } ->
-        let o = alloc st ev ~elt_ty ~heap count in
+        let o = alloc st ev ~elt_ty count in
         if not heap then fr.fr_stack_objs <- o.Symmem.s_id :: fr.fr_stack_objs;
         def st fr dst (obj_ptr o)
     | L.LFree { addr } ->
@@ -1017,17 +1023,189 @@ module Lowered = struct
     }
 end
 
+(* ======================================================================== *)
+(* Fast-forward: the input-free prefix on the compiled VM                   *)
+(* ======================================================================== *)
+
+(* Like KLEE's concrete object state, or selective symbolic execution's
+   concrete mode: until the failing run reads its first input, every
+   value is concrete, so no step adds a path constraint, a provenance
+   entry ([Cgraph.define] skips constants) or a solver query.  The
+   lowered engine runs that prefix on the compiled VM, checking each
+   conditional branch against the next TNT bit and each allocation size
+   against the next data value, and consuming a data value at each
+   ptwrite, as shepherding does for a constant register.  With no input
+   data and the failure clock as its instruction bound, the VM stops at
+   the first [input] or exactly at the failure clock; the shepherd then
+   starts from its state.  A mismatch, an exhausted stream, a crash or a
+   finished program discards the VM, and the run shepherds from clock
+   0: its outcome is then the reference engine's, divergence included. *)
+
+let m_fast_forwarded =
+  M.counter
+    ~help:"Failing-run instructions replayed on the compiled VM before shepherding."
+    "er_symex_fast_forwarded_total"
+
+(* The shortest prefix worth a VM, equal to the tracer's checkpoint
+   interval.  No Table 1 failing run qualifies, so every Table 1 bug
+   shepherds from clock 0. *)
+let min_prefix = 1_000
+
+module Vs = Er_vm.Vm_state
+
+exception Off_trace
+
+(* Whether a prefix could qualify, decided before any VM is built: a
+   spawning program runs more than one thread, and a [main] that starts
+   with an input has no prefix. *)
+let may_fast_forward (low : L.t) ~(trace : Er_trace.Decoder.split)
+    ~failure_clock =
+  failure_clock >= min_prefix
+  && (not low.L.l_has_spawn)
+  && Array.length trace.Er_trace.Decoder.schedule = 0
+  &&
+  let entry = low.L.l_funcs.(low.L.l_main).L.lf_blocks.(0) in
+  not
+    (Array.length entry.L.lb_instrs > 0
+     && match entry.L.lb_instrs.(0) with L.LInput _ -> true | _ -> false)
+
+(* Replay the prefix of [trace] on the VM; the stopped VM and the branch
+   and data cursors past it, or [None] when the trace is not followed or
+   the prefix is shorter than [min_prefix]. *)
+let replay_prefix (prog : Er_ir.Prog.t) ~(trace : Er_trace.Decoder.split)
+    ~failure_clock =
+  let branches = trace.Er_trace.Decoder.branches
+  and data = trace.Er_trace.Decoder.data in
+  let branch_i = ref 0 and data_i = ref 0 in
+  let next_data () =
+    if !data_i >= Array.length data then raise Off_trace;
+    let v = data.(!data_i) in
+    incr data_i;
+    v
+  in
+  let hooks =
+    { Vs.no_hooks with
+      on_branch =
+        Some
+          (fun taken ->
+             if !branch_i >= Array.length branches || branches.(!branch_i) <> taken
+             then raise Off_trace;
+             incr branch_i);
+      on_alloc =
+        Some (fun n -> if not (Int64.equal (next_data ()) n) then raise Off_trace);
+      on_ptwrite = Some (fun _ -> ignore (next_data ())) }
+  in
+  (* past [max_steps] shepherding gives up, so the VM need not go
+     further *)
+  let config =
+    { Vs.default_config with
+      max_instrs = min failure_clock (max_steps + 1); hooks }
+  in
+  let vm = Vs.create ~config prog (Er_vm.Inputs.make []) in
+  match Vs.run_to_end vm with
+  | exception Off_trace -> None
+  | { Vs.outcome =
+        Vs.Failed { Failure_.kind = Failure_.Input_exhausted _ | Failure_.Hang; _ };
+      instr_count; _ }
+    when instr_count >= min_prefix ->
+      Some (vm, !branch_i, !data_i)
+  | _ -> None
+
+(* The type each register slot of [lf] holds: its parameter's, or its
+   defining instruction's result type. *)
+let slot_types (low : L.t) (lf : L.lfunc) : ty array =
+  let tys = Array.make lf.L.lf_nslots I64 in
+  Array.iter (fun (slot, ty) -> tys.(slot) <- ty) lf.L.lf_params;
+  Array.iter
+    (fun (b : L.lblock) ->
+       Array.iter
+         (function
+           | L.LBin { dst; ty; _ } | L.LSelect { dst; ty; _ }
+           | L.LLoad { dst; ty; _ } | L.LInput { dst; ty; _ } ->
+               tys.(dst) <- ty
+           | L.LCmp { dst; _ } -> tys.(dst) <- I1
+           | L.LCast { dst; to_ty; _ } -> tys.(dst) <- to_ty
+           | L.LAlloc { dst; _ } | L.LGep { dst; _ } -> tys.(dst) <- Ptr
+           | L.LCall { dst = Some dst; fidx; _ } ->
+               tys.(dst) <-
+                 Option.value ~default:I64 low.L.l_funcs.(fidx).L.lf_ret_ty
+           | L.LCall { dst = None; _ } | L.LStore _ | L.LFree _ | L.LOutput _
+           | L.LPtwrite _ | L.LAssert _ | L.LSpawn _ | L.LJoin | L.LLock _
+           | L.LUnlock _ ->
+               ())
+         b.L.lb_instrs)
+    lf.L.lf_blocks;
+  tys
+
+(* Seed [st] with the stopped VM's state: every object under its id with
+   its current contents, the main thread's frames with their registers
+   typed per slot, and the clock and trace cursors where the VM
+   stopped. *)
+let seed_from_vm st vm ~branch_i ~data_i =
+  let low = Er_ir.Prog.lowered st.prog in
+  let vmem = Vs.memory vm in
+  List.iter
+    (fun (id, size, elt_ty, freed) ->
+       Symmem.seed st.mem ~id ~elt_ty ~size ~freed (fun index ->
+           Option.get (Er_vm.Memory.peek vmem ~obj:id ~index)))
+    (Er_vm.Memory.objects vmem);
+  (* globals are the first objects either engine allocates *)
+  List.iteri
+    (fun gi (g : global) ->
+       Hashtbl.replace st.globals g.gname (gi + 1);
+       st.lobjs.(gi) <- gi + 1)
+    st.prog.Er_ir.Prog.program.globals;
+  let frame (fv : Vs.frame_view) : Lowered.frame =
+    let lf = L.func_by_name low fv.Vs.fv_func in
+    let tys = slot_types low lf in
+    let value slot (_, v) =
+      match tys.(slot) with
+      | Ptr -> Sval.decode_ptr (bvc ~width:64 v)
+      | ty -> Sval.Bv (bvc ~width:(width_of_ty ty) v)
+    in
+    { Lowered.fr_func = lf;
+      fr_block =
+        Option.get
+          (Array.find_opt
+             (fun (b : L.lblock) -> String.equal b.L.lb_label fv.Vs.fv_block)
+             lf.L.lf_blocks);
+      fr_ip = fv.Vs.fv_ip;
+      fr_regs = Array.of_list (List.mapi value fv.Vs.fv_regs);
+      fr_dst = fv.Vs.fv_dst;
+      fr_stack_objs = fv.Vs.fv_stack_objs }
+  in
+  (match Vs.threads vm with
+   | [ main ] ->
+       let stack = List.map frame main.Vs.tv_frames in
+       st.threads <-
+         [ { tid = 0; stack; depth = List.length stack; live = true } ]
+   | _ -> assert false (* spawn-free *));
+  st.clock <- Vs.clock vm;
+  st.branch_i <- branch_i;
+  st.data_i <- data_i;
+  M.add m_fast_forwarded st.clock
+
 (* --- entry points ---------------------------------------------------------- *)
 
 let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
     ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
     ~(failure_clock : int) : result =
-  let main = Reference.make_frame (Er_ir.Prog.main prog) [] ~dst:None in
-  shepherd Reference.engine ~main ~config prog ~trace ~failure ~failure_clock
+  let st = new_state ~config prog ~trace ~failure ~failure_clock in
+  start_at_zero st (Reference.make_frame (Er_ir.Prog.main prog) [] ~dst:None);
+  shepherd Reference.engine st
 
 let run ?(config = default_config) (prog : Er_ir.Prog.t)
     ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
     ~(failure_clock : int) : result =
   let low = Er_ir.Prog.lowered prog in
-  let main = Lowered.make_frame low.L.l_funcs.(low.L.l_main) [] ~dst:None in
-  shepherd Lowered.engine ~main ~config prog ~trace ~failure ~failure_clock
+  let st = new_state ~config prog ~trace ~failure ~failure_clock in
+  (match
+     if may_fast_forward low ~trace ~failure_clock then
+       replay_prefix prog ~trace ~failure_clock
+     else None
+   with
+   | Some (vm, branch_i, data_i) -> seed_from_vm st vm ~branch_i ~data_i
+   | None ->
+       start_at_zero st
+         (Lowered.make_frame low.L.l_funcs.(low.L.l_main) [] ~dst:None));
+  shepherd Lowered.engine st

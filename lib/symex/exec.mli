@@ -67,7 +67,18 @@ type result = {
     evaluation, register writes, and block and callee resolution.  Both
     produce identical outcomes, path constraints, and (deterministic)
     solver costs — the differential suite pins this down on the corpus
-    and on generated programs. *)
+    and on generated programs.
+
+    Before shepherding, [run] replays a spawn-free program's input-free
+    prefix of at least {!min_prefix} instructions on the compiled VM,
+    checking it against the trace, and starts from the VM's state; the
+    prefix adds no path constraint, provenance or solver query.
+    [steps] still counts the replayed instructions.  Seeded memory holds
+    each object's current contents rather than its write history, and
+    constants the prefix computed are interned later, so a term built
+    after the prefix can differ from the reference's (a read at an
+    input-derived index, an equality's operand order) while meaning the
+    same; a trace the VM does not follow shepherds from clock 0. *)
 val run :
   ?config:config ->
   Er_ir.Prog.t ->
@@ -75,6 +86,12 @@ val run :
   failure:Er_vm.Failure.t ->
   failure_clock:int ->
   result
+
+(** The shortest input-free prefix {!run} replays on the compiled VM
+    before shepherding (1,000 instructions, the tracer's checkpoint
+    interval).  Shorter prefixes, and spawning programs, shepherd from
+    clock 0. *)
+val min_prefix : int
 
 (** The retained reference engine: the oracle of the differential
     tests. *)

@@ -11,7 +11,6 @@ type sobj = {
   s_id : int;
   s_elt_ty : ty;
   s_size : int;
-  s_heap : bool;
   mutable s_arr : Expr.t;          (* current array term *)
   mutable s_sym_writes : int;      (* writes with a symbolic index or value *)
   mutable s_freed : bool;
@@ -26,16 +25,36 @@ let create () = { objects = Hashtbl.create 64; next_id = 1 }
 
 let idx_width = 32
 
-let alloc t ~elt_ty ~size ~heap =
+let alloc t ~elt_ty ~size =
   let id = t.next_id in
   t.next_id <- id + 1;
   let arr = Expr.const_array ~idx:idx_width ~elt:(width_of_ty elt_ty) 0L in
   let o =
-    { s_id = id; s_elt_ty = elt_ty; s_size = size; s_heap = heap;
-      s_arr = arr; s_sym_writes = 0; s_freed = false }
+    { s_id = id; s_elt_ty = elt_ty; s_size = size; s_arr = arr;
+      s_sym_writes = 0; s_freed = false }
   in
   Hashtbl.replace t.objects id o;
   o
+
+(* An object carried over from a concrete run under that run's id: its
+   current contents [cell i], as constant writes of the non-zero cells
+   over a zero array.  The term holds what the cells hold, not the
+   stores that put it there, as concrete object state does. *)
+let seed t ~id ~elt_ty ~size ~freed cell =
+  let w = width_of_ty elt_ty in
+  let arr = ref (Expr.const_array ~idx:idx_width ~elt:w 0L) in
+  for i = 0 to size - 1 do
+    let v = cell i in
+    if not (Int64.equal v 0L) then
+      arr :=
+        Expr.write !arr
+          (Expr.const ~width:idx_width (Int64.of_int i))
+          (Expr.const ~width:w v)
+  done;
+  Hashtbl.replace t.objects id
+    { s_id = id; s_elt_ty = elt_ty; s_size = size; s_arr = !arr;
+      s_sym_writes = 0; s_freed = freed };
+  t.next_id <- max t.next_id (id + 1)
 
 let find t id = Hashtbl.find_opt t.objects id
 

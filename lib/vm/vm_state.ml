@@ -290,21 +290,6 @@ let ldef_slot (i : L.linstr) : int option =
   | L.LStore _ | L.LFree _ | L.LOutput _ | L.LPtwrite _ | L.LAssert _
   | L.LSpawn _ | L.LJoin | L.LLock _ | L.LUnlock _ -> None
 
-(* Whether the program can ever create a second thread.  A statically
-   spawn-free program is scheduler-seed-independent: quantum boundaries
-   are unobservable without thread switches, so a checkpoint taken under
-   one seed is valid for a resume under any other. *)
-let has_spawn (low : L.t) : bool =
-  Array.exists
-    (fun (lf : L.lfunc) ->
-       Array.exists
-         (fun (b : L.lblock) ->
-            Array.exists
-              (function L.LSpawn _ -> true | _ -> false)
-              b.L.lb_instrs)
-         lf.L.lf_blocks)
-    low.L.l_funcs
-
 (* --- execution state ------------------------------------------------------- *)
 
 type lframe = {
@@ -2244,7 +2229,11 @@ let first_exec_clock (t : t) (p : point) : int option =
              let c = t.lfexec.(t.lblock_base.(lf.L.lf_idx) + bidx) in
              if c < 0 then None else Some c)
 
-let seed_independent (t : t) = not (has_spawn t.llow)
+(* A statically spawn-free program is scheduler-seed-independent:
+   quantum boundaries are unobservable without thread switches, so a
+   checkpoint taken under one seed is valid for a resume under any
+   other. *)
+let seed_independent (t : t) = not t.llow.L.l_has_spawn
 
 (* Would the run up to [ck] have consumed the same values under [fresh]'s
    stream contents?  The state's current streams are the old side: they
@@ -2267,6 +2256,8 @@ type frame_view = {
   fv_block : string;
   fv_ip : int;
   fv_regs : (string * int64) list;   (* every register, slot order *)
+  fv_dst : int option;               (* caller slot for the return value *)
+  fv_stack_objs : int list;          (* stack object ids, newest first *)
 }
 
 type thread_view = {
@@ -2284,6 +2275,8 @@ let view_frame (fr : lframe) : frame_view =
       List.mapi
         (fun s name -> (name, rget fr s))
         (Array.to_list fr.lfr_func.L.lf_reg_of_slot);
+    fv_dst = fr.lfr_dst;
+    fv_stack_objs = fr.lfr_stack_objs;
   }
 
 let threads (t : t) : thread_view list =

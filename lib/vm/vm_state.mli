@@ -228,6 +228,11 @@ type frame_view = {
   fv_regs : (string * int64) list;
       (** every register of the function in slot order (parameters
           first); one not yet written reads 0 *)
+  fv_dst : int option;
+      (** the caller's slot that receives the return value *)
+  fv_stack_objs : int list;
+      (** ids of the objects the frame allocated on the stack, newest
+          first; they are freed when it returns *)
 }
 
 type thread_view = {

@@ -283,28 +283,35 @@ let test_analysis_callbacks_pinned () =
 
 (* --- corpus differential: shepherded symex ------------------------------ *)
 
+(* One run under ER's recording hooks: its decoded trace, failure and
+   failure clock when it fails. *)
+let trace_run prog inputs ~seed =
+  let enc = Er_trace.Encoder.create () in
+  Er_trace.Encoder.start enc;
+  let config =
+    { Interp.default_config with
+      sched_seed = seed; hooks = Er_vm.Vm_state.recording_hooks enc }
+  in
+  let r = Interp.run ~config prog inputs in
+  match r.Interp.outcome with
+  | Interp.Failed failure -> (
+      match Er_trace.Decoder.decode (Er_trace.Encoder.finish enc) with
+      | Error _ -> None
+      | Ok events ->
+          Some (Er_trace.Decoder.split events, failure, r.Interp.instr_count))
+  | Interp.Finished _ -> None
+
 (* Replicates Pipeline.Default_tracer: capture the first failing
-   occurrence's packet stream and failure clock. *)
+   occurrence's packet stream and failure clock (long-trace fails first
+   at its 24th). *)
 let trace_failure prog (s : Bug.spec) =
   let rec go occ =
-    if occ > 8 then None
+    if occ > 32 then None
     else
       let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
-      let enc = Er_trace.Encoder.create () in
-      Er_trace.Encoder.start enc;
-      let config =
-        { Interp.default_config with
-          sched_seed = seed; hooks = Er_vm.Vm_state.recording_hooks enc }
-      in
-      let r = Interp.run ~config prog inputs in
-      match r.Interp.outcome with
-      | Interp.Failed failure -> (
-          match Er_trace.Decoder.decode (Er_trace.Encoder.finish enc) with
-          | Error _ -> None
-          | Ok events ->
-              Some
-                (Er_trace.Decoder.split events, failure, r.Interp.instr_count))
-      | Interp.Finished _ -> go (occ + 1)
+      match trace_run prog inputs ~seed with
+      | Some _ as captured -> captured
+      | None -> go (occ + 1)
   in
   go 1
 
@@ -333,7 +340,7 @@ let exec_obs (r : Exec.result) =
 (* Shepherd one trace with the reference engine, then the lowered one.
    Each runs in a fresh interning space: the same term order, and
    therefore a bit-identical deterministic solver trajectory. *)
-let shepherd_both ?config prog split failure clock =
+let shepherd_results ?config prog split failure clock =
   let run_one
       (run :
          ?config:Exec.config ->
@@ -344,24 +351,441 @@ let shepherd_both ?config prog split failure clock =
          Exec.result)
       =
     Er_smt.Expr.in_fresh_space (fun () ->
-        exec_obs (run ?config prog ~trace:split ~failure ~failure_clock:clock))
+        run ?config prog ~trace:split ~failure ~failure_clock:clock)
   in
   let reference = run_one Exec.run_reference in
   (reference, run_one Exec.run)
 
+let shepherd_both ?config prog split failure clock =
+  let reference, lowered = shepherd_results ?config prog split failure clock in
+  (exec_obs reference, exec_obs lowered)
+
+(* [f]'s result with the instructions the lowered engine fast-forwarded
+   and the VM instructions retired while it ran (metrics on). *)
+let fast_forwarded f =
+  let reg = M.default in
+  let was = M.enabled reg in
+  M.set_enabled reg true;
+  let total name = M.Snapshot.counter_total (M.snapshot ()) name in
+  let ff0 = total "er_symex_fast_forwarded_total"
+  and vm0 = total "er_vm_instructions_total" in
+  let r = Fun.protect ~finally:(fun () -> M.set_enabled reg was) f in
+  ( r,
+    total "er_symex_fast_forwarded_total" - ff0,
+    total "er_vm_instructions_total" - vm0 )
+
+let long_trace_points =
+  [ { p_func = "handle"; p_block = "entry"; p_index = 0 };
+    { p_func = "main"; p_block = "body"; p_index = 2 } ]
+
+(* Table 1 runs from clock 0 without building a VM; long-trace, base
+   (it stalls) and instrumented at the points its reconstruction
+   records (it completes), fast-forwards nearly all of its run.  Either
+   way the lowered engine's observation is the reference's. *)
 let test_corpus_symex_differential () =
+  let check name (s : Bug.spec) program =
+    let prog = Prog.of_program program in
+    match trace_failure prog s with
+    | None -> Alcotest.fail (name ^ ": no failing trace captured")
+    | Some (split, failure, clock) ->
+        let config = s.Bug.config.Er_core.Pipeline.exec_config in
+        let (reference, lowered), ff, vm_instrs =
+          fast_forwarded (fun () ->
+              shepherd_results ~config prog split failure clock)
+        in
+        Alcotest.(check string) name (exec_obs reference) (exec_obs lowered);
+        if s == Er_corpus.Registry.long_trace then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s fast-forwarded %d of %d steps" name ff
+               lowered.Exec.steps)
+            true
+            (100 * ff >= 99 * lowered.Exec.steps)
+        else
+          Alcotest.(check (pair int int))
+            (name ^ ": no VM instruction, nothing fast-forwarded")
+            (0, 0) (vm_instrs, ff)
+  in
   List.iter
-    (fun (s : Bug.spec) ->
-       let prog = Prog.of_program s.Bug.program in
-       match trace_failure prog s with
-       | None -> Alcotest.fail (s.Bug.name ^ ": no failing trace captured")
-       | Some (split, failure, clock) ->
-           let config = s.Bug.config.Er_core.Pipeline.exec_config in
-           let reference, lowered =
-             shepherd_both ~config prog split failure clock
+    (fun (s : Bug.spec) -> check s.Bug.name s s.Bug.program)
+    (Er_corpus.Registry.table1 @ [ Er_corpus.Registry.long_trace ]);
+  let lt = Er_corpus.Registry.long_trace in
+  check "long-trace instrumented" lt
+    (fst (Er_select.Instrument.apply lt.Bug.program long_trace_points))
+
+(* Faults planted in long-trace's decoded trace, each met inside the
+   input-free warmup: the lowered engine discards its VM, or builds none
+   for a single-threaded program's trace that names a thread switch, and
+   shepherds from clock 0, so it reports the reference's divergence at
+   the reference's step. *)
+let test_planted_prefix_faults () =
+  let s = Er_corpus.Registry.long_trace in
+  let prog = Prog.of_program s.Bug.program in
+  let split, failure, clock =
+    match trace_failure prog s with
+    | Some captured -> captured
+    | None -> Alcotest.fail "long-trace: no failing trace captured"
+  in
+  let b = split.Er_trace.Decoder.branches
+  and d = split.Er_trace.Decoder.data in
+  let flipped = Array.copy b in
+  flipped.(500) <- not flipped.(500);
+  let resized = Array.copy d in
+  resized.(0) <- Int64.add resized.(0) 1L;
+  List.iter
+    (fun (name, split) ->
+       let config = s.Bug.config.Er_core.Pipeline.exec_config in
+       let reference, lowered = shepherd_both ~config prog split failure clock in
+       Printf.printf "%s: %s\n" name reference;
+       Alcotest.(check bool) (name ^ " diverges") true
+         (String.starts_with ~prefix:"diverged" reference);
+       Alcotest.(check string) name reference lowered)
+    [ ("flipped TNT bit", { split with branches = flipped });
+      ("wrong allocation size", { split with data = resized });
+      ("empty data stream", { split with data = [||] });
+      ("branch stream cut at 1,000",
+       { split with branches = Array.sub b 0 1_000 });
+      ("a switch to thread 1 at clock 5,000",
+       { split with schedule = [| (1, 5_000) |] }) ]
+
+(* A failing run whose input is read two calls deep, after an
+   input-free prefix of about 1,200 instructions.  At the input, main,
+   mid and leaf hold live i1/i8/i16/i32/i64/ptr registers (mid's i8 is
+   negative, and leaf's [%q] points into main's stack object); the
+   prefix has freed a heap object, returned from [fill] (freeing its
+   stack object), stored a pointer into [@GP] and passed one ptwrite.
+   After the input, leaf compares [%q] with an input-derived pointer
+   into the same object, which shepherding does on the cell indices
+   only when [%q] is a pointer value.  [index] is the [@TAB] cell leaf
+   reads, [gate] ends the block mid enters before calling leaf, and
+   main fails when the low bits of its sum equal [hit]. *)
+let prefix_program ~index ~gate ~hit =
+  let text =
+    Printf.sprintf
+      {|global @TAB : i32[64] = {9, 8, 7}
+global @GP : ptr[1]
+
+func fill(%%n: i32) {
+  entry:
+    %%k = alloca i32, 1:i32
+    store i32 0:i32, %%k
+    br loop
+
+  loop:
+    %%kv = load i32, %%k
+    %%more = cmp ult i32 %%kv, %%n
+    br %%more, body, done
+
+  body:
+    %%idx = and i32 %%kv, 63:i32
+    %%v = mul i32 %%kv, 2654435761:i32
+    %%p = gep @TAB, %%idx
+    store i32 %%v, %%p
+    %%kn = add i32 %%kv, 1:i32
+    store i32 %%kn, %%k
+    br loop
+
+  done:
+    ret
+}
+
+func leaf(%%q: ptr, %%s: i8, %%w: i16) -> i32 {
+  entry:
+    %%x = input i32, "in"
+    %%qv = load i32, %%q
+    %%xi = and i32 %s, 63:i32
+    %%tp = gep @TAB, %%xi
+    %%tv = load i32, %%tp
+    %%a = add i32 %%x, %%qv
+    %%b = xor i32 %%a, %%tv
+    %%sx = sext i8 %%s to i32
+    %%wx = zext i16 %%w to i32
+    %%c = add i32 %%b, %%sx
+    %%d = add i32 %%c, %%wx
+    %%xm = and i32 %%x, 3:i32
+    %%qx = gep %%q, %%xm
+    %%le = cmp ule ptr %%q, %%qx
+    %%lz = zext i1 %%le to i32
+    %%e = add i32 %%d, %%lz
+    ret %%e
+}
+
+func mid(%%q: ptr, %%big: i64) -> i32 {
+  entry:
+    %%neg = sub i8 0:i8, 3:i8
+    %%half = trunc i64 %%big to i16
+    ptwrite %%half
+    %%gl = load ptr, @GP
+    %%down = cmp slt i8 %%neg, 0:i8
+    br %%down, gate, go
+
+  gate:
+    %s
+
+  go:
+    %%r = call leaf(%%q, %%neg, %%half)
+    %%nx = sext i8 %%neg to i32
+    %%r2 = add i32 %%r, %%nx
+    %%gv = load i32, %%gl
+    %%r3 = add i32 %%r2, %%gv
+    ret %%r3
+}
+
+func main() {
+  entry:
+    %%buf = alloca i32, 8:i32
+    %%b2 = gep %%buf, 2:i32
+    store i32 41:i32, %%b2
+    %%h = alloc i64, 4:i32
+    store i64 5:i64, %%h
+    free %%h
+    call fill(120:i32)
+    %%wide = mul i64 1500000000:i64, 6:i64
+    %%flag = cmp ult i32 3:i32, 4:i32
+    %%base = load i32, %%b2
+    store ptr %%b2, @GP
+    %%r = call mid(%%b2, %%wide)
+    %%rx = zext i32 %%r to i64
+    %%sum = add i64 %%rx, %%wide
+    %%fx = zext i1 %%flag to i64
+    %%tot = add i64 %%sum, %%fx
+    %%bx = zext i32 %%base to i64
+    %%all = add i64 %%tot, %%bx
+    %%low = and i64 %%all, 7:i64
+    %%hit = cmp eq i64 %%low, %d:i64
+    br %%hit, boom, fine
+
+  boom:
+    abort "planted failure"
+
+  fine:
+    ret
+}
+
+main main
+|}
+      index gate hit
+  in
+  match Er_ir.Parser.parse_string text with
+  | Ok p -> Prog.of_program p
+  | Error e -> Alcotest.fail ("prefix program: " ^ e)
+
+(* The first input value, of 0..63, that makes the program fail. *)
+let prefix_failure prog =
+  let rec go x =
+    if x > 63 then Alcotest.fail "prefix program: no failing input"
+    else
+      match
+        trace_run prog (Er_vm.Inputs.make [ ("in", [ Int64.of_int x ]) ]) ~seed:0
+      with
+      | Some captured -> captured
+      | None -> go (x + 1)
+  in
+  go 0
+
+(* Shepherd the prefix program's failing run with both engines, the
+   lowered one fast-forwarding at least [Exec.min_prefix] instructions. *)
+let shepherd_prefix_program prog =
+  let split, failure, clock = prefix_failure prog in
+  let results, ff, _ =
+    fast_forwarded (fun () -> shepherd_results prog split failure clock)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fast-forwarded %d instructions" ff)
+    true (ff >= Exec.min_prefix);
+  (split, failure, results)
+
+(* Both engines complete, and each one's test case replays the failure
+   along the recorded control flow. *)
+let check_both_verify (split : Er_trace.Decoder.split) failure prog
+    (reference, lowered) =
+  List.iter
+    (fun (name, (r : Exec.result)) ->
+       Printf.printf "%s: %s\n" name (exec_obs r);
+       match r.Exec.outcome with
+       | Exec.Complete solution ->
+           let v =
+             Er_core.Verify.check ~solution:(Some solution) ~base_prog:prog
+               ~testcase:(Er_core.Testcase.of_solution solution)
+               ~expected_failure:failure
+               ~expected_branches:split.Er_trace.Decoder.branches ~sched_seed:0
            in
-           Alcotest.(check string) s.Bug.name reference lowered)
-    Er_corpus.Registry.table1
+           Alcotest.(check bool) (name ^ " test case verifies") true
+             v.Er_core.Verify.ok
+       | _ -> Alcotest.failf "%s did not complete" name)
+    [ ("reference", reference); ("lowered", lowered) ]
+
+(* A use after free of a stack object from the prefix: [spin]'s, freed
+   when spin returns inside the prefix ([via] = [@GQ]), or [reader]'s,
+   freed when reader returns after the input ([@GP]).  main reads it
+   through the pointer the prefix stored in [via]; the failure
+   constraints see the free only if the seeded memory keeps the freed
+   flag, or the seeded frame frees its stack objects on return. *)
+let dangling_program ~via =
+  let text =
+    Printf.sprintf
+      {|global @GP : ptr[1]
+global @GQ : ptr[1]
+
+func spin() {
+  entry:
+    %%k = alloca i32, 1:i32
+    store ptr %%k, @GQ
+    store i32 0:i32, %%k
+    br loop
+
+  loop:
+    %%kv = load i32, %%k
+    %%more = cmp ult i32 %%kv, 300:i32
+    br %%more, body, done
+
+  body:
+    %%kn = add i32 %%kv, 1:i32
+    store i32 %%kn, %%k
+    br loop
+
+  done:
+    ret
+}
+
+func reader() -> i32 {
+  entry:
+    %%slot = alloca i32, 2:i32
+    store ptr %%slot, @GP
+    call spin()
+    %%x = input i32, "in"
+    %%s1 = gep %%slot, 1:i32
+    store i32 %%x, %%s1
+    ret %%x
+}
+
+func main() {
+  entry:
+    %%v = call reader()
+    %%p = load ptr, %s
+    %%big = cmp ugt i32 %%v, 10:i32
+    br %%big, use, fine
+
+  use:
+    %%d = load i32, %%p
+    ret
+
+  fine:
+    ret
+}
+
+main main
+|}
+      via
+  in
+  match Er_ir.Parser.parse_string text with
+  | Ok p -> Prog.of_program p
+  | Error e -> Alcotest.fail ("dangling program: " ^ e)
+
+(* Reads of prefix memory at concrete indices, and a use after free of a
+   prefix stack object: the observation is the reference's, whether the
+   run fails after its input or before it. *)
+let test_prefix_program_differential () =
+  List.iter
+    (fun (name, prog) ->
+       let _, _, (reference, lowered) = shepherd_prefix_program prog in
+       Alcotest.(check bool) (name ^ " completes") true
+         (String.starts_with ~prefix:"complete" (exec_obs reference));
+       Alcotest.(check string) name (exec_obs reference) (exec_obs lowered))
+    [ ("fails after the input", prefix_program ~index:"7:i32" ~gate:"br go" ~hit:3);
+      ( "fails before any input",
+        prefix_program ~index:"7:i32" ~gate:{|abort "before any input"|} ~hit:3 );
+      ("use after a free in the prefix", dangling_program ~via:"@GQ");
+      ("use after a free past the input", dangling_program ~via:"@GP") ]
+
+(* Runs that must shepherd from clock 0: one failing at clock 6, before
+   any VM is worth building; one whose first input comes at clock 1 of
+   a failing run of about 1,800 instructions, whose VM stops too early
+   to keep; and one that spawns a thread right before failing, after a
+   long input-free loop, with no switch in its trace.  Each has the
+   reference's observation, and only the second builds a VM. *)
+let test_prefix_guards () =
+  let program ~head ~iters ~tail =
+    let text =
+      Printf.sprintf
+        {|func idle() {
+  entry:
+    ret
+}
+
+func main() {
+  entry:
+    %%k = alloca i32, 1:i32
+    %s
+    store i32 0:i32, %%k
+    br loop
+
+  loop:
+    %%kv = load i32, %%k
+    %%more = cmp ult i32 %%kv, %d:i32
+    br %%more, body, done
+
+  body:
+    %%kn = add i32 %%kv, 1:i32
+    store i32 %%kn, %%k
+    br loop
+
+  done:
+    %s
+    abort "guard"
+}
+
+main main
+|}
+        head iters tail
+    in
+    match Er_ir.Parser.parse_string text with
+    | Ok p -> Prog.of_program p
+    | Error e -> Alcotest.fail ("guard program: " ^ e)
+  in
+  List.iter
+    (fun (name, prog, builds_vm) ->
+       let split, failure, clock =
+         match
+           trace_run prog (Er_vm.Inputs.make [ ("in", [ 1L ]) ]) ~seed:0
+         with
+         | Some captured -> captured
+         | None -> Alcotest.fail (name ^ ": did not fail")
+       in
+       Alcotest.(check int) (name ^ ": no thread switch traced") 0
+         (Array.length split.Er_trace.Decoder.schedule);
+       let (reference, lowered), ff, vm_instrs =
+         fast_forwarded (fun () -> shepherd_both prog split failure clock)
+       in
+       Alcotest.(check string) name reference lowered;
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: failure clock %d, %d VM instructions" name clock
+            vm_instrs)
+         builds_vm (vm_instrs > 0);
+       Alcotest.(check int) (name ^ ": nothing fast-forwarded") 0 ff)
+    [ ("fails at clock 6", program ~head:"" ~iters:0 ~tail:"", false);
+      ( "input at clock 1",
+        program ~head:{|%x = input i32, "in"|} ~iters:300 ~tail:"",
+        true );
+      ("spawns before failing", program ~head:"" ~iters:300 ~tail:"spawn idle()",
+       false) ]
+
+(* The two places a fast-forwarded run's terms may differ from the
+   reference's.  [6:i64] is a constant the prefix multiplies by and
+   main compares with after the input: the reference interned it in the
+   prefix, so its
+   term id is below the input-derived side's and [Expr.eq] puts it
+   first; the fast-forwarded run meets it first after the input and
+   puts it second.  And a read of prefix memory at an input-derived
+   index sees the seeded table, the reference's function of the index
+   but not its term.  Either way both engines complete and both test
+   cases verify; the observations are printed. *)
+let test_prefix_term_differences () =
+  List.iter
+    (fun (index, hit) ->
+       let prog = prefix_program ~index ~gate:"br go" ~hit in
+       let split, failure, results = shepherd_prefix_program prog in
+       check_both_verify split failure prog results)
+    [ ("7:i32", 6); ("%x", 5) ]
 
 (* --- randomized differential: VM ---------------------------------------- *)
 
@@ -1395,6 +1819,14 @@ let suites =
           test_corpus_vm_differential;
         Alcotest.test_case "symex: all Table 1 bugs" `Slow
           test_corpus_symex_differential;
+        Alcotest.test_case "symex: planted prefix faults" `Slow
+          test_planted_prefix_faults;
+        Alcotest.test_case "symex: fast-forwarded prefix program" `Quick
+          test_prefix_program_differential;
+        Alcotest.test_case "symex: prefix terms that may differ" `Quick
+          test_prefix_term_differences;
+        Alcotest.test_case "symex: short and spawning prefixes start at 0"
+          `Quick test_prefix_guards;
         Alcotest.test_case "analysis callbacks: Table 1 pins" `Quick
           test_analysis_callbacks_pinned;
       ] );

@@ -329,6 +329,22 @@ let test_job_allocation () =
        | _ -> Alcotest.fail "bash-108885 did not reproduce");
       Test_trace.check_at_most "cold bash-108885 job words" 65_536 words)
 
+(* long-trace's failing runs spend 400,008 of their 400,046 instructions
+   in an input-free warmup, which the shepherd replays on the compiled
+   VM instead of building terms for it: a cold job allocates about 6.6M
+   words in a dev build, where shepherding the warmup step by step cost
+   about 42M. *)
+let test_long_trace_job_allocation () =
+  with_metrics false (fun () ->
+      let job = Er_core.Job.create (Bug.request Registry.long_trace) in
+      let (), words =
+        Test_trace.allocated_words (fun () -> Er_core.Job.execute job)
+      in
+      (match Er_core.Job.poll job with
+       | Some (Er_core.Job.Finished { P.status = P.Reproduced _; _ }) -> ()
+       | _ -> Alcotest.fail "long-trace did not reproduce");
+      Test_trace.check_at_most "cold long-trace job words" 16_000_000 words)
+
 (* With metrics on, a job charges its domain's allocation to the
    er_job_* counters. *)
 let test_job_allocation_counters () =
@@ -369,6 +385,8 @@ let suites =
           test_space_allocation;
         Alcotest.test_case "a cold bash-108885 job allocates what it uses"
           `Quick test_job_allocation;
+        Alcotest.test_case "a cold long-trace job shepherds only its input"
+          `Quick test_long_trace_job_allocation;
         Alcotest.test_case "job allocation counters move" `Quick
           test_job_allocation_counters;
       ] );

@@ -14,7 +14,7 @@ let pt i = { p_func = "foo"; p_block = "body"; p_index = i }
 let fig4 () =
   let g = Cgraph.create () in
   let mem = Symmem.create () in
-  let v = Symmem.alloc mem ~elt_ty:I32 ~size:256 ~heap:true in
+  let v = Symmem.alloc mem ~elt_ty:I32 ~size:256 in
   let a = Expr.bv_var "fig4a" ~width:32 and b = Expr.bv_var "fig4b" ~width:32 in
   let c = Expr.bv_var "fig4c" ~width:32 in
   let x = Expr.add a b in
