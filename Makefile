@@ -113,7 +113,7 @@ bench-warm:
 # Section 5.3's shape: Table 1's summed selection time must stay within
 # 10% of its summed symex time (the job self-gates and prints both
 # totals and their ratio).  The same job gates Table 1's SMT allocation
-# at 100 minor words per bit-blast gate.
+# at 50 words (minor and direct major) per bit-blast gate.
 bench-offline:
 	dune exec bench/main.exe -- offline
 

@@ -40,7 +40,8 @@ let table =
   exact "bugs[name]"
     [ "reproduced"; "iterations"; "occurrences"; "runs"; "trace_bytes";
       "solver_calls"; "solver_cost"; "cache_hits"; "cache_misses";
-      "recording_points" ]
+      "recording_points"; "sat_decisions"; "sat_conflicts";
+      "bitblast_gates" ]
   @ exact "totals"
       [ "bugs"; "reproduced"; "trace_bytes"; "solver_calls"; "solver_cost";
         "cache_hits"; "cache_misses" ]
@@ -54,6 +55,7 @@ let table =
       ("vm.traced_ratio", Bound (Lower, max_traced_ratio));
       ("vm.bugs[name].speedup", Info);
       ("fleet.deterministic", True);
+      ("fleet.digest", Exact);
       ("fleet.trials[jobs].wall", Info) ]
   @ exact "long_trace"
       [ "checkpoints_taken"; "resumes"; "saved_instrs"; "executed_instrs" ]

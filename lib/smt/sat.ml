@@ -11,7 +11,9 @@
    Bit-blasting adds clauses by the hundred thousand, so the clause path
    allocates nothing per clause: every clause, learned ones included,
    lives in one flat int arena, and every add path normalises its
-   literals in place in a per-solver buffer. *)
+   literals in place in a per-solver buffer.  Nor does a solver regrow
+   its storage from scratch: [release] parks a finished solver on its
+   domain and the next [create] there starts from its capacity. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -171,7 +173,7 @@ type t = {
 
 let initial_cap = 16
 
-let create () =
+let fresh () =
   let activity = ref (Array.make initial_cap 0.0) in
   {
     nvars = 0;
@@ -201,6 +203,55 @@ let create () =
     learnt = Veci.create ();
     buf = Veci.create ();
   }
+
+(* --- storage reuse ------------------------------------------------------ *)
+
+(* The domain's spare solver: [release] parks one, [create] takes it.
+   Domain-local, so no solver storage is ever shared between domains. *)
+let parked : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let create () =
+  match Domain.DLS.get parked with
+  | Some s ->
+      Domain.DLS.set parked None;
+      s
+  | None -> fresh ()
+
+(* Restore every field [fresh] sets, touching only the used prefix: no
+   entry at or past [nvars] (no literal at or past [2 * nvars]) was ever
+   written, and arena words past [arena_len], trail words past its
+   length and the per-literal watch arrays past their lengths are never
+   read before they are written.  The capacity stays.  A domain keeps
+   one spare, the one with the larger variable capacity. *)
+let release s =
+  match Domain.DLS.get parked with
+  | Some p when p.cap >= s.cap -> ()
+  | _ ->
+      let n = s.nvars in
+      Array.fill s.assigns 0 n 0;
+      Array.fill s.level 0 n 0;
+      Array.fill s.reason 0 n (-1);
+      Array.fill s.phase 0 n false;
+      Array.fill s.seen_flags 0 n false;
+      Array.fill !(s.activity) 0 n 0.0;
+      Array.fill s.watch_len 0 (2 * n) 0;
+      Array.fill s.heap.Heap.index 0 n (-1);
+      s.heap.Heap.size <- 0;
+      s.nvars <- 0;
+      s.arena_len <- 0;
+      s.nclauses <- 0;
+      Veci.clear s.trail;
+      Veci.clear s.trail_lim;
+      Veci.clear s.seen;
+      Veci.clear s.learnt;
+      s.qhead <- 0;
+      s.var_inc <- 1.0;
+      s.ok <- true;
+      s.propagations <- 0;
+      s.conflicts <- 0;
+      s.decisions <- 0;
+      s.restarts <- 0;
+      Domain.DLS.set parked (Some s)
 
 let grow_ints (a : int array) c fill =
   let a' = Array.make c fill in

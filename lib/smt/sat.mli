@@ -7,9 +7,18 @@ type result = Sat | Unsat | Unknown
 
 type t
 
-(** A fresh solver.  Its heuristics are fixed: VSIDS decay 0.95, Luby
-    restarts with base 64, phase saving from an initial phase of false. *)
+(** An empty solver.  Its heuristics are fixed: VSIDS decay 0.95, Luby
+    restarts with base 64, phase saving from an initial phase of false.
+    It reuses the storage of the solver last parked on the calling
+    domain by {!release}, if any, and allocates one otherwise; either
+    way it searches exactly as a newly allocated solver would. *)
 val create : unit -> t
+
+(** [release t] hands [t]'s storage to the next {!create} on the calling
+    domain: it empties [t] back to the state {!create} returns, keeping
+    its capacity, and parks it.  A domain keeps one spare, the one with
+    the larger variable capacity.  [t] must not be used afterwards. *)
+val release : t -> unit
 
 (** Allocate a variable; returns its external (1-based, DIMACS) index. *)
 val new_var : t -> int

@@ -62,7 +62,9 @@ let m_clauses =
     "er_smt_bitblast_clauses_total"
 
 let m_vars =
-  M.counter ~help:"SAT variables allocated by bit-blasting."
+  M.counter
+    ~help:"SAT variables allocated by sessions (bit-blasting and assertion \
+           selectors), charged at each solve."
     "er_smt_bitblast_vars_total"
 
 let m_minor_words =
@@ -70,6 +72,12 @@ let m_minor_words =
     ~help:"Words the checking domain allocated on the minor heap during \
            SMT checks."
     "er_smt_minor_words_total"
+
+let m_major_words =
+  M.counter
+    ~help:"Words the checking domain allocated directly on the major heap \
+           during SMT checks."
+    "er_smt_major_words_total"
 
 let m_query_seconds =
   M.histogram ~help:"Per-query solve wall time."
@@ -165,6 +173,8 @@ module Session = struct
     mutable hits : int;
     mutable misses : int;
     mutable replays : int; (* of [hits]: answered from the journal *)
+    mutable vars_charged : int; (* SAT variables already counted *)
+    mutable released : bool; (* [sat] is parked or owned by another session *)
   }
 
   type cache_stats = { cache_hits : int; cache_misses : int }
@@ -184,15 +194,31 @@ module Session = struct
       hits = 0;
       misses = 0;
       replays = 0;
+      vars_charged = 0;
+      released = false;
     }
 
+  let live t what =
+    if t.released then
+      invalid_arg (Printf.sprintf "Solver.Session.%s: session released" what)
+
+  (* The SAT storage goes back to the domain for the next session; the
+     rest of the session is garbage once its owner drops it. *)
+  let release t =
+    if not t.released then begin
+      t.released <- true;
+      Sat.release t.sat
+    end
+
   let push t e =
+    live t "push";
     Sat.backtrack_root t.sat;
     let sel = if Expr.is_true e then 0 else Sat.new_var t.sat in
     t.stack <-
       { f_expr = e; f_sel = sel; f_encoded = sel = 0 } :: t.stack
 
   let pop t =
+    live t "pop";
     match t.stack with
     | [] -> invalid_arg "Solver.Session.pop: empty assertion stack"
     | f :: rest ->
@@ -351,6 +377,8 @@ module Session = struct
               let conclude o =
                 remember t key o;
                 let st = stats_since t ~g0 ~p0 ~c0 ~d0 ~r0 ~cl0 in
+                M.add m_vars (st.sat_vars - t.vars_charged);
+                t.vars_charged <- st.sat_vars;
                 M.add m_gates st.gates;
                 M.add m_propagations st.propagations;
                 M.add m_conflicts st.conflicts;
@@ -375,7 +403,6 @@ module Session = struct
               | exception Bitblast.Too_large ->
                   conclude (Unknown "gate budget exhausted during bit-blasting")
               | () -> (
-                  M.add m_vars (Sat.num_vars t.sat);
                   (* oldest frame first, matching assertion order *)
                   let assumptions = List.rev_map (fun f -> f.f_sel) active in
                   match Sat.solve ~budget:t.budget ~assumptions t.sat with
@@ -386,14 +413,21 @@ module Session = struct
                         (Unknown "propagation budget exhausted during search")))
     end
 
+  (* With metrics on, a check charges the checking domain's allocation:
+     its minor words, and its direct major words ([Gc.counters]' major
+     words less those promoted from the minor heap). *)
   let check t : outcome * stats =
+    live t "check";
     if not (M.enabled M.default) then check_core t
     else begin
-      let w0 = Gc.minor_words () in
+      let w0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
       let t0 = M.now M.default in
       let ((res, _) as out) = check_core t in
       M.observe m_query_seconds (M.now M.default -. t0);
+      let _, promoted, major = Gc.counters () in
       M.add m_minor_words (int_of_float (Gc.minor_words () -. w0));
+      M.add m_major_words
+        (int_of_float (major -. major0 -. (promoted -. promoted0)));
       (match res with
       | Sat _ -> M.inc m_q_sat
       | Unsat -> M.inc m_q_unsat
@@ -407,4 +441,6 @@ end
 let check ?budget ?gate_budget (assertions : Expr.t list) : outcome * stats =
   let s = Session.create ?budget ?gate_budget () in
   List.iter (Session.push s) assertions;
-  Session.check s
+  let out = Session.check s in
+  Session.release s;
+  out

@@ -102,9 +102,16 @@ module Session : sig
   (** Of this session's cache hits, how many were answered by replaying
       the persistent journal. *)
   val replays : t -> int
+
+  (** [release t] parks [t]'s SAT storage on the calling domain for the
+      next session there ({!Sat.release}).  Afterwards [push], [pop]
+      and [check] raise [Invalid_argument]; [depth], [cache_stats] and
+      [replays] still read.  Releasing twice is a no-op. *)
+  val release : t -> unit
 end
 
 (** [check ~budget ~gate_budget assertions] decides the conjunction of
-    width-1 [assertions] with a throwaway session.  [gate_budget] caps
-    bit-blasting work, [budget] caps SAT propagation work. *)
+    width-1 [assertions] with a throwaway session, released afterwards.
+    [gate_budget] caps bit-blasting work, [budget] caps SAT propagation
+    work. *)
 val check : ?budget:int -> ?gate_budget:int -> Expr.t list -> outcome * stats

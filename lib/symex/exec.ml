@@ -1187,12 +1187,20 @@ let seed_from_vm st vm ~branch_i ~data_i =
 
 (* --- entry points ---------------------------------------------------------- *)
 
+(* The run's result holds no solver state, so its session's SAT storage
+   goes back to the domain for the next run.  A run that raises parks
+   nothing. *)
+let shepherd_and_release eng st =
+  let r = shepherd eng st in
+  Solver.Session.release st.session;
+  r
+
 let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
     ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
     ~(failure_clock : int) : result =
   let st = new_state ~config prog ~trace ~failure ~failure_clock in
   start_at_zero st (Reference.make_frame (Er_ir.Prog.main prog) [] ~dst:None);
-  shepherd Reference.engine st
+  shepherd_and_release Reference.engine st
 
 let run ?(config = default_config) (prog : Er_ir.Prog.t)
     ~(trace : Er_trace.Decoder.split) ~(failure : Failure_.t)
@@ -1208,4 +1216,4 @@ let run ?(config = default_config) (prog : Er_ir.Prog.t)
    | None ->
        start_at_zero st
          (Lowered.make_frame low.L.l_funcs.(low.L.l_main) [] ~dst:None));
-  shepherd Lowered.engine st
+  shepherd_and_release Lowered.engine st

@@ -78,7 +78,11 @@ type result = {
     constants the prefix computed are interned later, so a term built
     after the prefix can differ from the reference's (a read at an
     input-derived index, an equality's operand order) while meaning the
-    same; a trace the VM does not follow shepherds from clock 0. *)
+    same; a trace the VM does not follow shepherds from clock 0.
+
+    Each run owns one solver session; both engines release it when
+    they return ({!Er_smt.Solver.Session.release}), so the next run on
+    the domain reuses its SAT storage. *)
 val run :
   ?config:config ->
   Er_ir.Prog.t ->

@@ -345,6 +345,33 @@ let test_long_trace_job_allocation () =
        | _ -> Alcotest.fail "long-trace did not reproduce");
       Test_trace.check_at_most "cold long-trace job words" 16_000_000 words)
 
+(* php-2012-2386's shepherded runs open solver sessions of about 16K,
+   16K and 400 SAT variables.  A domain keeps its last solver's storage
+   for the next session ({!Er_smt.Sat.release}), so once the domain has
+   run the job its solvers start at full size: a second job allocates
+   about 88K words in a dev build, where regrowing every solver from 16
+   variables cost about 2.6M. *)
+let test_php_job_reuses_sat_storage () =
+  with_metrics false (fun () ->
+      let spec =
+        match Registry.find "php-2012-2386" with
+        | Some s -> s
+        | None -> Alcotest.fail "corpus bug php-2012-2386 disappeared"
+      in
+      let run () =
+        let job = Er_core.Job.create (Bug.request spec) in
+        let (), words =
+          Test_trace.allocated_words (fun () -> Er_core.Job.execute job)
+        in
+        (match Er_core.Job.poll job with
+         | Some (Er_core.Job.Finished { P.status = P.Reproduced _; _ }) -> ()
+         | _ -> Alcotest.fail "php-2012-2386 did not reproduce");
+        words
+      in
+      ignore (run ());
+      Test_trace.check_at_most "php-2012-2386 job words, second on its domain"
+        200_000 (run ()))
+
 (* With metrics on, a job charges its domain's allocation to the
    er_job_* counters. *)
 let test_job_allocation_counters () =
@@ -387,6 +414,8 @@ let suites =
           `Quick test_job_allocation;
         Alcotest.test_case "a cold long-trace job shepherds only its input"
           `Quick test_long_trace_job_allocation;
+        Alcotest.test_case "a php-2012-2386 job reuses its domain's SAT \
+                            storage" `Quick test_php_job_reuses_sat_storage;
         Alcotest.test_case "job allocation counters move" `Quick
           test_job_allocation_counters;
       ] );

@@ -281,6 +281,94 @@ let test_sat_trajectory_pins () =
         (flat (Sat.Sat, 145, 6, 41, 152)) (flat (trajectory s r3)))
     [ ("list", add_list); ("gate", add_gate) ]
 
+(* --- storage reuse ---------------------------------------------------------- *)
+
+(* [Sat.create] takes the storage a released solver parked on this
+   domain, so taking it first makes the second [create] allocate. *)
+let fresh_sat () =
+  ignore (Sat.create ());
+  Sat.create ()
+
+(* Release a solver larger than every case below with its used prefix
+   dirty, and return it: conflicts bumped activities and [var_inc], the
+   search saved phases, the root backtrack refilled the heap, clauses
+   fill watch lists, and two contradicting units clear [ok] with a
+   level-0 assignment left on the trail. *)
+let park_dirty_solver () =
+  let s = fresh_sat () in
+  seeded_3cnf add_list s ~seed:11 ~vars:200 ~clauses:800;
+  ignore (Sat.solve s);
+  let _, conflicts, _ = Sat.stats s in
+  Alcotest.(check bool) "the parked solver saw conflicts" true (conflicts > 0);
+  Sat.backtrack_root s;
+  Sat.add_clause s [ 1 ];
+  Sat.add_clause s [ -1 ];
+  Sat.release s;
+  s
+
+let result_name = function
+  | Sat.Sat -> "sat"
+  | Sat.Unsat -> "unsat"
+  | Sat.Unknown -> "unknown"
+
+(* Everything a solver reports after answering [r]: the result, the
+   model, every work counter and the activity ranking with its exact
+   (hex) activities. *)
+let observe s r =
+  let p, c, cl = Sat.stats s in
+  let model =
+    if r = Sat.Sat then
+      String.init (Sat.num_vars s) (fun v -> if Sat.value s (v + 1) then '1' else '0')
+    else "-"
+  in
+  Printf.sprintf "%s vars=%d p=%d c=%d cl=%d d=%d r=%d model=%s top=%s"
+    (result_name r) (Sat.num_vars s) p c cl (Sat.decisions s) (Sat.restarts s)
+    model
+    (String.concat ","
+       (List.map (fun (v, a) -> Printf.sprintf "%d:%h" v a) (Sat.top_activity s)))
+
+let solve_observed ?budget ?assumptions s =
+  observe s (Sat.solve ?budget ?assumptions s)
+
+(* The pinned formulas of [test_sat_trajectory_pins], each solve
+   observed. *)
+let sat_cases =
+  List.map
+    (fun n ->
+       ( Printf.sprintf "pigeonhole %d" n,
+         fun s ->
+           pigeonhole add_list s n;
+           [ solve_observed s ] ))
+    [ 4; 6 ]
+  @ List.map
+      (fun seed ->
+         ( Printf.sprintf "3-CNF seed %d" seed,
+           fun s ->
+             seeded_3cnf add_gate s ~seed ~vars:60 ~clauses:256;
+             [ solve_observed s ] ))
+      [ 1; 2; 3; 4 ]
+  @ [ ( "incremental 3-CNF seed 7",
+        fun s ->
+          seeded_3cnf add_list s ~seed:7 ~vars:40 ~clauses:150;
+          let r1 = solve_observed ~assumptions:[ 1; -2; 3; -4 ] s in
+          Sat.backtrack_root s;
+          List.iter (add_list s) [ [ 5; 6 ]; [ -5; 7; 7 ]; [ 8; -8; 9 ]; [ -1 ] ];
+          let r2 = solve_observed ~assumptions:[ 2; -3 ] s in
+          let r3 = solve_observed ~budget:50 s in
+          [ r1; r2; r3 ] ) ]
+
+(* A solver on reused storage searches exactly as a new one does. *)
+let test_sat_reuse_invisible () =
+  List.iter
+    (fun (name, case) ->
+       let fresh = case (fresh_sat ()) in
+       let dirty = park_dirty_solver () in
+       let s = Sat.create () in
+       Alcotest.(check bool) (name ^ ": takes the parked storage") true
+         (s == dirty);
+       Alcotest.(check (list string)) (name ^ ": reused = fresh") fresh (case s))
+    sat_cases
+
 (* [Sat.top_k] is a one-pass selection; the sort it replaced is the
    oracle.  Activities come from a small pool so ties are common. *)
 let qcheck_top_k =
@@ -596,6 +684,131 @@ let qcheck_session_vs_oneshot =
        | Solver.Unknown _, _ | _, Solver.Unknown _ -> QCheck2.assume_fail ()
        | _ -> false)
 
+(* --- Solver.Session: storage reuse --------------------------------------- *)
+
+let outcome_string = function
+  | Solver.Sat m ->
+      "sat "
+      ^ String.concat ","
+          (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) (Model.bindings m))
+  | Solver.Unsat -> "unsat"
+  | Solver.Unknown r -> "unknown: " ^ r
+
+let observe_check s =
+  let o, (st : Solver.stats) = Solver.Session.check s in
+  Printf.sprintf "%s vars=%d g=%d p=%d c=%d d=%d r=%d cl=%d" (outcome_string o)
+    st.Solver.sat_vars st.Solver.gates st.Solver.propagations
+    st.Solver.conflicts st.Solver.decisions st.Solver.restarts
+    st.Solver.clauses
+
+let sy16 = Expr.bv_var "sy" ~width:16
+
+(* y * (y + 3) = 40 at 16 bits: real search, a few hundred gates. *)
+let quadratic = Expr.eq (Expr.mul sy16 (Expr.add sy16 (Expr.const ~width:16 3L)))
+    (Expr.const ~width:16 40L)
+
+let script_gate_budget = 5_000
+
+(* Pushes, an unsat-under-assumptions check, a pop, and a stall on a
+   gate budget the last push overruns, observed check by check. *)
+let session_script s =
+  let push = Solver.Session.push s in
+  push (Expr.ult x32 (i32 50));
+  push quadratic;
+  let c1 = observe_check s in
+  push (Expr.eq x32 (i32 60));
+  let c2 = observe_check s in
+  Solver.Session.pop s;
+  push (Expr.ult (i32 10) x32);
+  let c3 = observe_check s in
+  push (Expr.eq (tower 4 (Expr.bv_var "sg" ~width:64)) (Expr.const ~width:64 17L));
+  let c4 = observe_check s in
+  [ c1; c2; c3; c4 ]
+
+let test_session_reuse_invisible () =
+  ignore (Sat.create ());
+  let fresh =
+    session_script (Solver.Session.create ~gate_budget:script_gate_budget ())
+  in
+  (match fresh with
+   | [ c1; c2; c3; c4 ] ->
+       let starts prefix c = String.starts_with ~prefix c in
+       Alcotest.(check (list bool)) "sat, unsat, sat, gate stall"
+         [ true; true; true; true ]
+         [ starts "sat" c1; starts "unsat" c2; starts "sat" c3;
+           starts "unknown: gate budget" c4 ]
+   | _ -> Alcotest.fail "four checks");
+  (* a larger session that searched, released on this domain *)
+  let big = Solver.Session.create () in
+  Solver.Session.push big (Expr.eq (Expr.mul x32 (Expr.add x32 (i32 7))) (i32 1000));
+  Solver.Session.push big (Expr.ult (Expr.mul y32 y32) x32);
+  let _, st = Solver.Session.check big in
+  Alcotest.(check bool) "the released session saw conflicts" true
+    (st.Solver.conflicts > 0 && st.Solver.sat_vars > 400);
+  Solver.Session.release big;
+  let reused =
+    session_script (Solver.Session.create ~gate_budget:script_gate_budget ())
+  in
+  Alcotest.(check (list string)) "reused = fresh" fresh reused
+
+(* A released session refuses further use, also once a later session
+   has taken its storage. *)
+let test_session_released () =
+  let s = Solver.Session.create () in
+  Solver.Session.push s (Expr.ult x32 (i32 5));
+  ignore (Solver.Session.check s);
+  Solver.Session.release s;
+  Solver.Session.release s;
+  let taker = Solver.Session.create () in
+  Solver.Session.push taker (Expr.ult (i32 1) x32);
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on a released session did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "push" (fun () -> Solver.Session.push s (Expr.ult x32 (i32 3)));
+  raises "pop" (fun () -> Solver.Session.pop s);
+  raises "check" (fun () -> ignore (Solver.Session.check s));
+  Alcotest.(check int) "depth still reads" 1 (Solver.Session.depth s);
+  match Solver.Session.check taker with
+  | Solver.Sat m, _ ->
+      Alcotest.(check bool) "the taker's model" true
+        (Model.holds m (Expr.ult (i32 1) x32))
+  | _ -> Alcotest.fail "the taker's check must be sat"
+
+(* er_smt_bitblast_vars_total: each solve charges the variables its
+   session allocated since the last charge, a gate-budget stall too, so
+   a session's charges add up to its variable count. *)
+let test_vars_counter () =
+  let reg = Er_metrics.default in
+  let was = Er_metrics.enabled reg in
+  Er_metrics.set_enabled reg true;
+  Fun.protect ~finally:(fun () -> Er_metrics.set_enabled reg was) @@ fun () ->
+  let charged () =
+    Er_metrics.Snapshot.counter_total (Er_metrics.snapshot ())
+      "er_smt_bitblast_vars_total"
+  in
+  let v0 = charged () in
+  let s = Solver.Session.create ~gate_budget:script_gate_budget () in
+  Solver.Session.push s (Expr.ult x32 (i32 50));
+  let _, st1 = Solver.Session.check s in
+  Alcotest.(check int) "first check" st1.Solver.sat_vars (charged () - v0);
+  Solver.Session.push s quadratic;
+  let _, st2 = Solver.Session.check s in
+  Alcotest.(check bool) "second check allocated" true
+    (st2.Solver.sat_vars > st1.Solver.sat_vars);
+  Alcotest.(check int) "second check" st2.Solver.sat_vars (charged () - v0);
+  Solver.Session.push s
+    (Expr.eq (tower 4 (Expr.bv_var "vg" ~width:64)) (Expr.const ~width:64 17L));
+  (match Solver.Session.check s with
+   | Solver.Unknown _, st3 ->
+       Alcotest.(check bool) "the stall allocated" true
+         (st3.Solver.sat_vars > st2.Solver.sat_vars);
+       Alcotest.(check int) "gate-budget stall" st3.Solver.sat_vars
+         (charged () - v0)
+   | _ -> Alcotest.fail "expected a gate-budget stall");
+  Solver.Session.release s
+
 let qcheck_of t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -615,6 +828,8 @@ let suites =
         Alcotest.test_case "budget timeout" `Quick test_sat_budget;
         qcheck_of qcheck_sat_random_3cnf;
         Alcotest.test_case "trajectory pins" `Quick test_sat_trajectory_pins;
+        Alcotest.test_case "reused storage is invisible" `Quick
+          test_sat_reuse_invisible;
         qcheck_of qcheck_top_k;
       ] );
     ( "smt.solver",
@@ -642,6 +857,12 @@ let suites =
           test_session_unknown_not_cached;
         Alcotest.test_case "stall reasons surfaced" `Quick
           test_unknown_reason_surfaced;
+        Alcotest.test_case "reused storage is invisible" `Quick
+          test_session_reuse_invisible;
+        Alcotest.test_case "a released session refuses use" `Quick
+          test_session_released;
+        Alcotest.test_case "variables charged per solve" `Quick
+          test_vars_counter;
         qcheck_of qcheck_session_vs_oneshot;
       ] );
   ]

@@ -1,8 +1,9 @@
 (* Tests for the bench trajectory checker (bench/trajectory.ml): the
-   committed BENCH_10 -> BENCH_11 step passes, a document holding one
-   job's section passes, a warm section without the retired stall-time
-   trial passes, and for each rule a copy of BENCH_11 broken in
-   memory fails, every failure naming the rule's section. *)
+   newest committed step, BENCH_12 -> BENCH_13, passes, a document
+   holding one job's section passes, a warm section without the retired
+   stall-time trial passes, and for each rule a copy of BENCH_13 broken
+   in memory fails against the unbroken one, every failure naming the
+   rule's section. *)
 
 module J = Er_json
 
@@ -32,25 +33,27 @@ let rec update path f (j : J.t) =
 
 let set path v = update path (fun _ -> v)
 
-let failures current =
+let failures ?(reference = bench 10) current =
   List.filter
     (fun v -> not v.Trajectory.ok)
-    (Trajectory.check ~reference:(bench 10) ~current)
+    (Trajectory.check ~reference ~current)
 
 let test_committed_step () =
-  Alcotest.(check (list string)) "BENCH_10 -> BENCH_11 has no failures" []
-    (List.map (fun v -> v.Trajectory.label) (failures (bench 11)))
+  Alcotest.(check (list string)) "BENCH_12 -> BENCH_13 has no failures" []
+    (List.map
+       (fun v -> v.Trajectory.label)
+       (failures ~reference:(bench 12) (bench 13)))
+
+(* [doc] reduced to its [section], as `bench JOB -o FILE` writes it. *)
+let only section = function
+  | J.Obj fields ->
+      J.Obj (List.filter (fun (k, _) -> k = "bench" || k = section) fields)
+  | j -> j
 
 (* What `bench vm -o FILE` writes: the other sections are n/a. *)
 let test_one_section () =
-  let vm_only =
-    match bench 11 with
-    | J.Obj fields ->
-        J.Obj (List.filter (fun (k, _) -> k = "bench" || k = "vm") fields)
-    | j -> j
-  in
   Alcotest.(check int) "a vm-only document passes" 0
-    (List.length (failures vm_only))
+    (List.length (failures (only "vm" (bench 11))))
 
 (* What `bench warm -o FILE` writes now that the stall-time trial is
    gone: BENCH_11 with that trial's subsection dropped from its warm
@@ -62,21 +65,30 @@ let test_warm_without_stall_trial () =
       (function
         | J.Obj fields -> J.Obj (List.remove_assoc trial fields)
         | j -> j)
-      (bench 11)
+      (only "warm" (bench 11))
   in
   Alcotest.(check bool) "the copy lacks the subsection" true
     (Option.bind (J.member "warm" doc) (J.member trial) = None);
   Alcotest.(check (list string)) "it passes against BENCH_10" []
     (List.map (fun v -> v.Trajectory.label) (failures doc))
 
+let bump = function J.Int n -> J.Int (n + 1) | j -> j
+
 let broken =
   [ ("solver-cost drift", "totals",
      set [ "totals"; "solver_cost" ] (J.Int 204_037));
     ("per-bug counter drift", "bugs",
      set [ "bugs"; "0"; "iterations" ] (J.Int 4));
+    ("per-bug SAT decisions drift", "bugs",
+     update [ "bugs"; "0"; "sat_decisions" ] bump);
+    ("per-bug SAT conflicts drift", "bugs",
+     update [ "bugs"; "1"; "sat_conflicts" ] bump);
+    ("per-bug bit-blast gates drift", "bugs",
+     update [ "bugs"; "2"; "bitblast_gates" ] bump);
     ("vm speedup under 4x", "vm", set [ "vm"; "speedup" ] (J.Float 3.9));
     ("vm speedup 10% under the reference", "vm",
-     set [ "vm"; "speedup" ] (J.Float 4.3));
+     update [ "vm"; "speedup" ]
+       (function J.Float f -> J.Float (0.85 *. f) | j -> j));
     ("traced ratio 1.5", "vm", set [ "vm"; "traced_ratio" ] (J.Float 1.5));
     ("long trace never resumes", "long_trace",
      set [ "long_trace"; "resumes" ] (J.Int 0));
@@ -88,6 +100,8 @@ let broken =
      set [ "warm"; "trajectories_identical" ] (J.Bool false));
     ("fleet not deterministic", "fleet",
      set [ "fleet"; "deterministic" ] (J.Bool false));
+    ("fleet digest drift", "fleet",
+     set [ "fleet"; "digest" ] (J.Str (String.make 32 '0')));
     ("a present section lacks a field", "vm",
      update [ "vm" ] (function
        | J.Obj fields -> J.Obj (List.remove_assoc "traced_ratio" fields)
@@ -95,7 +109,7 @@ let broken =
 
 let test_broken (name, section, break) =
   Alcotest.test_case name `Quick (fun () ->
-      match failures (break (bench 11)) with
+      match failures ~reference:(bench 13) (break (bench 13)) with
       | [] -> Alcotest.fail "the broken document passed"
       | bad ->
           List.iter
@@ -107,7 +121,7 @@ let test_broken (name, section, break) =
 
 let suites =
   [ ( "trajectory",
-      Alcotest.test_case "BENCH_10 -> BENCH_11 passes" `Quick
+      Alcotest.test_case "BENCH_12 -> BENCH_13 passes" `Quick
         test_committed_step
       :: Alcotest.test_case "one job's section alone passes" `Quick
            test_one_section
